@@ -46,12 +46,10 @@ from .hamiltonian import (
     DualChain,
     HamiltonianTerms,
     SplitHamiltonians,
-    TransverseRotation,
     build_hamiltonian,
     commutator_norm,
     dual_algebra_residual,
     dual_chain,
-    rotate_transverse,
     split_hamiltonian,
 )
 from .thermal import (

@@ -41,9 +41,10 @@ from .pauli import PauliString
 from .tables import ResultTable
 from .thermal import (
     SHIELDING_FAIL_TOL,
+    _compare_shielded,
+    _shielded_states,
     classify_distance,
     expectation,
-    shielding_report,
     thermal_state,
     trace_distance,
 )
@@ -79,14 +80,31 @@ def _metadata(cfg: dict, verdict: dict) -> dict:
     }
 
 
-def _grid(spec_value) -> list[float]:
-    """A grid given either as a list or as {"start", "stop", "step"}."""
+def _nonempty(key: str, values):
+    """``values``, unless empty: a run without data must not pass."""
+    if len(values) == 0:
+        raise ShieldlabError(f"{key} is empty: the run would have no data")
+    return values
+
+
+def _count(cfg: dict, key: str, default: int) -> int:
+    """A trial count of at least 1: a run without data must not pass."""
+    value = int(cfg.get(key, default))
+    if value < 1:
+        raise ShieldlabError(f"{key} must be at least 1, got {value}")
+    return value
+
+
+def _grid(key: str, spec_value) -> list[float]:
+    """A non-empty grid given either as a list or as {"start", "stop", "step"}."""
     if isinstance(spec_value, dict):
         start, stop = float(spec_value["start"]), float(spec_value["stop"])
         step = float(spec_value["step"])
+        if not step > 0.0:
+            raise ShieldlabError(f"{key}.step must be positive, got {step}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + k * step for k in range(count)]
-    return [float(x) for x in spec_value]
+        return _nonempty(key, [start + k * step for k in range(count)])
+    return _nonempty(key, [float(x) for x in spec_value])
 
 
 def _beta_value(raw) -> float:
@@ -134,8 +152,8 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
             h[l] = interface_field
         lat = update_parameters(lat, h=h)
 
-    betas = [float(b) for b in cfg.get("betas", [0.1, 1.0, 5.0])]
-    trials = int(cfg.get("trials", 50))
+    betas = _nonempty("betas", [float(b) for b in cfg.get("betas", [0.1, 1.0, 5.0])])
+    trials = _count(cfg, "trials", 50)
     seed = int(cfg.get("seed", 0))
     j_lo, j_hi = cfg.get("J_range", [-2.0, 2.0])
     h_lo, h_hi = cfg.get("h_range", [0.0, 1.0])
@@ -144,6 +162,8 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
     x_edges = [(i, j) for (i, j, _) in lat.edges
                if {i, j} <= split.X and not {i, j} <= split.S]
     x_bulk = sorted(split.A)
+    # trials redraw only the X side, so the shielded states on Y are solved once
+    rhs = _shielded_states(build_hamiltonian(lat), split, betas)
 
     table = ResultTable(columns=("trial", "beta", "distance", "rho_variation"))
     first_lhs: dict[float, object] = {}
@@ -159,9 +179,9 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
         if g_range is not None:
             for i in x_bulk:
                 g_new[i] = rng.uniform(float(g_range[0]), float(g_range[1]))
-        trial_lat = update_parameters(lat, h=h_new, g=g_new, J_by_edge=j_new)
+        H = build_hamiltonian(update_parameters(lat, h=h_new, g=g_new, J_by_edge=j_new))
         for beta in betas:
-            report = shielding_report(trial_lat, split, beta)
+            report = _compare_shielded(H, rhs[beta], beta)
             if beta not in first_lhs:
                 first_lhs[beta] = report.lhs
             variation = trace_distance(report.lhs, first_lhs[beta])
@@ -197,8 +217,9 @@ def run_counterexample(cfg: dict) -> ResultTable:
     zero-temperature plateau expression go to the metadata.
     """
     h4 = float(cfg.get("h4", 1.0))
-    betas = [float(b) for b in cfg.get("betas", [1.0, 4.0, 7.0])]
-    h1_grid = _grid(cfg.get("h1_grid", {"start": 0.0, "stop": 2.0, "step": 0.05}))
+    betas = _nonempty("betas", [float(b) for b in cfg.get("betas", [1.0, 4.0, 7.0])])
+    h1_grid = _grid("h1_grid",
+                    cfg.get("h1_grid", {"start": 0.0, "stop": 2.0, "step": 0.05}))
     tol = float(cfg.get("series_tol", 1e-14))
 
     obs = PauliString.single(4, 3, "X")
@@ -278,13 +299,13 @@ def run_conjecture(cfg: dict) -> ResultTable:
     """
     lat, split = _load_lattice_and_split(cfg)
     beta = _beta_value(cfg.get("beta", "ground"))
-    trials = int(cfg.get("trials", 20))
+    trials = _count(cfg, "trials", 20)
     seed = int(cfg.get("seed", 0))
     a_lo, a_hi = cfg.get("a_field_range", [0.0, 1.0])
     b_lo, b_hi = cfg.get("b_field_range", [0.0, 1.0])
     off_lo, off_hi = cfg.get("offset_range", [0.0, 3.0])
 
-    a_sites = sorted(split.A)
+    a_sites = _nonempty("split: X outside the interface", sorted(split.A))
     b_sites = sorted(split.B)
     rng0 = point_rng(seed, 0)
     h_base = list(lat.h)
@@ -363,10 +384,10 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
         h = list(pre.h)
         h[site] = float(cfg["quench_h"])
         post = update_parameters(pre, h=h)
-    times = _grid(cfg.get("times", {"start": 0.0, "stop": 6.0, "step": 0.05}))
+    times = _grid("times", cfg.get("times", {"start": 0.0, "stop": 6.0, "step": 0.05}))
     observables = _observables_from_config(cfg.get("observables"), pre.n_sites)
     protocol = QuenchProtocol(pre=pre, post=post, times=tuple(times),
-                              observables=observables)
+                              observables=_nonempty("observables", observables))
     table = run_quench(protocol)
 
     verdict: dict = {"status": "pass"}
@@ -418,7 +439,7 @@ def run_dual_check(cfg: dict) -> ResultTable:
         chains.append(lattice_from_json(cfg["chain"]))
     else:
         n = int(cfg.get("n_sites", 6))
-        trials = int(cfg.get("trials", 50))
+        trials = _count(cfg, "trials", 50)
         seed = int(cfg.get("seed", 0))
         j_lo, j_hi = cfg.get("J_range", [-2.0, 2.0])
         h_lo, h_hi = cfg.get("h_range", [-1.0, 1.0])

@@ -1,4 +1,4 @@
-"""Hamiltonian construction, region splitting, duality and axis rotation.
+"""Hamiltonian construction, region splitting and duality.
 
 The model Hamiltonian on a lattice is
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionOverflowError,
     NotAChainError,
     SizeMismatchError,
     TermOutsideSplitError,
@@ -26,8 +25,6 @@ from .lattice import LatticeSpec, RegionSplit
 from .pauli import PauliString, check_dense_cap
 
 Term = tuple[float, PauliString]
-
-_ALLOWED_SHAPES = ("ZZ", "X", "Y")
 
 
 def _term_shape(p: PauliString) -> str:
@@ -42,13 +39,15 @@ def _term_shape(p: PauliString) -> str:
 class HamiltonianTerms:
     """Sum of real-weighted Pauli words restricted to ZZ / X / Y shapes.
 
-    Treat instances as immutable; the dense matrix is computed once on first
-    access and cached.
+    Treat instances as immutable; the dense matrix and its eigendecomposition
+    are each computed once on first access and cached (the latter by
+    :mod:`shieldlab.thermal`, the only place a Hamiltonian is diagonalized).
     """
 
     n_sites: int
     terms: tuple[Term, ...]
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _spectrum: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.terms = tuple((float(c), p) for (c, p) in self.terms)
@@ -358,30 +357,3 @@ def dual_chain(lat: LatticeSpec) -> DualChain:
     J = [e[2] for e in lat.edges]
     return DualChain(n_sites=n, dual_couplings=tuple(lat.h),
                      dual_fields=(0.0, *J, 0.0))
-
-
-@dataclass(frozen=True)
-class TransverseRotation:
-    """Per-site polar form of the transverse field (h_i, g_i).
-
-    ``magnitudes[i]`` is sqrt(h_i² + g_i²); ``axes[i]`` is the unit vector
-    (h, g)/magnitude in the x-y plane where defined. ``axis_defined[i]`` is
-    False where the magnitude vanishes (the axis is then irrelevant: the
-    site carries no transverse field at all).
-    """
-
-    magnitudes: np.ndarray
-    axes: np.ndarray
-    axis_defined: np.ndarray
-
-
-def rotate_transverse(lat: LatticeSpec) -> TransverseRotation:
-    """Rewrite per-site (h, g) fields as a magnitude and an in-plane axis."""
-    h = np.asarray(lat.h, dtype=float)
-    g = np.asarray(lat.g, dtype=float)
-    mag = np.hypot(h, g)
-    defined = mag > 0.0
-    axes = np.zeros((lat.n_sites, 2))
-    axes[defined, 0] = h[defined] / mag[defined]
-    axes[defined, 1] = g[defined] / mag[defined]
-    return TransverseRotation(magnitudes=mag, axes=axes, axis_defined=defined)

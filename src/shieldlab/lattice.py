@@ -38,22 +38,6 @@ class LatticeSpec:
     h: tuple[float, ...]
     g: tuple[float, ...]
 
-    def coupling(self, i: int, j: int) -> float:
-        a, b = min(i, j), max(i, j)
-        for (p, q, J) in self.edges:
-            if (p, q) == (a, b):
-                return J
-        return 0.0
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        out = []
-        for (p, q, _) in self.edges:
-            if p == i:
-                out.append(q)
-            elif q == i:
-                out.append(p)
-        return tuple(sorted(out))
-
 
 @dataclass(frozen=True)
 class RegionSplit:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOverflowError, SizeMismatchError
+from .errors import DimensionOverflowError, ShieldlabError, SizeMismatchError
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,14 +46,22 @@ _PHASE_TEXT = ("+", "+i", "-", "-i")
 
 
 def dense_cap() -> int:
-    """Current dense-site cap; the environment may only lower the default."""
+    """Current dense-site cap; the environment may only lower the default.
+
+    A ``SHIELDLAB_DENSE_CAP`` that is not an integer of at least 1 raises.
+    """
     raw = os.environ.get("SHIELDLAB_DENSE_CAP")
     if raw is None:
         return DENSE_SITE_CAP
     try:
-        return min(DENSE_SITE_CAP, int(raw))
+        cap = int(raw)
     except ValueError:
-        return DENSE_SITE_CAP
+        cap = 0
+    if cap < 1:
+        raise ShieldlabError(
+            f"SHIELDLAB_DENSE_CAP must be an integer of at least 1, got {raw!r}"
+        )
+    return min(DENSE_SITE_CAP, cap)
 
 
 def check_dense_cap(n_sites: int) -> None:
@@ -62,11 +70,6 @@ def check_dense_cap(n_sites: int) -> None:
         raise DimensionOverflowError(
             f"dense realization of {n_sites} sites exceeds the cap of {cap}"
         )
-
-
-def basis_bit(index: int, site: int, n_sites: int) -> int:
-    """Bit of ``site`` inside basis index ``index`` (site 0 = MSB)."""
-    return (index >> (n_sites - 1 - site)) & 1
 
 
 @dataclass(frozen=True)

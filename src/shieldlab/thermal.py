@@ -1,11 +1,13 @@
 """Exact finite-temperature and ground-state machinery.
 
-Everything here is spectral: Gibbs states are assembled from a full
-eigendecomposition with the ground energy shifted out for stability, the
-ground state is always the uniform mixture over the ground eigenspace (the
-beta → ∞ limit of the Gibbs state, which keeps degenerate cases
-deterministic), and the partial trace is computed by exact index-bit
-bucketing.
+Everything here is spectral. Each Hamiltonian is diagonalized once: the
+eigendecomposition is cached on the ``HamiltonianTerms`` next to its dense
+matrix, and Gibbs states at every beta, the ground space and the time
+evolution of :mod:`shieldlab.dynamics` all read that one spectrum. Gibbs
+states shift the ground energy out for stability; the ground state is
+always the uniform mixture over the ground eigenspace (the beta → ∞ limit
+of the Gibbs state, which keeps degenerate cases deterministic). The
+partial trace is computed by exact index-bit bucketing.
 
 Verdict thresholds used throughout the experiment runners:
 
@@ -54,10 +56,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
@@ -79,6 +77,21 @@ def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
         matrix = matrix.real
     w, v = np.linalg.eigh(matrix)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def _spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
+    """Eigendecomposition of ``H``, solved on first use and cached on ``H``."""
+    if H._spectrum is None:
+        H._spectrum = eig_hermitian(H.to_dense())
+    return H._spectrum
+
+
+def _ground_vectors(dec: SpectralDecomposition,
+                    degeneracy_tol: float = 1e-9) -> np.ndarray:
+    """Eigenvector columns of the ground space that ground_state_density defines."""
+    w = dec.eigenvalues
+    span = float(w[-1] - w[0])
+    return dec.eigenvectors[:, w <= w[0] + degeneracy_tol * max(span, 1.0)]
 
 
 @dataclass
@@ -118,14 +131,6 @@ class DensityMatrix:
     def n_sites(self) -> int:
         return len(self.site_labels)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def check_positive(self, tol: float = 1e-10) -> None:
-        lo = self.min_eigenvalue()
-        if lo < -tol:
-            raise ValueError(f"state has eigenvalue {lo} below -{tol}")
-
 
 def _default_labels(n_sites: int, site_labels) -> tuple[int, ...]:
     if site_labels is None:
@@ -145,7 +150,7 @@ def gibbs(H: HamiltonianTerms, beta: float, site_labels=None) -> DensityMatrix:
     """
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and non-negative, got {beta}")
-    dec = eig_hermitian(H.to_dense())
+    dec = _spectrum(H)
     weights = np.exp(-beta * (dec.eigenvalues - dec.eigenvalues[0]))
     weights /= weights.sum()
     v = dec.eigenvectors
@@ -162,13 +167,8 @@ def ground_state_density(H: HamiltonianTerms, degeneracy_tol: float = 1e-9,
     to the spectral span, belong to the ground space; its dimension is
     reported on the result's ``degeneracy`` field.
     """
-    dec = eig_hermitian(H.to_dense())
-    w = dec.eigenvalues
-    span = float(w[-1] - w[0])
-    cutoff = w[0] + degeneracy_tol * max(span, 1.0)
-    mask = w <= cutoff
-    d = int(mask.sum())
-    v = dec.eigenvectors[:, mask]
+    v = _ground_vectors(_spectrum(H), degeneracy_tol)
+    d = v.shape[1]
     rho = (v @ v.conj().T) / d
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(rho, _default_labels(H.n_sites, site_labels), degeneracy=d)
@@ -277,11 +277,23 @@ class ShieldingReport:
     verdict: str
 
 
+def _shielded_states(H: HamiltonianTerms, split: RegionSplit,
+                     betas) -> dict[float, DensityMatrix]:
+    """Thermal states on Y of the shielded part of ``H``, one per beta."""
+    parts = split_hamiltonian(H, split)
+    return {beta: thermal_state(parts.h_shielded, beta, site_labels=parts.y_sites)
+            for beta in betas}
+
+
+def _compare_shielded(H: HamiltonianTerms, rhs: DensityMatrix,
+                      beta: float) -> ShieldingReport:
+    """Report for Tr_X(thermal state of H) against ``rhs`` on its sites."""
+    lhs = partial_trace(thermal_state(H, beta), rhs.site_labels)
+    d = trace_distance(lhs, rhs)
+    return ShieldingReport(distance=d, lhs=lhs, rhs=rhs, verdict=classify_distance(d))
+
+
 def shielding_report(lat: LatticeSpec, split: RegionSplit, beta: float) -> ShieldingReport:
     """Compare Tr_X(thermal state of H) against the shielded thermal state on Y."""
     H = build_hamiltonian(lat)
-    parts = split_hamiltonian(H, split)
-    lhs = partial_trace(thermal_state(H, beta), sorted(split.Y))
-    rhs = thermal_state(parts.h_shielded, beta, site_labels=parts.y_sites)
-    d = trace_distance(lhs, rhs)
-    return ShieldingReport(distance=d, lhs=lhs, rhs=rhs, verdict=classify_distance(d))
+    return _compare_shielded(H, _shielded_states(H, split, [beta])[beta], beta)

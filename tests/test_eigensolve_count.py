@@ -1,0 +1,88 @@
+"""Each Hamiltonian is diagonalized once, whatever reads its spectrum.
+
+``shieldlab.thermal.eig_hermitian`` is the only eigensolver call for
+Hamiltonians; a counting wrapper around it shows how many distinct solves a
+computation needs.
+"""
+
+import numpy as np
+import pytest
+
+import shieldlab.thermal as thermal
+from shieldlab import (
+    DensityMatrix,
+    PauliString,
+    build_hamiltonian,
+    gibbs,
+    ground_state_density,
+    make_chain,
+    run_quench_experiment,
+    run_verify_shielding,
+    shielded_dynamics_check,
+    split_hamiltonian,
+    validate_split,
+)
+
+from helpers import random_product_state
+from test_experiments import chain_config, lattice_json
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    calls = []
+    original = thermal.eig_hermitian
+
+    def counted(matrix):
+        calls.append(np.asarray(matrix).shape[0])
+        return original(matrix)
+
+    monkeypatch.setattr(thermal, "eig_hermitian", counted)
+    return calls
+
+
+def shielded_chain(n=6, L=3):
+    h = [0.6] * n
+    h[L] = 0.0
+    lat = make_chain(n, [1.0, -0.7, 1.3, 0.4, -1.1][: n - 1], h)
+    return lat, validate_split(lat, range(L + 1), range(L, n))
+
+
+def test_verify_shielding_solves_each_trial_once_plus_the_shielded_side(eig_calls):
+    trials = 3
+    cfg = chain_config(n=5, L=2, trials=trials, betas=[0.5, 2.0, "inf"])
+    table = run_verify_shielding(cfg)
+    assert len(table.rows) == trials * 3
+    assert len(eig_calls) == trials + 1
+
+
+def test_shielded_dynamics_check_solves_two_hamiltonians(eig_calls):
+    lat, split = shielded_chain()
+    parts = split_hamiltonian(build_hamiltonian(lat), split)
+    rng = np.random.default_rng(3)
+    rho0 = DensityMatrix(random_product_state(rng, 6), tuple(range(6)))
+    times = [0.3, 0.9, 1.7, 2.2, 4.0]
+    dev = shielded_dynamics_check(parts.h_x, parts.h_y,
+                                  PauliString.single(6, 5, "X"), rho0, times)
+    assert dev < 1e-10
+    assert len(eig_calls) == 2
+
+
+def test_gibbs_states_and_ground_state_share_one_solve(eig_calls):
+    lat, _ = shielded_chain()
+    H = build_hamiltonian(lat)
+    for beta in (0.1, 1.0, 5.0):
+        gibbs(H, beta)
+    assert ground_state_density(H).degeneracy == 2
+    assert len(eig_calls) == 1
+
+
+def test_quench_runner_solves_pre_and_post_once(eig_calls):
+    lat, _ = shielded_chain()
+    cfg = {
+        "pre": lattice_json(lat),
+        "quench_site": 0,
+        "quench_h": -2.0,
+        "times": {"start": 0.0, "stop": 1.0, "step": 0.25},
+    }
+    assert len(run_quench_experiment(cfg).rows) == 5 * 6
+    assert eig_calls == [64, 64]

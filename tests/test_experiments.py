@@ -135,6 +135,14 @@ class TestVerifyShielding:
         with pytest.raises(ShieldlabError):
             run_verify_shielding(cfg)
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"trials": 0}, "trials"),
+        ({"betas": []}, "betas"),
+    ])
+    def test_run_without_data_is_an_error(self, extra, key):
+        with pytest.raises(ShieldlabError, match=key):
+            run_verify_shielding(chain_config(**extra))
+
 
 class TestCounterexample:
     def test_series_and_dense_agree(self):
@@ -157,6 +165,17 @@ class TestCounterexample:
                "h1_grid": {"start": 0.0, "stop": 2.0, "step": 0.5}}
         verdict = run_counterexample(cfg).metadata["verdict"]
         assert verdict["plateau_gap_by_beta"]["50.0"] < 1e-3
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"betas": []}, "betas"),
+        ({"h1_grid": []}, "h1_grid"),
+        ({"h1_grid": {"start": 0.0, "stop": 1.0, "step": 0.0}}, "h1_grid.step"),
+        ({"h1_grid": {"start": 1.0, "stop": 0.0, "step": 0.5}}, "h1_grid"),
+    ])
+    def test_run_without_data_is_an_error(self, extra, key):
+        cfg = {"h4": 1.0, "betas": [1.0], "h1_grid": [0.5], **extra}
+        with pytest.raises(ShieldlabError, match=key):
+            run_counterexample(cfg)
 
 
 class TestConjecture:
@@ -193,6 +212,14 @@ class TestConjecture:
         table = run_conjecture(cfg)
         assert table.metadata["verdict"]["max_variation"] < 1e-9
 
+    def test_run_without_data_is_an_error(self):
+        with pytest.raises(ShieldlabError, match="trials"):
+            run_conjecture(triangle_config("ground", trials=0))
+        cfg = triangle_config("ground")
+        cfg["split"] = {"X": [2, 3, 4], "Y": list(range(9))}  # X = interface row
+        with pytest.raises(ShieldlabError, match="split"):
+            run_conjecture(cfg)
+
 
 class TestQuenchRunner:
     def quench_config(self, observables="x"):
@@ -227,6 +254,17 @@ class TestQuenchRunner:
         table = run_quench_experiment(cfg)
         assert {s for (_, s, _) in table.rows} == {0, 5}
 
+    @pytest.mark.parametrize("times, key", [
+        ({"start": 0.0, "stop": 2.0, "step": -0.25}, "times.step"),
+        ({"start": 0.0, "stop": 2.0, "step": 0.0}, "times.step"),
+        ([], "times"),
+    ])
+    def test_run_without_data_is_an_error(self, times, key):
+        cfg = self.quench_config()
+        cfg["times"] = times
+        with pytest.raises(ShieldlabError, match=key):
+            run_quench_experiment(cfg)
+
 
 class TestDualCheckRunner:
     def test_random_chains(self):
@@ -246,6 +284,10 @@ class TestDualCheckRunner:
         lat = make_chain(3, [2.0, 3.0], [0.1, 0.2, 0.3])
         table = run_dual_check({"chain": lattice_json(lat)})
         assert table.rows[0][2] == 0.0
+
+    def test_run_without_data_is_an_error(self):
+        with pytest.raises(ShieldlabError, match="trials"):
+            run_dual_check({"n_sites": 5, "trials": 0})
 
 
 class TestDeterminism:
@@ -294,6 +336,11 @@ class TestCli:
         proc = self.run_cli(tmp_path, "verify-shielding", {"lattice": {}})
         assert proc.returncode == 1
         assert "error:" in proc.stderr
+
+    def test_run_without_data_exits_one(self, tmp_path):
+        proc = self.run_cli(tmp_path, "verify-shielding", chain_config(trials=0))
+        assert proc.returncode == 1
+        assert "trials" in proc.stderr
 
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg = chain_config(trials=2)

@@ -14,13 +14,12 @@ from shieldlab import (
     dual_chain,
     make_chain,
     make_diamond,
-    rotate_transverse,
     split_hamiltonian,
     validate_lattice,
     validate_split,
 )
 
-from helpers import SX, SY, SZ, dense_reference, kron_op
+from helpers import dense_reference
 
 
 def random_lattice(rng, n, with_g=False):
@@ -262,31 +261,3 @@ class TestDualChain:
         lat_g = validate_lattice(2, [(0, 1, 1.0)], [0, 0], [0.1, 0.0])
         with pytest.raises(NotAChainError):
             dual_chain(lat_g)
-
-
-class TestRotateTransverse:
-    def test_pythagorean(self):
-        lat = validate_lattice(1, [], [3.0], [4.0])
-        rot = rotate_transverse(lat)
-        assert rot.magnitudes[0] == pytest.approx(5.0)
-        assert rot.axes[0] == pytest.approx([0.6, 0.8])
-        assert rot.axis_defined[0]
-
-    def test_zero_field_flagged(self):
-        rot = rotate_transverse(validate_lattice(1, [], [0.0], [0.0]))
-        assert rot.magnitudes[0] == 0.0
-        assert not rot.axis_defined[0]
-
-    def test_rotated_form_reproduces_hamiltonian(self):
-        rng = np.random.default_rng(33)
-        for n in (1, 2, 3):
-            lat = random_lattice(rng, n, with_g=True)
-            rot = rotate_transverse(lat)
-            H = np.zeros((2 ** n, 2 ** n), dtype=complex)
-            for (i, j, J) in lat.edges:
-                H -= J * kron_op(n, {i: SZ, j: SZ})
-            for i in range(n):
-                if rot.axis_defined[i]:
-                    a, b = rot.axes[i]
-                    H -= rot.magnitudes[i] * kron_op(n, {i: a * SX + b * SY})
-            assert np.abs(H - build_hamiltonian(lat).to_dense()).max() < 1e-12

@@ -53,13 +53,6 @@ class TestValidateLattice:
         lat = validate_lattice(4, [(3, 2, 1.0), (1, 0, 2.0)], [0] * 4)
         assert lat.edges == ((0, 1, 2.0), (2, 3, 1.0))
 
-    def test_coupling_lookup(self):
-        lat = validate_lattice(3, [(2, 0, 1.5)], [0, 0, 0])
-        assert lat.coupling(0, 2) == 1.5
-        assert lat.coupling(2, 0) == 1.5
-        assert lat.coupling(0, 1) == 0.0
-        assert lat.neighbors(0) == (2,)
-
 
 class TestMakeChain:
     def test_two_sites(self):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from shieldlab import DimensionOverflowError, PauliString, SizeMismatchError
+from shieldlab import (
+    DimensionOverflowError,
+    PauliString,
+    ShieldlabError,
+    SizeMismatchError,
+)
 from shieldlab.pauli import dense_cap
 
 from helpers import PAULI, SX, SZ, kron_op
@@ -89,6 +94,12 @@ class TestDense:
             PauliString.identity(5).to_dense()
         monkeypatch.setenv("SHIELDLAB_DENSE_CAP", "99")
         assert dense_cap() == 12
+
+    @pytest.mark.parametrize("raw", ["abc", "-3", "0", "4.5"])
+    def test_bad_cap_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("SHIELDLAB_DENSE_CAP", raw)
+        with pytest.raises(ShieldlabError, match=f"SHIELDLAB_DENSE_CAP.*'{raw}'"):
+            dense_cap()
 
     def test_basis_action_matches_dense(self):
         rng = np.random.default_rng(17)

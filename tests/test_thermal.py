@@ -91,8 +91,8 @@ class TestEig:
         )
         H = build_hamiltonian(lat).to_dense()
         dec = eig_hermitian(H)
-        assert np.abs(dec.reconstruct() - H).max() < 1e-10
         v = dec.eigenvectors
+        assert np.abs((v * dec.eigenvalues) @ v.conj().T - H).max() < 1e-10
         assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-10
 
     def test_not_hermitian(self):
@@ -201,7 +201,7 @@ class TestPartialTrace:
         rho = DensityMatrix(random_mixed_state(rng, 4), (0, 1, 2, 3))
         reduced = partial_trace(rho, [1, 3])
         assert abs(np.trace(reduced.matrix).real - 1) < 1e-12
-        reduced.check_positive()
+        assert np.linalg.eigvalsh(reduced.matrix)[0] >= -1e-10
         assert reduced.site_labels == (1, 3)
 
     def test_respects_site_labels(self):
@@ -372,7 +372,7 @@ class TestDensityMatrixInvariants:
         rng = np.random.default_rng(107)
         lat, _ = random_shielded_chain(rng, n=4)
         rho = gibbs(build_hamiltonian(lat), 2.0)
-        rho.check_positive()
+        assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
     def test_pure_states_from_helpers_are_valid(self):
         rng = np.random.default_rng(109)
