@@ -37,10 +37,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if "kind" in cfg and cfg["kind"] != args.experiment:
-            raise ValueError(
-                f"config is for {cfg['kind']!r}, not {args.experiment!r}"
-            )
         if args.seed is not None:
             cfg["seed"] = args.seed
         table = RUNNERS[args.experiment](cfg)

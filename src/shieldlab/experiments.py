@@ -27,15 +27,15 @@ from .closedform import (
     fourspin_zero_temperature_limit,
 )
 from .dynamics import QuenchProtocol, run_quench
-from .errors import ShieldlabError
+from .errors import IndexOutOfRangeError, ShieldlabError
 from .hamiltonian import build_hamiltonian, dual_algebra_residual, dual_chain
 from .lattice import (
     LatticeSpec,
     make_chain,
     make_diamond,
-    lattice_from_json,
-    split_from_json,
     update_parameters,
+    validate_lattice,
+    validate_split,
 )
 from .pauli import PauliString
 from .tables import ResultTable
@@ -68,57 +68,124 @@ def config_hash(cfg: dict) -> str:
 
 def load_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return _Reader(json.load(fh)).obj
 
 
-def _metadata(cfg: dict, verdict: dict) -> dict:
+def _metadata(read: _Reader, verdict: dict) -> dict:
     return {
-        "config_sha256": config_hash(cfg),
-        "seed": cfg.get("seed"),
+        "config_sha256": config_hash(read.obj),
+        "seed": read.seed,
         "version": __version__,
         "verdict": verdict,
     }
 
 
-def _nonempty(key: str, values):
-    """``values``, unless empty: a run without data must not pass."""
-    if len(values) == 0:
-        raise ShieldlabError(f"{key} is empty: the run would have no data")
-    return values
+class _Reader:
+    """One JSON object of a config. ``read(key, parse, default)`` is
+    ``parse(value, key_path)`` of the key's value, else of ``default``
+    (``None``: the key is optional). ``done()`` rejects the first key that
+    nothing read; a nested object arrives as a reader, done once parsed."""
+
+    def __init__(self, obj, path: str = ""):
+        if not isinstance(obj, dict):
+            raise ShieldlabError(
+                f"{path or 'config'} must be a JSON object, got {type(obj).__name__}")
+        self.obj, self.path, self._read = obj, path, set()
+
+    def __call__(self, key: str, parse, default=...):
+        path = f"{self.path}.{key}".lstrip(".")
+        value = self.obj.get(key, default)
+        if value is ...:
+            raise ShieldlabError(f"missing config key {path!r}")
+        self._read.add(key)
+        if not isinstance(value, dict):
+            return None if value is None and default is None else parse(value, path)
+        nested = _Reader(value, path)
+        parsed = parse(nested, path)
+        nested.done()
+        return parsed
+
+    def done(self) -> None:
+        for key in self.obj:
+            if key not in self._read:
+                path = f"{self.path}.{key}".lstrip(".")
+                raise ShieldlabError(f"config key {path!r} is unknown or does not apply")
 
 
-def _count(cfg: dict, key: str, default: int) -> int:
-    """A trial count of at least 1: a run without data must not pass."""
-    value = int(cfg.get(key, default))
-    if value < 1:
-        raise ShieldlabError(f"{key} must be at least 1, got {value}")
-    return value
+def _config(cfg, kind: str) -> _Reader:
+    """The reader of a runner's config, holding the ``seed`` every runner accepts."""
+    read = _Reader(cfg)
+    written = read("kind", _text, kind)
+    if written != kind:
+        raise ShieldlabError(f"config is for {written!r}, not {kind!r}")
+    read.seed = read("seed", _value(int, "an integer >= 0", lambda v: v >= 0), None)
+    return read
 
 
-def _grid(key: str, spec_value) -> list[float]:
-    """A non-empty grid given either as a list or as {"start", "stop", "step"}."""
-    if isinstance(spec_value, dict):
-        start, stop = float(spec_value["start"]), float(spec_value["stop"])
-        step = float(spec_value["step"])
-        if not step > 0.0:
-            raise ShieldlabError(f"{key}.step must be positive, got {step}")
+def _value(kinds, what: str, ok=lambda v: True, cast=lambda v, path: v,
+           error=ShieldlabError):
+    """Parser of a JSON value of type ``kinds`` (a bool is none) that ``ok`` accepts."""
+    def parse(value, path):
+        if isinstance(value, bool) or not isinstance(value, kinds) or not ok(value):
+            raise error(f"{path} must be {what}, got {getattr(value, 'obj', value)!r}")
+        return cast(value, path)
+    return parse
+
+
+def _list(item, least: int = 1):
+    """A JSON list, entry k parsed by ``item``; a run without data must not pass."""
+    return _value((list, tuple), f"a list of {least} or more entries",
+                  lambda v: len(v) >= least,
+                  lambda v, path: [item(x, f"{path}[{k}]") for k, x in enumerate(v)])
+
+
+def _site(n: int, base: int = 0):
+    """A site number counted from ``base``, parsed 0-based."""
+    return _value(int, f"a site in {base}..{n - 1 + base}", lambda v: 0 <= v - base < n,
+                  lambda v, path: v - base, IndexOutOfRangeError)
+
+
+_text = _value(str, "a string")
+_count = _value(int, "an integer >= 1", lambda v: v >= 1)
+_real = _value((int, float), "a finite number", math.isfinite, lambda v, path: float(v))
+_range = _value((list, tuple), "a [low, high] pair", lambda v: len(v) == 2,
+                lambda v, path: (_real(v[0], f"{path}[0]"), _real(v[1], f"{path}[1]")))
+_beta = _value((int, float, str), 'a number >= 0 or "ground" (or "inf")',
+               lambda v: v in ("ground", "inf", "infinity") if isinstance(v, str) else v >= 0,
+               lambda v, path: math.inf if isinstance(v, str) else float(v))
+
+
+def _grid(value, path) -> list[float]:
+    """A grid given either as a list or as {"start", "stop", "step"}."""
+    if isinstance(value, _Reader):
+        start, stop = value("start", _real), value("stop", _real)
+        step = value("step", _value((int, float), "a finite number > 0",
+                                    lambda v: 0 < v < math.inf))
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return _nonempty(key, [start + k * step for k in range(count)])
-    return _nonempty(key, [float(x) for x in spec_value])
+        value = [start + k * step for k in range(count)]
+    return _list(_real)(value, path)
 
 
-def _beta_value(raw) -> float:
-    if raw in ("ground", "inf", "infinity"):
-        return math.inf
-    return float(raw)
+def _lattice(read, path: str) -> tuple[LatticeSpec, int]:
+    """A lattice and the ``index_base`` its split and site keys count from."""
+    read = read if isinstance(read, _Reader) else _Reader(read, path)  # raises
+    base = read("index_base", _value(int, "0 or 1", lambda v: v in (0, 1),
+                                     error=IndexOutOfRangeError), 1)
+    n = read("n_sites", _count)
+    site = _site(n, base)
+    edge = _value((list, tuple), "an [i, j, J] triple", lambda v: len(v) == 3,
+                  lambda v, p: (site(v[0], p), site(v[1], p), _real(v[2], p)))
+    h, g = read("h", _list(_real, 0)), read("g", _list(_real, 0), None)
+    return validate_lattice(n, read("edges", _list(edge, 0)), h, g), base
 
 
-def _load_lattice_and_split(cfg: dict, *, relaxed: bool = False):
-    lat = lattice_from_json(cfg["lattice"])
-    base = int(cfg["lattice"].get("index_base", 1))
-    split = split_from_json(cfg["split"], lat, index_base=base,
-                            require_zero_interface_fields=not relaxed)
-    return lat, split
+def _split(lat: LatticeSpec, base: int, **kwargs):
+    """Parser of a region split of ``lat``, counted from ``base``."""
+    def parse(read, path: str):
+        read = read if isinstance(read, _Reader) else _Reader(read, path)  # raises
+        X, Y = (read(key, _list(_site(lat.n_sites, base), 0)) for key in "XY")
+        return validate_split(lat, X, Y, **kwargs)
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -128,20 +195,29 @@ def _load_lattice_and_split(cfg: dict, *, relaxed: bool = False):
 def run_verify_shielding(cfg: dict) -> ResultTable:
     """Randomized single-site-interface shielding trials.
 
-    Per trial k (generator key index k+1), the X-side parameters of the
-    configured lattice are redrawn — first couplings of X-side edges in
-    canonical edge order from ``J_range``, then x-fields on the X bulk in
-    ascending site order from ``h_range``, then y-fields likewise if
+    Keys (defaults): ``lattice``, ``split``, ``betas`` ([0.1, 1, 5]),
+    ``trials`` (50), ``seed`` (0), ``J_range`` ([-2, 2]), ``h_range`` ([0, 1]),
+    ``g_range`` (none) and ``interface_field`` (0). Per trial k (generator key
+    index k+1), the X-side parameters are redrawn — first couplings of X-side
+    edges in canonical edge order from ``J_range``, then x-fields on the X
+    bulk in ascending site order from ``h_range``, then y-fields likewise if
     ``g_range`` is given — while the Y side stays fixed. Columns report the
     trace distance between the reduced Gibbs state on Y and the shielded
-    Gibbs state, plus the drift of the reduced state from trial 0.
-
-    Setting ``interface_field`` to a nonzero value deliberately violates the
-    zero-field precondition as a control; the verdict then flags the
-    expected failure.
+    Gibbs state, plus the drift of the reduced state from trial 0. A nonzero
+    ``interface_field`` breaks the zero-field precondition as a control; the
+    verdict then flags the expected failure.
     """
-    interface_field = float(cfg.get("interface_field", 0.0))
-    lat, split = _load_lattice_and_split(cfg, relaxed=interface_field != 0.0)
+    read = _config(cfg, "verify-shielding")
+    interface_field = read("interface_field", _real, 0.0)
+    lat, base = read("lattice", _lattice)
+    split = read("split", _split(lat, base,
+                                 require_zero_interface_fields=interface_field == 0.0))
+    betas = read("betas", _list(_beta), [0.1, 1.0, 5.0])
+    trials = read("trials", _count, 50)
+    j_lo, j_hi = read("J_range", _range, [-2.0, 2.0])
+    h_lo, h_hi = read("h_range", _range, [0.0, 1.0])
+    g_range = read("g_range", _range, None)
+    read.done()
     if len(split.S) != 1:
         raise ShieldlabError(
             f"verify-shielding requires a single-site interface, got |S|={len(split.S)}"
@@ -151,13 +227,6 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
         for l in split.S:
             h[l] = interface_field
         lat = update_parameters(lat, h=h)
-
-    betas = _nonempty("betas", [float(b) for b in cfg.get("betas", [0.1, 1.0, 5.0])])
-    trials = _count(cfg, "trials", 50)
-    seed = int(cfg.get("seed", 0))
-    j_lo, j_hi = cfg.get("J_range", [-2.0, 2.0])
-    h_lo, h_hi = cfg.get("h_range", [0.0, 1.0])
-    g_range = cfg.get("g_range")
 
     x_edges = [(i, j) for (i, j, _) in lat.edges
                if {i, j} <= split.X and not {i, j} <= split.S]
@@ -170,7 +239,7 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
     max_distance = 0.0
     max_variation = 0.0
     for k in range(trials):
-        rng = point_rng(seed, k + 1)
+        rng = point_rng(read.seed or 0, k + 1)
         j_new = {pair: rng.uniform(j_lo, j_hi) for pair in x_edges}
         h_new = list(lat.h)
         for i in x_bulk:
@@ -178,7 +247,7 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
         g_new = list(lat.g)
         if g_range is not None:
             for i in x_bulk:
-                g_new[i] = rng.uniform(float(g_range[0]), float(g_range[1]))
+                g_new[i] = rng.uniform(*g_range)
         H = build_hamiltonian(update_parameters(lat, h=h_new, g=g_new, J_by_edge=j_new))
         for beta in betas:
             report = _compare_shielded(H, rhs[beta], beta)
@@ -198,7 +267,7 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
     if interface_field != 0.0:
         verdict["note"] = "shielding violated (expected: precondition broken)" \
             if status == "fail" else "control did not violate shielding"
-    table.metadata = _metadata(cfg, verdict)
+    table.metadata = _metadata(read, verdict)
     return table
 
 
@@ -209,18 +278,20 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
 def run_counterexample(cfg: dict) -> ResultTable:
     """Sweep the near-site field of the diamond and compare series vs. dense.
 
-    For each beta and each h1 on the grid the far site's X magnetization is
-    computed twice: from the convergent coefficient series and from exact
-    diagonalization of the 16-dimensional Gibbs state. The verdict checks
-    their agreement; per-beta sweep spreads (the finite-temperature
-    shielding failure) and the distance of large-beta rows from the
-    zero-temperature plateau expression go to the metadata.
+    Keys (defaults): ``h4`` (1), ``betas`` ([1, 4, 7]), ``h1_grid`` ({"start":
+    0, "stop": 2, "step": 0.05}) and ``series_tol`` (1e-14). For each beta and
+    h1 the far site's X magnetization is computed twice: from the convergent
+    coefficient series and from exact diagonalization of the 16-dimensional
+    Gibbs state. The verdict checks their agreement; per-beta sweep spreads
+    (the finite-temperature shielding failure) and the distance of large-beta
+    rows from the zero-temperature plateau expression go to the metadata.
     """
-    h4 = float(cfg.get("h4", 1.0))
-    betas = _nonempty("betas", [float(b) for b in cfg.get("betas", [1.0, 4.0, 7.0])])
-    h1_grid = _grid("h1_grid",
-                    cfg.get("h1_grid", {"start": 0.0, "stop": 2.0, "step": 0.05}))
-    tol = float(cfg.get("series_tol", 1e-14))
+    read = _config(cfg, "counterexample")
+    h4 = read("h4", _real, 1.0)
+    betas = read("betas", _list(_beta), [1.0, 4.0, 7.0])
+    h1_grid = read("h1_grid", _grid, {"start": 0.0, "stop": 2.0, "step": 0.05})
+    tol = read("series_tol", _real, 1e-14)
+    read.done()
 
     obs = PauliString.single(4, 3, "X")
     table = ResultTable(columns=(
@@ -250,7 +321,7 @@ def run_counterexample(cfg: dict) -> ResultTable:
         "spread_by_beta": spread,
         "plateau_gap_by_beta": plateau_gap,
     }
-    table.metadata = _metadata(cfg, verdict)
+    table.metadata = _metadata(read, verdict)
     return table
 
 
@@ -287,27 +358,31 @@ def _sector_states(rho, interface_sites):
 def run_conjecture(cfg: dict) -> ResultTable:
     """Ground-state shielding trials across a zero-field interface of any size.
 
-    The A-side fields (bulk of X) are drawn once from generator index 0 in
-    ascending site order. Per trial k (index k+1) the B-side fields are
-    redrawn — first the homogeneous offset from ``offset_range``, then one
-    uniform draw from ``b_field_range`` per B site ascending, summed — and
-    the thermal state at the configured ``beta`` ("ground" for the
-    ground-space mixture) is formed. Rows record ⟨X⟩ and ⟨Z⟩ of every A
-    site; ground runs add supplementary rows per conserved interface-Z
-    sector. The verdict classifies the worst across-trial variation of the
-    mixed-state rows.
+    Keys (defaults): ``lattice``, ``split``, ``beta`` ("ground": the ground-
+    space mixture), ``trials`` (20), ``seed`` (0), ``a_field_range`` and
+    ``b_field_range`` (both [0, 1]) and ``offset_range`` ([0, 3]). The A-side
+    (X bulk) fields are drawn once, generator index 0, ascending. Per trial k
+    (index k+1) the B-side fields are redrawn — first the homogeneous offset,
+    then one draw per B site ascending, summed — and the state at ``beta`` is
+    formed. Rows record ⟨X⟩ and ⟨Z⟩ of every A site; ground runs add rows per
+    conserved interface-Z sector. The verdict classifies the worst
+    across-trial variation of the mixed-state rows.
     """
-    lat, split = _load_lattice_and_split(cfg)
-    beta = _beta_value(cfg.get("beta", "ground"))
-    trials = _count(cfg, "trials", 20)
-    seed = int(cfg.get("seed", 0))
-    a_lo, a_hi = cfg.get("a_field_range", [0.0, 1.0])
-    b_lo, b_hi = cfg.get("b_field_range", [0.0, 1.0])
-    off_lo, off_hi = cfg.get("offset_range", [0.0, 3.0])
+    read = _config(cfg, "conjecture")
+    lat, base = read("lattice", _lattice)
+    split = read("split", _split(lat, base))
+    beta = read("beta", _beta, "ground")
+    trials = read("trials", _count, 20)
+    a_lo, a_hi = read("a_field_range", _range, [0.0, 1.0])
+    b_lo, b_hi = read("b_field_range", _range, [0.0, 1.0])
+    off_lo, off_hi = read("offset_range", _range, [0.0, 3.0])
+    read.done()
 
-    a_sites = _nonempty("split: X outside the interface", sorted(split.A))
+    if not split.A:
+        raise ShieldlabError("split: X is all interface: the run would have no data")
+    a_sites = sorted(split.A)
     b_sites = sorted(split.B)
-    rng0 = point_rng(seed, 0)
+    rng0 = point_rng(read.seed or 0, 0)
     h_base = list(lat.h)
     for i in a_sites:
         h_base[i] = rng0.uniform(a_lo, a_hi)
@@ -315,7 +390,7 @@ def run_conjecture(cfg: dict) -> ResultTable:
     table = ResultTable(columns=("trial", "sector", "site", "observable", "value"))
     mix_values: dict[tuple[int, str], list[float]] = {}
     for k in range(trials):
-        rng = point_rng(seed, k + 1)
+        rng = point_rng(read.seed or 0, k + 1)
         offset = rng.uniform(off_lo, off_hi)
         h = list(h_base)
         for i in b_sites:
@@ -346,7 +421,7 @@ def run_conjecture(cfg: dict) -> ResultTable:
         status = "fail"
     else:
         status = "indeterminate"
-    table.metadata = _metadata(cfg, {
+    table.metadata = _metadata(read, {
         "status": status,
         "max_variation": max_variation,
         "beta": "inf" if math.isinf(beta) else beta,
@@ -358,41 +433,41 @@ def run_conjecture(cfg: dict) -> ResultTable:
 # quench
 # ---------------------------------------------------------------------------
 
-def _observables_from_config(raw, n: int) -> tuple[PauliString, ...]:
-    if raw in (None, "x"):
-        return tuple(PauliString.single(n, i, "X") for i in range(n))
-    if raw == "z":
-        return tuple(PauliString.single(n, i, "Z") for i in range(n))
-    return tuple(PauliString.from_text(text, n) for text in raw)
+def _observables(n: int):
+    """"x" or "z" for that Pauli on every site, else a list of Pauli strings."""
+    def parse(value, path) -> tuple[PauliString, ...]:
+        if value in ("x", "z"):
+            return tuple(PauliString.single(n, i, value.upper()) for i in range(n))
+        return tuple(PauliString.from_text(text, n) for text in _list(_text)(value, path))
+    return parse
 
 
 def run_quench_experiment(cfg: dict) -> ResultTable:
     """Ground state of the pre lattice, evolved under the post lattice.
 
-    ``post`` may be given as a full lattice or via ``quench_site`` /
-    ``quench_h`` patching the pre lattice (indices in the lattice's
-    ``index_base``). If a ``split`` is configured, the verdict compares the
-    time variation of observables on the shielded bulk (must stay below
-    1e-9) against the driven side.
+    Keys (defaults): ``pre``; ``post``, or else ``quench_site`` (in the pre
+    lattice's ``index_base``) and ``quench_h`` patching the pre lattice;
+    ``times`` ({"start": 0, "stop": 6, "step": 0.05}); ``observables`` ("x",
+    "z", or Pauli strings such as "+ X0 Z1" numbered from 0); ``split``
+    (none). With a split the verdict compares the time variation of
+    observables on the shielded bulk (must stay below 1e-9) to the driven side.
     """
-    pre = lattice_from_json(cfg["pre"])
-    base = int(cfg["pre"].get("index_base", 1))
-    if "post" in cfg:
-        post = lattice_from_json(cfg["post"])
-    else:
-        site = int(cfg["quench_site"]) - base
+    read = _config(cfg, "quench")
+    pre, base = read("pre", _lattice)
+    post, _ = read("post", _lattice, None) or (None, None)
+    if post is None:
         h = list(pre.h)
-        h[site] = float(cfg["quench_h"])
+        h[read("quench_site", _site(pre.n_sites, base))] = read("quench_h", _real)
         post = update_parameters(pre, h=h)
-    times = _grid("times", cfg.get("times", {"start": 0.0, "stop": 6.0, "step": 0.05}))
-    observables = _observables_from_config(cfg.get("observables"), pre.n_sites)
-    protocol = QuenchProtocol(pre=pre, post=post, times=tuple(times),
-                              observables=_nonempty("observables", observables))
-    table = run_quench(protocol)
+    times = read("times", _grid, {"start": 0.0, "stop": 6.0, "step": 0.05})
+    observables = read("observables", _observables(pre.n_sites), "x")
+    split = read("split", _split(pre, base), None)
+    read.done()
+    table = run_quench(QuenchProtocol(pre=pre, post=post, times=tuple(times),
+                                      observables=observables))
 
     verdict: dict = {"status": "pass"}
-    if "split" in cfg:
-        split = split_from_json(cfg["split"], pre, index_base=base)
+    if split is not None:
         per_position: dict[int, list[float]] = {}
         block = len(observables)
         order = [row[1] for row in table.rows[:block]]
@@ -412,7 +487,7 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
             "max_variation_driven": driven,
             "shielded_tol": QUENCH_SHIELDED_TOL,
         }
-    table.metadata = _metadata(cfg, verdict)
+    table.metadata = _metadata(read, verdict)
     return table
 
 
@@ -423,34 +498,35 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
 def run_dual_check(cfg: dict) -> ResultTable:
     """Dual rewriting of random (or one configured) open chains.
 
-    Per trial k (generator index k), couplings then fields are drawn in
-    ascending order from ``J_range`` and ``h_range``; ``zero_field_site``
-    (0-indexed) optionally pins one field to zero so the dual graph splits
-    in two. Columns report the max-entry difference between the direct and
-    the dual-variable dense Hamiltonians, the dual operator-algebra
-    residual, and the number of dual components.
+    Keys (defaults): ``chain`` (one lattice), or else ``n_sites`` (6),
+    ``trials`` (50), ``seed`` (0), ``J_range`` ([-2, 2]), ``h_range`` ([-1, 1])
+    and ``zero_field_site`` (none; numbered from 0), which pins that field to
+    zero so the dual graph splits in two. Per trial k (generator index k),
+    couplings then fields are drawn in ascending order. Columns report the
+    max-entry difference of the direct and dual-variable dense Hamiltonians,
+    the dual operator-algebra residual and the number of dual components.
     """
     table = ResultTable(columns=(
         "trial", "n_sites", "hamiltonian_residual", "algebra_residual",
         "n_dual_components",
     ))
-    chains: list[LatticeSpec] = []
-    if "chain" in cfg:
-        chains.append(lattice_from_json(cfg["chain"]))
-    else:
-        n = int(cfg.get("n_sites", 6))
-        trials = _count(cfg, "trials", 50)
-        seed = int(cfg.get("seed", 0))
-        j_lo, j_hi = cfg.get("J_range", [-2.0, 2.0])
-        h_lo, h_hi = cfg.get("h_range", [-1.0, 1.0])
-        zero_site = cfg.get("zero_field_site")
+    read = _config(cfg, "dual-check")
+    chain, _ = read("chain", _lattice, None) or (None, None)
+    chains: list[LatticeSpec] = [] if chain is None else [chain]
+    if chain is None:
+        n = read("n_sites", _count, 6)
+        trials = read("trials", _count, 50)
+        j_lo, j_hi = read("J_range", _range, [-2.0, 2.0])
+        h_lo, h_hi = read("h_range", _range, [-1.0, 1.0])
+        zero_site = read("zero_field_site", _site(n), None)
         for k in range(trials):
-            rng = point_rng(seed, k)
+            rng = point_rng(read.seed or 0, k)
             J = rng.uniform(j_lo, j_hi, size=n - 1)
             h = rng.uniform(h_lo, h_hi, size=n)
             if zero_site is not None:
-                h[int(zero_site)] = 0.0
+                h[zero_site] = 0.0
             chains.append(make_chain(n, J, h))
+    read.done()
 
     worst_h = 0.0
     worst_alg = 0.0
@@ -462,7 +538,7 @@ def run_dual_check(cfg: dict) -> ResultTable:
         worst_h = max(worst_h, residual)
         worst_alg = max(worst_alg, algebra)
         table.append(k, lat.n_sites, residual, algebra, len(dc.dual_components()))
-    table.metadata = _metadata(cfg, {
+    table.metadata = _metadata(read, {
         "status": "pass" if max(worst_h, worst_alg) < DUAL_RESIDUAL_TOL else "fail",
         "max_hamiltonian_residual": worst_h,
         "max_algebra_residual": worst_alg,

@@ -206,18 +206,15 @@ def lattice_from_json(obj: dict) -> LatticeSpec:
 
     Expected keys: ``n_sites``, ``edges`` as ``[[i, j, J], ...]``, ``h``,
     optional ``g`` (default zeros) and optional ``index_base`` (0 or 1,
-    default 1).
+    default 1). Any other key is an error.
     """
-    base = int(obj.get("index_base", 1))
-    if base not in (0, 1):
-        raise IndexOutOfRangeError(f"index_base must be 0 or 1, got {base}")
-    n = int(obj["n_sites"])
-    edges = [(int(i) - base, int(j) - base, float(J)) for (i, j, J) in obj["edges"]]
-    return validate_lattice(n, edges, obj["h"], obj.get("g"))
+    from .experiments import _Reader, _lattice
+
+    return _Reader({"lattice": obj})("lattice", _lattice)[0]
 
 
 def split_from_json(obj: dict, lat: LatticeSpec, index_base: int = 1, **kwargs) -> RegionSplit:
     """Build a split from ``{"X": [...], "Y": [...]}`` using the lattice's index base."""
-    X = [int(i) - index_base for i in obj["X"]]
-    Y = [int(i) - index_base for i in obj["Y"]]
-    return validate_split(lat, X, Y, **kwargs)
+    from .experiments import _Reader, _split
+
+    return _Reader({"split": obj})("split", _split(lat, index_base, **kwargs))

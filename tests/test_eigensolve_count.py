@@ -12,10 +12,12 @@ import shieldlab.thermal as thermal
 from shieldlab import (
     DensityMatrix,
     PauliString,
+    ShieldlabError,
     build_hamiltonian,
     gibbs,
     ground_state_density,
     make_chain,
+    run_conjecture,
     run_quench_experiment,
     run_verify_shielding,
     shielded_dynamics_check,
@@ -24,7 +26,7 @@ from shieldlab import (
 )
 
 from helpers import random_product_state
-from test_experiments import chain_config, lattice_json
+from test_experiments import chain_config, lattice_json, triangle_config
 
 
 @pytest.fixture
@@ -86,3 +88,17 @@ def test_quench_runner_solves_pre_and_post_once(eig_calls):
     }
     assert len(run_quench_experiment(cfg).rows) == 5 * 6
     assert eig_calls == [64, 64]
+
+
+def test_config_with_an_unread_key_solves_nothing(eig_calls):
+    lat, _ = shielded_chain()
+    quench = {"pre": lattice_json(lat), "quench_site": 0, "quench_h": -2.0,
+              "times": {"start": 0.0, "stop": 1.0, "step": 0.25, "num": 5}}
+    conjecture = triangle_config("ground")
+    conjecture["split"]["Z"] = [0]
+    for run, cfg in ((run_verify_shielding, chain_config(trails=2)),
+                     (run_quench_experiment, quench),
+                     (run_conjecture, conjecture)):
+        with pytest.raises(ShieldlabError, match="is unknown or does not apply"):
+            run(cfg)
+    assert eig_calls == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shieldlab import (
+    RUNNERS,
     ResultTable,
     ShieldlabError,
     emit,
@@ -143,6 +144,50 @@ class TestVerifyShielding:
         with pytest.raises(ShieldlabError, match=key):
             run_verify_shielding(chain_config(**extra))
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"trails": 2}, "'trails'"),
+        ({"trials": 2.7}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"J_range": [1, 2, 3]}, "J_range"),
+        ({"h_range": "wide"}, "h_range"),
+        ({"g_range": [0.0, "1"]}, r"g_range\[1\]"),
+        ({"betas": ["warm"]}, r"betas\[0\]"),
+        ({"betas": [-1.0]}, r"betas\[0\]"),
+        ({"seed": -1}, "seed"),
+        ({"interface_field": "0.3"}, "interface_field"),
+    ])
+    def test_bad_input_names_the_key(self, extra, key):
+        with pytest.raises(ShieldlabError, match=key):
+            run_verify_shielding(chain_config(**extra))
+
+    @pytest.mark.parametrize("section, key", [("lattice", "gg"), ("split", "Z")])
+    def test_unknown_nested_key_names_its_path(self, section, key):
+        cfg = chain_config()
+        cfg[section][key] = 1
+        with pytest.raises(ShieldlabError, match=rf"'{section}\.{key}'"):
+            run_verify_shielding(cfg)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda cfg: cfg.pop("lattice"), "missing config key 'lattice'"),
+        (lambda cfg: cfg["lattice"].pop("n_sites"), "'lattice.n_sites'"),
+        (lambda cfg: cfg.update(lattice=[1]), "lattice must be a JSON object"),
+        (lambda cfg: cfg["lattice"].update(index_base=2), "lattice.index_base"),
+        (lambda cfg: cfg["lattice"]["edges"].append([0, 1]), r"lattice\.edges\[3\]"),
+        (lambda cfg: cfg["lattice"]["h"].__setitem__(0, None), r"lattice\.h\[0\]"),
+        (lambda cfg: cfg["split"]["X"].append(4), r"split\.X\[2\]"),
+    ])
+    def test_bad_lattice_or_split_names_the_key(self, edit, key):
+        cfg = chain_config()
+        edit(cfg)
+        with pytest.raises(ShieldlabError, match=key):
+            run_verify_shielding(cfg)
+
+    def test_ground_betas_read_as_inf(self):
+        ground = run_verify_shielding(chain_config(trials=2, betas=["ground", 1.0]))
+        inf = run_verify_shielding(chain_config(trials=2, betas=["inf", 1.0]))
+        assert ground.rows == inf.rows
+        assert [row[1] for row in ground.rows[:2]] == [float("inf"), 1.0]
+
 
 class TestCounterexample:
     def test_series_and_dense_agree(self):
@@ -173,6 +218,22 @@ class TestCounterexample:
         ({"h1_grid": {"start": 1.0, "stop": 0.0, "step": 0.5}}, "h1_grid"),
     ])
     def test_run_without_data_is_an_error(self, extra, key):
+        cfg = {"h4": 1.0, "betas": [1.0], "h1_grid": [0.5], **extra}
+        with pytest.raises(ShieldlabError, match=key):
+            run_counterexample(cfg)
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"h1_grid": {"start": 0.0, "stop": 1.0, "step": 0.5, "num": 3}},
+         r"'h1_grid\.num'"),
+        ({"h1_grid": {"start": 0.0, "step": 0.5}}, r"'h1_grid\.stop'"),
+        ({"h1_grid": [0.5, "1"]}, r"h1_grid\[1\]"),
+        ({"h4": "1"}, "h4"),
+        ({"betas": 1.0}, "betas"),
+        ({"series_tol": None}, "series_tol"),
+        ({"seed": 1.5}, "seed"),
+        ({"trials": 3}, "'trials'"),
+    ])
+    def test_bad_input_names_the_key(self, extra, key):
         cfg = {"h4": 1.0, "betas": [1.0], "h1_grid": [0.5], **extra}
         with pytest.raises(ShieldlabError, match=key):
             run_counterexample(cfg)
@@ -220,6 +281,20 @@ class TestConjecture:
         with pytest.raises(ShieldlabError, match="split"):
             run_conjecture(cfg)
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"trials": 2.7}, "trials"),
+        ({"trials": "6"}, "trials"),
+        ({"offset_range": [0.0]}, "offset_range"),
+        ({"a_field_range": [0.0, 1.0, 2.0]}, "a_field_range"),
+        ({"b_field_range": {"low": 0.0}}, "b_field_range"),
+        ({"beta": "warm"}, "beta"),
+        ({"beta": -1.0}, "beta"),
+        ({"betas": [1.0]}, "'betas'"),
+    ])
+    def test_bad_input_names_the_key(self, extra, key):
+        with pytest.raises(ShieldlabError, match=key):
+            run_conjecture({**triangle_config("ground"), **extra})
+
 
 class TestQuenchRunner:
     def quench_config(self, observables="x"):
@@ -265,6 +340,45 @@ class TestQuenchRunner:
         with pytest.raises(ShieldlabError, match=key):
             run_quench_experiment(cfg)
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"times": {"start": 0.0, "stop": 2.0, "step": 0.25, "num": 9}}, r"'times\.num'"),
+        ({"quench_site": 6}, "quench_site"),
+        ({"quench_site": -1}, "quench_site"),
+        ({"quench_site": 1.0}, "quench_site"),
+        ({"quench_h": "strong"}, "quench_h"),
+        ({"observables": [5]}, r"observables\[0\]"),
+        ({"observables": "y"}, "observables"),
+        ({"split": {"X": [0, 1, 2], "Y": [2, 3, 4, 5], "Z": [2]}}, r"'split\.Z'"),
+        ({"trials": 3}, "'trials'"),
+    ])
+    def test_bad_input_names_the_key(self, extra, key):
+        with pytest.raises(ShieldlabError, match=key):
+            run_quench_experiment({**self.quench_config(), **extra})
+
+    def test_post_lattice_excludes_the_site_patch(self):
+        cfg = self.quench_config()
+        cfg["post"] = cfg["pre"]
+        with pytest.raises(ShieldlabError, match="'quench_site'"):
+            run_quench_experiment(cfg)
+        del cfg["quench_site"]
+        with pytest.raises(ShieldlabError, match="'quench_h'"):
+            run_quench_experiment(cfg)
+        del cfg["quench_h"]
+        assert run_quench_experiment(cfg).metadata["verdict"]["max_variation_driven"] < 1e-9
+
+    def test_quench_site_counts_from_the_index_base(self):
+        cfg = self.quench_config()
+        cfg["pre"]["index_base"] = 1
+        cfg["pre"]["edges"] = [[i + 1, j + 1, J] for (i, j, J) in cfg["pre"]["edges"]]
+        cfg["split"] = {side: [s + 1 for s in sites] for side, sites in cfg["split"].items()}
+        # site 0 does not exist under base 1; it used to wrap to the shielded end
+        with pytest.raises(ShieldlabError, match="quench_site"):
+            run_quench_experiment(cfg)
+        cfg["quench_site"] = 1
+        verdict = run_quench_experiment(cfg).metadata["verdict"]
+        assert verdict["status"] == "pass"
+        assert verdict["max_variation_driven"] > 1e-2
+
 
 class TestDualCheckRunner:
     def test_random_chains(self):
@@ -288,6 +402,35 @@ class TestDualCheckRunner:
     def test_run_without_data_is_an_error(self):
         with pytest.raises(ShieldlabError, match="trials"):
             run_dual_check({"n_sites": 5, "trials": 0})
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"zero_field_site": -1}, "zero_field_site"),
+        ({"zero_field_site": 8}, "zero_field_site"),
+        ({"zero_field_site": "3"}, "zero_field_site"),
+        ({"trials": 2.7}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"n_sites": 8.0}, "n_sites"),
+        ({"J_range": [1, 2, 3]}, "J_range"),
+        ({"h_range": [-1.0]}, "h_range"),
+        ({"trails": 0}, "'trails'"),
+    ])
+    def test_bad_input_names_the_key(self, extra, key):
+        with pytest.raises(ShieldlabError, match=key):
+            run_dual_check({"n_sites": 8, "trials": 2, "seed": 2, **extra})
+
+    @pytest.mark.parametrize("key", ["trials", "n_sites", "J_range", "zero_field_site"])
+    def test_explicit_chain_excludes_random_chain_keys(self, key):
+        lat = make_chain(3, [2.0, 3.0], [0.1, 0.2, 0.3])
+        with pytest.raises(ShieldlabError, match=f"'{key}'"):
+            run_dual_check({"chain": lattice_json(lat), key: 1})
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_every_runner_takes_a_config_object_of_its_own_kind(name):
+    with pytest.raises(ShieldlabError, match="config must be a JSON object"):
+        RUNNERS[name]([1, 2])
+    with pytest.raises(ShieldlabError, match="config is for 'another'"):
+        RUNNERS[name]({"kind": "another"})
 
 
 class TestDeterminism:
@@ -341,6 +484,31 @@ class TestCli:
         proc = self.run_cli(tmp_path, "verify-shielding", chain_config(trials=0))
         assert proc.returncode == 1
         assert "trials" in proc.stderr
+
+    @pytest.mark.parametrize("experiment, edit, message", [
+        ("verify-shielding", lambda cfg: cfg.update(trails=2), "'trails'"),
+        ("verify-shielding", lambda cfg: cfg["lattice"].update(gg=1), "'lattice.gg'"),
+        ("verify-shielding", lambda cfg: cfg["split"].update(Z=[1]), "'split.Z'"),
+        ("verify-shielding", lambda cfg: cfg.pop("lattice"),
+         "missing config key 'lattice'"),
+        ("counterexample", lambda cfg: cfg.update(
+            h1_grid={"start": 0.0, "stop": 1.0, "step": 0.5, "num": 3}), "'h1_grid.num'"),
+        ("quench", lambda cfg: cfg.update(post=cfg["pre"]), "'quench_site'"),
+        ("dual-check", lambda cfg: cfg.update(trials=2), "'trials'"),
+    ])
+    def test_unread_key_exits_one_with_its_path(self, tmp_path, experiment, edit,
+                                                 message):
+        lat = make_chain(3, [1.0, 1.0], [0.4, 0.0, 0.4])
+        cfg = {
+            "verify-shielding": chain_config(trials=2),
+            "counterexample": {"betas": [1.0]},
+            "quench": {"pre": lattice_json(lat), "quench_site": 0, "quench_h": -1.0},
+            "dual-check": {"chain": lattice_json(lat)},
+        }[experiment]
+        edit(cfg)
+        proc = self.run_cli(tmp_path, experiment, cfg)
+        assert proc.returncode == 1
+        assert message in proc.stderr
 
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg = chain_config(trials=2)

@@ -10,6 +10,7 @@ from shieldlab import (
     NonzeroInterfaceFieldError,
     NotACoverError,
     SelfEdgeError,
+    ShieldlabError,
     lattice_from_json,
     make_chain,
     make_diamond,
@@ -175,6 +176,22 @@ class TestJson:
         with pytest.raises(IndexOutOfRangeError):
             lattice_from_json({"n_sites": 2, "index_base": 2,
                                "edges": [], "h": [0, 0]})
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"gg": [0.0, 0.0]}, r"'lattice\.gg'"),
+        ({"n_sites": 2.0}, r"lattice\.n_sites"),
+        ({"edges": [[1, 3, 1.0]]}, r"lattice\.edges\[0\]"),
+        ({"h": [0.0, "0.5"]}, r"lattice\.h\[1\]"),
+    ])
+    def test_bad_payload_names_the_key(self, extra, key):
+        obj = {"n_sites": 2, "edges": [[1, 2, 1.0]], "h": [0.0, 0.5], **extra}
+        with pytest.raises(ShieldlabError, match=key):
+            lattice_from_json(obj)
+
+    def test_split_rejects_unknown_keys(self):
+        lat = lattice_from_json({"n_sites": 2, "edges": [[1, 2, 1.0]], "h": [0.0, 0.5]})
+        with pytest.raises(ShieldlabError, match=r"'split\.Z'"):
+            split_from_json({"X": [1], "Y": [1, 2], "Z": []}, lat)
 
 
 class TestTriangularPatch:
