@@ -2,7 +2,10 @@
 
 Evolution is spectral throughout (no Trotterization): with H = V diag(w) V†,
 U(t) = V exp(-i w t) V†, read from the spectrum cached on H, so every time
-step reuses one eigendecomposition. The headline identity: if
+step reuses one eigendecomposition. That spectrum is two real parity-sector
+blocks of the Y-rotated Hamiltonian (see :mod:`shieldlab.thermal`): U(t) is
+assembled from half-size products, and quench states are evolved sector by
+sector with real eigenvectors. The headline identity: if
 H = H_X + H_Y with [H_X, H_Y] = 0 and an observable O is supported away
 from H_X, then
 
@@ -26,7 +29,7 @@ from .hamiltonian import HamiltonianTerms, build_hamiltonian, commutator_norm
 from .lattice import LatticeSpec
 from .pauli import PauliString
 from .tables import ResultTable
-from .thermal import DensityMatrix, _ground_vectors, _spectrum, expectation
+from .thermal import DensityMatrix, _dot, _ground_cut, _spectrum, expectation
 
 _COMMUTATOR_TOL = 1e-12
 
@@ -71,9 +74,7 @@ def evolve(H: HamiltonianTerms, rho0: DensityMatrix, t: float) -> DensityMatrix:
         raise SizeMismatchError("Hamiltonian and state live on different sites")
     if t == 0.0:
         return DensityMatrix(rho0.matrix.copy(), rho0.site_labels)
-    dec = _spectrum(H)
-    phases = np.exp(-1j * dec.eigenvalues * t)
-    u = (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
+    u = _spectrum(H).function(lambda w: np.exp(-1j * w * t))
     rho = u @ rho0.matrix @ u.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(rho, rho0.site_labels)
@@ -118,15 +119,18 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
     The initial state defaults to the uniform ground-space mixture of the
     pre-quench Hamiltonian; any caller-supplied state is used as-is. Rather
     than rotating the full density matrix at every time, the state is
-    decomposed once into weighted pure states, which are evolved as vectors
-    in the post-Hamiltonian eigenbasis — identical expectations, far less
-    work at the 12-site cap. Rows are ordered by (t, site), with single-site
-    observables labeled by their site.
+    decomposed once into weighted pure states, projected once into each
+    parity sector of the post-Hamiltonian and evolved there as vectors, each
+    real-by-complex product done as one real product — identical
+    expectations, far less work at the 12-site cap. Rows are ordered by
+    (t, site), with single-site observables labeled by their site.
     """
-    post_dec = _spectrum(build_hamiltonian(protocol.post))
+    post = _spectrum(build_hamiltonian(protocol.post))
 
     if rho0 is None:
-        states = _ground_vectors(_spectrum(build_hamiltonian(protocol.pre)))
+        pre = _spectrum(build_hamiltonian(protocol.pre))
+        cut = _ground_cut(pre)
+        states = pre.columns(lambda w: w <= cut)
         weights = np.full(states.shape[1], 1.0 / states.shape[1])
     else:
         if rho0.n_sites != protocol.pre.n_sites:
@@ -136,15 +140,16 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
         states = vecs[:, keep]
         weights = vals[keep]
 
-    basis = np.ascontiguousarray(post_dec.eigenvectors.astype(complex))
-    coeffs = basis.conj().T @ states
+    # each post-quench block is projected onto once and evolved on its own
+    blocks = [(w, v, _dot(v.conj().T, post.project(b, states)))
+              for b, (w, v) in enumerate(post.blocks)]
     sites = [_observable_site(obs) for obs in protocol.observables]
     obs_order = np.argsort(np.array(sites), kind="stable")
 
     rows = []
     for t in protocol.times:
-        phases = np.exp(-1j * post_dec.eigenvalues * t)
-        evolved = basis @ (phases[:, None] * coeffs)
+        evolved = sum(post.lift(b, _dot(v, np.exp(-1j * w * t)[:, None] * c))
+                      for b, (w, v, c) in enumerate(blocks))
         for obs_idx in obs_order:
             transformed = protocol.observables[obs_idx].apply(evolved)
             vals = np.sum(evolved.conj() * transformed, axis=0)

@@ -6,7 +6,15 @@ catch broadly or per condition.
 
 
 class ShieldlabError(ValueError):
-    """Base class for all shieldlab errors."""
+    """Base class for all shieldlab errors.
+
+    ``key``, when given, names the argument or config key at fault, such as
+    ``edges[3]`` or ``lattice.edges[3]``; the message then begins with it.
+    """
+
+    def __init__(self, message: str = "", key: str | None = None):
+        super().__init__(f"{key}: {message}" if key else message)
+        self.key, self.message = key, message
 
 
 # -- lattice / split validation ----------------------------------------------

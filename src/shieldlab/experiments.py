@@ -26,7 +26,7 @@ from .closedform import (
     fourspin_magnetization,
     fourspin_zero_temperature_limit,
 )
-from .dynamics import QuenchProtocol, run_quench
+from .dynamics import QuenchProtocol, _observable_site, run_quench
 from .errors import IndexOutOfRangeError, ShieldlabError
 from .hamiltonian import build_hamiltonian, dual_algebra_residual, dual_chain
 from .lattice import (
@@ -122,6 +122,16 @@ def _config(cfg, kind: str) -> _Reader:
     return read
 
 
+def _keyed(path: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, its errors re-raised under the config key ``path``."""
+    try:
+        return call(*args, **kwargs)
+    except ShieldlabError as exc:
+        raise type(exc)(exc.message, key=f"{path}.{exc.key}" if exc.key else path) from exc
+    except ValueError as exc:
+        raise ShieldlabError(str(exc), key=path) from exc
+
+
 def _value(kinds, what: str, ok=lambda v: True, cast=lambda v, path: v,
            error=ShieldlabError):
     """Parser of a JSON value of type ``kinds`` (a bool is none) that ``ok`` accepts."""
@@ -153,6 +163,8 @@ _range = _value((list, tuple), "a [low, high] pair", lambda v: len(v) == 2,
 _beta = _value((int, float, str), 'a number >= 0 or "ground" (or "inf")',
                lambda v: v in ("ground", "inf", "infinity") if isinstance(v, str) else v >= 0,
                lambda v, path: math.inf if isinstance(v, str) else float(v))
+_finite_beta = _value((int, float), "a finite number >= 0 (the series takes no beta = inf)",
+                      lambda v: 0 <= v < math.inf, lambda v, path: float(v))
 
 
 def _grid(value, path) -> list[float]:
@@ -176,7 +188,7 @@ def _lattice(read, path: str) -> tuple[LatticeSpec, int]:
     edge = _value((list, tuple), "an [i, j, J] triple", lambda v: len(v) == 3,
                   lambda v, p: (site(v[0], p), site(v[1], p), _real(v[2], p)))
     h, g = read("h", _list(_real, 0)), read("g", _list(_real, 0), None)
-    return validate_lattice(n, read("edges", _list(edge, 0)), h, g), base
+    return _keyed(path, validate_lattice, n, read("edges", _list(edge, 0)), h, g), base
 
 
 def _split(lat: LatticeSpec, base: int, **kwargs):
@@ -184,7 +196,7 @@ def _split(lat: LatticeSpec, base: int, **kwargs):
     def parse(read, path: str):
         read = read if isinstance(read, _Reader) else _Reader(read, path)  # raises
         X, Y = (read(key, _list(_site(lat.n_sites, base), 0)) for key in "XY")
-        return validate_split(lat, X, Y, **kwargs)
+        return _keyed(path, validate_split, lat, X, Y, **kwargs)
     return parse
 
 
@@ -288,7 +300,7 @@ def run_counterexample(cfg: dict) -> ResultTable:
     """
     read = _config(cfg, "counterexample")
     h4 = read("h4", _real, 1.0)
-    betas = read("betas", _list(_beta), [1.0, 4.0, 7.0])
+    betas = read("betas", _list(_finite_beta), [1.0, 4.0, 7.0])
     h1_grid = read("h1_grid", _grid, {"start": 0.0, "stop": 2.0, "step": 0.05})
     tol = read("series_tol", _real, 1e-14)
     read.done()
@@ -435,10 +447,13 @@ def run_conjecture(cfg: dict) -> ResultTable:
 
 def _observables(n: int):
     """"x" or "z" for that Pauli on every site, else a list of Pauli strings."""
+    def word(text, path) -> PauliString:
+        return _keyed(path, PauliString.from_text, _text(text, path), n)
+
     def parse(value, path) -> tuple[PauliString, ...]:
         if value in ("x", "z"):
             return tuple(PauliString.single(n, i, value.upper()) for i in range(n))
-        return tuple(PauliString.from_text(text, n) for text in _list(_text)(value, path))
+        return tuple(_list(word)(value, path))
     return parse
 
 
@@ -450,7 +465,9 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     ``times`` ({"start": 0, "stop": 6, "step": 0.05}); ``observables`` ("x",
     "z", or Pauli strings such as "+ X0 Z1" numbered from 0); ``split``
     (none). With a split the verdict compares the time variation of
-    observables on the shielded bulk (must stay below 1e-9) to the driven side.
+    observables on the shielded bulk (must stay below 1e-9) to the driven side,
+    grouping rows by their ``site`` column; two observables may then not share
+    a site.
     """
     read = _config(cfg, "quench")
     pre, base = read("pre", _lattice)
@@ -463,24 +480,26 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     observables = read("observables", _observables(pre.n_sites), "x")
     split = read("split", _split(pre, base), None)
     read.done()
+    if split is not None:
+        first: dict[int, int] = {}
+        for k, obs in enumerate(observables):
+            site = _observable_site(obs)
+            if first.setdefault(site, k) != k:
+                raise ShieldlabError(
+                    f"shares its site column ({site}) with observables[{first[site]}], "
+                    "so the verdict could not tell their rows apart",
+                    key=f"observables[{k}]")
     table = run_quench(QuenchProtocol(pre=pre, post=post, times=tuple(times),
                                       observables=observables))
 
     verdict: dict = {"status": "pass"}
     if split is not None:
-        per_position: dict[int, list[float]] = {}
-        block = len(observables)
-        order = [row[1] for row in table.rows[:block]]
-        for r, row in enumerate(table.rows):
-            per_position.setdefault(r % block, []).append(row[2])
-        shielded = 0.0
-        driven = 0.0
-        for k, site in enumerate(order):
-            variation = max(per_position[k]) - min(per_position[k])
-            if site in split.B:
-                shielded = max(shielded, variation)
-            elif site in split.A:
-                driven = max(driven, variation)
+        per_site: dict[int, list[float]] = {}
+        for _, site, value in table.rows:
+            per_site.setdefault(site, []).append(value)
+        variation = {site: max(v) - min(v) for site, v in per_site.items()}
+        shielded = max((v for s, v in variation.items() if s in split.B), default=0.0)
+        driven = max((v for s, v in variation.items() if s in split.A), default=0.0)
         verdict = {
             "status": "pass" if shielded < QUENCH_SHIELDED_TOL else "fail",
             "max_variation_shielded": shielded,

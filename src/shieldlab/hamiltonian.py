@@ -81,8 +81,9 @@ class HamiltonianTerms:
 
         Built by bit arithmetic: ZZ terms are diagonal in the computational
         basis, X_i couples k <-> k^mask, Y_i does the same with ±i signs.
-        Real dtype when no Y term is present (then H is real symmetric, which
-        roughly quadruples eigensolver throughput downstream).
+        Real dtype when no Y term is present. The eigensolver never needs the
+        complex form (it rotates Y fields onto X first); it stays as the
+        oracle that the parity-sector spectrum is tested against.
         """
         if self._dense is None:
             check_dense_cap(self.n_sites)

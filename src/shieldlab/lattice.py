@@ -68,37 +68,39 @@ def validate_lattice(n_sites: int, edges, h, g=None) -> LatticeSpec:
 
     Edges are returned sorted with ``i < j``. ``g`` defaults to all zeros.
     Raises ``SelfEdgeError``, ``DuplicateEdgeError``, ``IndexOutOfRangeError``,
-    ``LengthMismatchError`` or ``NonFiniteParameterError``.
+    ``LengthMismatchError`` or ``NonFiniteParameterError``, each keyed by the
+    argument at fault (``edges[k]``, ``h`` or ``g``).
     """
     if n_sites < 1:
-        raise IndexOutOfRangeError(f"n_sites must be positive, got {n_sites}")
+        raise IndexOutOfRangeError(f"must be positive, got {n_sites}", key="n_sites")
     canon: list[Edge] = []
     seen: set[tuple[int, int]] = set()
-    for (i, j, J) in edges:
-        i, j = int(i), int(j)
+    for k, (i, j, J) in enumerate(edges):
+        i, j, key = int(i), int(j), f"edges[{k}]"
         if i == j:
-            raise SelfEdgeError(f"edge ({i}, {j}) joins a site to itself")
+            raise SelfEdgeError(f"edge ({i}, {j}) joins a site to itself", key=key)
         if not (0 <= i < n_sites and 0 <= j < n_sites):
-            raise IndexOutOfRangeError(f"edge ({i}, {j}) outside 0..{n_sites - 1}")
+            raise IndexOutOfRangeError(f"edge ({i}, {j}) outside 0..{n_sites - 1}",
+                                       key=key)
         pair = (min(i, j), max(i, j))
         if pair in seen:
-            raise DuplicateEdgeError(f"duplicate edge {pair}")
+            raise DuplicateEdgeError(f"duplicate edge {pair}", key=key)
         seen.add(pair)
         J = float(J)
         if not math.isfinite(J):
-            raise NonFiniteParameterError(f"coupling on edge {pair} is not finite")
+            raise NonFiniteParameterError(f"coupling on edge {pair} is not finite",
+                                          key=key)
         canon.append((pair[0], pair[1], J))
     canon.sort(key=lambda e: (e[0], e[1]))
 
     h = tuple(float(x) for x in h)
     g = tuple(float(x) for x in g) if g is not None else (0.0,) * n_sites
-    if len(h) != n_sites or len(g) != n_sites:
-        raise LengthMismatchError(
-            f"field lists have lengths {len(h)}/{len(g)}, expected {n_sites}"
-        )
     for name, values in (("h", h), ("g", g)):
+        if len(values) != n_sites:
+            raise LengthMismatchError(
+                f"has {len(values)} entries, expected {n_sites}", key=name)
         if any(not math.isfinite(x) for x in values):
-            raise NonFiniteParameterError(f"non-finite entry in {name}")
+            raise NonFiniteParameterError("has a non-finite entry", key=name)
     return LatticeSpec(n_sites, tuple(canon), h, g)
 
 

@@ -1,13 +1,23 @@
 """Exact finite-temperature and ground-state machinery.
 
 Everything here is spectral. Each Hamiltonian is diagonalized once: the
-eigendecomposition is cached on the ``HamiltonianTerms`` next to its dense
-matrix, and Gibbs states at every beta, the ground space and the time
-evolution of :mod:`shieldlab.dynamics` all read that one spectrum. Gibbs
-states shift the ground energy out for stability; the ground state is
-always the uniform mixture over the ground eigenspace (the beta → ∞ limit
-of the Gibbs state, which keeps degenerate cases deterministic). The
-partial trace is computed by exact index-bit bucketing.
+eigendecomposition is cached on the ``HamiltonianTerms``, and Gibbs states
+at every beta, the ground space and the time evolution of
+:mod:`shieldlab.dynamics` all read that one spectrum. Gibbs states shift the
+ground energy out for stability; the ground state is always the uniform
+mixture over the ground eigenspace (the beta → ∞ limit of the Gibbs state,
+which keeps degenerate cases deterministic). The partial trace is computed
+by exact index-bit bucketing.
+
+The spectrum is held in two parity sectors. A per-site rotation about z
+turns each site's field terms onto x, a X_i + b Y_i = r D_i X_i D_i† with
+D_i = diag(1, e^{iφ}), and leaves every ZZ term alone. The rotated H′ is
+real and commutes with the global spin flip P = ∏X_i, which reverses the
+basis index, so it splits into two real blocks of half dimension, one per
+eigenvalue ±1 of P. Gibbs states, ground mixtures and U(t) are assembled
+from half-size products of those blocks and rotated back by the diagonal
+phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. None of them forms a full 2^n eigenvector
+matrix.
 
 Verdict thresholds used throughout the experiment runners:
 
@@ -20,7 +30,7 @@ Verdict thresholds used throughout the experiment runners:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,17 +61,99 @@ def classify_distance(distance: float) -> str:
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues and orthonormal eigenvector columns, block by block.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    ``blocks`` holds one (eigenvalues ascending, eigenvector columns) pair
+    per invariant subspace. A matrix equal to its index reversal has two
+    blocks, the P = +1 and P = -1 sectors of half dimension, and a sector
+    column v stands for [v; ±v[::-1]]/√2 in the full basis; any other matrix
+    has one block, the full basis. With ``phases`` d set, the blocks
+    decompose M′ and the matrix described is M = d ⊙ M′ ⊙ d̄ᵀ.
+    """
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    phases: np.ndarray | None = None
+
+    def _sign(self, b: int) -> int:
+        return (1, -1)[b] if len(self.blocks) == 2 else 0
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """All eigenvalues, ascending."""
+        return np.sort(np.concatenate([w for w, _ in self.blocks]))
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Full-basis eigenvector columns, in the order of ``eigenvalues``."""
+        w = np.concatenate([w for w, _ in self.blocks])
+        return self.columns(lambda w: slice(None))[:, np.argsort(w, kind="stable")]
+
+    def lift(self, b: int, y: np.ndarray) -> np.ndarray:
+        """Full-basis form d ⊙ L y of columns ``y`` given in block ``b``."""
+        sign = self._sign(b)
+        if sign:
+            y = np.concatenate([y, sign * y[::-1]]) / math.sqrt(2.0)
+        return y if self.phases is None else self.phases[:, None] * y
+
+    def project(self, b: int, x: np.ndarray) -> np.ndarray:
+        """Coordinates L† (d̄ ⊙ x) in block ``b`` of full-basis columns ``x``."""
+        if self.phases is not None:
+            x = self.phases.conj()[:, None] * x
+        sign, h = self._sign(b), x.shape[0] // 2
+        return (x[:h] + sign * x[::-1][:h]) / math.sqrt(2.0) if sign else x
+
+    def columns(self, keep) -> np.ndarray:
+        """Full-basis eigenvector columns whose eigenvalues ``keep(w)`` selects."""
+        return np.hstack([self.lift(b, v[:, keep(w)])
+                          for b, (w, v) in enumerate(self.blocks)])
+
+    def function(self, f) -> np.ndarray:
+        """f(M) = Σ V f(w) V† over the blocks, as a full-basis matrix.
+
+        Columns with f(w) exactly 0 are skipped. Each sector contributes a
+        half-size product A_±; with S = A₊ + A₋, D = A₊ - A₋ and J the index
+        reversal, the two sectors sum to ½[[S, D·J], [J·D, J·S·J]].
+        """
+        parts = []
+        for w, v in self.blocks:
+            fw = f(w)
+            nonzero = fw != 0
+            if not nonzero.all():
+                v, fw = v[:, nonzero], fw[nonzero]
+            vf = v * fw
+            parts.append(vf @ v.conj().T if np.iscomplexobj(v) else _dot(v, vf.T))
+        if len(parts) == 1:
+            out = parts[0]
+        else:
+            plus, minus = parts
+            s, d = plus + minus, plus - minus
+            h = s.shape[0]
+            out = np.empty((2 * h, 2 * h), dtype=s.dtype)
+            out[:h, :h], out[h:, h:] = s, s[::-1, ::-1]
+            out[:h, h:], out[h:, :h] = d[:, ::-1], d[::-1]
+            out *= 0.5
+        if self.phases is not None:
+            out = self.phases[:, None] * out * self.phases.conj()
+        return out
+
+
+def _dot(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z, as one real product over z's real and imaginary parts when a is real."""
+    if np.iscomplexobj(a) or not np.iscomplexobj(z):
+        return a @ z
+    m = z.shape[1]
+    both = a @ np.concatenate([z.real, z.imag], axis=1)
+    return both[:, :m] + 1j * both[:, m:]
 
 
 def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Matrices with exactly zero imaginary part take the real-symmetric LAPACK
-    path, which is several times faster at the dimensions used here.
+    path, which is several times faster at the dimensions used here. A
+    matrix equal to its index reversal (P M P = M for the global spin flip
+    P = ∏X_i) is solved in the two half-size sectors
+    M_± = M[:h, :h] ± M[:h, h:][:, ::-1]; any other in the full basis.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -75,23 +167,59 @@ def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
         raise NotHermitianError("matrix is not Hermitian")
     if np.iscomplexobj(matrix) and not np.any(matrix.imag):
         matrix = matrix.real
-    w, v = np.linalg.eigh(matrix)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+    if n_sites == 0 or not np.array_equal(matrix, matrix[::-1, ::-1]):
+        return SpectralDecomposition((tuple(np.linalg.eigh(matrix)),))
+    h = matrix.shape[0] // 2
+    turned = matrix[:h, h:][:, ::-1]
+    return SpectralDecomposition(tuple(
+        tuple(np.linalg.eigh(matrix[:h, :h] + sign * turned)) for sign in (1, -1)))
+
+
+def _rotate_y(H: HamiltonianTerms) -> tuple[HamiltonianTerms, np.ndarray | None]:
+    """H′ with every Y field turned onto X, and the phases d of H = d ⊙ H′ ⊙ d̄ᵀ.
+
+    a X_i + b Y_i = r D_i X_i D_i† with r = hypot(a, b), D_i = diag(1, e^{iφ})
+    and φ = atan2(b, a); d is the diagonal of ⊗ D_i. Sites without a Y field
+    keep their X coefficient and phase 1; without any Y field H′ is H.
+    """
+    if not H.has_y_terms():
+        return H, None
+    n = H.n_sites
+    fields: dict[int, list[float]] = {}
+    terms = []
+    for c, p in H.terms:
+        sup = p.support()
+        if len(sup) == 1:
+            fields.setdefault(sup[0], [0.0, 0.0])["XY".index(p.letters[sup[0]])] += c
+        else:
+            terms.append((c, p))
+    idx = np.arange(1 << n)
+    angle = np.zeros(1 << n)
+    for i, (a, b) in sorted(fields.items()):
+        if b != 0.0:
+            angle += math.atan2(b, a) * ((idx >> (n - 1 - i)) & 1)
+        terms.append((math.hypot(a, b) if b != 0.0 else a, PauliString.single(n, i, "X")))
+    return HamiltonianTerms(n, tuple(terms)), np.exp(1j * angle)
 
 
 def _spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
-    """Eigendecomposition of ``H``, solved on first use and cached on ``H``."""
+    """Eigendecomposition of ``H``, solved on first use and cached on ``H``.
+
+    Y fields are rotated away first (:func:`_rotate_y`), so the matrix solved
+    is real and commutes with the spin flip: its two parity sectors are real
+    half-size blocks, and the rotation comes back as the decomposition's
+    phases.
+    """
     if H._spectrum is None:
-        H._spectrum = eig_hermitian(H.to_dense())
+        rotated, phases = _rotate_y(H)
+        H._spectrum = replace(eig_hermitian(rotated.to_dense()), phases=phases)
     return H._spectrum
 
 
-def _ground_vectors(dec: SpectralDecomposition,
-                    degeneracy_tol: float = 1e-9) -> np.ndarray:
-    """Eigenvector columns of the ground space that ground_state_density defines."""
+def _ground_cut(dec: SpectralDecomposition, degeneracy_tol: float = 1e-9) -> float:
+    """Highest energy in the ground space that ground_state_density defines."""
     w = dec.eigenvalues
-    span = float(w[-1] - w[0])
-    return dec.eigenvectors[:, w <= w[0] + degeneracy_tol * max(span, 1.0)]
+    return w[0] + degeneracy_tol * max(float(w[-1] - w[0]), 1.0)
 
 
 @dataclass
@@ -151,10 +279,9 @@ def gibbs(H: HamiltonianTerms, beta: float, site_labels=None) -> DensityMatrix:
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and non-negative, got {beta}")
     dec = _spectrum(H)
-    weights = np.exp(-beta * (dec.eigenvalues - dec.eigenvalues[0]))
-    weights /= weights.sum()
-    v = dec.eigenvectors
-    rho = (v * weights) @ v.conj().T
+    low = dec.eigenvalues[0]
+    z = sum(float(np.exp(-beta * (w - low)).sum()) for w, _ in dec.blocks)
+    rho = dec.function(lambda w: np.exp(-beta * (w - low)) / z)
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(rho, _default_labels(H.n_sites, site_labels))
 
@@ -167,9 +294,10 @@ def ground_state_density(H: HamiltonianTerms, degeneracy_tol: float = 1e-9,
     to the spectral span, belong to the ground space; its dimension is
     reported on the result's ``degeneracy`` field.
     """
-    v = _ground_vectors(_spectrum(H), degeneracy_tol)
-    d = v.shape[1]
-    rho = (v @ v.conj().T) / d
+    dec = _spectrum(H)
+    cut = _ground_cut(dec, degeneracy_tol)
+    d = int(np.count_nonzero(dec.eigenvalues <= cut))
+    rho = dec.function(lambda w: (w <= cut) / d)
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(rho, _default_labels(H.n_sites, site_labels), degeneracy=d)
 

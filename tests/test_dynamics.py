@@ -18,10 +18,12 @@ from shieldlab import (
     run_quench,
     shielded_dynamics_check,
     split_hamiltonian,
+    validate_lattice,
     validate_split,
 )
 
 from helpers import random_mixed_state, random_product_state, random_pure_state
+from test_thermal import dense_ground, dense_spectrum, oracle_lattices
 
 
 def minus_x_hamiltonian():
@@ -215,3 +217,36 @@ class TestRunQuench:
         from shieldlab import expectation
         assert table.rows[0][2] == pytest.approx(
             expectation(rho0, obs[0]), abs=1e-12)
+
+
+class TestSectorOracle:
+    """Evolution through the parity sectors against dense eigh."""
+
+    def test_evolve_matches_dense_eigh(self):
+        rng = np.random.default_rng(41)
+        for lat in oracle_lattices(43):
+            n = lat.n_sites
+            H = build_hamiltonian(lat)
+            w, v = dense_spectrum(H)
+            rho0 = DensityMatrix(random_mixed_state(rng, n), tuple(range(n)))
+            for t in (0.4, 3.1):
+                u = (v * np.exp(-1j * w * t)) @ v.conj().T
+                ref = u @ rho0.matrix @ u.conj().T
+                assert np.abs(evolve(H, rho0, t).matrix - ref).max() < 1e-12
+
+    def test_run_quench_matches_dense_eigh(self):
+        rng = np.random.default_rng(47)
+        for pre in oracle_lattices(53):
+            n = pre.n_sites
+            post = validate_lattice(
+                n, [(i, j, rng.uniform(-2, 2)) for (i, j, _) in pre.edges],
+                rng.uniform(-1, 1, n), rng.uniform(-1, 1, n) * rng.integers(2))
+            obs = tuple(PauliString.single(n, i, "XYZ"[i % 3]) for i in range(n))
+            times = (0.0, 0.7, 2.9)
+            table = run_quench(QuenchProtocol(pre, post, times, obs))
+            rho0, _, tol = dense_ground(build_hamiltonian(pre))
+            w, v = dense_spectrum(build_hamiltonian(post))
+            for (t, site, value) in table.rows:
+                u = (v * np.exp(-1j * w * t)) @ v.conj().T
+                ref = np.trace(u @ rho0 @ u.conj().T @ obs[site].to_dense()).real
+                assert value == pytest.approx(ref, abs=tol)

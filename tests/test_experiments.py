@@ -17,6 +17,7 @@ from shieldlab import (
     run_conjecture,
     run_counterexample,
     run_dual_check,
+    run_quench,
     run_quench_experiment,
     run_verify_shielding,
 )
@@ -175,6 +176,12 @@ class TestVerifyShielding:
         (lambda cfg: cfg["lattice"]["edges"].append([0, 1]), r"lattice\.edges\[3\]"),
         (lambda cfg: cfg["lattice"]["h"].__setitem__(0, None), r"lattice\.h\[0\]"),
         (lambda cfg: cfg["split"]["X"].append(4), r"split\.X\[2\]"),
+        (lambda cfg: cfg["lattice"]["edges"].append([1, 0, 2.0]),
+         r"lattice\.edges\[3\]: duplicate edge"),
+        (lambda cfg: cfg["lattice"]["edges"].append([2, 2, 1.0]),
+         r"lattice\.edges\[3\]: edge \(2, 2\) joins"),
+        (lambda cfg: cfg["lattice"]["h"].append(0.4), "lattice.h: has 5 entries"),
+        (lambda cfg: cfg["split"].update(X=[0, 1], Y=[2, 3]), "split: edge"),
     ])
     def test_bad_lattice_or_split_names_the_key(self, edit, key):
         cfg = chain_config()
@@ -232,6 +239,8 @@ class TestCounterexample:
         ({"series_tol": None}, "series_tol"),
         ({"seed": 1.5}, "seed"),
         ({"trials": 3}, "'trials'"),
+        ({"betas": [1.0, "ground"]}, r"betas\[1\] must be a finite number"),
+        ({"betas": ["inf"]}, r"betas\[0\] must be a finite number"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         cfg = {"h4": 1.0, "betas": [1.0], "h1_grid": [0.5], **extra}
@@ -350,10 +359,30 @@ class TestQuenchRunner:
         ({"observables": "y"}, "observables"),
         ({"split": {"X": [0, 1, 2], "Y": [2, 3, 4, 5], "Z": [2]}}, r"'split\.Z'"),
         ({"trials": 3}, "'trials'"),
+        ({"observables": ["+ X5", "+ Q1"]}, r"observables\[1\]: bad Pauli token"),
+        ({"observables": ["+ X1 X1"]}, r"observables\[0\]: site 1 assigned twice"),
+        ({"observables": ["+ X6"]}, r"observables\[0\]: site 6 outside"),
+        ({"observables": ["+ X4", "+ Z4 Z5"]}, r"observables\[1\]: shares its site"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         with pytest.raises(ShieldlabError, match=key):
             run_quench_experiment({**self.quench_config(), **extra})
+
+    def test_verdict_does_not_depend_on_row_order(self, monkeypatch):
+        import random
+
+        import shieldlab.experiments as experiments
+
+        cfg = self.quench_config()
+        verdict = run_quench_experiment(cfg).metadata["verdict"]
+
+        def shuffled(*args, **kwargs):
+            table = run_quench(*args, **kwargs)
+            random.Random(5).shuffle(table.rows)
+            return table
+
+        monkeypatch.setattr(experiments, "run_quench", shuffled)
+        assert run_quench_experiment(cfg).metadata["verdict"] == verdict
 
     def test_post_lattice_excludes_the_site_patch(self):
         cfg = self.quench_config()
@@ -509,6 +538,31 @@ class TestCli:
         proc = self.run_cli(tmp_path, experiment, cfg)
         assert proc.returncode == 1
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("experiment, edit, message", [
+        ("quench", lambda cfg: cfg.update(observables=["+ Q1"]),
+         "error: observables[0]: bad Pauli token 'Q1'"),
+        ("quench", lambda cfg: cfg.update(observables=["+ X1 X1"]),
+         "error: observables[0]: site 1 assigned twice"),
+        ("quench", lambda cfg: cfg["pre"]["edges"].append([1, 0, 2.0]),
+         "error: pre.edges[2]: duplicate edge (0, 1)"),
+        ("quench", lambda cfg: cfg.update(split={"X": [0, 1], "Y": [2]}),
+         "error: split: edge (1, 2) crosses"),
+        ("counterexample", lambda cfg: cfg.update(betas=["ground"]),
+         "error: betas[0] must be a finite number"),
+    ])
+    def test_error_below_the_reader_exits_one_with_its_path(self, tmp_path, experiment,
+                                                            edit, message):
+        lat = make_chain(3, [1.0, 1.0], [0.4, 0.0, 0.4])
+        cfg = {
+            "counterexample": {"betas": [1.0], "h1_grid": [0.5]},
+            "quench": {"pre": lattice_json(lat), "quench_site": 0, "quench_h": -1.0},
+        }[experiment]
+        edit(cfg)
+        proc = self.run_cli(tmp_path, experiment, cfg)
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg = chain_config(trials=2)

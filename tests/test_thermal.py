@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import shieldlab.thermal as thermal
 from shieldlab import (
     DensityMatrix,
     HamiltonianTerms,
@@ -69,6 +70,50 @@ def random_interface_lattice(rng, n=None):
     return lat, split
 
 
+def random_graph_lattice(rng, n, y_fields, n_zero=1):
+    """Random connected graph of ``n`` sites (a path plus random chords).
+
+    ``n_zero`` sites get no field at all; with ``y_fields`` the others carry
+    both x and y fields.
+    """
+    edges = [(i, i + 1, rng.uniform(-2, 2)) for i in range(n - 1)]
+    edges += [(i, j, rng.uniform(-2, 2)) for i in range(n) for j in range(i + 2, n)
+              if rng.random() < 0.3]
+    h = rng.uniform(-1, 1, size=n)
+    g = rng.uniform(-1, 1, size=n) if y_fields else np.zeros(n)
+    zero = rng.choice(n, size=min(n_zero, n), replace=False)
+    h[zero] = g[zero] = 0.0
+    return validate_lattice(n, edges, h, g)
+
+
+def oracle_lattices(seed):
+    """Lattices of 1 to 9 sites, with and without y fields, with and without
+    zero-field sites (whose ground spaces are degenerate)."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 10):
+        for y_fields in (False, True):
+            yield random_graph_lattice(rng, n, y_fields, n_zero=int(rng.integers(0, 3)))
+
+
+def dense_spectrum(H):
+    """The oracle: full-basis eigh of the dense matrix, Y branch included."""
+    return np.linalg.eigh(H.to_dense())
+
+
+def dense_ground(H):
+    """Oracle ground mixture and its degeneracy, with the error bound it shares
+    with any other solver: each perturbs the ground projector by about
+    eps * span / gap (Davis-Kahan), so a nearly degenerate ground space
+    widens the bound beyond 1e-12."""
+    w, v = dense_spectrum(H)
+    span = max(w[-1] - w[0], 1.0)
+    in_ground = w <= w[0] + 1e-9 * span
+    ground = v[:, in_ground]
+    gap = w[~in_ground][0] - w[0] if not in_ground.all() else span
+    d = ground.shape[1]
+    return ground @ ground.conj().T / d, d, max(1e-12, 1e-14 * span / gap)
+
+
 class TestEig:
     def test_z_spectrum(self):
         H = HamiltonianTerms(1, ())
@@ -94,6 +139,35 @@ class TestEig:
         v = dec.eigenvectors
         assert np.abs((v * dec.eigenvalues) @ v.conj().T - H).max() < 1e-10
         assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-10
+
+    @pytest.mark.parametrize("reversal_symmetric", [True, False])
+    def test_reconstructs_with_and_without_reversal_symmetry(self, reversal_symmetric):
+        rng = np.random.default_rng(43)
+        for dtype in (float, complex):
+            a = rng.normal(size=(16, 16)).astype(dtype)
+            if dtype is complex:
+                a += 1j * rng.normal(size=(16, 16))
+            m = a + a.conj().T
+            if reversal_symmetric:
+                m = m + m[::-1, ::-1]
+            dec = eig_hermitian(m)
+            assert len(dec.blocks) == (2 if reversal_symmetric else 1)
+            assert all(v.shape == (w.size, w.size) for w, v in dec.blocks)
+            assert np.abs(dec.function(lambda w: w) - m).max() < 1e-12
+            v = dec.eigenvectors
+            assert np.abs((v * dec.eigenvalues) @ v.conj().T - m).max() < 1e-12
+            assert np.abs(v.conj().T @ v - np.eye(16)).max() < 1e-12
+
+    def test_y_fields_solve_as_two_real_sectors(self):
+        rng = np.random.default_rng(47)
+        for n in (1, 4, 7):
+            H = build_hamiltonian(random_graph_lattice(rng, n, y_fields=True, n_zero=0))
+            dec = thermal._spectrum(H)
+            assert dec.phases is not None
+            assert [v.shape for _, v in dec.blocks] == [(2 ** (n - 1),) * 2] * 2
+            assert all(np.isrealobj(w) and np.isrealobj(v) for w, v in dec.blocks)
+            w, _ = dense_spectrum(H)
+            assert np.abs(dec.eigenvalues - w).max() < 1e-12
 
     def test_not_hermitian(self):
         with pytest.raises(NotHermitianError):
@@ -166,6 +240,28 @@ class TestGroundState:
         assert cold.degeneracy is not None
         warm = thermal_state(H, 2.0)
         assert trace_distance(warm, gibbs(H, 2.0)) == 0.0
+
+
+class TestSectorOracle:
+    """Gibbs and ground states from the parity sectors against dense eigh."""
+
+    def test_gibbs_matches_dense_eigh(self):
+        for lat in oracle_lattices(53):
+            H = build_hamiltonian(lat)
+            for beta in (0.3, 2.0, 40.0):
+                ref = gibbs_reference(H.to_dense(), beta)
+                assert np.abs(gibbs(H, beta).matrix - ref).max() < 1e-12
+
+    def test_ground_state_matches_dense_eigh(self):
+        degenerate = 0
+        for lat in oracle_lattices(59):
+            H = build_hamiltonian(lat)
+            ref, d, tol = dense_ground(H)
+            rho = ground_state_density(H)
+            assert rho.degeneracy == d
+            assert np.abs(rho.matrix - ref).max() < tol
+            degenerate += rho.degeneracy > 1
+        assert degenerate >= 5
 
 
 class TestPartialTrace:
