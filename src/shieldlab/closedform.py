@@ -68,42 +68,33 @@ def fourspin_coefficients(beta: float, h1: float, h4: float,
                           tol: float = 1e-14) -> FourSpinCoefficients:
     """Sum the diamond's coefficient series until the added terms drop below ``tol``.
 
-    The inner sums run over k = 0..n (binomial coefficients vanish beyond
-    n), split by parity of k; the outer index n advances until every
-    coefficient's increment is below ``tol`` in magnitude. beta^(2n)/(2n)!
-    is carried incrementally so no intermediate overflows for the beta
-    values of interest (terms peak near n ≈ beta).
+    Term n of each series carries the binomial sum Σ_k C(n, k) a^(n-k) 2^k
+    over k = 0..n, split by the parity of k, with a = 2 + h² for the near
+    (h1) or far (h4) field. By the binomial theorem with ±2 the even and odd
+    parts are ((a+2)^n ± (a-2)^n)/2, so term n costs O(1). The outer index
+    n advances until every coefficient's increment is below ``tol`` in
+    magnitude. The products β^(2n)/(2n)! · (a±2)^n are carried
+    incrementally, so no intermediate overflows for the beta values of
+    interest (terms peak near n ≈ beta·√(a+2)/2).
     """
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
     a1 = 2.0 + h1 * h1
     a4 = 2.0 + h4 * h4
     A = B = C = D = G = H = 0.0
-    even_fac = 1.0  # beta^(2n) / (2n)!
+    # beta^(2n)/(2n)! · (a ± 2)^n for a = a1, a4 and sign +, -
+    carried = [1.0, 1.0, 1.0, 1.0]
     n = 0
     while True:
         if n > 0:
-            even_fac *= beta * beta / ((2 * n - 1) * (2 * n))
-        odd_fac = even_fac * beta / (2 * n + 1)  # beta^(2n+1) / (2n+1)!
-
-        def split_sums(a: float) -> tuple[float, float]:
-            even = odd = 0.0
-            for k in range(n + 1):
-                term = math.comb(n, k) * a ** (n - k) * 2.0 ** k
-                if k % 2 == 0:
-                    even += term
-                else:
-                    odd += term
-            return even, odd
-
-        e1, o1 = split_sums(a1)
-        e4, o4 = split_sums(a4)
-        dA = 2.0 * even_fac * e1
-        dB = 2.0 * even_fac * o1
-        dC = 2.0 * even_fac * e4
-        dD = 2.0 * even_fac * o4
-        dG = h4 * 2.0 * odd_fac * e4
-        dH = h4 * 2.0 * odd_fac * o4
+            step = beta * beta / ((2 * n - 1) * (2 * n))
+            carried = [u * step * x
+                       for u, x in zip(carried, (a1 + 2, a1 - 2, a4 + 2, a4 - 2))]
+        p1, m1, p4, m4 = carried
+        dA, dB = p1 + m1, p1 - m1
+        dC, dD = p4 + m4, p4 - m4
+        odd = h4 * beta / (2 * n + 1)  # beta^(2n+1)/(2n+1)! over beta^(2n)/(2n)!
+        dG, dH = odd * dC, odd * dD
         A += dA
         B += dB
         C += dC

@@ -9,15 +9,19 @@ mixture over the ground eigenspace (the beta → ∞ limit of the Gibbs state,
 which keeps degenerate cases deterministic). The partial trace is computed
 by exact index-bit bucketing.
 
-The spectrum is held in two parity sectors. A per-site rotation about z
-turns each site's field terms onto x, a X_i + b Y_i = r D_i X_i D_i† with
-D_i = diag(1, e^{iφ}), and leaves every ZZ term alone. The rotated H′ is
-real and commutes with the global spin flip P = ∏X_i, which reverses the
-basis index, so it splits into two real blocks of half dimension, one per
-eigenvalue ±1 of P. Gibbs states, ground mixtures and U(t) are assembled
-from half-size products of those blocks and rotated back by the diagonal
-phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. None of them forms a full 2^n eigenvector
-matrix.
+The spectrum is held in blocks, split on conserved charges read from the
+matrix. A per-site rotation about z turns each site's field terms onto x,
+a X_i + b Y_i = r D_i X_i D_i† with D_i = diag(1, e^{iφ}), and leaves every
+ZZ term alone. The rotated H′ is real and commutes with the global spin
+flip P = ∏X_i, which reverses the basis index, and with Z_l on every site l
+that has no field. The eigensolver splits H′ into the two sectors of P,
+pivoted on such a site, where they coincide and are solved once, and
+splits that block further on the other zero-field sites: m ≥ 1 of them give
+2^(m-1) real blocks of dimension 2^(n-m), solved in one stacked call; with
+none the two half-size P sectors are solved. Gibbs states, ground mixtures
+and U(t) are assembled from block-size products and rotated back by the
+diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. None of them forms a full 2^n
+eigenvector matrix.
 
 Verdict thresholds used throughout the experiment runners:
 
@@ -64,55 +68,87 @@ class SpectralDecomposition:
     """Eigenvalues and orthonormal eigenvector columns, block by block.
 
     ``blocks`` holds one (eigenvalues ascending, eigenvector columns) pair
-    per invariant subspace. A matrix equal to its index reversal has two
-    blocks, the P = +1 and P = -1 sectors of half dimension, and a sector
-    column v stands for [v; ±v[::-1]]/√2 in the full basis; any other matrix
-    has one block, the full basis. With ``phases`` d set, the blocks
-    decompose M′ and the matrix described is M = d ⊙ M′ ⊙ d̄ᵀ.
+    per solved block. Row b of ``rows`` lists the full-basis rows R that the
+    coordinates of block b live on, and ``signs[b]`` says how the block sits
+    in the full basis. Sign 0: a column v is v on R alone. Sign ±1: the
+    block is a sector of the spin flip P, which maps row r to
+    R̄ = 2^n - 1 - r, and v stands for (v on R ± v on R̄)/√2. A block with
+    signs (1, -1) is both sectors at once, solved once because they
+    coincide. Every eigenvalue of a block counts once per sign. With
+    ``phases`` d set, the blocks decompose M′ and the matrix described is
+    M = d ⊙ M′ ⊙ d̄ᵀ.
     """
 
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    rows: np.ndarray
+    signs: tuple[tuple[int, ...], ...]
     phases: np.ndarray | None = None
 
-    def _sign(self, b: int) -> int:
-        return (1, -1)[b] if len(self.blocks) == 2 else 0
+    @property
+    def dim(self) -> int:
+        """Dimension of the full basis."""
+        return self.rows.shape[1] * sum(map(len, self.signs))
+
+    def _values(self) -> np.ndarray:
+        """Eigenvalues in the order of :meth:`columns`, one copy per sign."""
+        return np.concatenate([w for (w, _), signs in zip(self.blocks, self.signs)
+                               for _ in signs])
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending."""
-        return np.sort(np.concatenate([w for w, _ in self.blocks]))
+        return np.sort(self._values())
 
     @property
     def eigenvectors(self) -> np.ndarray:
         """Full-basis eigenvector columns, in the order of ``eigenvalues``."""
-        w = np.concatenate([w for w, _ in self.blocks])
-        return self.columns(lambda w: slice(None))[:, np.argsort(w, kind="stable")]
+        order = np.argsort(self._values(), kind="stable")
+        return self.columns(lambda w: slice(None))[:, order]
+
+    def _embed(self, b: int, sign: int, y: np.ndarray) -> np.ndarray:
+        """Full-basis columns E_s y for coordinates ``y`` of block ``b`` under sign s."""
+        rows = self.rows[b]
+        x = np.zeros((self.dim, y.shape[1]), dtype=y.dtype)
+        if sign:
+            y = y / math.sqrt(2.0)
+            x[self.dim - 1 - rows] = sign * y
+        x[rows] = y
+        return x
 
     def lift(self, b: int, y: np.ndarray) -> np.ndarray:
-        """Full-basis form d ⊙ L y of columns ``y`` given in block ``b``."""
-        sign = self._sign(b)
-        if sign:
-            y = np.concatenate([y, sign * y[::-1]]) / math.sqrt(2.0)
-        return y if self.phases is None else self.phases[:, None] * y
+        """Full-basis form d ⊙ Σ E_s y_s of coordinates ``y`` in block ``b``.
+
+        ``y`` holds one group of columns per sign of the block, side by
+        side, as :meth:`project` returns them.
+        """
+        parts = np.split(y, len(self.signs[b]), axis=1)
+        x = sum(self._embed(b, sign, part) for sign, part in zip(self.signs[b], parts))
+        return x if self.phases is None else self.phases[:, None] * x
 
     def project(self, b: int, x: np.ndarray) -> np.ndarray:
-        """Coordinates L† (d̄ ⊙ x) in block ``b`` of full-basis columns ``x``."""
+        """Coordinates E_s† (d̄ ⊙ x) in block ``b`` of full-basis columns ``x``.
+
+        One group of columns per sign of the block, side by side.
+        """
         if self.phases is not None:
             x = self.phases.conj()[:, None] * x
-        sign, h = self._sign(b), x.shape[0] // 2
-        return (x[:h] + sign * x[::-1][:h]) / math.sqrt(2.0) if sign else x
+        rows = self.rows[b]
+        return np.hstack([(x[rows] + sign * x[self.dim - 1 - rows]) / math.sqrt(2.0)
+                          if sign else x[rows] for sign in self.signs[b]])
 
     def columns(self, keep) -> np.ndarray:
         """Full-basis eigenvector columns whose eigenvalues ``keep(w)`` selects."""
-        return np.hstack([self.lift(b, v[:, keep(w)])
-                          for b, (w, v) in enumerate(self.blocks)])
+        x = np.hstack([self._embed(b, sign, v[:, keep(w)])
+                       for b, (w, v) in enumerate(self.blocks) for sign in self.signs[b]])
+        return x if self.phases is None else self.phases[:, None] * x
 
     def function(self, f) -> np.ndarray:
         """f(M) = Σ V f(w) V† over the blocks, as a full-basis matrix.
 
-        Columns with f(w) exactly 0 are skipped. Each sector contributes a
-        half-size product A_±; with S = A₊ + A₋, D = A₊ - A₋ and J the index
-        reversal, the two sectors sum to ½[[S, D·J], [J·D, J·S·J]].
+        Columns with f(w) exactly 0 are skipped. Block b contributes
+        A = v f(w) v† on its rows R; a sign s adds ½A on R×R and R̄×R̄ and
+        ½sA on R×R̄ and R̄×R, so the two signs of a shared block give A on
+        R×R and R̄×R̄ and nothing across.
         """
         parts = []
         for w, v in self.blocks:
@@ -122,16 +158,21 @@ class SpectralDecomposition:
                 v, fw = v[:, nonzero], fw[nonzero]
             vf = v * fw
             parts.append(vf @ v.conj().T if np.iscomplexobj(v) else _dot(v, vf.T))
-        if len(parts) == 1:
-            out = parts[0]
-        else:
-            plus, minus = parts
-            s, d = plus + minus, plus - minus
-            h = s.shape[0]
-            out = np.empty((2 * h, 2 * h), dtype=s.dtype)
-            out[:h, :h], out[h:, h:] = s, s[::-1, ::-1]
-            out[:h, h:], out[h:, :h] = d[:, ::-1], d[::-1]
-            out *= 0.5
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(*parts))
+        # R̄×R̄, R×R̄ and R̄×R are R×R of these reversed views
+        mirrored, across, back = out[::-1, ::-1], out[:, ::-1], out[::-1]
+        for a, rows, signs in zip(parts, self.rows, self.signs):
+            at = np.ix_(rows, rows)
+            if rows[-1] - rows[0] == rows.size - 1:  # consecutive rows: a view
+                at = (slice(rows[0], rows[-1] + 1),) * 2
+            if signs == (0,):
+                out[at] += a
+                continue
+            out[at] += 0.5 * len(signs) * a
+            mirrored[at] += 0.5 * len(signs) * a
+            if sum(signs):
+                across[at] += 0.5 * sum(signs) * a
+                back[at] += 0.5 * sum(signs) * a
         if self.phases is not None:
             out = self.phases[:, None] * out * self.phases.conj()
         return out
@@ -146,14 +187,33 @@ def _dot(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return both[:, :m] + 1j * both[:, m:]
 
 
-def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+def _offsets(bits) -> np.ndarray:
+    """Every sum of a subset of ``bits``, in the order of a counter whose
+    digits are ``bits``, the first one most significant."""
+    out = np.zeros(1, dtype=np.int64)
+    for bit in bits:
+        out = (out[:, None] + np.array([0, bit])).ravel()
+    return out
 
-    Matrices with exactly zero imaginary part take the real-symmetric LAPACK
-    path, which is several times faster at the dimensions used here. A
-    matrix equal to its index reversal (P M P = M for the global spin flip
-    P = ∏X_i) is solved in the two half-size sectors
-    M_± = M[:h, :h] ± M[:h, h:][:, ::-1]; any other in the full basis.
+
+def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix, split on its conserved bits.
+
+    One pass over the nonzero entries checks Hermiticity, tests P M P = M
+    for the spin flip P = ∏X_i (which reverses the basis index) and finds
+    the conserved bits: those that no nonzero entry flips, each a conserved
+    Z_l. Matrices with exactly zero imaginary part take the real-symmetric
+    LAPACK path. All blocks have one dimension and go to LAPACK in one
+    stacked call.
+
+    With P M P = M the matrix is split into P sectors: with R the rows
+    whose pivot bit is 0, M_± = M[R, R] ± M[R, R̄]. The pivot is a conserved
+    bit if there is one; then M[R, R̄] = 0, the two sectors coincide and are
+    solved once, split further on the other conserved bits: m ≥ 1
+    conserved bits give 2^(m-1) blocks of dimension 2^(n-m). Without one
+    the pivot is the top bit and the two half-size sectors differ. A matrix
+    without P symmetry is split into one block per value of its m
+    conserved bits.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -162,17 +222,34 @@ def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
     if (1 << n_sites) != matrix.shape[0]:
         raise SizeMismatchError(f"dimension {matrix.shape[0]} is not a power of two")
     check_dense_cap(n_sites)
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if float(np.abs(matrix - matrix.conj().T).max()) > _HERMITICITY_TOL * scale:
+    r, c = np.nonzero(matrix)
+    entries = matrix[r, c]
+    scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
+    skew = float(np.abs(entries - matrix[c, r].conj()).max(initial=0.0))
+    if skew > _HERMITICITY_TOL * scale:
         raise NotHermitianError("matrix is not Hermitian")
-    if np.iscomplexobj(matrix) and not np.any(matrix.imag):
-        matrix = matrix.real
-    if n_sites == 0 or not np.array_equal(matrix, matrix[::-1, ::-1]):
-        return SpectralDecomposition((tuple(np.linalg.eigh(matrix)),))
-    h = matrix.shape[0] // 2
-    turned = matrix[:h, h:][:, ::-1]
-    return SpectralDecomposition(tuple(
-        tuple(np.linalg.eigh(matrix[:h, :h] + sign * turned)) for sign in (1, -1)))
+    if np.iscomplexobj(matrix) and not np.any(entries.imag):
+        matrix, entries = matrix.real, entries.real
+    top = matrix.shape[0] - 1
+    flipped = int(np.bitwise_or.reduce(r ^ c, initial=0))
+    bits = [1 << k for k in reversed(range(n_sites))]  # most significant first
+    conserved = [b for b in bits if not flipped & b]
+    mirrored = n_sites > 0 and np.array_equal(matrix[top - r, top - c], entries)
+    pivot = (conserved + bits)[0] if mirrored else 0
+    split = [b for b in conserved if b != pivot]
+    free = [b for b in bits if b not in conserved and b != pivot]
+    rows = _offsets(split)[:, None] + _offsets(free)
+    stack = matrix[rows[:, :, None], rows[:, None, :]]
+    if not mirrored:
+        signs = ((0,),) * len(rows)
+    elif conserved:
+        signs = ((1, -1),) * len(rows)
+    else:
+        cross = matrix[rows[:, :, None], top - rows[:, None, :]]
+        stack = np.concatenate([stack + cross, stack - cross])
+        rows, signs = np.tile(rows, (2, 1)), ((1,), (-1,))
+    w, v = np.linalg.eigh(stack)
+    return SpectralDecomposition(tuple(zip(w, v)), rows, signs)
 
 
 def _rotate_y(H: HamiltonianTerms) -> tuple[HamiltonianTerms, np.ndarray | None]:
@@ -206,9 +283,9 @@ def _spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
     """Eigendecomposition of ``H``, solved on first use and cached on ``H``.
 
     Y fields are rotated away first (:func:`_rotate_y`), so the matrix solved
-    is real and commutes with the spin flip: its two parity sectors are real
-    half-size blocks, and the rotation comes back as the decomposition's
-    phases.
+    is real and commutes with the spin flip and with Z_l on every zero-field
+    site l: :func:`eig_hermitian` splits it into real blocks on those
+    charges, and the rotation comes back as the decomposition's phases.
     """
     if H._spectrum is None:
         rotated, phases = _rotate_y(H)
@@ -279,8 +356,9 @@ def gibbs(H: HamiltonianTerms, beta: float, site_labels=None) -> DensityMatrix:
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and non-negative, got {beta}")
     dec = _spectrum(H)
-    low = dec.eigenvalues[0]
-    z = sum(float(np.exp(-beta * (w - low)).sum()) for w, _ in dec.blocks)
+    w = dec.eigenvalues
+    low = w[0]
+    z = float(np.exp(-beta * (w - low)).sum())
     rho = dec.function(lambda w: np.exp(-beta * (w - low)) / z)
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(rho, _default_labels(H.n_sites, site_labels))
@@ -326,18 +404,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     keep_pos = [pos[s] for s in keep]
     trace_pos = [p for p in range(n) if p not in keep_pos]
 
-    def offsets(positions: list[int]) -> np.ndarray:
-        m = len(positions)
-        out = np.zeros(1 << m, dtype=np.int64)
-        for local in range(1 << m):
-            s = 0
-            for r, p in enumerate(positions):
-                s += ((local >> (m - 1 - r)) & 1) << (n - 1 - p)
-            out[local] = s
-        return out
-
-    A = offsets(keep_pos)
-    C = offsets(trace_pos)
+    A = _offsets([1 << (n - 1 - p) for p in keep_pos])
+    C = _offsets([1 << (n - 1 - p) for p in trace_pos])
     reduced = np.zeros((A.size, A.size), dtype=rho.matrix.dtype)
     for c in C:
         reduced += rho.matrix[np.ix_(A + c, A + c)]

@@ -68,6 +68,36 @@ class TestClassicalChain:
             classical_chain_reduced(0, 1.0, 1.0)
 
 
+def fourspin_coefficients_reference(beta, h1, h4, tol=1e-14):
+    """The series summed with its explicit inner binomial loop, term by term."""
+    a1, a4 = 2.0 + h1 * h1, 2.0 + h4 * h4
+    A = B = C = D = G = H = 0.0
+    even_fac = 1.0  # beta^(2n) / (2n)!
+    n = 0
+    while True:
+        if n > 0:
+            even_fac *= beta * beta / ((2 * n - 1) * (2 * n))
+        odd_fac = even_fac * beta / (2 * n + 1)
+
+        def split_sums(a):
+            even = odd = 0.0
+            for k in range(n + 1):
+                term = math.comb(n, k) * a ** (n - k) * 2.0 ** k
+                if k % 2 == 0:
+                    even += term
+                else:
+                    odd += term
+            return even, odd
+
+        (e1, o1), (e4, o4) = split_sums(a1), split_sums(a4)
+        terms = (2.0 * even_fac * e1, 2.0 * even_fac * o1, 2.0 * even_fac * e4,
+                 2.0 * even_fac * o4, h4 * 2.0 * odd_fac * e4, h4 * 2.0 * odd_fac * o4)
+        A, B, C, D, G, H = (s + t for s, t in zip((A, B, C, D, G, H), terms))
+        n += 1
+        if max(map(abs, terms)) < tol:
+            return A, B, C, D, G, H
+
+
 class TestFourSpinCoefficients:
     def test_beta_zero(self):
         c = fourspin_coefficients(0.0, 1.0, 1.0)
@@ -117,6 +147,18 @@ class TestFourSpinCoefficients:
         b = fourspin_coefficients(1.0, 1.0, -0.8)
         assert (a.C, a.D) == (b.C, b.D)
         assert (a.G, a.H) == (-b.G, -b.H)
+
+    @pytest.mark.parametrize("beta", [1.0, 4.0, 7.0, 20.0, 50.0])
+    def test_closed_form_sums_match_the_binomial_loop(self, beta):
+        # the shipped betas (counterexample config and benchmark) over the
+        # shipped h1 grid; h1 = 10 makes the odd part cancel the most, and
+        # the loop's powers of 102 overflow there above beta 7
+        h1s = list(np.arange(0.0, 2.0001, 0.05)) + ([10.0] if beta <= 7.0 else [])
+        for h1 in h1s:
+            c = fourspin_coefficients(beta, h1, 1.0)
+            ref = fourspin_coefficients_reference(beta, h1, 1.0)
+            for got, want in zip((c.A, c.B, c.C, c.D, c.G, c.H), ref):
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_residual_below_tolerance(self):
         c = fourspin_coefficients(4.0, 1.0, 1.0, tol=1e-14)

@@ -23,7 +23,7 @@ from shieldlab import (
 )
 
 from helpers import random_mixed_state, random_product_state, random_pure_state
-from test_thermal import dense_ground, dense_spectrum, oracle_lattices
+from test_thermal import dense_ground, dense_spectrum, oracle_lattices, zero_field_lattices
 
 
 def minus_x_hamiltonian():
@@ -172,6 +172,34 @@ class TestRunQuench:
         assert keys == sorted(keys)
         assert table.columns == ("t", "site", "value")
 
+    def test_long_time_grid_is_evolved_in_bounded_batches(self, monkeypatch):
+        import shieldlab.dynamics as dynamics
+        products = []
+        original = dynamics._dot
+
+        def recorded(a, z):
+            products.append((a.size, z.size))
+            return original(a, z)
+
+        monkeypatch.setattr(dynamics, "_dot", recorded)
+        h = [0.6, 0.6, 0.0, 0.6, 0.6, 0.6]
+        pre = make_chain(6, [1.0, -0.7, 1.3, 0.4, -1.1], h)
+        post = make_chain(6, [1.0, -0.7, 1.3, 0.4, -1.1], [-2.0] + h[1:])
+        obs = (PauliString.single(6, 5, "Z"),)
+        times = tuple(np.arange(0.0, 20.0, 0.1))
+        mixed = DensityMatrix(random_mixed_state(np.random.default_rng(5), 6), tuple(range(6)))
+        # one 32-dim block: the ground pair is evolved 8 times per product,
+        # within 32x32 entries; a full-rank state one time per product
+        for rho0, n_products in ((None, 25), (mixed, 200)):
+            products.clear()
+            table = run_quench(QuenchProtocol(pre, post, times, obs), rho0=rho0)
+            evolution = products[1:]  # after the one projection
+            assert len(evolution) == n_products
+            assert rho0 is not None or all(z <= a for a, z in evolution)
+            tail = run_quench(QuenchProtocol(pre, post, times[-3:], obs), rho0=rho0)
+            assert [r[2] for r in table.rows[-3:]] == pytest.approx(
+                [r[2] for r in tail.rows], abs=1e-12)
+
     def test_disturbance_stops_at_zero_field_site(self):
         n, L = 8, 3
         h = [0.5] * n
@@ -234,6 +262,19 @@ class TestSectorOracle:
                 ref = u @ rho0.matrix @ u.conj().T
                 assert np.abs(evolve(H, rho0, t).matrix - ref).max() < 1e-12
 
+    @staticmethod
+    def check_quench(pre, post):
+        n = pre.n_sites
+        obs = tuple(PauliString.single(n, i, "XYZ"[i % 3]) for i in range(n))
+        times = (0.0, 0.7, 2.9)
+        table = run_quench(QuenchProtocol(pre, post, times, obs))
+        rho0, _, tol = dense_ground(build_hamiltonian(pre))
+        w, v = dense_spectrum(build_hamiltonian(post))
+        for (t, site, value) in table.rows:
+            u = (v * np.exp(-1j * w * t)) @ v.conj().T
+            ref = np.trace(u @ rho0 @ u.conj().T @ obs[site].to_dense()).real
+            assert value == pytest.approx(ref, abs=tol)
+
     def test_run_quench_matches_dense_eigh(self):
         rng = np.random.default_rng(47)
         for pre in oracle_lattices(53):
@@ -241,12 +282,17 @@ class TestSectorOracle:
             post = validate_lattice(
                 n, [(i, j, rng.uniform(-2, 2)) for (i, j, _) in pre.edges],
                 rng.uniform(-1, 1, n), rng.uniform(-1, 1, n) * rng.integers(2))
-            obs = tuple(PauliString.single(n, i, "XYZ"[i % 3]) for i in range(n))
-            times = (0.0, 0.7, 2.9)
-            table = run_quench(QuenchProtocol(pre, post, times, obs))
-            rho0, _, tol = dense_ground(build_hamiltonian(pre))
-            w, v = dense_spectrum(build_hamiltonian(post))
-            for (t, site, value) in table.rows:
-                u = (v * np.exp(-1j * w * t)) @ v.conj().T
-                ref = np.trace(u @ rho0 @ u.conj().T @ obs[site].to_dense()).real
-                assert value == pytest.approx(ref, abs=tol)
+            self.check_quench(pre, post)
+
+    def test_run_quench_keeps_zero_field_sectors(self):
+        # the post-quench lattice keeps the pre's zero-field sites, so both
+        # spectra are split on them
+        rng = np.random.default_rng(59)
+        for pre in zero_field_lattices(np.random.default_rng(61)):
+            n = pre.n_sites
+            zero = (np.array(pre.h) == 0.0) & (np.array(pre.g) == 0.0)
+            h, g = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n) * rng.integers(2)
+            h[zero] = g[zero] = 0.0
+            post = validate_lattice(
+                n, [(i, j, rng.uniform(-2, 2)) for (i, j, _) in pre.edges], h, g)
+            self.check_quench(pre, post)

@@ -5,6 +5,9 @@ Hamiltonians; a counting wrapper around it shows how many distinct solves a
 computation needs.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,24 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(thermal, "eig_hermitian", counted)
     return calls
+
+
+@pytest.fixture
+def lapack_shapes(monkeypatch):
+    shapes = []
+    original = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
+
+
+def shipped_config(name, **overrides):
+    path = Path(__file__).parent.parent / "configs" / f"{name}.json"
+    return {**json.loads(path.read_text(encoding="utf-8")), **overrides}
 
 
 def shielded_chain(n=6, L=3):
@@ -102,3 +123,19 @@ def test_config_with_an_unread_key_solves_nothing(eig_calls):
         with pytest.raises(ShieldlabError, match="is unknown or does not apply"):
             run(cfg)
     assert eig_calls == []
+
+
+def test_conjecture_patch_trial_is_four_blocks_of_128(eig_calls, lapack_shapes):
+    # 10 sites, three zero-field interface sites: 2^(3-1) blocks of 2^(10-3)
+    run_conjecture(shipped_config("conjecture_patch10", trials=3))
+    assert eig_calls == [1024] * 3
+    assert lapack_shapes == [(4, 128, 128)] * 3
+
+
+def test_control_without_zero_field_site_solves_two_half_blocks(eig_calls, lapack_shapes):
+    # the interface field leaves the full 6-site H no zero-field site, so it
+    # is solved in its two spin-flip sectors; split_hamiltonian charges that
+    # field to H_X, so the shielded 4-site side keeps one and is one block
+    run_verify_shielding(shipped_config("verify_shielding_control", trials=2))
+    assert eig_calls == [16, 64, 64]
+    assert lapack_shapes == [(1, 8, 8), (2, 32, 32), (2, 32, 32)]

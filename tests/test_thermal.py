@@ -86,13 +86,29 @@ def random_graph_lattice(rng, n, y_fields, n_zero=1):
     return validate_lattice(n, edges, h, g)
 
 
+def zero_field_lattices(rng):
+    """Lattices the eigensolver splits on their zero-field sites: 1, 2 and 3
+    such sites, with and without y fields; a classical lattice, with no field
+    anywhere, whose blocks are all 1x1; and a zero-field site without edges."""
+    for n_zero in (1, 2, 3):
+        for y_fields in (False, True):
+            yield random_graph_lattice(rng, 8, y_fields, n_zero)
+    yield random_graph_lattice(rng, 7, y_fields=False, n_zero=7)
+    edges = [(i, j, rng.uniform(-2, 2)) for i, j in ((0, 1), (1, 2), (2, 4), (4, 5), (0, 5))]
+    h, g = rng.uniform(-1, 1, size=6), rng.uniform(-1, 1, size=6)
+    h[3] = g[3] = 0.0
+    yield validate_lattice(6, edges, h, g)
+
+
 def oracle_lattices(seed):
     """Lattices of 1 to 9 sites, with and without y fields, with and without
-    zero-field sites (whose ground spaces are degenerate)."""
+    zero-field sites (whose ground spaces are degenerate), then the
+    :func:`zero_field_lattices`."""
     rng = np.random.default_rng(seed)
     for n in range(1, 10):
         for y_fields in (False, True):
             yield random_graph_lattice(rng, n, y_fields, n_zero=int(rng.integers(0, 3)))
+    yield from zero_field_lattices(rng)
 
 
 def dense_spectrum(H):
@@ -169,9 +185,61 @@ class TestEig:
             w, _ = dense_spectrum(H)
             assert np.abs(dec.eigenvalues - w).max() < 1e-12
 
+    def test_zero_field_sites_split_into_shared_sectors(self):
+        # m zero-field sites: 2^(m-1) real blocks of dimension 2^(n-m), each
+        # standing for both spin-flip sectors, in one stacked solve; with no
+        # field anywhere every block is 1x1
+        rng = np.random.default_rng(61)
+        for y_fields in (False, True):
+            for m in (1, 2, 3, 8):
+                H = build_hamiltonian(random_graph_lattice(rng, 8, y_fields, n_zero=m))
+                dec = thermal._spectrum(H)
+                assert [v.shape for _, v in dec.blocks] == [(2 ** (8 - m),) * 2] * 2 ** (m - 1)
+                assert dec.signs == ((1, -1),) * 2 ** (m - 1)
+                assert np.abs(dec.eigenvalues - dense_spectrum(H)[0]).max() < 1e-12
+
+    @staticmethod
+    def conserving(rng, n, bits, dtype=float):
+        """Random Hermitian matrix with no entry that flips any of ``bits``."""
+        dim = 1 << n
+        a = rng.normal(size=(dim, dim)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=(dim, dim))
+        idx = np.arange(dim)
+        a[((idx[:, None] ^ idx[None, :]) & sum(bits)) != 0] = 0.0
+        return a + a.conj().T
+
+    def test_matrix_without_flip_symmetry_solves_every_sector(self):
+        rng = np.random.default_rng(67)
+        for dtype in (float, complex):
+            m = self.conserving(rng, 4, [2, 8], dtype)
+            assert not np.array_equal(m, m[::-1, ::-1])
+            dec = eig_hermitian(m)
+            assert dec.signs == ((0,),) * 4
+            assert [v.shape for _, v in dec.blocks] == [(4, 4)] * 4
+            assert sorted({int(r[0]) & 10 for r in dec.rows}) == [0, 2, 8, 10]
+            assert all(len({int(i) & 10 for i in r}) == 1 for r in dec.rows)
+            assert np.abs(dec.function(lambda w: w) - m).max() < 1e-12
+            assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(m)).max() < 1e-12
+            v = dec.eigenvectors
+            assert np.abs((v * dec.eigenvalues) @ v.conj().T - m).max() < 1e-12
+
+    def test_tiny_entry_across_sectors_blocks_the_split(self):
+        rng = np.random.default_rng(71)
+        m = self.conserving(rng, 4, [4])
+        assert len(eig_hermitian(m).blocks) == 2
+        m[1, 5] = m[5, 1] = 1e-300  # rows 1 and 5 differ in bit 4
+        dec = eig_hermitian(m)
+        assert len(dec.blocks) == 1 and dec.rows.shape == (1, 16)
+        assert np.abs(dec.function(lambda w: w) - m).max() < 1e-12
+
     def test_not_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # each matrix has a nonzero entry whose transposed partner is 0
+        lone = np.diag(np.arange(8.0))
+        lone[2, 6] = 0.5
+        for m in (np.array([[0.0, 1.0], [0.0, 0.0]]), lone, lone.T.astype(complex)):
+            with pytest.raises(NotHermitianError):
+                eig_hermitian(m)
 
     def test_bad_dimension(self):
         with pytest.raises(SizeMismatchError):
