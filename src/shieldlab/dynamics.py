@@ -144,7 +144,8 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
 
     # each post-quench block is projected onto once; its coordinates are
     # evolved for a batch of times in one product, a batch holding no more
-    # entries than one block's eigenvector matrix
+    # entries than one block's eigenvector matrix, and added onto its own
+    # rows of the batch's one full-basis array
     coords = [_dot(v.conj().T, post.project(b, states))
               for b, (_, v) in enumerate(post.blocks)]
     d, width = post.rows.shape[1], states.shape[1]
@@ -156,12 +157,12 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
     times = np.array(protocol.times)
     for start in range(0, times.size, batch):
         ts = times[start:start + batch]
-        evolved = 0.0
+        evolved = np.zeros((post.dim, ts.size * width), dtype=complex)
         for b, ((w, v), c) in enumerate(zip(post.blocks, coords)):
             # columns ordered by (sign, time, state), the groups lift expects
             turn = np.exp(-1j * np.outer(w, ts))
             phased = turn[:, None, :, None] * c.reshape(d, -1, 1, width)
-            evolved = evolved + post.lift(b, _dot(v, phased.reshape(d, -1)))
+            post.lift(b, _dot(v, phased.reshape(d, -1)), evolved)
         for k, t in enumerate(ts):
             state = evolved[:, k * width:(k + 1) * width]
             for obs_idx in obs_order:

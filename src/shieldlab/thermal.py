@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -84,7 +85,7 @@ class SpectralDecomposition:
     signs: tuple[tuple[int, ...], ...]
     phases: np.ndarray | None = None
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Dimension of the full basis."""
         return self.rows.shape[1] * sum(map(len, self.signs))
@@ -105,25 +106,26 @@ class SpectralDecomposition:
         order = np.argsort(self._values(), kind="stable")
         return self.columns(lambda w: slice(None))[:, order]
 
-    def _embed(self, b: int, sign: int, y: np.ndarray) -> np.ndarray:
-        """Full-basis columns E_s y for coordinates ``y`` of block ``b`` under sign s."""
+    def _add(self, b: int, sign: int, y: np.ndarray, out: np.ndarray) -> None:
+        """Add d ⊙ E_s y to full-basis columns ``out``, for coordinates ``y``
+        of block ``b`` under sign s; only the block's rows are touched."""
         rows = self.rows[b]
-        x = np.zeros((self.dim, y.shape[1]), dtype=y.dtype)
+        parts = [(rows, y)]
         if sign:
             y = y / math.sqrt(2.0)
-            x[self.dim - 1 - rows] = sign * y
-        x[rows] = y
-        return x
+            parts = [(rows, y), (self.dim - 1 - rows, sign * y)]
+        for at, part in parts:
+            out[at] += part if self.phases is None else self.phases[at, None] * part
 
-    def lift(self, b: int, y: np.ndarray) -> np.ndarray:
-        """Full-basis form d ⊙ Σ E_s y_s of coordinates ``y`` in block ``b``.
+    def lift(self, b: int, y: np.ndarray, out: np.ndarray) -> None:
+        """Add the full-basis form d ⊙ Σ E_s y_s of coordinates ``y`` in block
+        ``b`` to ``out``.
 
         ``y`` holds one group of columns per sign of the block, side by
         side, as :meth:`project` returns them.
         """
-        parts = np.split(y, len(self.signs[b]), axis=1)
-        x = sum(self._embed(b, sign, part) for sign, part in zip(self.signs[b], parts))
-        return x if self.phases is None else self.phases[:, None] * x
+        for sign, part in zip(self.signs[b], np.split(y, len(self.signs[b]), axis=1)):
+            self._add(b, sign, part, out)
 
     def project(self, b: int, x: np.ndarray) -> np.ndarray:
         """Coordinates E_s† (d̄ ⊙ x) in block ``b`` of full-basis columns ``x``.
@@ -138,9 +140,16 @@ class SpectralDecomposition:
 
     def columns(self, keep) -> np.ndarray:
         """Full-basis eigenvector columns whose eigenvalues ``keep(w)`` selects."""
-        x = np.hstack([self._embed(b, sign, v[:, keep(w)])
-                       for b, (w, v) in enumerate(self.blocks) for sign in self.signs[b]])
-        return x if self.phases is None else self.phases[:, None] * x
+        picked = [v[:, keep(w)] for w, v in self.blocks]
+        width = sum(y.shape[1] * len(signs) for y, signs in zip(picked, self.signs))
+        kinds = [y.dtype for y in picked] + ([] if self.phases is None else [self.phases.dtype])
+        out = np.zeros((self.dim, width), dtype=np.result_type(*kinds))
+        start = 0
+        for b, y in enumerate(picked):
+            for sign in self.signs[b]:
+                self._add(b, sign, y, out[:, start:start + y.shape[1]])
+                start += y.shape[1]
+        return out
 
     def function(self, f) -> np.ndarray:
         """f(M) = Σ V f(w) V† over the blocks, as a full-basis matrix.
@@ -163,8 +172,6 @@ class SpectralDecomposition:
         mirrored, across, back = out[::-1, ::-1], out[:, ::-1], out[::-1]
         for a, rows, signs in zip(parts, self.rows, self.signs):
             at = np.ix_(rows, rows)
-            if rows[-1] - rows[0] == rows.size - 1:  # consecutive rows: a view
-                at = (slice(rows[0], rows[-1] + 1),) * 2
             if signs == (0,):
                 out[at] += a
                 continue

@@ -331,6 +331,18 @@ class TestSectorOracle:
             degenerate += rho.degeneracy > 1
         assert degenerate >= 5
 
+    def test_lift_adds_back_what_project_takes(self):
+        """Σ_b lift(b, project(b, x)) = x: the blocks cover the basis once,
+        and lift adds into its output rather than overwriting it."""
+        rng = np.random.default_rng(61)
+        for lat in oracle_lattices(61):
+            dec = thermal._spectrum(build_hamiltonian(lat))
+            x = rng.normal(size=(dec.dim, 2)) + 1j * rng.normal(size=(dec.dim, 2))
+            out = x.copy()
+            for b in range(len(dec.blocks)):
+                dec.lift(b, dec.project(b, x), out)
+            assert np.abs(out - 2 * x).max() < 1e-12
+
 
 class TestPartialTrace:
     def test_product_state_exact(self):
