@@ -41,7 +41,9 @@ from .pauli import PauliString
 from .tables import ResultTable
 from .thermal import (
     SHIELDING_FAIL_TOL,
+    DensityMatrix,
     _compare_shielded,
+    _reduced_states,
     _shielded_states,
     classify_distance,
     expectation,
@@ -341,32 +343,6 @@ def run_counterexample(cfg: dict) -> ResultTable:
 # conjecture (ground-state shielding with wide interfaces)
 # ---------------------------------------------------------------------------
 
-def _sector_states(rho, interface_sites):
-    """Decompose a state by the conserved Z pattern on the interface sites.
-
-    Yields (label, weight, DensityMatrix) per occupied pattern; labels use
-    '+'/'-' per interface site in ascending order.
-    """
-    from .thermal import DensityMatrix
-
-    n = rho.n_sites
-    pos = {site: k for k, site in enumerate(rho.site_labels)}
-    idx = np.arange(rho.dim)
-    for signs in product((1, -1), repeat=len(interface_sites)):
-        mask = np.ones(rho.dim, dtype=bool)
-        for site, sign in zip(interface_sites, signs):
-            bit = (idx >> (n - 1 - pos[site])) & 1
-            mask &= (1 - 2 * bit) == sign
-        weight = float(np.sum(np.abs(np.diagonal(rho.matrix)[mask])))
-        if weight < 1e-12:
-            continue
-        proj = np.where(mask, 1.0, 0.0)
-        sector = rho.matrix * np.outer(proj, proj)
-        sector = sector / np.trace(sector).real
-        label = "".join("+" if s == 1 else "-" for s in signs)
-        yield label, weight, DensityMatrix(sector, rho.site_labels)
-
-
 def run_conjecture(cfg: dict) -> ResultTable:
     """Ground-state shielding trials across a zero-field interface of any size.
 
@@ -375,9 +351,9 @@ def run_conjecture(cfg: dict) -> ResultTable:
     ``b_field_range`` (both [0, 1]) and ``offset_range`` ([0, 3]). The A-side
     (X bulk) fields are drawn once, generator index 0, ascending. Per trial k
     (index k+1) the B-side fields are redrawn — first the homogeneous offset,
-    then one draw per B site ascending, summed — and the state at ``beta`` is
-    formed. Rows record ⟨X⟩ and ⟨Z⟩ of every A site; ground runs add rows per
-    conserved interface-Z sector. The verdict classifies the worst
+    then one draw per B site ascending, summed. Rows record ⟨X⟩ and ⟨Z⟩ of
+    every A site in the reduced state on A at ``beta``; ground runs add rows
+    per conserved interface-Z sector, each read from that sector's piece. The verdict classifies the worst
     across-trial variation of the mixed-state rows.
     """
     read = _config(cfg, "conjecture")
@@ -407,22 +383,24 @@ def run_conjecture(cfg: dict) -> ResultTable:
         h = list(h_base)
         for i in b_sites:
             h[i] = rng.uniform(b_lo, b_hi) + offset
-        trial_lat = update_parameters(lat, h=h)
-        rho = thermal_state(build_hamiltonian(trial_lat), beta)
-        n = trial_lat.n_sites
-        for i in a_sites:
-            for name, letter in (("x", "X"), ("z", "Z")):
-                value = expectation(rho, PauliString.single(n, i, letter))
-                table.append(k, "mix", i, name, value)
-                mix_values.setdefault((i, name), []).append(value)
-        if math.isinf(beta):
-            for label, _, sector_rho in _sector_states(rho, sorted(split.S)):
-                for i in a_sites:
-                    for name, letter in (("x", "X"), ("z", "Z")):
-                        table.append(
-                            k, label, i, name,
-                            expectation(sector_rho, PauliString.single(n, i, letter)),
-                        )
+        H = build_hamiltonian(update_parameters(lat, h=h))
+        by = sorted(split.S) if math.isinf(beta) else []
+        pieces = _reduced_states(H, beta, a_sites, by)
+        states = [("mix", sum(pieces))]
+        if by:
+            for signs, piece in zip(product((1, -1), repeat=len(by)), pieces):
+                weight = float(np.trace(piece).real)
+                if weight >= 1e-12:
+                    label = "".join("+" if s == 1 else "-" for s in signs)
+                    states.append((label, piece / weight))
+        for label, matrix in states:
+            rho = DensityMatrix(matrix, a_sites)
+            for pos, i in enumerate(a_sites):
+                for name, letter in (("x", "X"), ("z", "Z")):
+                    value = expectation(rho, PauliString.single(len(a_sites), pos, letter))
+                    table.append(k, label, i, name, value)
+                    if label == "mix":
+                        mix_values.setdefault((i, name), []).append(value)
 
     max_variation = max(
         (max(vals) - min(vals)) for vals in mix_values.values()

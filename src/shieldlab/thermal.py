@@ -6,8 +6,13 @@ at every beta, the ground space and the time evolution of
 :mod:`shieldlab.dynamics` all read that one spectrum. Gibbs states shift the
 ground energy out for stability; the ground state is always the uniform
 mixture over the ground eigenspace (the beta → ∞ limit of the Gibbs state,
-which keeps degenerate cases deterministic). The partial trace is computed
-by exact index-bit bucketing.
+which keeps degenerate cases deterministic). Shielding verdicts and the
+conjecture runner read reduced states straight from the spectrum: each
+block's eigenvector columns, scaled by √f(w), are regrouped by kept and
+traced bits and summed as M M†, so no 2^n×2^n state is formed. The full
+states of :func:`gibbs` and :func:`ground_state_density`, traced by
+:func:`partial_trace` through exact index-bit bucketing, are the dense
+oracle.
 
 The spectrum is held in blocks, split on conserved charges read from the
 matrix. A per-site rotation about z turns each site's field terms onto x,
@@ -99,12 +104,6 @@ class SpectralDecomposition:
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending."""
         return np.sort(self._values())
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Full-basis eigenvector columns, in the order of ``eigenvalues``."""
-        order = np.argsort(self._values(), kind="stable")
-        return self.columns(lambda w: slice(None))[:, order]
 
     def _add(self, b: int, sign: int, y: np.ndarray, out: np.ndarray) -> None:
         """Add d ⊙ E_s y to full-basis columns ``out``, for coordinates ``y``
@@ -353,6 +352,23 @@ def _default_labels(n_sites: int, site_labels) -> tuple[int, ...]:
     return labels
 
 
+def _weights(dec: SpectralDecomposition, beta: float, degeneracy_tol: float = 1e-9):
+    """Eigenvector weights f of the state at ``beta``, and its ground degeneracy.
+
+    Finite beta: f(w) = e^{-beta(w - w0)} / Z with w0 the lowest eigenvalue, so
+    large beta cannot overflow, and the degeneracy is None. beta = inf: the
+    uniform mixture f(w) = (w <= cut) / d over the d-dimensional ground space.
+    """
+    w = dec.eigenvalues
+    if math.isinf(beta):
+        cut = _ground_cut(dec, degeneracy_tol)
+        d = int(np.count_nonzero(w <= cut))
+        return (lambda x: (x <= cut) / d), d
+    low = w[0]
+    z = float(np.exp(-beta * (w - low)).sum())
+    return (lambda x: np.exp(-beta * (x - low)) / z), None
+
+
 def gibbs(H: HamiltonianTerms, beta: float, site_labels=None) -> DensityMatrix:
     """Exact Gibbs state exp(-beta H) / Z at finite beta >= 0.
 
@@ -363,10 +379,7 @@ def gibbs(H: HamiltonianTerms, beta: float, site_labels=None) -> DensityMatrix:
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and non-negative, got {beta}")
     dec = _spectrum(H)
-    w = dec.eigenvalues
-    low = w[0]
-    z = float(np.exp(-beta * (w - low)).sum())
-    rho = dec.function(lambda w: np.exp(-beta * (w - low)) / z)
+    rho = dec.function(_weights(dec, beta)[0])
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(rho, _default_labels(H.n_sites, site_labels))
 
@@ -380,9 +393,8 @@ def ground_state_density(H: HamiltonianTerms, degeneracy_tol: float = 1e-9,
     reported on the result's ``degeneracy`` field.
     """
     dec = _spectrum(H)
-    cut = _ground_cut(dec, degeneracy_tol)
-    d = int(np.count_nonzero(dec.eigenvalues <= cut))
-    rho = dec.function(lambda w: (w <= cut) / d)
+    f, d = _weights(dec, math.inf, degeneracy_tol)
+    rho = dec.function(f)
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(rho, _default_labels(H.n_sites, site_labels), degeneracy=d)
 
@@ -418,6 +430,78 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         reduced += rho.matrix[np.ix_(A + c, A + c)]
     reduced = (reduced + reduced.conj().T) / 2.0
     return DensityMatrix(reduced, tuple(keep))
+
+
+def _sites(sites, n: int, what: str) -> list[int]:
+    """``sites`` sorted, checked to be distinct sites of an ``n``-site lattice."""
+    out = sorted(int(i) for i in sites)
+    if len(set(out)) != len(out) or not set(out) <= set(range(n)):
+        raise InvalidSiteSetError(f"{what}={out} is not a set of sites of {n}")
+    return out
+
+
+def _bits(index: np.ndarray, sites, n: int) -> np.ndarray:
+    """The bits of basis ``index`` on ``sites``, packed, the first site most
+    significant (site 0 is the top bit of an ``n``-site index)."""
+    out = np.zeros_like(index)
+    for site in sites:
+        out = (out << 1) | ((index >> (n - 1 - site)) & 1)
+    return out
+
+
+def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.ndarray]:
+    """Tr_{not keep} P_s ρ P_s for the thermal state ρ of ``H`` at ``beta``,
+    one unnormalized matrix on ``keep`` per Z pattern s of the sites ``by``.
+
+    The patterns run in the order of ``product((1, -1), repeat=len(by))``
+    (+1 for Z = +1), so the pieces sum to Tr_{not keep} ρ. Each site of
+    ``by`` must be a zero-field site, whose Z the blocks conserve.
+
+    No full-basis state is formed. The columns of each block, scaled by
+    √f(w), are lifted into the full basis: a shared (1, -1) block onto R and
+    onto R̄ separately, each lift pure in every conserved bit, and a
+    one-sign block onto R ∪ R̄. A lift is regrouped as a matrix M whose rows
+    are its kept bits and whose columns are its traced bits and eigenvector
+    columns, and M M† is added to its pattern's piece. The phases d = ⊗ D_i
+    of the y-field rotation are a product over sites, so they pass through
+    the trace and are applied to the pieces last.
+    """
+    dec = _spectrum(H)
+    n = H.n_sites
+    keep, by = _sites(keep, n, "keep"), _sites(by, n, "by")
+    traced = [i for i in range(n) if i not in keep]
+    f, _ = _weights(dec, beta)
+    top = dec.dim - 1
+    kind = np.result_type(*(v for _, v in dec.blocks))
+    pieces = [np.zeros((1 << len(keep),) * 2, dtype=kind) for _ in range(1 << len(by))]
+    for (w, v), rows, signs in zip(dec.blocks, dec.rows, dec.signs):
+        fw = f(w)
+        y = v[:, fw != 0] * np.sqrt(fw[fw != 0])
+        if signs == (1, -1):
+            lifts = [(rows, y), (top - rows, y)]
+        elif signs == (0,):
+            lifts = [(rows, y)]
+        else:
+            lifts = [(np.concatenate([rows, top - rows]),
+                      np.concatenate([y, signs[0] * y]) / math.sqrt(2.0))]
+        for at, part in lifts:
+            pattern = _bits(at, by, n)
+            if np.any(pattern != pattern[0]):
+                raise InvalidSiteSetError(
+                    f"by={by} lists a site with a field: its Z is not conserved")
+            if not part.shape[1]:
+                continue
+            a, a_of = np.unique(_bits(at, keep, n), return_inverse=True)
+            c, c_of = np.unique(_bits(at, traced, n), return_inverse=True)
+            m = np.zeros((a.size, c.size, part.shape[1]), dtype=part.dtype)
+            m[a_of, c_of] = part
+            m = m.reshape(a.size, -1)
+            pieces[pattern[0]][np.ix_(a, a)] += m @ m.conj().T
+    if dec.phases is not None:
+        # d_K: d on the rows whose traced bits are all 0, where each D_i is 1
+        d = dec.phases[_offsets([1 << (n - 1 - i) for i in keep])]
+        pieces = [d[:, None] * p * d.conj() for p in pieces]
+    return pieces
 
 
 def expectation(rho: DensityMatrix, obs) -> float:
@@ -491,7 +575,8 @@ def _shielded_states(H: HamiltonianTerms, split: RegionSplit,
 def _compare_shielded(H: HamiltonianTerms, rhs: DensityMatrix,
                       beta: float) -> ShieldingReport:
     """Report for Tr_X(thermal state of H) against ``rhs`` on its sites."""
-    lhs = partial_trace(thermal_state(H, beta), rhs.site_labels)
+    (reduced,) = _reduced_states(H, beta, rhs.site_labels)
+    lhs = DensityMatrix(reduced, rhs.site_labels)
     d = trace_distance(lhs, rhs)
     return ShieldingReport(distance=d, lhs=lhs, rhs=rhs, verdict=classify_distance(d))
 

@@ -6,7 +6,11 @@ own bit-arithmetic code paths, so the two sides of each comparison stay
 independent.
 """
 
+from itertools import product
+
 import numpy as np
+
+from shieldlab import DensityMatrix
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -100,3 +104,29 @@ def random_product_state(rng, n):
         v /= np.linalg.norm(v)
         rho = np.kron(rho, np.outer(v, v.conj()))
     return rho
+
+
+def sector_states_reference(rho, interface_sites):
+    """Decompose a full-lattice state by the conserved Z pattern on the
+    interface sites, with full-size masks.
+
+    Yields (label, weight, DensityMatrix) per occupied pattern, in the order
+    of ``product((1, -1), ...)``; labels use '+'/'-' per interface site in
+    ascending order, and patterns of weight below 1e-12 are skipped.
+    """
+    n = rho.n_sites
+    pos = {site: k for k, site in enumerate(rho.site_labels)}
+    idx = np.arange(rho.dim)
+    for signs in product((1, -1), repeat=len(interface_sites)):
+        mask = np.ones(rho.dim, dtype=bool)
+        for site, sign in zip(interface_sites, signs):
+            bit = (idx >> (n - 1 - pos[site])) & 1
+            mask &= (1 - 2 * bit) == sign
+        weight = float(np.sum(np.abs(np.diagonal(rho.matrix)[mask])))
+        if weight < 1e-12:
+            continue
+        proj = np.where(mask, 1.0, 0.0)
+        sector = rho.matrix * np.outer(proj, proj)
+        sector = sector / np.trace(sector).real
+        label = "".join("+" if s == 1 else "-" for s in signs)
+        yield label, weight, DensityMatrix(sector, rho.site_labels)

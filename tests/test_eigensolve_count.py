@@ -2,11 +2,9 @@
 
 ``shieldlab.thermal.eig_hermitian`` is the only eigensolver call for
 Hamiltonians; a counting wrapper around it shows how many distinct solves a
-computation needs.
+computation needs. Counting wrappers around ``SpectralDecomposition.function``
+and ``DensityMatrix`` show which states a verdict forms.
 """
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +27,7 @@ from shieldlab import (
 )
 
 from helpers import random_product_state
-from test_experiments import chain_config, lattice_json, triangle_config
+from test_experiments import chain_config, lattice_json, shipped_config, triangle_config
 
 
 @pytest.fixture
@@ -46,6 +44,28 @@ def eig_calls(monkeypatch):
 
 
 @pytest.fixture
+def state_dims(monkeypatch):
+    """Dimensions of every matrix ``SpectralDecomposition.function`` returns
+    and of every ``DensityMatrix`` built."""
+    dims = []
+    function = thermal.SpectralDecomposition.function
+    check = thermal.DensityMatrix.__post_init__
+
+    def counted_function(self, f):
+        out = function(self, f)
+        dims.append(out.shape[0])
+        return out
+
+    def counted_check(self):
+        check(self)
+        dims.append(self.dim)
+
+    monkeypatch.setattr(thermal.SpectralDecomposition, "function", counted_function)
+    monkeypatch.setattr(thermal.DensityMatrix, "__post_init__", counted_check)
+    return dims
+
+
+@pytest.fixture
 def lapack_shapes(monkeypatch):
     shapes = []
     original = np.linalg.eigh
@@ -56,11 +76,6 @@ def lapack_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     return shapes
-
-
-def shipped_config(name, **overrides):
-    path = Path(__file__).parent.parent / "configs" / f"{name}.json"
-    return {**json.loads(path.read_text(encoding="utf-8")), **overrides}
 
 
 def shielded_chain(n=6, L=3):
@@ -139,3 +154,15 @@ def test_control_without_zero_field_site_solves_two_half_blocks(eig_calls, lapac
     run_verify_shielding(shipped_config("verify_shielding_control", trials=2))
     assert eig_calls == [16, 64, 64]
     assert lapack_shapes == [(1, 8, 8), (2, 32, 32), (2, 32, 32)]
+
+
+@pytest.mark.parametrize("run, name, n_sites", [
+    (run_conjecture, "conjecture_patch10", 10),
+    (run_verify_shielding, "verify_shielding_chain", 6),
+    (run_verify_shielding, "verify_shielding_control", 6),
+], ids=["conjecture_patch10", "verify_shielding_chain", "verify_shielding_control"])
+def test_verdicts_form_no_full_lattice_state(state_dims, run, name, n_sites):
+    # reduced states come straight from the blocks: every state formed lives
+    # on A (conjecture) or on Y (verify-shielding), never on all n sites
+    run(shipped_config(name, trials=2))
+    assert state_dims and max(state_dims) < 2 ** n_sites

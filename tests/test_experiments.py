@@ -1,15 +1,20 @@
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shieldlab.experiments as experiments
 from shieldlab import (
     RUNNERS,
+    PauliString,
     ResultTable,
     ShieldlabError,
     emit,
+    expectation,
     make_chain,
     make_diamond,
     make_triangular_patch,
@@ -20,8 +25,12 @@ from shieldlab import (
     run_quench,
     run_quench_experiment,
     run_verify_shielding,
+    thermal_state,
+    update_parameters,
 )
 from shieldlab.tables import format_cell
+
+from helpers import sector_states_reference
 
 
 def lattice_json(lat):
@@ -47,6 +56,11 @@ def chain_config(n=4, L=1, trials=4, seed=7, **extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def shipped_config(name, **overrides):
+    path = Path(__file__).parent.parent / "configs" / f"{name}.json"
+    return {**json.loads(path.read_text(encoding="utf-8")), **overrides}
 
 
 def triangle_config(beta, seed=23, trials=6):
@@ -281,6 +295,66 @@ class TestConjecture:
         }
         table = run_conjecture(cfg)
         assert table.metadata["verdict"]["max_variation"] < 1e-9
+
+    @staticmethod
+    def dense_rows(cfg, hamiltonians):
+        """The rows of a conjecture run from the full-lattice state of each
+        trial's H: expectations on A of the state and, at beta = inf, of each
+        sector_states_reference piece on the interface."""
+        base = cfg["lattice"].get("index_base", 0)
+        X, Y = ({i - base for i in cfg["split"][key]} for key in "XY")
+        beta = math.inf if isinstance(cfg["beta"], str) else cfg["beta"]
+        rows = []
+        for k, H in enumerate(hamiltonians):
+            rho = thermal_state(H, beta)
+            states = [("mix", rho)]
+            if math.isinf(beta):
+                states += [(label, sector) for label, _, sector
+                           in sector_states_reference(rho, sorted(X & Y))]
+            for label, state in states:
+                for i in sorted(X - Y):
+                    for name in "xz":
+                        word = PauliString.single(H.n_sites, i, name.upper())
+                        rows.append((k, label, i, name, expectation(state, word)))
+        return rows
+
+    @staticmethod
+    def y_field_config():
+        cfg = triangle_config("ground")
+        lat, rows = make_triangular_patch([2, 3, 4])
+        g = [0.0 if i in rows[1] else 0.2 + 0.1 * i for i in range(lat.n_sites)]
+        cfg["lattice"] = lattice_json(update_parameters(lat, g=g))
+        return cfg
+
+    @pytest.mark.parametrize("name", [
+        "patch9", "patch10", "zero_field_a_sites", "y_fields", "finite_beta",
+    ])
+    def test_rows_match_the_full_state_and_its_masked_sectors(self, monkeypatch, name):
+        # zero_field_a_sites: every A site conserves its Z too, so each
+        # interface pattern sums over the A patterns
+        cfg = {
+            "patch9": lambda: shipped_config("conjecture_patch9"),
+            "patch10": lambda: shipped_config("conjecture_patch10", trials=8),
+            "zero_field_a_sites": lambda: {**triangle_config("ground"),
+                                           "a_field_range": [0.0, 0.0]},
+            "y_fields": self.y_field_config,
+            "finite_beta": lambda: triangle_config(1.0),
+        }[name]()
+        hamiltonians = []
+        reduced_states = experiments._reduced_states
+
+        def spy(H, *args):
+            hamiltonians.append(H)
+            return reduced_states(H, *args)
+
+        monkeypatch.setattr(experiments, "_reduced_states", spy)
+        table = run_conjecture(cfg)
+        ref = self.dense_rows(cfg, hamiltonians)
+        assert len(hamiltonians) == cfg["trials"]
+        assert [row[:4] for row in table.rows] == [row[:4] for row in ref]
+        assert max(abs(a[4] - b[4]) for a, b in zip(table.rows, ref)) <= 1e-12
+        sectors = {row[1] for row in table.rows} - {"mix"}
+        assert bool(sectors) == (cfg["beta"] == "ground")
 
     def test_run_without_data_is_an_error(self):
         with pytest.raises(ShieldlabError, match="trials"):

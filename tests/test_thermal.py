@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,9 +29,12 @@ from shieldlab import (
 )
 
 from helpers import (
+    I2,
+    SZ,
     classical_chain_gibbs_diag,
     dense_reference,
     gibbs_reference,
+    kron_op,
     ptrace_reference,
     random_mixed_state,
     random_product_state,
@@ -111,6 +115,13 @@ def oracle_lattices(seed):
     yield from zero_field_lattices(rng)
 
 
+def eigenvector_columns(dec):
+    """Every full-basis eigenvector column of ``dec``, in the order of
+    ``dec.eigenvalues``."""
+    order = np.argsort(dec._values(), kind="stable")
+    return dec.columns(lambda w: slice(None))[:, order]
+
+
 def dense_spectrum(H):
     """The oracle: full-basis eigh of the dense matrix, Y branch included."""
     return np.linalg.eigh(H.to_dense())
@@ -140,7 +151,7 @@ class TestEig:
     def test_minus_x_ground_vector(self):
         dec = eig_hermitian(-PauliString("X").to_dense())
         assert np.allclose(dec.eigenvalues, [-1, 1])
-        ground = dec.eigenvectors[:, 0]
+        ground = eigenvector_columns(dec)[:, 0]
         target = np.array([1, 1]) / math.sqrt(2)
         assert abs(abs(np.vdot(target, ground)) - 1) < 1e-12
 
@@ -152,7 +163,7 @@ class TestEig:
         )
         H = build_hamiltonian(lat).to_dense()
         dec = eig_hermitian(H)
-        v = dec.eigenvectors
+        v = eigenvector_columns(dec)
         assert np.abs((v * dec.eigenvalues) @ v.conj().T - H).max() < 1e-10
         assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-10
 
@@ -170,7 +181,7 @@ class TestEig:
             assert len(dec.blocks) == (2 if reversal_symmetric else 1)
             assert all(v.shape == (w.size, w.size) for w, v in dec.blocks)
             assert np.abs(dec.function(lambda w: w) - m).max() < 1e-12
-            v = dec.eigenvectors
+            v = eigenvector_columns(dec)
             assert np.abs((v * dec.eigenvalues) @ v.conj().T - m).max() < 1e-12
             assert np.abs(v.conj().T @ v - np.eye(16)).max() < 1e-12
 
@@ -221,7 +232,7 @@ class TestEig:
             assert all(len({int(i) & 10 for i in r}) == 1 for r in dec.rows)
             assert np.abs(dec.function(lambda w: w) - m).max() < 1e-12
             assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(m)).max() < 1e-12
-            v = dec.eigenvectors
+            v = eigenvector_columns(dec)
             assert np.abs((v * dec.eigenvalues) @ v.conj().T - m).max() < 1e-12
 
     def test_tiny_entry_across_sectors_blocks_the_split(self):
@@ -311,7 +322,8 @@ class TestGroundState:
 
 
 class TestSectorOracle:
-    """Gibbs and ground states from the parity sectors against dense eigh."""
+    """Gibbs and ground states from the parity sectors against dense eigh, and
+    reduced states from the blocks against the traced full state."""
 
     def test_gibbs_matches_dense_eigh(self):
         for lat in oracle_lattices(53):
@@ -330,6 +342,64 @@ class TestSectorOracle:
             assert np.abs(rho.matrix - ref).max() < tol
             degenerate += rho.degeneracy > 1
         assert degenerate >= 5
+
+    @staticmethod
+    def keeps(lat):
+        """One site, a non-contiguous set, the complement of a zero-field site
+        and all sites, where the lattice has them."""
+        n = lat.n_sites
+        zero = [i for i in range(n) if lat.h[i] == lat.g[i] == 0.0]
+        out = [[n - 1], list(range(n))]
+        if n >= 3:
+            out.append(list(range(0, n, 2)))
+        if zero:
+            out.append([i for i in range(n) if i != zero[0]])
+        return out
+
+    def test_reduced_states_match_the_traced_full_state(self):
+        for lat in oracle_lattices(73):
+            H = build_hamiltonian(lat)
+            for beta in (0.0, 0.3, 2.0, 40.0, math.inf):
+                rho = thermal_state(H, beta)
+                tol = dense_ground(H)[2] if math.isinf(beta) else 1e-12
+                for keep in self.keeps(lat):
+                    (got,) = thermal._reduced_states(H, beta, keep)
+                    ref = partial_trace(rho, keep).matrix
+                    assert np.abs(got - ref).max() < tol
+                    if len(keep) == lat.n_sites:
+                        assert np.abs(got - rho.matrix).max() < tol
+
+    def test_pieces_are_the_traced_interface_sectors(self):
+        """Piece s is Tr P_s ρ P_s, P_s projecting the sites ``by`` onto Z
+        pattern s, and the pieces sum to the whole."""
+        for lat in oracle_lattices(79):
+            n = lat.n_sites
+            by = [i for i in range(n) if lat.h[i] == lat.g[i] == 0.0][:2]
+            if not by:
+                continue
+            H = build_hamiltonian(lat)
+            for beta in (0.3, math.inf):
+                rho = thermal_state(H, beta).matrix
+                for keep in self.keeps(lat):
+                    pieces = thermal._reduced_states(H, beta, keep, by)
+                    assert len(pieces) == 2 ** len(by)
+                    (whole,) = thermal._reduced_states(H, beta, keep)
+                    assert np.abs(sum(pieces) - whole).max() < 1e-12
+                    for signs, piece in zip(itertools.product((1, -1), repeat=len(by)), pieces):
+                        p = kron_op(n, {i: (I2 + s * SZ) / 2 for i, s in zip(by, signs)})
+                        ref = ptrace_reference(p @ rho @ p, n, keep)
+                        assert np.abs(piece - ref).max() < 1e-12
+
+    def test_pieces_need_conserved_sites(self):
+        lat = make_chain(4, [1.0, -0.5, 0.8], [0.6, 0.0, 0.3, 0.4])
+        H = build_hamiltonian(lat)
+        assert len(thermal._reduced_states(H, 1.0, [3], by=[1])) == 2
+        for by in ([0], [1, 2]):
+            with pytest.raises(InvalidSiteSetError, match="field"):
+                thermal._reduced_states(H, 1.0, [3], by=by)
+        for keep, by in (([4], []), ([0, 0], []), ([3], [7])):
+            with pytest.raises(InvalidSiteSetError):
+                thermal._reduced_states(H, 1.0, keep, by)
 
     def test_lift_adds_back_what_project_takes(self):
         """Σ_b lift(b, project(b, x)) = x: the blocks cover the basis once,
