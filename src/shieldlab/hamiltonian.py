@@ -217,8 +217,9 @@ def commutator_norm(A, B) -> float:
     Operands are HamiltonianTerms, bare Pauli words, or iterables of
     (coefficient, word) pairs. The commutator is collected word-by-word in
     the Pauli algebra first, so terms that commute cancel exactly and a
-    vanishing commutator returns exactly 0.0; only surviving words are
-    materialized densely.
+    vanishing commutator returns exactly 0.0. Entry (k ^ m, k) comes only
+    from surviving words with flip mask m, so they are summed per mask as
+    basis actions and no 2^n x 2^n matrix is formed.
     """
     n_a, terms_a = _as_terms(A)
     n_b, terms_b = _as_terms(B)
@@ -235,11 +236,11 @@ def commutator_norm(A, B) -> float:
     survivors = {w: c for w, c in acc.items() if c != 0}
     if not survivors:
         return 0.0
-    dim = 1 << n_a
-    M = np.zeros((dim, dim), dtype=complex)
+    by_mask: dict[int, np.ndarray] = {}
     for word, c in survivors.items():
-        M += c * PauliString(word).to_dense()
-    return float(np.abs(M).max())
+        mask, coefs = PauliString(word).basis_action()
+        by_mask[mask] = by_mask.get(mask, 0) + c * coefs
+    return max(float(np.abs(v).max()) for v in by_mask.values())
 
 
 @dataclass
@@ -298,16 +299,19 @@ class DualChain:
         return tuple(tuple(c) for c in comps)
 
     def to_dense(self) -> np.ndarray:
-        """Dense matrix of the rewritten Hamiltonian (dual-variable form)."""
+        """Dense matrix of the rewritten Hamiltonian (dual-variable form),
+        each dual word added through its basis action in O(2^n)."""
         check_dense_cap(self.n_sites)
         dim = 1 << self.n_sites
         H = np.zeros((dim, dim), dtype=complex)
-        for d, J in enumerate(self.dual_fields):
-            if J != 0.0:
-                H -= J * self.mu_z(d).to_dense()
-        for d, h in enumerate(self.dual_couplings):
-            if h != 0.0:
-                H -= h * (self.mu_x(d) * self.mu_x(d + 1)).to_dense()
+        idx = np.arange(dim)
+        words = [(J, self.mu_z(d)) for d, J in enumerate(self.dual_fields)]
+        words += [(h, self.mu_x(d) * self.mu_x(d + 1))
+                  for d, h in enumerate(self.dual_couplings)]
+        for c, p in words:
+            if c != 0.0:
+                mask, coefs = p.basis_action()
+                H[idx ^ mask, idx] -= c * coefs
         return H
 
 

@@ -1,4 +1,4 @@
-"""Phase-tracked Pauli words and their dense realizations.
+"""Phase-tracked Pauli words and their action on the computational basis.
 
 Conventions fixed here and used repo-wide:
 
@@ -20,13 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionOverflowError, ShieldlabError, SizeMismatchError
-
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-_SINGLE = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 LETTERS = "IXYZ"
 
@@ -167,11 +160,11 @@ class PauliString:
         return 0j
 
     def to_dense(self) -> np.ndarray:
-        """Kronecker realization under the site-0-is-MSB convention."""
-        check_dense_cap(self.n_sites)
-        out = np.array([[self.phase]])
-        for c in self.letters:
-            out = np.kron(out, _SINGLE[c])
+        """Dense matrix: ``coefs[k]`` at row ``k ^ mask`` of column k."""
+        mask, coefs = self.basis_action()
+        idx = np.arange(coefs.size)
+        out = np.zeros((coefs.size, coefs.size), dtype=complex)
+        out[idx ^ mask, idx] = coefs
         return out
 
     def basis_action(self) -> tuple[int, np.ndarray]:

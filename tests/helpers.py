@@ -27,6 +27,43 @@ def kron_op(n, ops_by_site):
     return out
 
 
+def kron_word(p):
+    """Dense matrix of a Pauli word: its phase times the Kronecker product
+    of its letters, read from the word's letters and phase exponent only."""
+    return 1j ** p.phase_k * kron_op(
+        p.n_sites, {i: PAULI[c] for i, c in enumerate(p.letters)})
+
+
+def kron_terms(terms):
+    """Dense sum of (coefficient, Pauli word) pairs, each word by kron_word."""
+    return sum(c * kron_word(p) for c, p in terms)
+
+
+def dual_reference(dc):
+    """Dual-variable Hamiltonian of a DualChain, assembled with kron_op.
+
+    Writes out the formulas of the DualChain docstring directly, with no
+    Pauli-word algebra: mu_z(0) = Z_0, mu_z(d) = Z_{d-1} Z_d, mu_z(n) =
+    Z_{n-1}, mu_x(d) = X_d ... X_{n-1}, and
+    H = -sum_d J_d mu_z(d) - sum_d h_d mu_x(d) mu_x(d+1). Zero weights are
+    added like any other, in the same field-then-coupling order.
+    """
+    n = dc.n_sites
+
+    def mu_z(d):
+        return kron_op(n, {i: SZ for i in (d - 1, d) if 0 <= i < n})
+
+    def mu_x(d):
+        return kron_op(n, {i: SX for i in range(d, n)})
+
+    H = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for d, J in enumerate(dc.dual_fields):
+        H -= J * mu_z(d)
+    for d, h in enumerate(dc.dual_couplings):
+        H -= h * (mu_x(d) @ mu_x(d + 1))
+    return H
+
+
 def dense_reference(lat):
     """Hamiltonian matrix assembled term by term with kron_op."""
     n = lat.n_sites

@@ -13,6 +13,7 @@ from shieldlab import (
     PauliString,
     ResultTable,
     ShieldlabError,
+    commutator_norm,
     emit,
     expectation,
     make_chain,
@@ -30,7 +31,7 @@ from shieldlab import (
 )
 from shieldlab.tables import format_cell
 
-from helpers import sector_states_reference
+from helpers import kron_terms, kron_word, sector_states_reference
 
 
 def lattice_json(lat):
@@ -526,6 +527,29 @@ class TestDualCheckRunner:
         lat = make_chain(3, [2.0, 3.0], [0.1, 0.2, 0.3])
         with pytest.raises(ShieldlabError, match=f"'{key}'"):
             run_dual_check({"chain": lattice_json(lat), key: 1})
+
+    def test_dense_builders_need_no_kron(self, monkeypatch):
+        # every library builder of a dense word goes through its basis
+        # action; np.kron is left to the tests' own oracles, built first
+        cfg = shipped_config("dual_check")
+        expected = run_dual_check(cfg)
+        words = [PauliString(w, k) for w in ("XYZI", "YYIZ", "IIII") for k in range(4)]
+        dense_words = [kron_word(p) for p in words]
+        a = [(0.5, PauliString("XYZ", 1)), (-1.25, PauliString("ZZI")),
+             (2.0, PauliString("IYX", 3))]
+        b = [(0.75, PauliString("YXZ")), (1.5, PauliString("XIY", 2))]
+        A, B = kron_terms(a), kron_terms(b)
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        table = run_dual_check(cfg)
+        assert table.rows == expected.rows
+        assert table.metadata["verdict"] == expected.metadata["verdict"]
+        for p, dense in zip(words, dense_words):
+            assert np.array_equal(p.to_dense(), dense)
+        assert commutator_norm(a, b) == np.abs(A @ B - B @ A).max() > 0
 
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shieldlab import (
+    DualChain,
     HamiltonianTerms,
     NotAChainError,
     PauliString,
@@ -19,7 +20,7 @@ from shieldlab import (
     validate_split,
 )
 
-from helpers import dense_reference
+from helpers import dense_reference, dual_reference, kron_terms
 
 
 def random_lattice(rng, n, with_g=False):
@@ -188,6 +189,31 @@ class TestCommutator:
         with pytest.raises(SizeMismatchError):
             commutator_norm(PauliString("X"), PauliString("XX"))
 
+    def test_matches_kron_commutator_with_phased_words(self):
+        # coefficients are multiples of 1/8, so every sum and product on both
+        # sides is exact and the two maxima must agree bit for bit
+        rng = np.random.default_rng(19)
+
+        def terms(n, sites):
+            out = []
+            for _ in range(int(rng.integers(1, 6))):
+                letters = ["I"] * n
+                for i in sites:
+                    letters[i] = str(rng.choice(list("IXYZ")))
+                out.append((rng.integers(-16, 17) / 8,
+                            PauliString("".join(letters), int(rng.integers(4)))))
+            return out
+
+        for n in (1, 2, 3, 4):
+            for _ in range(30):
+                a, b = terms(n, range(n)), terms(n, range(n))
+                A, B = kron_terms(a), kron_terms(b)
+                assert commutator_norm(a, b) == np.abs(A @ B - B @ A).max()
+            # disjoint supports commute, whatever the letters and phases
+            cut = n // 2
+            a, b = terms(n, range(cut)), terms(n, range(cut, n))
+            assert commutator_norm(a, b) == 0.0
+
 
 class TestDualChain:
     def test_two_site_operators(self):
@@ -217,6 +243,17 @@ class TestDualChain:
                 build_hamiltonian(lat).to_dense() - dual_chain(lat).to_dense()
             ).max()
             assert residual < 1e-12
+
+    def test_dense_matches_kron_reference(self):
+        rng = np.random.default_rng(27)
+        for n in range(1, 9):
+            for _ in range(3):
+                fields = rng.uniform(-2, 2, size=n + 1)
+                couplings = rng.uniform(-1, 1, size=n)
+                fields[rng.integers(n + 1)] = 0.0
+                couplings[rng.integers(n)] = 0.0
+                dc = DualChain(n, tuple(couplings), tuple(fields))
+                assert np.array_equal(dc.to_dense(), dual_reference(dc))
 
     def test_algebra_residuals(self):
         rng = np.random.default_rng(25)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from shieldlab import (
 )
 from shieldlab.pauli import dense_cap
 
-from helpers import PAULI, SX, SZ, kron_op
+from helpers import PAULI, SX, SZ, kron_op, kron_word
 
 
 def word(text, n):
@@ -55,7 +57,7 @@ class TestMultiplication:
                 b = PauliString("".join(rng.choice(list("IXYZ"), size=n)),
                                 int(rng.integers(4)))
                 assert np.array_equal((a * b).to_dense(),
-                                      a.to_dense() @ b.to_dense())
+                                      kron_word(a) @ kron_word(b))
 
     def test_associativity(self):
         rng = np.random.default_rng(5)
@@ -108,8 +110,15 @@ class TestDense:
                 p = PauliString("".join(rng.choice(list("IXYZ"), size=n)),
                                 int(rng.integers(4)))
                 psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-                assert np.allclose(p.apply(psi), p.to_dense() @ psi,
+                assert np.allclose(p.apply(psi), kron_word(p) @ psi,
                                    atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_word_matches_kron_oracle(self, n):
+        for letters in product("IXYZ", repeat=n):
+            for phase_k in range(4):
+                p = PauliString("".join(letters), phase_k)
+                assert np.array_equal(p.to_dense(), kron_word(p)), p
 
 
 class TestTrace:
