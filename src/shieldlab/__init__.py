@@ -33,11 +33,9 @@ from .pauli import PauliString, dense_cap, DENSE_SITE_CAP
 from .lattice import (
     LatticeSpec,
     RegionSplit,
-    lattice_from_json,
     make_chain,
     make_diamond,
     make_triangular_patch,
-    split_from_json,
     update_parameters,
     validate_lattice,
     validate_split,

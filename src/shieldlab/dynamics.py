@@ -4,11 +4,12 @@ Evolution is spectral throughout (no Trotterization): with H = V diag(w) V†,
 U(t) = V exp(-i w t) V†, read from the spectrum cached on H, so every time
 step reuses one eigendecomposition. That spectrum is a set of real blocks of
 the Y-rotated Hamiltonian, split on the spin flip and on the Z of every
-zero-field site (see :mod:`shieldlab.thermal`): U(t) is assembled from
-block-size products, and quench states are evolved block by block with real
-eigenvectors, every time of a batch in one product. The headline identity: if
-H = H_X + H_Y with [H_X, H_Y] = 0 and an observable O is supported away
-from H_X, then
+zero-field site, each block placed in the full basis once per eigenspace it
+stands for (see :mod:`shieldlab.thermal`): U(t) is assembled from
+block-size products, and quench states are projected onto each placement
+and evolved there with real eigenvectors, every time of a batch in one
+product. The headline identity: if H = H_X + H_Y with [H_X, H_Y] = 0 and an
+observable O is supported away from H_X, then
 
     Tr(e^{-itH} rho e^{itH} O) = Tr(e^{-itH_Y} rho e^{itH_Y} O)
 
@@ -142,13 +143,13 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
         states = vecs[:, keep]
         weights = vals[keep]
 
-    # each post-quench block is projected onto once; its coordinates are
-    # evolved for a batch of times in one product, a batch holding no more
-    # entries than one block's eigenvector matrix, and added onto its own
-    # rows of the batch's one full-basis array
-    coords = [_dot(v.conj().T, post.project(b, states))
-              for b, (_, v) in enumerate(post.blocks)]
-    d, width = post.rows.shape[1], states.shape[1]
+    # each placement of a post-quench block is projected onto once; its
+    # coordinates are evolved for a batch of times in one product, a batch
+    # whose full-basis array holds no more entries than one block's
+    # eigenvector matrix, and added onto its own rows of that array
+    coords = [_dot(post.blocks[b][1].conj().T, post.project(p, states))
+              for p, (b, _, _) in enumerate(post.placements)]
+    d, width = post.blocks[0][0].size, states.shape[1]
     batch = max(1, d * d // (post.dim * width))
     sites = [_observable_site(obs) for obs in protocol.observables]
     obs_order = np.argsort(np.array(sites), kind="stable")
@@ -158,11 +159,11 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
     for start in range(0, times.size, batch):
         ts = times[start:start + batch]
         evolved = np.zeros((post.dim, ts.size * width), dtype=complex)
-        for b, ((w, v), c) in enumerate(zip(post.blocks, coords)):
-            # columns ordered by (sign, time, state), the groups lift expects
-            turn = np.exp(-1j * np.outer(w, ts))
-            phased = turn[:, None, :, None] * c.reshape(d, -1, 1, width)
-            post.lift(b, _dot(v, phased.reshape(d, -1)), evolved)
+        for p, ((b, _, _), c) in enumerate(zip(post.placements, coords)):
+            w, v = post.blocks[b]
+            # columns ordered by (time, state), as the slices below read them
+            phased = np.exp(-1j * np.outer(w, ts))[:, :, None] * c[:, None, :]
+            post.lift(p, _dot(v, phased.reshape(d, -1)), evolved)
         for k, t in enumerate(ts):
             state = evolved[:, k * width:(k + 1) * width]
             for obs_idx in obs_order:

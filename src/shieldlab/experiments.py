@@ -181,7 +181,13 @@ def _grid(value, path) -> list[float]:
 
 
 def _lattice(read, path: str) -> tuple[LatticeSpec, int]:
-    """A lattice and the ``index_base`` its split and site keys count from."""
+    """A lattice and the ``index_base`` its split and site keys count from.
+
+    Keys: ``n_sites``, ``edges`` as ``[[i, j, J], ...]``, ``h``, optional
+    ``g`` (default zeros) and optional ``index_base``. JSON payloads may be
+    1-indexed via ``index_base`` (0 or 1, default 1), which is translated on
+    load; the library counts sites from 0.
+    """
     read = read if isinstance(read, _Reader) else _Reader(read, path)  # raises
     base = read("index_base", _value(int, "0 or 1", lambda v: v in (0, 1),
                                      error=IndexOutOfRangeError), 1)

@@ -1,8 +1,7 @@
 """Lattice geometry, Hamiltonian parameters and region splits.
 
 Sites are 0-indexed integers. Edges are undirected and stored once with
-``i < j``. JSON payloads may be 1-indexed via their ``index_base`` field
-(default 1), which is translated on load.
+``i < j``.
 """
 
 from __future__ import annotations
@@ -199,24 +198,3 @@ def update_parameters(lat: LatticeSpec, h=None, g=None, J_by_edge=None) -> Latti
         edges = tuple((i, j, lookup.get((i, j), J)) for (i, j, J) in edges)
     out = replace(lat, edges=edges, h=new_h, g=new_g)
     return validate_lattice(out.n_sites, out.edges, out.h, out.g)
-
-
-# -- JSON payloads -------------------------------------------------------------
-
-def lattice_from_json(obj: dict) -> LatticeSpec:
-    """Build a lattice from its JSON form.
-
-    Expected keys: ``n_sites``, ``edges`` as ``[[i, j, J], ...]``, ``h``,
-    optional ``g`` (default zeros) and optional ``index_base`` (0 or 1,
-    default 1). Any other key is an error.
-    """
-    from .experiments import _Reader, _lattice
-
-    return _Reader({"lattice": obj})("lattice", _lattice)[0]
-
-
-def split_from_json(obj: dict, lat: LatticeSpec, index_base: int = 1, **kwargs) -> RegionSplit:
-    """Build a split from ``{"X": [...], "Y": [...]}`` using the lattice's index base."""
-    from .experiments import _Reader, _split
-
-    return _Reader({"split": obj})("split", _split(lat, index_base, **kwargs))

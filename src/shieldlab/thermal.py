@@ -18,15 +18,19 @@ The spectrum is held in blocks, split on conserved charges read from the
 matrix. A per-site rotation about z turns each site's field terms onto x,
 a X_i + b Y_i = r D_i X_i D_i† with D_i = diag(1, e^{iφ}), and leaves every
 ZZ term alone. The rotated H′ is real and commutes with the global spin
-flip P = ∏X_i, which reverses the basis index, and with Z_l on every site l
-that has no field. The eigensolver splits H′ into the two sectors of P,
-pivoted on such a site, where they coincide and are solved once, and
-splits that block further on the other zero-field sites: m ≥ 1 of them give
-2^(m-1) real blocks of dimension 2^(n-m), solved in one stacked call; with
-none the two half-size P sectors are solved. Gibbs states, ground mixtures
-and U(t) are assembled from block-size products and rotated back by the
-diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. None of them forms a full 2^n
-eigenvector matrix.
+flip P = ∏X_i, which maps basis row r to R̄ = 2^n - 1 - r, and with Z_l on
+every site l that has no field. The eigensolver splits H′ into the two
+sectors of P, pivoted on such a site, where they coincide and are solved
+once, and splits that block further on the other zero-field sites: m ≥ 1 of
+them give 2^(m-1) real blocks of dimension 2^(n-m), solved in one stacked
+call; with none the two half-size P sectors are solved. One rule places
+every block in the full basis: a placement turns a block column v into
+Σ_k c_k·(v on R_k). A shared block is placed twice, plainly on R and on R̄;
+a sector of P once, on R and R̄ with coefficients (1, ±1)/√2; a block of a
+matrix without P symmetry once, on its own rows. Gibbs states, ground
+mixtures and U(t) are assembled from block-size products per placement and
+rotated back by the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. None of them forms
+a full 2^n eigenvector matrix.
 
 Verdict thresholds used throughout the experiment runners:
 
@@ -74,89 +78,67 @@ class SpectralDecomposition:
     """Eigenvalues and orthonormal eigenvector columns, block by block.
 
     ``blocks`` holds one (eigenvalues ascending, eigenvector columns) pair
-    per solved block. Row b of ``rows`` lists the full-basis rows R that the
-    coordinates of block b live on, and ``signs[b]`` says how the block sits
-    in the full basis. Sign 0: a column v is v on R alone. Sign ±1: the
-    block is a sector of the spin flip P, which maps row r to
-    R̄ = 2^n - 1 - r, and v stands for (v on R ± v on R̄)/√2. A block with
-    signs (1, -1) is both sectors at once, solved once because they
-    coincide. Every eigenvalue of a block counts once per sign. With
-    ``phases`` d set, the blocks decompose M′ and the matrix described is
-    M = d ⊙ M′ ⊙ d̄ᵀ.
+    per solved block. ``placements`` says where the blocks sit in the full
+    basis: a placement (b, rows, coefs) turns a column v of block b into
+    Σ_k coefs[k]·(v on rows[k]), ``rows`` holding one row set per
+    coefficient. A block is placed once per eigenspace it stands for, so
+    every eigenvalue counts once per placement, and the placed columns are
+    orthonormal and cover the basis. With ``phases`` d set, the blocks
+    decompose M′ and the matrix described is M = d ⊙ M′ ⊙ d̄ᵀ.
     """
 
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    rows: np.ndarray
-    signs: tuple[tuple[int, ...], ...]
+    placements: tuple[tuple[int, np.ndarray, tuple[float, ...]], ...]
     phases: np.ndarray | None = None
 
     @cached_property
     def dim(self) -> int:
         """Dimension of the full basis."""
-        return self.rows.shape[1] * sum(map(len, self.signs))
+        return sum(rows.shape[1] for _, rows, _ in self.placements)
 
     def _values(self) -> np.ndarray:
-        """Eigenvalues in the order of :meth:`columns`, one copy per sign."""
-        return np.concatenate([w for (w, _), signs in zip(self.blocks, self.signs)
-                               for _ in signs])
+        """Eigenvalues in the order of :meth:`columns`, one copy per placement."""
+        return np.concatenate([self.blocks[b][0] for b, _, _ in self.placements])
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending."""
         return np.sort(self._values())
 
-    def _add(self, b: int, sign: int, y: np.ndarray, out: np.ndarray) -> None:
-        """Add d ⊙ E_s y to full-basis columns ``out``, for coordinates ``y``
-        of block ``b`` under sign s; only the block's rows are touched."""
-        rows = self.rows[b]
-        parts = [(rows, y)]
-        if sign:
-            y = y / math.sqrt(2.0)
-            parts = [(rows, y), (self.dim - 1 - rows, sign * y)]
-        for at, part in parts:
-            out[at] += part if self.phases is None else self.phases[at, None] * part
+    def lift(self, p: int, y: np.ndarray, out: np.ndarray) -> None:
+        """Add d ⊙ Σ_k coefs[k]·(y on rows[k]) to full-basis columns ``out``,
+        for coordinates ``y`` in placement ``p``; only its rows are touched."""
+        _, rows, coefs = self.placements[p]
+        for at, c in zip(rows, coefs):
+            part = y if self.phases is None else self.phases[at, None] * y
+            out[at] += _scaled(c, part)
 
-    def lift(self, b: int, y: np.ndarray, out: np.ndarray) -> None:
-        """Add the full-basis form d ⊙ Σ E_s y_s of coordinates ``y`` in block
-        ``b`` to ``out``.
-
-        ``y`` holds one group of columns per sign of the block, side by
-        side, as :meth:`project` returns them.
-        """
-        for sign, part in zip(self.signs[b], np.split(y, len(self.signs[b]), axis=1)):
-            self._add(b, sign, part, out)
-
-    def project(self, b: int, x: np.ndarray) -> np.ndarray:
-        """Coordinates E_s† (d̄ ⊙ x) in block ``b`` of full-basis columns ``x``.
-
-        One group of columns per sign of the block, side by side.
-        """
+    def project(self, p: int, x: np.ndarray) -> np.ndarray:
+        """Coordinates in placement ``p`` of full-basis columns ``x``: the
+        adjoint of :meth:`lift`, Σ_k coefs[k]·(d̄ ⊙ x)[rows[k]]."""
+        _, rows, coefs = self.placements[p]
         if self.phases is not None:
             x = self.phases.conj()[:, None] * x
-        rows = self.rows[b]
-        return np.hstack([(x[rows] + sign * x[self.dim - 1 - rows]) / math.sqrt(2.0)
-                          if sign else x[rows] for sign in self.signs[b]])
+        return sum(_scaled(c, x[at]) for at, c in zip(rows, coefs))
 
     def columns(self, keep) -> np.ndarray:
         """Full-basis eigenvector columns whose eigenvalues ``keep(w)`` selects."""
         picked = [v[:, keep(w)] for w, v in self.blocks]
-        width = sum(y.shape[1] * len(signs) for y, signs in zip(picked, self.signs))
+        placed = [picked[b] for b, _, _ in self.placements]
         kinds = [y.dtype for y in picked] + ([] if self.phases is None else [self.phases.dtype])
-        out = np.zeros((self.dim, width), dtype=np.result_type(*kinds))
+        out = np.zeros((self.dim, sum(y.shape[1] for y in placed)), dtype=np.result_type(*kinds))
         start = 0
-        for b, y in enumerate(picked):
-            for sign in self.signs[b]:
-                self._add(b, sign, y, out[:, start:start + y.shape[1]])
-                start += y.shape[1]
+        for p, y in enumerate(placed):
+            self.lift(p, y, out[:, start:start + y.shape[1]])
+            start += y.shape[1]
         return out
 
     def function(self, f) -> np.ndarray:
-        """f(M) = Σ V f(w) V† over the blocks, as a full-basis matrix.
+        """f(M) = Σ V f(w) V† over the placements, as a full-basis matrix.
 
-        Columns with f(w) exactly 0 are skipped. Block b contributes
-        A = v f(w) v† on its rows R; a sign s adds ½A on R×R and R̄×R̄ and
-        ½sA on R×R̄ and R̄×R, so the two signs of a shared block give A on
-        R×R and R̄×R̄ and nothing across.
+        Columns with f(w) exactly 0 are skipped. Block b gives A = v f(w) v†,
+        formed once however often it is placed; a placement adds
+        coefs[j]·coefs[k]·A on rows[j]×rows[k].
         """
         parts = []
         for w, v in self.blocks:
@@ -167,21 +149,18 @@ class SpectralDecomposition:
             vf = v * fw
             parts.append(vf @ v.conj().T if np.iscomplexobj(v) else _dot(v, vf.T))
         out = np.zeros((self.dim, self.dim), dtype=np.result_type(*parts))
-        # R̄×R̄, R×R̄ and R̄×R are R×R of these reversed views
-        mirrored, across, back = out[::-1, ::-1], out[:, ::-1], out[::-1]
-        for a, rows, signs in zip(parts, self.rows, self.signs):
-            at = np.ix_(rows, rows)
-            if signs == (0,):
-                out[at] += a
-                continue
-            out[at] += 0.5 * len(signs) * a
-            mirrored[at] += 0.5 * len(signs) * a
-            if sum(signs):
-                across[at] += 0.5 * sum(signs) * a
-                back[at] += 0.5 * sum(signs) * a
+        for b, rows, coefs in self.placements:
+            for r, cr in zip(rows, coefs):
+                for s, cs in zip(rows, coefs):
+                    out[np.ix_(r, s)] += _scaled(cr * cs, parts[b])
         if self.phases is not None:
             out = self.phases[:, None] * out * self.phases.conj()
         return out
+
+
+def _scaled(c: float, a: np.ndarray) -> np.ndarray:
+    """c·a, without a copy when c is 1."""
+    return a if c == 1.0 else c * a
 
 
 def _dot(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -214,12 +193,13 @@ def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
 
     With P M P = M the matrix is split into P sectors: with R the rows
     whose pivot bit is 0, M_± = M[R, R] ± M[R, R̄]. The pivot is a conserved
-    bit if there is one; then M[R, R̄] = 0, the two sectors coincide and are
-    solved once, split further on the other conserved bits: m ≥ 1
-    conserved bits give 2^(m-1) blocks of dimension 2^(n-m). Without one
-    the pivot is the top bit and the two half-size sectors differ. A matrix
-    without P symmetry is split into one block per value of its m
-    conserved bits.
+    bit if there is one; then M[R, R̄] = 0, the two sectors coincide and
+    are solved once, split further on the other conserved bits: m ≥ 1
+    conserved bits give 2^(m-1) blocks of dimension 2^(n-m), each placed on
+    R and on R̄. Without one the pivot is the top bit and the two half-size
+    sectors differ, each placed on R and R̄ with coefficients (1, ±1)/√2. A
+    matrix without P symmetry is split into one block per value of its m
+    conserved bits, each placed on its own rows.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -247,15 +227,17 @@ def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
     rows = _offsets(split)[:, None] + _offsets(free)
     stack = matrix[rows[:, :, None], rows[:, None, :]]
     if not mirrored:
-        signs = ((0,),) * len(rows)
+        placements = [(b, at[None], (1.0,)) for b, at in enumerate(rows)]
     elif conserved:
-        signs = ((1, -1),) * len(rows)
+        placements = [(b, at[None], (1.0,))
+                      for b, r in enumerate(rows) for at in (r, top - r)]
     else:
         cross = matrix[rows[:, :, None], top - rows[:, None, :]]
         stack = np.concatenate([stack + cross, stack - cross])
-        rows, signs = np.tile(rows, (2, 1)), ((1,), (-1,))
+        both, c = np.concatenate([rows, top - rows]), math.sqrt(0.5)
+        placements = [(0, both, (c, c)), (1, both, (c, -c))]
     w, v = np.linalg.eigh(stack)
-    return SpectralDecomposition(tuple(zip(w, v)), rows, signs)
+    return SpectralDecomposition(tuple(zip(w, v)), tuple(placements))
 
 
 def _rotate_y(H: HamiltonianTerms) -> tuple[HamiltonianTerms, np.ndarray | None]:
@@ -457,46 +439,41 @@ def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.nd
     (+1 for Z = +1), so the pieces sum to Tr_{not keep} ρ. Each site of
     ``by`` must be a zero-field site, whose Z the blocks conserve.
 
-    No full-basis state is formed. The columns of each block, scaled by
-    √f(w), are lifted into the full basis: a shared (1, -1) block onto R and
-    onto R̄ separately, each lift pure in every conserved bit, and a
-    one-sign block onto R ∪ R̄. A lift is regrouped as a matrix M whose rows
-    are its kept bits and whose columns are its traced bits and eigenvector
-    columns, and M M† is added to its pattern's piece. The phases d = ⊗ D_i
-    of the y-field rotation are a product over sites, so they pass through
-    the trace and are applied to the pieces last.
+    No full-basis state is formed. Each placement lifts its block's
+    columns, scaled by √f(w), onto its own rows; every placement of a block
+    with a conserved Z lies in one Z pattern. A lift is regrouped as a
+    matrix M whose rows are its kept bits and whose columns are its traced
+    bits and eigenvector columns, and M M† is added to its pattern's piece.
+    The phases d = ⊗ D_i of the y-field rotation are a product over sites,
+    so they pass through the trace and are applied to the pieces last.
     """
     dec = _spectrum(H)
     n = H.n_sites
     keep, by = _sites(keep, n, "keep"), _sites(by, n, "by")
     traced = [i for i in range(n) if i not in keep]
     f, _ = _weights(dec, beta)
-    top = dec.dim - 1
     kind = np.result_type(*(v for _, v in dec.blocks))
     pieces = [np.zeros((1 << len(keep),) * 2, dtype=kind) for _ in range(1 << len(by))]
-    for (w, v), rows, signs in zip(dec.blocks, dec.rows, dec.signs):
-        fw = f(w)
-        y = v[:, fw != 0] * np.sqrt(fw[fw != 0])
-        if signs == (1, -1):
-            lifts = [(rows, y), (top - rows, y)]
-        elif signs == (0,):
-            lifts = [(rows, y)]
-        else:
-            lifts = [(np.concatenate([rows, top - rows]),
-                      np.concatenate([y, signs[0] * y]) / math.sqrt(2.0))]
-        for at, part in lifts:
-            pattern = _bits(at, by, n)
-            if np.any(pattern != pattern[0]):
-                raise InvalidSiteSetError(
-                    f"by={by} lists a site with a field: its Z is not conserved")
-            if not part.shape[1]:
-                continue
-            a, a_of = np.unique(_bits(at, keep, n), return_inverse=True)
-            c, c_of = np.unique(_bits(at, traced, n), return_inverse=True)
-            m = np.zeros((a.size, c.size, part.shape[1]), dtype=part.dtype)
-            m[a_of, c_of] = part
-            m = m.reshape(a.size, -1)
-            pieces[pattern[0]][np.ix_(a, a)] += m @ m.conj().T
+    last = None
+    for b, rows, coefs in dec.placements:
+        if b != last:  # placements of one block share its scaled columns
+            w, v = dec.blocks[b]
+            fw = f(w)
+            y, last = v[:, fw != 0] * np.sqrt(fw[fw != 0]), b
+        at = rows.ravel()
+        pattern = _bits(at, by, n)
+        if np.any(pattern != pattern[0]):
+            raise InvalidSiteSetError(
+                f"by={by} lists a site with a field: its Z is not conserved")
+        if not y.shape[1]:
+            continue
+        a, a_of = np.unique(_bits(at, keep, n), return_inverse=True)
+        c, c_of = np.unique(_bits(at, traced, n), return_inverse=True)
+        m = np.zeros((a.size, c.size, y.shape[1]), dtype=y.dtype)
+        for a_k, c_k, coef in zip(a_of.reshape(rows.shape), c_of.reshape(rows.shape), coefs):
+            m[a_k, c_k] = _scaled(coef, y)
+        m = m.reshape(a.size, -1)
+        pieces[pattern[0]][np.ix_(a, a)] += m @ m.conj().T
     if dec.phases is not None:
         # d_K: d on the rows whose traced bits are all 0, where each D_i is 1
         d = dec.phases[_offsets([1 << (n - 1 - i) for i in keep])]

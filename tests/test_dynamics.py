@@ -188,12 +188,13 @@ class TestRunQuench:
         obs = (PauliString.single(6, 5, "Z"),)
         times = tuple(np.arange(0.0, 20.0, 0.1))
         mixed = DensityMatrix(random_mixed_state(np.random.default_rng(5), 6), tuple(range(6)))
-        # one 32-dim block: the ground pair is evolved 8 times per product,
-        # within 32x32 entries; a full-rank state one time per product
-        for rho0, n_products in ((None, 25), (mixed, 200)):
+        # one 32-dim block placed twice: the ground pair is evolved 8 times
+        # per product, within 32x32 entries; a full-rank state one time per
+        # product; one product per placement
+        for rho0, n_products in ((None, 2 * 25), (mixed, 2 * 200)):
             products.clear()
             table = run_quench(QuenchProtocol(pre, post, times, obs), rho0=rho0)
-            evolution = products[1:]  # after the one projection
+            evolution = products[2:]  # after one projection per placement
             assert len(evolution) == n_products
             assert rho0 is not None or all(z <= a for a, z in evolution)
             tail = run_quench(QuenchProtocol(pre, post, times[-3:], obs), rho0=rho0)

@@ -11,15 +11,24 @@ from shieldlab import (
     NotACoverError,
     SelfEdgeError,
     ShieldlabError,
-    lattice_from_json,
     make_chain,
     make_diamond,
     make_triangular_patch,
-    split_from_json,
     update_parameters,
     validate_lattice,
     validate_split,
 )
+from shieldlab.experiments import _Reader, _lattice, _split
+
+
+def read_lattice(obj):
+    """The lattice of a config's ``lattice`` object, and its index base."""
+    return _Reader({"lattice": obj})("lattice", _lattice)
+
+
+def read_split(obj, lat, base):
+    """The region split of a config's ``split`` object, counted from ``base``."""
+    return _Reader({"split": obj})("split", _split(lat, base))
 
 
 class TestValidateLattice:
@@ -152,30 +161,31 @@ class TestValidateSplit:
 
 class TestJson:
     def test_one_indexed_by_default(self):
-        lat = lattice_from_json({
+        lat, base = read_lattice({
             "n_sites": 3,
             "edges": [[1, 2, 1.0], [2, 3, 0.5]],
             "h": [0.3, 0.0, 0.7],
         })
+        assert base == 1
         assert lat.edges == ((0, 1, 1.0), (1, 2, 0.5))
-        split = split_from_json({"X": [1, 2], "Y": [2, 3]}, lat)
+        split = read_split({"X": [1, 2], "Y": [2, 3]}, lat, base)
         assert split.S == {1}
 
     def test_zero_indexed(self):
-        lat = lattice_from_json({
+        lat, base = read_lattice({
             "n_sites": 2,
             "index_base": 0,
             "edges": [[0, 1, 2.0]],
             "h": [0.0, 0.0],
             "g": [0.1, 0.2],
         })
+        assert base == 0
         assert lat.edges == ((0, 1, 2.0),)
         assert lat.g == (0.1, 0.2)
 
     def test_bad_index_base(self):
         with pytest.raises(IndexOutOfRangeError):
-            lattice_from_json({"n_sites": 2, "index_base": 2,
-                               "edges": [], "h": [0, 0]})
+            read_lattice({"n_sites": 2, "index_base": 2, "edges": [], "h": [0, 0]})
 
     @pytest.mark.parametrize("extra, key", [
         ({"gg": [0.0, 0.0]}, r"'lattice\.gg'"),
@@ -186,12 +196,12 @@ class TestJson:
     def test_bad_payload_names_the_key(self, extra, key):
         obj = {"n_sites": 2, "edges": [[1, 2, 1.0]], "h": [0.0, 0.5], **extra}
         with pytest.raises(ShieldlabError, match=key):
-            lattice_from_json(obj)
+            read_lattice(obj)
 
     def test_split_rejects_unknown_keys(self):
-        lat = lattice_from_json({"n_sites": 2, "edges": [[1, 2, 1.0]], "h": [0.0, 0.5]})
+        lat, base = read_lattice({"n_sites": 2, "edges": [[1, 2, 1.0]], "h": [0.0, 0.5]})
         with pytest.raises(ShieldlabError, match=r"'split\.Z'"):
-            split_from_json({"X": [1], "Y": [1, 2], "Z": []}, lat)
+            read_split({"X": [1], "Y": [1, 2], "Z": []}, lat, base)
 
 
 class TestTriangularPatch:

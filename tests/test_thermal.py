@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,15 +199,16 @@ class TestEig:
 
     def test_zero_field_sites_split_into_shared_sectors(self):
         # m zero-field sites: 2^(m-1) real blocks of dimension 2^(n-m), each
-        # standing for both spin-flip sectors, in one stacked solve; with no
-        # field anywhere every block is 1x1
+        # standing for both spin-flip sectors, in one stacked solve, and 2^m
+        # plain placements; with no field anywhere every block is 1x1
         rng = np.random.default_rng(61)
         for y_fields in (False, True):
             for m in (1, 2, 3, 8):
                 H = build_hamiltonian(random_graph_lattice(rng, 8, y_fields, n_zero=m))
                 dec = thermal._spectrum(H)
                 assert [v.shape for _, v in dec.blocks] == [(2 ** (8 - m),) * 2] * 2 ** (m - 1)
-                assert dec.signs == ((1, -1),) * 2 ** (m - 1)
+                assert [(len(rows), coefs) for _, rows, coefs in dec.placements] == \
+                    [(1, (1.0,))] * 2 ** m
                 assert np.abs(dec.eigenvalues - dense_spectrum(H)[0]).max() < 1e-12
 
     @staticmethod
@@ -226,10 +228,11 @@ class TestEig:
             m = self.conserving(rng, 4, [2, 8], dtype)
             assert not np.array_equal(m, m[::-1, ::-1])
             dec = eig_hermitian(m)
-            assert dec.signs == ((0,),) * 4
+            assert [coefs for _, _, coefs in dec.placements] == [(1.0,)] * 4
             assert [v.shape for _, v in dec.blocks] == [(4, 4)] * 4
-            assert sorted({int(r[0]) & 10 for r in dec.rows}) == [0, 2, 8, 10]
-            assert all(len({int(i) & 10 for i in r}) == 1 for r in dec.rows)
+            rows = [r for _, (r,), _ in dec.placements]
+            assert sorted({int(r[0]) & 10 for r in rows}) == [0, 2, 8, 10]
+            assert all(len({int(i) & 10 for i in r}) == 1 for r in rows)
             assert np.abs(dec.function(lambda w: w) - m).max() < 1e-12
             assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(m)).max() < 1e-12
             v = eigenvector_columns(dec)
@@ -241,8 +244,43 @@ class TestEig:
         assert len(eig_hermitian(m).blocks) == 2
         m[1, 5] = m[5, 1] = 1e-300  # rows 1 and 5 differ in bit 4
         dec = eig_hermitian(m)
-        assert len(dec.blocks) == 1 and dec.rows.shape == (1, 16)
+        assert len(dec.blocks) == 1 and len(dec.placements) == 1
+        assert dec.placements[0][1].shape == (1, 16)
         assert np.abs(dec.function(lambda w: w) - m).max() < 1e-12
+
+    def test_placements_cover_the_basis(self):
+        """Placement widths sum to the dimension; each basis row lies in
+        exactly one plain placement or in exactly two spin-flip sector
+        placements; the placed columns are unitary with and without phases;
+        a block shared by two coinciding sectors is solved once and placed
+        twice, on R and on R̄."""
+        rng = np.random.default_rng(89)
+        cases = [(thermal._spectrum(build_hamiltonian(lat)),
+                  any(h == g == 0.0 for h, g in zip(lat.h, lat.g)))
+                 for lat in oracle_lattices(89)]
+        for bits in ([], [2], [2, 8]):
+            for dtype in (float, complex):
+                m = self.conserving(rng, 4, bits, dtype)
+                cases += [(eig_hermitian(m), False),
+                          (eig_hermitian(m + m[::-1, ::-1]), bool(bits))]
+        c = math.sqrt(0.5)
+        for dec, shared in cases:
+            assert sum(rows.shape[1] for _, rows, _ in dec.placements) == dec.dim
+            plain, sector = np.zeros((2, dec.dim), dtype=int)
+            for _, rows, coefs in dec.placements:
+                assert coefs in ((1.0,), (c, c), (c, -c)) and len(rows) == len(coefs)
+                np.add.at(plain if len(coefs) == 1 else sector, rows.ravel(), 1)
+            assert np.all((plain == 1) & (sector == 0) | (plain == 0) & (sector == 2))
+            placed = [[rows for b, rows, _ in dec.placements if b == k]
+                      for k in range(len(dec.blocks))]
+            assert {len(p) for p in placed} == {2 if shared else 1}
+            assert sum(w.size for w, _ in dec.blocks) * (2 if shared else 1) == dec.dim
+            if shared:
+                assert all(np.array_equal(s, dec.dim - 1 - r) for (r,), (s,) in placed)
+            for phases in (None, np.exp(2j * np.pi * rng.random(dec.dim))):
+                v = replace(dec, phases=phases).columns(lambda w: slice(None))
+                assert v.shape == (dec.dim,) * 2
+                assert np.abs(v.conj().T @ v - np.eye(dec.dim)).max() < 1e-12
 
     def test_not_hermitian(self):
         # each matrix has a nonzero entry whose transposed partner is 0
@@ -402,15 +440,15 @@ class TestSectorOracle:
                 thermal._reduced_states(H, 1.0, keep, by)
 
     def test_lift_adds_back_what_project_takes(self):
-        """Σ_b lift(b, project(b, x)) = x: the blocks cover the basis once,
-        and lift adds into its output rather than overwriting it."""
+        """Σ_p lift(p, project(p, x)) = x: the placements cover the basis
+        once, and lift adds into its output rather than overwriting it."""
         rng = np.random.default_rng(61)
         for lat in oracle_lattices(61):
             dec = thermal._spectrum(build_hamiltonian(lat))
             x = rng.normal(size=(dec.dim, 2)) + 1j * rng.normal(size=(dec.dim, 2))
             out = x.copy()
-            for b in range(len(dec.blocks)):
-                dec.lift(b, dec.project(b, x), out)
+            for p in range(len(dec.placements)):
+                dec.lift(p, dec.project(p, x), out)
             assert np.abs(out - 2 * x).max() < 1e-12
 
 
