@@ -55,12 +55,12 @@ from .thermal import (
     ShieldingReport,
     SpectralDecomposition,
     classify_distance,
-    eig_hermitian,
     expectation,
     gibbs,
     ground_state_density,
     partial_trace,
     shielding_report,
+    spectrum,
     thermal_state,
     trace_distance,
 )

@@ -25,13 +25,14 @@ import numpy as np
 from .errors import (
     NonCommutingSplitError,
     ObservableOutsideRegionError,
+    ShieldlabError,
     SizeMismatchError,
 )
 from .hamiltonian import HamiltonianTerms, build_hamiltonian, commutator_norm
 from .lattice import LatticeSpec
 from .pauli import PauliString
 from .tables import ResultTable
-from .thermal import DensityMatrix, _dot, _ground_cut, _spectrum, expectation
+from .thermal import DensityMatrix, _dot, _ground_cut, expectation, spectrum
 
 _COMMUTATOR_TOL = 1e-12
 
@@ -43,6 +44,7 @@ class QuenchProtocol:
     ``pre`` fixes the initial Hamiltonian (whose ground-space mixture is the
     default initial state), ``post`` the Hamiltonian driving the evolution.
     Both must share the site count and edge pairs; only parameters change.
+    Errors name the field at fault (``post`` or ``times``).
     """
 
     pre: LatticeSpec
@@ -52,14 +54,14 @@ class QuenchProtocol:
 
     def __post_init__(self) -> None:
         if self.pre.n_sites != self.post.n_sites:
-            raise SizeMismatchError("pre and post lattices differ in size")
+            raise SizeMismatchError("pre and post lattices differ in size", key="post")
         pre_pairs = [(i, j) for (i, j, _) in self.pre.edges]
         post_pairs = [(i, j) for (i, j, _) in self.post.edges]
         if pre_pairs != post_pairs:
-            raise SizeMismatchError("pre and post lattices differ in edge set")
+            raise SizeMismatchError("pre and post lattices differ in edge set", key="post")
         times = tuple(float(t) for t in self.times)
         if any(t < 0 for t in times) or list(times) != sorted(times):
-            raise ValueError("times must be non-negative and ascending")
+            raise ShieldlabError("must be non-negative and ascending", key="times")
         object.__setattr__(self, "times", times)
         for obs in self.observables:
             if obs.n_sites != self.pre.n_sites:
@@ -76,7 +78,7 @@ def evolve(H: HamiltonianTerms, rho0: DensityMatrix, t: float) -> DensityMatrix:
         raise SizeMismatchError("Hamiltonian and state live on different sites")
     if t == 0.0:
         return DensityMatrix(rho0.matrix.copy(), rho0.site_labels)
-    u = _spectrum(H).function(lambda w: np.exp(-1j * w * t))
+    u = spectrum(H).function(lambda w: np.exp(-1j * w * t))
     rho = u @ rho0.matrix @ u.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(rho, rho0.site_labels)
@@ -128,10 +130,10 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
     are ordered by (t, site), with single-site observables labeled by their
     site.
     """
-    post = _spectrum(build_hamiltonian(protocol.post))
+    post = spectrum(build_hamiltonian(protocol.post))
 
     if rho0 is None:
-        pre = _spectrum(build_hamiltonian(protocol.pre))
+        pre = spectrum(build_hamiltonian(protocol.pre))
         cut = _ground_cut(pre)
         states = pre.columns(lambda w: w <= cut)
         weights = np.full(states.shape[1], 1.0 / states.shape[1])

@@ -240,8 +240,8 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
     read.done()
     if len(split.S) != 1:
         raise ShieldlabError(
-            f"verify-shielding requires a single-site interface, got |S|={len(split.S)}"
-        )
+            f"verify-shielding requires a single-site interface, got |S|={len(split.S)}",
+            key="split")
     if interface_field != 0.0:
         h = list(lat.h)
         for l in split.S:
@@ -320,11 +320,13 @@ def run_counterexample(cfg: dict) -> ResultTable:
     max_delta = 0.0
     spread: dict[str, float] = {}
     plateau_gap: dict[str, float] = {}
+    # one Hamiltonian per h1, so each is solved once for every beta
+    hamiltonians = [build_hamiltonian(make_diamond(h1, h4)) for h1 in h1_grid]
     for beta in betas:
         values = []
-        for h1 in h1_grid:
+        for h1, H in zip(h1_grid, hamiltonians):
             series = fourspin_magnetization(beta, h1, h4, tol=tol)
-            rho = thermal_state(build_hamiltonian(make_diamond(h1, h4)), beta)
+            rho = thermal_state(H, beta)
             dense = expectation(rho, obs)
             delta = abs(series - dense)
             max_delta = max(max_delta, delta)
@@ -462,6 +464,7 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
         post = update_parameters(pre, h=h)
     times = read("times", _grid, {"start": 0.0, "stop": 6.0, "step": 0.05})
     observables = read("observables", _observables(pre.n_sites), "x")
+    protocol = QuenchProtocol(pre=pre, post=post, times=tuple(times), observables=observables)
     split = read("split", _split(pre, base), None)
     read.done()
     if split is not None:
@@ -473,8 +476,7 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
                     f"shares its site column ({site}) with observables[{first[site]}], "
                     "so the verdict could not tell their rows apart",
                     key=f"observables[{k}]")
-    table = run_quench(QuenchProtocol(pre=pre, post=post, times=tuple(times),
-                                      observables=observables))
+    table = run_quench(protocol)
 
     verdict: dict = {"status": "pass"}
     if split is not None:
@@ -498,6 +500,13 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
 # dual-check
 # ---------------------------------------------------------------------------
 
+def _open_chain(read, path: str) -> LatticeSpec:
+    """A lattice that :func:`dual_chain` accepts: an open chain with g ≡ 0."""
+    lat, _ = _lattice(read, path)
+    _keyed(path, dual_chain, lat)
+    return lat
+
+
 def run_dual_check(cfg: dict) -> ResultTable:
     """Dual rewriting of random (or one configured) open chains.
 
@@ -514,7 +523,7 @@ def run_dual_check(cfg: dict) -> ResultTable:
         "n_dual_components",
     ))
     read = _config(cfg, "dual-check")
-    chain, _ = read("chain", _lattice, None) or (None, None)
+    chain = read("chain", _open_chain, None)
     chains: list[LatticeSpec] = [] if chain is None else [chain]
     if chain is None:
         n = read("n_sites", _count, 6)

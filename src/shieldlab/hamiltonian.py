@@ -6,8 +6,10 @@ The model Hamiltonian on a lattice is
 
 held as a list of (real coefficient, Pauli word) terms. Only the three term
 shapes above are admitted, which keeps every Hamiltonian Hermitian by
-construction and lets the dense build use bit arithmetic instead of repeated
-Kronecker products.
+construction. The eigensolver (:func:`shieldlab.thermal.spectrum`) reads its
+blocks straight from these terms; the dense matrix of
+:meth:`HamiltonianTerms.to_dense`, built by bit arithmetic, is the tests'
+oracle and the direct side of the dual check.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ def _term_shape(p: PauliString) -> str:
 class HamiltonianTerms:
     """Sum of real-weighted Pauli words restricted to ZZ / X / Y shapes.
 
-    Treat instances as immutable; the dense matrix and its eigendecomposition
+    Treat instances as immutable; the dense matrix and the eigendecomposition
     are each computed once on first access and cached (the latter by
-    :mod:`shieldlab.thermal`, the only place a Hamiltonian is diagonalized).
+    :func:`shieldlab.thermal.spectrum`, the only place a Hamiltonian is
+    diagonalized, which never builds the dense matrix).
     """
 
     n_sites: int
@@ -81,9 +84,9 @@ class HamiltonianTerms:
 
         Built by bit arithmetic: ZZ terms are diagonal in the computational
         basis, X_i couples k <-> k^mask, Y_i does the same with ±i signs.
-        Real dtype when no Y term is present. The eigensolver never needs the
-        complex form (it rotates Y fields onto X first); it stays as the
-        oracle that the parity-sector spectrum is tested against.
+        Real dtype when no Y term is present. No solve reads it: it is the
+        oracle that the block spectrum is tested against and the direct side
+        of the dual check.
         """
         if self._dense is None:
             check_dense_cap(self.n_sites)

@@ -14,23 +14,24 @@ states of :func:`gibbs` and :func:`ground_state_density`, traced by
 :func:`partial_trace` through exact index-bit bucketing, are the dense
 oracle.
 
-The spectrum is held in blocks, split on conserved charges read from the
-matrix. A per-site rotation about z turns each site's field terms onto x,
+The spectrum is held in blocks, read by :func:`spectrum` straight from the
+Hamiltonian's terms; no 2^n×2^n Hamiltonian is formed on the way (its
+``to_dense`` stays the tests' oracle and the dual check's direct side). A
+per-site rotation about z turns each site's field terms onto x,
 a X_i + b Y_i = r D_i X_i D_i† with D_i = diag(1, e^{iφ}), and leaves every
 ZZ term alone. The rotated H′ is real and commutes with the global spin
 flip P = ∏X_i, which maps basis row r to R̄ = 2^n - 1 - r, and with Z_l on
-every site l that has no field. The eigensolver splits H′ into the two
-sectors of P, pivoted on such a site, where they coincide and are solved
-once, and splits that block further on the other zero-field sites: m ≥ 1 of
-them give 2^(m-1) real blocks of dimension 2^(n-m), solved in one stacked
-call; with none the two half-size P sectors are solved. One rule places
-every block in the full basis: a placement turns a block column v into
-Σ_k c_k·(v on R_k). A shared block is placed twice, plainly on R and on R̄;
-a sector of P once, on R and R̄ with coefficients (1, ±1)/√2; a block of a
-matrix without P symmetry once, on its own rows. Gibbs states, ground
-mixtures and U(t) are assembled from block-size products per placement and
-rotated back by the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. None of them forms
-a full 2^n eigenvector matrix.
+every site l that has no field. H′ is split into the two sectors of P,
+pivoted on such a site, where they coincide and are solved once, and that
+block is split further on the other zero-field sites: m ≥ 1 of them give
+2^(m-1) real blocks of dimension 2^(n-m), solved in one stacked call; with
+none the two half-size P sectors are solved. One rule places every block in
+the full basis: a placement turns a block column v into Σ_k c_k·(v on R_k).
+A shared block is placed twice, plainly on R and on R̄; a sector of P once,
+on R and R̄ with coefficients (1, ±1)/√2. Gibbs states, ground mixtures and
+U(t) are assembled from block-size products per placement and rotated back
+by the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. None of them forms a full 2^n
+eigenvector matrix.
 
 Verdict thresholds used throughout the experiment runners:
 
@@ -43,7 +44,7 @@ Verdict thresholds used throughout the experiment runners:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -181,103 +182,71 @@ def _offsets(bits) -> np.ndarray:
     return out
 
 
-def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, split on its conserved bits.
+def spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
+    """Eigendecomposition of ``H``, read block by block from its terms,
+    solved on first use and cached on ``H``.
 
-    One pass over the nonzero entries checks Hermiticity, tests P M P = M
-    for the spin flip P = ∏X_i (which reverses the basis index) and finds
-    the conserved bits: those that no nonzero entry flips, each a conserved
-    Z_l. Matrices with exactly zero imaginary part take the real-symmetric
-    LAPACK path. All blocks have one dimension and go to LAPACK in one
-    stacked call.
-
-    With P M P = M the matrix is split into P sectors: with R the rows
-    whose pivot bit is 0, M_± = M[R, R] ± M[R, R̄]. The pivot is a conserved
-    bit if there is one; then M[R, R̄] = 0, the two sectors coincide and
-    are solved once, split further on the other conserved bits: m ≥ 1
-    conserved bits give 2^(m-1) blocks of dimension 2^(n-m), each placed on
-    R and on R̄. Without one the pivot is the top bit and the two half-size
-    sectors differ, each placed on R and R̄ with coefficients (1, ±1)/√2. A
-    matrix without P symmetry is split into one block per value of its m
-    conserved bits, each placed on its own rows.
+    Per site, the X and Y coefficients a, b are summed; the field is turned
+    onto x with strength r = hypot(a, b) and phase φ = atan2(b, a), or r = a
+    where b = 0, and the phases d come back on the decomposition. Sites with
+    r = 0 conserve their Z. The pivot is the first of them, else site 0;
+    the rows R of a block share the pivot bit 0 and one pattern of the other
+    conserved bits, and run over the remaining bits. A block holds the ZZ
+    energies on its diagonal and r_i wherever site i flips. With m ≥ 1
+    conserved sites each block is placed on R and on R̄; with none the
+    pivot's field couples R to R̄ as r_0 times the anti-identity J, and the
+    sectors block ± r_0·J are placed on (R, R̄) with (1, ±1)/√2. All blocks
+    share one dimension and go to LAPACK in one stacked call.
     """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise SizeMismatchError(f"expected a square matrix, got {matrix.shape}")
-    n_sites = int(matrix.shape[0]).bit_length() - 1
-    if (1 << n_sites) != matrix.shape[0]:
-        raise SizeMismatchError(f"dimension {matrix.shape[0]} is not a power of two")
-    check_dense_cap(n_sites)
-    r, c = np.nonzero(matrix)
-    entries = matrix[r, c]
-    scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
-    skew = float(np.abs(entries - matrix[c, r].conj()).max(initial=0.0))
-    if skew > _HERMITICITY_TOL * scale:
-        raise NotHermitianError("matrix is not Hermitian")
-    if np.iscomplexobj(matrix) and not np.any(entries.imag):
-        matrix, entries = matrix.real, entries.real
-    top = matrix.shape[0] - 1
-    flipped = int(np.bitwise_or.reduce(r ^ c, initial=0))
-    bits = [1 << k for k in reversed(range(n_sites))]  # most significant first
-    conserved = [b for b in bits if not flipped & b]
-    mirrored = n_sites > 0 and np.array_equal(matrix[top - r, top - c], entries)
-    pivot = (conserved + bits)[0] if mirrored else 0
-    split = [b for b in conserved if b != pivot]
-    free = [b for b in bits if b not in conserved and b != pivot]
-    rows = _offsets(split)[:, None] + _offsets(free)
-    stack = matrix[rows[:, :, None], rows[:, None, :]]
-    if not mirrored:
-        placements = [(b, at[None], (1.0,)) for b, at in enumerate(rows)]
+    if H._spectrum is not None:
+        return H._spectrum
+    n = H.n_sites
+    check_dense_cap(n)
+    x, y, zz = [0.0] * n, [0.0] * n, []
+    for c, p in H.terms:
+        sup = p.support()
+        if len(sup) == 2:
+            zz.append((c, *sup))
+        else:
+            (x if p.letters[sup[0]] == "X" else y)[sup[0]] += c
+    r = [math.hypot(xi, yi) if yi != 0.0 else xi for xi, yi in zip(x, y)]
+    conserved = [i for i in range(n) if r[i] == 0.0]
+    pivot = (conserved + [0])[0]
+    free = [i for i in range(n) if r[i] != 0.0 and i != pivot]
+    bit = [1 << (n - 1 - i) for i in range(n)]
+    rows = (_offsets([bit[i] for i in conserved if i != pivot])[:, None]
+            + _offsets([bit[i] for i in free]))
+    diag = np.zeros(rows.shape)
+    for c, i, j in zz:  # Z_i Z_j is -1 where the two bits differ
+        diag += c * (1.0 - 2.0 * (((rows >> (n - 1 - i)) ^ (rows >> (n - 1 - j))) & 1))
+    d = rows.shape[1]
+    a = np.arange(d)
+    stack = np.zeros((len(rows), d, d))
+    stack[:, a, a] = diag
+    for k, i in enumerate(free):
+        stack[:, a, a ^ (1 << (len(free) - 1 - k))] = r[i]
+    top = (1 << n) - 1
+    if not n:  # no sites: one basis state, energy 0
+        placements = [(0, rows, (1.0,))]
     elif conserved:
         placements = [(b, at[None], (1.0,))
-                      for b, r in enumerate(rows) for at in (r, top - r)]
+                      for b, row in enumerate(rows) for at in (row, top - row)]
     else:
-        cross = matrix[rows[:, :, None], top - rows[:, None, :]]
+        cross = np.zeros((d, d))
+        cross[a, d - 1 - a] = r[0]
         stack = np.concatenate([stack + cross, stack - cross])
         both, c = np.concatenate([rows, top - rows]), math.sqrt(0.5)
         placements = [(0, both, (c, c)), (1, both, (c, -c))]
+    phases = None
+    if any(y):
+        idx = np.arange(1 << n)
+        angle = np.zeros(1 << n)
+        for i in range(n):
+            if y[i] != 0.0:
+                angle += math.atan2(y[i], x[i]) * ((idx >> (n - 1 - i)) & 1)
+        phases = np.exp(1j * angle)
     w, v = np.linalg.eigh(stack)
-    return SpectralDecomposition(tuple(zip(w, v)), tuple(placements))
-
-
-def _rotate_y(H: HamiltonianTerms) -> tuple[HamiltonianTerms, np.ndarray | None]:
-    """H′ with every Y field turned onto X, and the phases d of H = d ⊙ H′ ⊙ d̄ᵀ.
-
-    a X_i + b Y_i = r D_i X_i D_i† with r = hypot(a, b), D_i = diag(1, e^{iφ})
-    and φ = atan2(b, a); d is the diagonal of ⊗ D_i. Sites without a Y field
-    keep their X coefficient and phase 1; without any Y field H′ is H.
-    """
-    if not H.has_y_terms():
-        return H, None
-    n = H.n_sites
-    fields: dict[int, list[float]] = {}
-    terms = []
-    for c, p in H.terms:
-        sup = p.support()
-        if len(sup) == 1:
-            fields.setdefault(sup[0], [0.0, 0.0])["XY".index(p.letters[sup[0]])] += c
-        else:
-            terms.append((c, p))
-    idx = np.arange(1 << n)
-    angle = np.zeros(1 << n)
-    for i, (a, b) in sorted(fields.items()):
-        if b != 0.0:
-            angle += math.atan2(b, a) * ((idx >> (n - 1 - i)) & 1)
-        terms.append((math.hypot(a, b) if b != 0.0 else a, PauliString.single(n, i, "X")))
-    return HamiltonianTerms(n, tuple(terms)), np.exp(1j * angle)
-
-
-def _spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
-    """Eigendecomposition of ``H``, solved on first use and cached on ``H``.
-
-    Y fields are rotated away first (:func:`_rotate_y`), so the matrix solved
-    is real and commutes with the spin flip and with Z_l on every zero-field
-    site l: :func:`eig_hermitian` splits it into real blocks on those
-    charges, and the rotation comes back as the decomposition's phases.
-    """
-    if H._spectrum is None:
-        rotated, phases = _rotate_y(H)
-        H._spectrum = replace(eig_hermitian(rotated.to_dense()), phases=phases)
+    H._spectrum = SpectralDecomposition(tuple(zip(w, v)), tuple(placements), phases)
     return H._spectrum
 
 
@@ -360,7 +329,7 @@ def gibbs(H: HamiltonianTerms, beta: float, site_labels=None) -> DensityMatrix:
     """
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and non-negative, got {beta}")
-    dec = _spectrum(H)
+    dec = spectrum(H)
     rho = dec.function(_weights(dec, beta)[0])
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(rho, _default_labels(H.n_sites, site_labels))
@@ -374,7 +343,7 @@ def ground_state_density(H: HamiltonianTerms, degeneracy_tol: float = 1e-9,
     to the spectral span, belong to the ground space; its dimension is
     reported on the result's ``degeneracy`` field.
     """
-    dec = _spectrum(H)
+    dec = spectrum(H)
     f, d = _weights(dec, math.inf, degeneracy_tol)
     rho = dec.function(f)
     rho = (rho + rho.conj().T) / 2.0
@@ -447,7 +416,7 @@ def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.nd
     The phases d = ⊗ D_i of the y-field rotation are a product over sites,
     so they pass through the trace and are applied to the pieces last.
     """
-    dec = _spectrum(H)
+    dec = spectrum(H)
     n = H.n_sites
     keep, by = _sites(keep, n, "keep"), _sites(by, n, "by")
     traced = [i for i in range(n) if i not in keep]

@@ -1,9 +1,12 @@
 """Each Hamiltonian is diagonalized once, whatever reads its spectrum.
 
-``shieldlab.thermal.eig_hermitian`` is the only eigensolver call for
-Hamiltonians; a counting wrapper around it shows how many distinct solves a
-computation needs. Counting wrappers around ``SpectralDecomposition.function``
-and ``DensityMatrix`` show which states a verdict forms.
+``shieldlab.thermal.spectrum`` solves every Hamiltonian in one stacked
+``np.linalg.eigh`` call; a counting wrapper around ``np.linalg.eigh`` shows
+how many distinct solves a computation needs and the block stacks it hands
+to LAPACK. Counting wrappers around ``SpectralDecomposition.function`` and
+``DensityMatrix`` show which states a verdict forms, and a
+``HamiltonianTerms.to_dense`` that raises shows that no solve builds a
+dense Hamiltonian.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 import shieldlab.thermal as thermal
 from shieldlab import (
     DensityMatrix,
+    HamiltonianTerms,
     PauliString,
     ShieldlabError,
     build_hamiltonian,
@@ -19,6 +23,7 @@ from shieldlab import (
     ground_state_density,
     make_chain,
     run_conjecture,
+    run_counterexample,
     run_quench_experiment,
     run_verify_shielding,
     shielded_dynamics_check,
@@ -32,15 +37,16 @@ from test_experiments import chain_config, lattice_json, shipped_config, triangl
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    calls = []
-    original = thermal.eig_hermitian
+    """The shape of every stack handed to ``np.linalg.eigh``, one per call."""
+    shapes = []
+    original = np.linalg.eigh
 
-    def counted(matrix):
-        calls.append(np.asarray(matrix).shape[0])
-        return original(matrix)
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(thermal, "eig_hermitian", counted)
-    return calls
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
 
 
 @pytest.fixture
@@ -65,24 +71,17 @@ def state_dims(monkeypatch):
     return dims
 
 
-@pytest.fixture
-def lapack_shapes(monkeypatch):
-    shapes = []
-    original = np.linalg.eigh
-
-    def recorded(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
-    return shapes
-
-
 def shielded_chain(n=6, L=3):
     h = [0.6] * n
     h[L] = 0.0
     lat = make_chain(n, [1.0, -0.7, 1.3, 0.4, -1.1][: n - 1], h)
     return lat, validate_split(lat, range(L + 1), range(L, n))
+
+
+def short_quench():
+    lat, _ = shielded_chain()
+    return {"pre": lattice_json(lat), "quench_site": 0, "quench_h": -2.0,
+            "times": {"start": 0.0, "stop": 1.0, "step": 0.25}}
 
 
 def test_verify_shielding_solves_each_trial_once_plus_the_shielded_side(eig_calls):
@@ -115,21 +114,14 @@ def test_gibbs_states_and_ground_state_share_one_solve(eig_calls):
 
 
 def test_quench_runner_solves_pre_and_post_once(eig_calls):
-    lat, _ = shielded_chain()
-    cfg = {
-        "pre": lattice_json(lat),
-        "quench_site": 0,
-        "quench_h": -2.0,
-        "times": {"start": 0.0, "stop": 1.0, "step": 0.25},
-    }
-    assert len(run_quench_experiment(cfg).rows) == 5 * 6
-    assert eig_calls == [64, 64]
+    assert len(run_quench_experiment(short_quench()).rows) == 5 * 6
+    # one zero-field site: each 64-dim H is one real block of 32
+    assert eig_calls == [(1, 32, 32)] * 2
 
 
 def test_config_with_an_unread_key_solves_nothing(eig_calls):
-    lat, _ = shielded_chain()
-    quench = {"pre": lattice_json(lat), "quench_site": 0, "quench_h": -2.0,
-              "times": {"start": 0.0, "stop": 1.0, "step": 0.25, "num": 5}}
+    quench = short_quench()
+    quench["times"]["num"] = 5
     conjecture = triangle_config("ground")
     conjecture["split"]["Z"] = [0]
     for run, cfg in ((run_verify_shielding, chain_config(trails=2)),
@@ -140,20 +132,18 @@ def test_config_with_an_unread_key_solves_nothing(eig_calls):
     assert eig_calls == []
 
 
-def test_conjecture_patch_trial_is_four_blocks_of_128(eig_calls, lapack_shapes):
+def test_conjecture_patch_trial_is_four_blocks_of_128(eig_calls):
     # 10 sites, three zero-field interface sites: 2^(3-1) blocks of 2^(10-3)
     run_conjecture(shipped_config("conjecture_patch10", trials=3))
-    assert eig_calls == [1024] * 3
-    assert lapack_shapes == [(4, 128, 128)] * 3
+    assert eig_calls == [(4, 128, 128)] * 3
 
 
-def test_control_without_zero_field_site_solves_two_half_blocks(eig_calls, lapack_shapes):
+def test_control_without_zero_field_site_solves_two_half_blocks(eig_calls):
     # the interface field leaves the full 6-site H no zero-field site, so it
     # is solved in its two spin-flip sectors; split_hamiltonian charges that
     # field to H_X, so the shielded 4-site side keeps one and is one block
     run_verify_shielding(shipped_config("verify_shielding_control", trials=2))
-    assert eig_calls == [16, 64, 64]
-    assert lapack_shapes == [(1, 8, 8), (2, 32, 32), (2, 32, 32)]
+    assert eig_calls == [(1, 8, 8), (2, 32, 32), (2, 32, 32)]
 
 
 @pytest.mark.parametrize("run, name, n_sites", [
@@ -166,3 +156,27 @@ def test_verdicts_form_no_full_lattice_state(state_dims, run, name, n_sites):
     # on A (conjecture) or on Y (verify-shielding), never on all n sites
     run(shipped_config(name, trials=2))
     assert state_dims and max(state_dims) < 2 ** n_sites
+
+
+def test_counterexample_solves_each_diamond_once(eig_calls):
+    # every beta reads the one spectrum of each h1's diamond
+    cfg = {"h4": 1.0, "betas": [1.0, 4.0], "h1_grid": [0.0, 0.5, 1.5]}
+    assert len(run_counterexample(cfg).rows) == 2 * 3
+    assert len(eig_calls) == 3
+
+
+@pytest.mark.parametrize("run, cfg", [
+    (run_conjecture, lambda: shipped_config("conjecture_patch10", trials=2)),
+    (run_verify_shielding, lambda: shipped_config("verify_shielding_chain", trials=2)),
+    (run_verify_shielding, lambda: shipped_config("verify_shielding_control", trials=2)),
+    (run_counterexample, lambda: shipped_config("counterexample")),
+    (run_quench_experiment, short_quench),
+], ids=["conjecture_patch10", "verify_shielding_chain", "verify_shielding_control",
+        "counterexample", "quench"])
+def test_no_solve_builds_a_dense_hamiltonian(monkeypatch, run, cfg):
+    # the blocks are read from the terms; to_dense is left to the oracles
+    def no_dense(self):
+        raise AssertionError("HamiltonianTerms.to_dense called")
+
+    monkeypatch.setattr(HamiltonianTerms, "to_dense", no_dense)
+    assert run(cfg()).rows

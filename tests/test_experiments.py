@@ -28,6 +28,7 @@ from shieldlab import (
     run_verify_shielding,
     thermal_state,
     update_parameters,
+    validate_lattice,
 )
 from shieldlab.tables import format_cell
 
@@ -171,6 +172,8 @@ class TestVerifyShielding:
         ({"betas": [-1.0]}, r"betas\[0\]"),
         ({"seed": -1}, "seed"),
         ({"interface_field": "0.3"}, "interface_field"),
+        ({"interface_field": 0.3, "split": {"X": [0, 1, 2], "Y": [1, 2, 3]}},
+         r"^split: .*single-site interface, got \|S\|=2"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         with pytest.raises(ShieldlabError, match=key):
@@ -438,6 +441,12 @@ class TestQuenchRunner:
         ({"observables": ["+ X1 X1"]}, r"observables\[0\]: site 1 assigned twice"),
         ({"observables": ["+ X6"]}, r"observables\[0\]: site 6 outside"),
         ({"observables": ["+ X4", "+ Z4 Z5"]}, r"observables\[1\]: shares its site"),
+        ({"times": [1.0, 0.5]}, r"^times: must be non-negative and ascending"),
+        ({"times": {"start": -0.5, "stop": 1.0, "step": 0.5}},
+         r"^times: must be non-negative and ascending"),
+        ({"post": lattice_json(validate_lattice(
+            6, [(i, i + 1, 1.0) for i in range(5)] + [(0, 5, 1.0)], [0.5] * 6))},
+         r"^post: pre and post lattices differ in edge set"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         with pytest.raises(ShieldlabError, match=key):
@@ -517,6 +526,11 @@ class TestDualCheckRunner:
         ({"J_range": [1, 2, 3]}, "J_range"),
         ({"h_range": [-1.0]}, "h_range"),
         ({"trails": 0}, "'trails'"),
+        ({"chain": lattice_json(make_triangular_patch([2, 3])[0])},
+         r"^chain: lattice is not an open nearest-neighbor chain"),
+        ({"chain": lattice_json(validate_lattice(3, [(0, 1, 1.0), (1, 2, 1.0)], [0.2] * 3,
+                                                 [0.0, 0.1, 0.0]))},
+         r"^chain: dual construction requires g ≡ 0"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         with pytest.raises(ShieldlabError, match=key):

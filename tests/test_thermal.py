@@ -14,7 +14,6 @@ from shieldlab import (
     PauliString,
     SizeMismatchError,
     build_hamiltonian,
-    eig_hermitian,
     expectation,
     gibbs,
     ground_state_density,
@@ -22,6 +21,7 @@ from shieldlab import (
     make_diamond,
     partial_trace,
     shielding_report,
+    spectrum,
     thermal_state,
     trace_distance,
     update_parameters,
@@ -143,14 +143,8 @@ def dense_ground(H):
 
 
 class TestEig:
-    def test_z_spectrum(self):
-        H = HamiltonianTerms(1, ())
-        dec = eig_hermitian(PauliString("Z").to_dense())
-        assert np.allclose(dec.eigenvalues, [-1, 1])
-        del H
-
     def test_minus_x_ground_vector(self):
-        dec = eig_hermitian(-PauliString("X").to_dense())
+        dec = spectrum(HamiltonianTerms(1, ((-1.0, PauliString("X")),)))
         assert np.allclose(dec.eigenvalues, [-1, 1])
         ground = eigenvector_columns(dec)[:, 0]
         target = np.array([1, 1]) / math.sqrt(2)
@@ -162,35 +156,31 @@ class TestEig:
             3, [(0, 1, 1.2), (1, 2, -0.7), (0, 2, 0.4)],
             rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3),
         )
-        H = build_hamiltonian(lat).to_dense()
-        dec = eig_hermitian(H)
+        H = build_hamiltonian(lat)
+        dec = spectrum(H)
         v = eigenvector_columns(dec)
-        assert np.abs((v * dec.eigenvalues) @ v.conj().T - H).max() < 1e-10
+        assert np.abs((v * dec.eigenvalues) @ v.conj().T - H.to_dense()).max() < 1e-10
         assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-10
 
-    @pytest.mark.parametrize("reversal_symmetric", [True, False])
-    def test_reconstructs_with_and_without_reversal_symmetry(self, reversal_symmetric):
-        rng = np.random.default_rng(43)
-        for dtype in (float, complex):
-            a = rng.normal(size=(16, 16)).astype(dtype)
-            if dtype is complex:
-                a += 1j * rng.normal(size=(16, 16))
-            m = a + a.conj().T
-            if reversal_symmetric:
-                m = m + m[::-1, ::-1]
-            dec = eig_hermitian(m)
-            assert len(dec.blocks) == (2 if reversal_symmetric else 1)
+    def test_blocks_read_from_the_terms_rebuild_the_dense_matrix(self):
+        """f(w) = w gives back H itself: the blocks, their placements and the
+        y-field phases, all read from the terms, against the dense build."""
+        for lat in oracle_lattices(43):
+            H = build_hamiltonian(lat)
+            dec = spectrum(H)
             assert all(v.shape == (w.size, w.size) for w, v in dec.blocks)
-            assert np.abs(dec.function(lambda w: w) - m).max() < 1e-12
-            v = eigenvector_columns(dec)
-            assert np.abs((v * dec.eigenvalues) @ v.conj().T - m).max() < 1e-12
-            assert np.abs(v.conj().T @ v - np.eye(16)).max() < 1e-12
+            assert np.abs(dec.function(lambda w: w) - H.to_dense()).max() < 1e-12
+
+    def test_no_sites_is_one_state_of_energy_zero(self):
+        dec = spectrum(HamiltonianTerms(0, ()))
+        assert dec.dim == 1 and np.array_equal(dec.eigenvalues, [0.0])
+        assert np.array_equal(dec.function(lambda w: w + 1.0), [[1.0]])
 
     def test_y_fields_solve_as_two_real_sectors(self):
         rng = np.random.default_rng(47)
         for n in (1, 4, 7):
             H = build_hamiltonian(random_graph_lattice(rng, n, y_fields=True, n_zero=0))
-            dec = thermal._spectrum(H)
+            dec = spectrum(H)
             assert dec.phases is not None
             assert [v.shape for _, v in dec.blocks] == [(2 ** (n - 1),) * 2] * 2
             assert all(np.isrealobj(w) and np.isrealobj(v) for w, v in dec.blocks)
@@ -205,48 +195,22 @@ class TestEig:
         for y_fields in (False, True):
             for m in (1, 2, 3, 8):
                 H = build_hamiltonian(random_graph_lattice(rng, 8, y_fields, n_zero=m))
-                dec = thermal._spectrum(H)
+                dec = spectrum(H)
                 assert [v.shape for _, v in dec.blocks] == [(2 ** (8 - m),) * 2] * 2 ** (m - 1)
                 assert [(len(rows), coefs) for _, rows, coefs in dec.placements] == \
                     [(1, (1.0,))] * 2 ** m
                 assert np.abs(dec.eigenvalues - dense_spectrum(H)[0]).max() < 1e-12
 
-    @staticmethod
-    def conserving(rng, n, bits, dtype=float):
-        """Random Hermitian matrix with no entry that flips any of ``bits``."""
-        dim = 1 << n
-        a = rng.normal(size=(dim, dim)).astype(dtype)
-        if dtype is complex:
-            a += 1j * rng.normal(size=(dim, dim))
-        idx = np.arange(dim)
-        a[((idx[:, None] ^ idx[None, :]) & sum(bits)) != 0] = 0.0
-        return a + a.conj().T
-
-    def test_matrix_without_flip_symmetry_solves_every_sector(self):
-        rng = np.random.default_rng(67)
-        for dtype in (float, complex):
-            m = self.conserving(rng, 4, [2, 8], dtype)
-            assert not np.array_equal(m, m[::-1, ::-1])
-            dec = eig_hermitian(m)
-            assert [coefs for _, _, coefs in dec.placements] == [(1.0,)] * 4
-            assert [v.shape for _, v in dec.blocks] == [(4, 4)] * 4
-            rows = [r for _, (r,), _ in dec.placements]
-            assert sorted({int(r[0]) & 10 for r in rows}) == [0, 2, 8, 10]
-            assert all(len({int(i) & 10 for i in r}) == 1 for r in rows)
-            assert np.abs(dec.function(lambda w: w) - m).max() < 1e-12
-            assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(m)).max() < 1e-12
-            v = eigenvector_columns(dec)
-            assert np.abs((v * dec.eigenvalues) @ v.conj().T - m).max() < 1e-12
-
-    def test_tiny_entry_across_sectors_blocks_the_split(self):
-        rng = np.random.default_rng(71)
-        m = self.conserving(rng, 4, [4])
-        assert len(eig_hermitian(m).blocks) == 2
-        m[1, 5] = m[5, 1] = 1e-300  # rows 1 and 5 differ in bit 4
-        dec = eig_hermitian(m)
-        assert len(dec.blocks) == 1 and len(dec.placements) == 1
-        assert dec.placements[0][1].shape == (1, 16)
-        assert np.abs(dec.function(lambda w: w) - m).max() < 1e-12
+    def test_tiny_field_blocks_the_split(self):
+        # a field of 1e-300 is a field: its site's Z is not conserved, so the
+        # lattice has one zero-field site left, not two
+        lat = make_chain(4, [1.0, -0.5, 0.8], [0.6, 0.0, 0.0, 0.4])
+        assert len(spectrum(build_hamiltonian(lat)).blocks) == 2
+        H = build_hamiltonian(update_parameters(lat, h=[0.6, 0.0, 1e-300, 0.4]))
+        dec = spectrum(H)
+        assert [v.shape for _, v in dec.blocks] == [(8, 8)]
+        assert len(dec.placements) == 2
+        assert np.abs(dec.function(lambda w: w) - H.to_dense()).max() < 1e-12
 
     def test_placements_cover_the_basis(self):
         """Placement widths sum to the dimension; each basis row lies in
@@ -255,16 +219,10 @@ class TestEig:
         a block shared by two coinciding sectors is solved once and placed
         twice, on R and on R̄."""
         rng = np.random.default_rng(89)
-        cases = [(thermal._spectrum(build_hamiltonian(lat)),
-                  any(h == g == 0.0 for h, g in zip(lat.h, lat.g)))
-                 for lat in oracle_lattices(89)]
-        for bits in ([], [2], [2, 8]):
-            for dtype in (float, complex):
-                m = self.conserving(rng, 4, bits, dtype)
-                cases += [(eig_hermitian(m), False),
-                          (eig_hermitian(m + m[::-1, ::-1]), bool(bits))]
         c = math.sqrt(0.5)
-        for dec, shared in cases:
+        for lat in oracle_lattices(89):
+            dec = spectrum(build_hamiltonian(lat))
+            shared = any(h == g == 0.0 for h, g in zip(lat.h, lat.g))
             assert sum(rows.shape[1] for _, rows, _ in dec.placements) == dec.dim
             plain, sector = np.zeros((2, dec.dim), dtype=int)
             for _, rows, coefs in dec.placements:
@@ -281,18 +239,6 @@ class TestEig:
                 v = replace(dec, phases=phases).columns(lambda w: slice(None))
                 assert v.shape == (dec.dim,) * 2
                 assert np.abs(v.conj().T @ v - np.eye(dec.dim)).max() < 1e-12
-
-    def test_not_hermitian(self):
-        # each matrix has a nonzero entry whose transposed partner is 0
-        lone = np.diag(np.arange(8.0))
-        lone[2, 6] = 0.5
-        for m in (np.array([[0.0, 1.0], [0.0, 0.0]]), lone, lone.T.astype(complex)):
-            with pytest.raises(NotHermitianError):
-                eig_hermitian(m)
-
-    def test_bad_dimension(self):
-        with pytest.raises(SizeMismatchError):
-            eig_hermitian(np.eye(3))
 
 
 class TestGibbs:
@@ -444,7 +390,7 @@ class TestSectorOracle:
         once, and lift adds into its output rather than overwriting it."""
         rng = np.random.default_rng(61)
         for lat in oracle_lattices(61):
-            dec = thermal._spectrum(build_hamiltonian(lat))
+            dec = spectrum(build_hamiltonian(lat))
             x = rng.normal(size=(dec.dim, 2)) + 1j * rng.normal(size=(dec.dim, 2))
             out = x.copy()
             for p in range(len(dec.placements)):
