@@ -8,8 +8,10 @@ zero-field site, each block placed in the full basis once per eigenspace it
 stands for (see :mod:`shieldlab.thermal`): U(t) is assembled from
 block-size products, and quench states are projected onto each placement
 and evolved there with real eigenvectors, every time of a batch in one
-product. The headline identity: if H = H_X + H_Y with [H_X, H_Y] = 0 and an
-observable O is supported away from H_X, then
+product. A batch holds as many times as fit a fixed budget of full-basis
+entries, however small the blocks, and each observable is read once per
+batch, over all of its columns. The headline identity: if H = H_X + H_Y
+with [H_X, H_Y] = 0 and an observable O is supported away from H_X, then
 
     Tr(e^{-itH} rho e^{itH} O) = Tr(e^{-itH_Y} rho e^{itH_Y} O)
 
@@ -35,6 +37,8 @@ from .tables import ResultTable
 from .thermal import DensityMatrix, _dot, _ground_cut, expectation, spectrum
 
 _COMMUTATOR_TOL = 1e-12
+# full-basis entries of one time batch of evolved states in run_quench
+_BATCH_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,8 @@ class QuenchProtocol:
     ``pre`` fixes the initial Hamiltonian (whose ground-space mixture is the
     default initial state), ``post`` the Hamiltonian driving the evolution.
     Both must share the site count and edge pairs; only parameters change.
-    Errors name the field at fault (``post`` or ``times``).
+    Observables must be Hermitian, so a word with phase ±i is rejected.
+    Errors name the field at fault (``post``, ``times`` or ``observables[k]``).
     """
 
     pre: LatticeSpec
@@ -63,11 +68,15 @@ class QuenchProtocol:
         if any(t < 0 for t in times) or list(times) != sorted(times):
             raise ShieldlabError("must be non-negative and ascending", key="times")
         object.__setattr__(self, "times", times)
-        for obs in self.observables:
+        for k, obs in enumerate(self.observables):
             if obs.n_sites != self.pre.n_sites:
                 raise SizeMismatchError(
                     f"observable {obs.to_text()!r} does not match the lattice size"
                 )
+            if obs.phase_k % 2:
+                raise ShieldlabError(
+                    f"{obs.to_text()!r} has phase +i or -i, so its expectation is not real",
+                    key=f"observables[{k}]")
 
 
 def evolve(H: HamiltonianTerms, rho0: DensityMatrix, t: float) -> DensityMatrix:
@@ -117,6 +126,25 @@ def _observable_site(obs: PauliString) -> int:
     return sup[0] if sup else -1
 
 
+def _initial_states(protocol: QuenchProtocol,
+                    rho0: DensityMatrix | None) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted pure states (columns, weights) whose mixture is the initial state.
+
+    The pre-quench spectrum is solved here and released on return, so it
+    never shares memory with the post-quench one.
+    """
+    if rho0 is None:
+        pre = spectrum(build_hamiltonian(protocol.pre))
+        cut = _ground_cut(pre)
+        states = pre.columns(lambda w: w <= cut)
+        return states, np.full(states.shape[1], 1.0 / states.shape[1])
+    if rho0.n_sites != protocol.pre.n_sites:
+        raise SizeMismatchError("initial state does not match the lattice")
+    vals, vecs = np.linalg.eigh(rho0.matrix)
+    keep = vals > 1e-14
+    return vecs[:, keep], vals[keep]
+
+
 def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> ResultTable:
     """Evolve through a quench and tabulate (t, site, value) expectations.
 
@@ -124,35 +152,21 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
     pre-quench Hamiltonian; any caller-supplied state is used as-is. Rather
     than rotating the full density matrix at every time, the state is
     decomposed once into weighted pure states and projected once into each
-    block of the post-Hamiltonian's spectrum. There it is evolved as vectors,
-    for a batch of times in one real-by-complex product done as one real
-    product — identical expectations, far less work at the 12-site cap. Rows
-    are ordered by (t, site), with single-site observables labeled by their
-    site.
+    placement of the post-Hamiltonian's blocks. There it is evolved as
+    vectors, a batch of times in one real-by-complex product done as one
+    real product, and added into one full-basis array per batch. A batch
+    holds as many times as fit ``_BATCH_ENTRIES`` entries of that array
+    (at least one), however small the blocks. Each observable is then
+    applied once to the whole array and summed per column. Rows are ordered
+    by (t, site), with single-site observables labeled by their site.
     """
+    states, weights = _initial_states(protocol, rho0)
     post = spectrum(build_hamiltonian(protocol.post))
 
-    if rho0 is None:
-        pre = spectrum(build_hamiltonian(protocol.pre))
-        cut = _ground_cut(pre)
-        states = pre.columns(lambda w: w <= cut)
-        weights = np.full(states.shape[1], 1.0 / states.shape[1])
-    else:
-        if rho0.n_sites != protocol.pre.n_sites:
-            raise SizeMismatchError("initial state does not match the lattice")
-        vals, vecs = np.linalg.eigh(rho0.matrix)
-        keep = vals > 1e-14
-        states = vecs[:, keep]
-        weights = vals[keep]
-
-    # each placement of a post-quench block is projected onto once; its
-    # coordinates are evolved for a batch of times in one product, a batch
-    # whose full-basis array holds no more entries than one block's
-    # eigenvector matrix, and added onto its own rows of that array
     coords = [_dot(post.blocks[b][1].conj().T, post.project(p, states))
               for p, (b, _, _) in enumerate(post.placements)]
-    d, width = post.blocks[0][0].size, states.shape[1]
-    batch = max(1, d * d // (post.dim * width))
+    width = states.shape[1]
+    batch = max(1, _BATCH_ENTRIES // (post.dim * width))
     sites = [_observable_site(obs) for obs in protocol.observables]
     obs_order = np.argsort(np.array(sites), kind="stable")
 
@@ -163,15 +177,14 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
         evolved = np.zeros((post.dim, ts.size * width), dtype=complex)
         for p, ((b, _, _), c) in enumerate(zip(post.placements, coords)):
             w, v = post.blocks[b]
-            # columns ordered by (time, state), as the slices below read them
+            # columns ordered by (time, state), as the readout reshapes them
             phased = np.exp(-1j * np.outer(w, ts))[:, :, None] * c[:, None, :]
-            post.lift(p, _dot(v, phased.reshape(d, -1)), evolved)
+            post.lift(p, _dot(v, phased.reshape(w.size, -1)), evolved)
+        readouts = [np.sum(evolved.conj() * protocol.observables[i].apply(evolved), axis=0)
+                    .reshape(ts.size, width) for i in obs_order]
         for k, t in enumerate(ts):
-            state = evolved[:, k * width:(k + 1) * width]
-            for obs_idx in obs_order:
-                transformed = protocol.observables[obs_idx].apply(state)
-                vals = np.sum(state.conj() * transformed, axis=0)
-                value = float(np.real(np.sum(weights * vals)))
+            for obs_idx, vals in zip(obs_order, readouts):
+                value = float(np.real(np.sum(weights * vals[k])))
                 rows.append((float(t), sites[obs_idx], value))
     table = ResultTable(columns=("t", "site", "value"))
     table.rows = rows

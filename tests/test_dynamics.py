@@ -9,6 +9,7 @@ from shieldlab import (
     ObservableOutsideRegionError,
     PauliString,
     QuenchProtocol,
+    ShieldlabError,
     SizeMismatchError,
     build_hamiltonian,
     evolve,
@@ -146,6 +147,13 @@ class TestQuenchProtocol:
         with pytest.raises(SizeMismatchError):
             QuenchProtocol(pre, post, (0.0,), (PauliString.single(3, 0, "Z"),))
 
+    @pytest.mark.parametrize("text", ["+i X0", "-i Z1"])
+    def test_rejects_observable_with_imaginary_phase(self, text):
+        pre = make_chain(2, [1.0], [0.5, 0.5])
+        obs = (PauliString.single(2, 0, "Z"), PauliString.from_text(text, 2))
+        with pytest.raises(ShieldlabError, match=r"^observables\[1\]: .* has phase \+i or -i"):
+            QuenchProtocol(pre, pre, (0.0,), obs)
+
     def test_rejects_unsorted_times(self):
         pre = make_chain(2, [1.0], [0.5, 0.5])
         with pytest.raises(ValueError):
@@ -182,24 +190,100 @@ class TestRunQuench:
             return original(a, z)
 
         monkeypatch.setattr(dynamics, "_dot", recorded)
+        budget = 2000  # full-basis entries per batch, small enough to split the grid
+        monkeypatch.setattr(dynamics, "_BATCH_ENTRIES", budget)
         h = [0.6, 0.6, 0.0, 0.6, 0.6, 0.6]
         pre = make_chain(6, [1.0, -0.7, 1.3, 0.4, -1.1], h)
         post = make_chain(6, [1.0, -0.7, 1.3, 0.4, -1.1], [-2.0] + h[1:])
         obs = (PauliString.single(6, 5, "Z"),)
         times = tuple(np.arange(0.0, 20.0, 0.1))
         mixed = DensityMatrix(random_mixed_state(np.random.default_rng(5), 6), tuple(range(6)))
-        # one 32-dim block placed twice: the ground pair is evolved 8 times
-        # per product, within 32x32 entries; a full-rank state one time per
-        # product; one product per placement
-        for rho0, n_products in ((None, 2 * 25), (mixed, 2 * 200)):
+        # one 32-dim block placed twice in a 64-dim basis: the ground pair is
+        # evolved 2000 // (64 * 2) = 15 times per batch, 14 batches for 200
+        # times; a full-rank state exceeds the budget at one time, so one time
+        # per batch; one product per placement and batch
+        for rho0, n_products in ((None, 2 * 14), (mixed, 2 * 200)):
             products.clear()
             table = run_quench(QuenchProtocol(pre, post, times, obs), rho0=rho0)
             evolution = products[2:]  # after one projection per placement
             assert len(evolution) == n_products
-            assert rho0 is not None or all(z <= a for a, z in evolution)
+            # each product fills half of its batch's full-basis array
+            assert rho0 is not None or all(2 * z <= budget for _, z in evolution)
             tail = run_quench(QuenchProtocol(pre, post, times[-3:], obs), rho0=rho0)
             assert [r[2] for r in table.rows[-3:]] == pytest.approx(
                 [r[2] for r in tail.rows], abs=1e-12)
+
+    def test_many_small_blocks_evolve_in_one_batch(self, monkeypatch):
+        # 6 zero-field sites after the quench: 32 blocks of dimension 4, each
+        # placed twice; a short grid fits one batch, so each placement is
+        # projected onto once and evolved in one product
+        import shieldlab.dynamics as dynamics
+        from shieldlab import spectrum
+        products = []
+        original = dynamics._dot
+
+        def recorded(a, z):
+            products.append(z.shape)
+            return original(a, z)
+
+        monkeypatch.setattr(dynamics, "_dot", recorded)
+        n = 8
+        edges = [1.0, -0.7, 1.3, 0.4, -1.1, 0.9, -0.5]
+        pre = make_chain(n, edges, [0.6, 0.8, 0.0, 0.7, 0.5, 0.9, 0.4, 0.6])
+        post = make_chain(n, edges, [-2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7])
+        h_post = build_hamiltonian(post)
+        placements = len(spectrum(h_post).placements)
+        assert placements == 64
+        obs = tuple(PauliString.single(n, i, "XYZ"[i % 3]) for i in range(n))
+        times = tuple(np.arange(0.0, 3.0, 0.25))
+        table = run_quench(QuenchProtocol(pre, post, times, obs))
+        assert len(products) == 2 * placements
+        assert all(shape[1] == len(times) * 2 for shape in products[placements:])
+
+        rho0, _, _ = dense_ground(build_hamiltonian(pre))
+        w, v = dense_spectrum(h_post)
+        for (t, site, value) in table.rows:
+            u = (v * np.exp(-1j * w * t)) @ v.conj().T
+            ref = np.trace(u @ rho0 @ u.conj().T @ obs[site].to_dense()).real
+            assert value == pytest.approx(ref, abs=1e-12)
+
+    def test_each_observable_is_applied_once_per_batch(self, monkeypatch):
+        # the batched readout gives the same bytes as reading every (time,
+        # observable) on its own columns of the same evolved array
+        import shieldlab.dynamics as dynamics
+        calls = []
+        original = PauliString.apply
+
+        def recorded(self, psi):
+            calls.append((self, psi))
+            return original(self, psi)
+
+        monkeypatch.setattr(PauliString, "apply", recorded)
+        monkeypatch.setattr(dynamics, "_BATCH_ENTRIES", 64 * 2 * 4)  # 4 times per batch
+        n = 6
+        edges = [1.0, -0.7, 1.3, 0.4, -1.1]
+        pre = make_chain(n, edges, [0.6, 0.6, 0.0, 0.6, 0.6, 0.6])
+        post = make_chain(n, edges, [-2.0, 0.6, 0.0, 0.6, 0.6, 0.6])
+        obs = tuple(PauliString.single(n, i, "XYZ"[i % 3]) for i in (4, 0, 5, 2))
+        times = tuple(np.arange(0.0, 2.5, 0.25))  # 10 times: batches of 4, 4, 2
+        table = run_quench(QuenchProtocol(pre, post, times, obs))
+        assert len(calls) == len(obs) * 3
+
+        reference = []
+        batches = [psi for k, (_, psi) in enumerate(calls) if k % len(obs) == 0]
+        in_order = sorted(obs, key=lambda o: o.support()[0])
+        t_iter = iter(times)
+        width = 2  # the ground pair of the zero-field site
+        weights = np.full(width, 1.0 / width)
+        for evolved in batches:
+            for k in range(evolved.shape[1] // width):
+                t = next(t_iter)
+                state = evolved[:, k * width:(k + 1) * width]
+                for o in in_order:
+                    vals = np.sum(state.conj() * original(o, state), axis=0)
+                    reference.append(
+                        (float(t), o.support()[0], float(np.real(np.sum(weights * vals)))))
+        assert table.rows == reference
 
     def test_disturbance_stops_at_zero_field_site(self):
         n, L = 8, 3

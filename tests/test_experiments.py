@@ -656,6 +656,8 @@ class TestCli:
          "error: observables[0]: bad Pauli token 'Q1'"),
         ("quench", lambda cfg: cfg.update(observables=["+ X1 X1"]),
          "error: observables[0]: site 1 assigned twice"),
+        ("quench", lambda cfg: cfg.update(observables=["+ Z0", "+i X0"]),
+         "error: observables[1]: '+i X0' has phase +i or -i"),
         ("quench", lambda cfg: cfg["pre"]["edges"].append([1, 0, 2.0]),
          "error: pre.edges[2]: duplicate edge (0, 1)"),
         ("quench", lambda cfg: cfg.update(split={"X": [0, 1], "Y": [2]}),
