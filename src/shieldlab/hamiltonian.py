@@ -24,16 +24,17 @@ from .errors import (
     TermOutsideSplitError,
 )
 from .lattice import LatticeSpec, RegionSplit
-from .pauli import PauliString, check_dense_cap
+from .pauli import PauliString, _PHASES, _product, _signs, check_dense_cap
 
 Term = tuple[float, PauliString]
 
 
 def _term_shape(p: PauliString) -> str:
-    sup = p.support()
-    pattern = "".join(p.letters[i] for i in sup)
-    if pattern in ("X", "Y", "ZZ"):
-        return pattern
+    x, z, _ = p.xzk
+    if not x and z.bit_count() == 2:
+        return "ZZ"
+    if x.bit_count() == 1 and z in (0, x):
+        return "Y" if z else "X"
     raise ValueError(f"unsupported term shape {p.to_text()!r}")
 
 
@@ -82,39 +83,27 @@ class HamiltonianTerms:
     def to_dense(self) -> np.ndarray:
         """Dense matrix under the site-0-is-MSB convention.
 
-        Built by bit arithmetic: ZZ terms are diagonal in the computational
-        basis, X_i couples k <-> k^mask, Y_i does the same with ±i signs.
+        Built from each term's masks (x, z, k): ZZ terms (x = 0) are diagonal,
+        X_i and Y_i couple j <-> j ^ x, Y_i with the signs i (-1)**popcount(j & z).
         Real dtype when no Y term is present. No solve reads it: it is the
         oracle that the block spectrum is tested against and the direct side
         of the dual check.
         """
         if self._dense is None:
             check_dense_cap(self.n_sites)
-            n = self.n_sites
-            dim = 1 << n
+            dim = 1 << self.n_sites
             dtype = complex if self.has_y_terms() else float
             H = np.zeros((dim, dim), dtype=dtype)
             idx = np.arange(dim)
             diag = np.zeros(dim)
-            spin = {}  # site -> ±1 per basis index
-
-            def spins(i: int) -> np.ndarray:
-                if i not in spin:
-                    spin[i] = 1.0 - 2.0 * ((idx >> (n - 1 - i)) & 1)
-                return spin[i]
-
             for c, p in self.terms:
-                shape = _term_shape(p)
-                sup = p.support()
-                if shape == "ZZ":
-                    diag += c * spins(sup[0]) * spins(sup[1])
-                elif shape == "X":
-                    mask = 1 << (n - 1 - sup[0])
-                    H[idx, idx ^ mask] += c
-                else:  # Y: <k^m|Y_i|k> = i if bit was 0 else -i
-                    i = sup[0]
-                    mask = 1 << (n - 1 - i)
-                    H[idx, idx ^ mask] += c * (-1j) * spins(i)
+                x, z, k = p.xzk
+                if not x:
+                    diag += c * _signs(idx, z)
+                elif z:
+                    H[idx ^ x, idx] += c * _PHASES[k] * _signs(idx, z)
+                else:
+                    H[idx ^ x, idx] += c
             H[idx, idx] += diag
             self._dense = H
         return self._dense
@@ -218,31 +207,31 @@ def commutator_norm(A, B) -> float:
     """Max-entry magnitude of AB - BA.
 
     Operands are HamiltonianTerms, bare Pauli words, or iterables of
-    (coefficient, word) pairs. The commutator is collected word-by-word in
-    the Pauli algebra first, so terms that commute cancel exactly and a
-    vanishing commutator returns exactly 0.0. Entry (k ^ m, k) comes only
-    from surviving words with flip mask m, so they are summed per mask as
-    basis actions and no 2^n x 2^n matrix is formed.
+    (coefficient, word) pairs. The commutator is collected word by word,
+    keyed by the masks (x, z) of each product, so terms that commute cancel
+    exactly and a vanishing commutator returns exactly 0.0. Entry (j ^ x, j)
+    comes only from surviving words with flip mask x, so they are summed per
+    mask as basis actions and no 2^n x 2^n matrix is formed.
     """
     n_a, terms_a = _as_terms(A)
     n_b, terms_b = _as_terms(B)
     if n_a != n_b:
         raise SizeMismatchError("operands live on different numbers of sites")
     check_dense_cap(n_a)
-    acc: dict[str, complex] = {}
+    acc: dict[tuple[int, int], complex] = {}
     for a, p in terms_a:
         for b, q in terms_b:
-            pq = p * q
-            qp = q * p
-            acc[pq.letters] = acc.get(pq.letters, 0j) + a * b * pq.phase
-            acc[qp.letters] = acc.get(qp.letters, 0j) - a * b * qp.phase
+            x, z, k = _product(p.xzk, q.xzk)
+            acc[x, z] = acc.get((x, z), 0j) + a * b * _PHASES[k]
+            x, z, k = _product(q.xzk, p.xzk)
+            acc[x, z] = acc.get((x, z), 0j) - a * b * _PHASES[k]
     survivors = {w: c for w, c in acc.items() if c != 0}
     if not survivors:
         return 0.0
+    idx = np.arange(1 << n_a)
     by_mask: dict[int, np.ndarray] = {}
-    for word, c in survivors.items():
-        mask, coefs = PauliString(word).basis_action()
-        by_mask[mask] = by_mask.get(mask, 0) + c * coefs
+    for (x, z), c in survivors.items():
+        by_mask[x] = by_mask.get(x, 0) + c * _signs(idx, z)
     return max(float(np.abs(v).max()) for v in by_mask.values())
 
 
@@ -302,28 +291,36 @@ class DualChain:
         return tuple(tuple(c) for c in comps)
 
     def to_dense(self) -> np.ndarray:
-        """Dense matrix of the rewritten Hamiltonian (dual-variable form),
-        each dual word added through its basis action in O(2^n)."""
+        """Dense matrix of the rewritten Hamiltonian (dual-variable form): the
+        dual words' basis actions, read from their masks, are summed per flip
+        mask and each sum is scattered once (the mu_z words share mask 0).
+        Real dtype when every word is real (even k), as X and Z strings are."""
         check_dense_cap(self.n_sites)
         dim = 1 << self.n_sites
-        H = np.zeros((dim, dim), dtype=complex)
         idx = np.arange(dim)
-        words = [(J, self.mu_z(d)) for d, J in enumerate(self.dual_fields)]
-        words += [(h, self.mu_x(d) * self.mu_x(d + 1))
-                  for d, h in enumerate(self.dual_couplings)]
-        for c, p in words:
+        xs = [self.mu_x(d).xzk for d in range(self.n_dual_sites)]
+        words = [(J, self.mu_z(d).xzk) for d, J in enumerate(self.dual_fields)]
+        words += [(h, _product(xs[d], xs[d + 1])) for d, h in enumerate(self.dual_couplings)]
+        real = not any(k % 2 for _, (_, _, k) in words)
+        by_mask: dict[int, np.ndarray] = {}
+        for c, (x, z, k) in words:
             if c != 0.0:
-                mask, coefs = p.basis_action()
-                H[idx ^ mask, idx] -= c * coefs
+                acc = by_mask.setdefault(x, np.zeros(dim, dtype=float if real else complex))
+                acc -= c * ((_PHASES[k].real if real else _PHASES[k]) * _signs(idx, z))
+        H = np.zeros((dim, dim), dtype=float if real else complex)
+        for x, acc in by_mask.items():
+            H[idx ^ x, idx] = acc
         return H
 
 
 def dual_algebra_residual(dc: DualChain) -> float:
     """Worst violation of the dual operators' Pauli relations.
 
-    Checked exactly in the word algebra (so a clean dual chain returns
-    exactly 0.0): every operator squares to the identity, same-dual-site
-    z/x pairs anticommute, different-dual-site pairs commute. The boundary
+    Checked exactly on the masks (x, z, k), with no word products, so a clean
+    dual chain returns exactly 0.0 and a violation 2.0 (= |1 - (-1)|): every
+    operator squares to the identity ((i**k X**x Z**z)**2 = (-1)**(k +
+    popcount(x & z))), same-dual-site z/x pairs anticommute (popcount(x1 & z2)
+    + popcount(z1 & x2) is odd), different-dual-site pairs commute. The boundary
     alias ``mu_z(n)`` (= Z on the last original site, never used by the
     dual Hamiltonian) and the trivial ``mu_x(n)`` are excluded from the
     pair checks — the open boundary leaves them without independent
@@ -331,26 +328,21 @@ def dual_algebra_residual(dc: DualChain) -> float:
     """
     n = dc.n_sites
     worst = 0.0
-    ops: dict[tuple[str, int], PauliString] = {}
+    ops: dict[tuple[str, int], tuple[int, int, int]] = {}
     for d in range(n + 1):
-        ops[("z", d)] = dc.mu_z(d)
-        ops[("x", d)] = dc.mu_x(d)
-    for m in ops.values():
-        sq = m * m
-        worst = max(worst, abs(sq.phase - 1.0),
-                    0.0 if sq.is_identity_word else 1.0)
+        ops[("z", d)] = dc.mu_z(d).xzk
+        ops[("x", d)] = dc.mu_x(d).xzk
+    for x, z, k in ops.values():
+        worst = max(worst, 2.0 * ((k + (x & z).bit_count()) % 2))
     checked = [("z", d) for d in range(n)] + [("x", d) for d in range(n + 1)]
     for i, key_a in enumerate(checked):
         for key_b in checked[i + 1:]:
-            a, b = ops[key_a], ops[key_b]
-            ab, ba = a * b, b * a
             same_site = key_a[1] == key_b[1] and key_a[0] != key_b[0]
             if same_site and key_a[1] == n:
                 continue  # mu_x(n) is the empty word
-            if same_site:
-                worst = max(worst, abs(ab.phase + ba.phase))
-            else:
-                worst = max(worst, abs(ab.phase - ba.phase))
+            (xa, za, _), (xb, zb, _) = ops[key_a], ops[key_b]
+            anti = ((xa & zb).bit_count() + (za & xb).bit_count()) % 2 == 1
+            worst = max(worst, 2.0 * (anti != same_site))
     return worst
 
 

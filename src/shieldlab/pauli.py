@@ -7,6 +7,11 @@ Conventions fixed here and used repo-wide:
   ``(k >> (n - 1 - i)) & 1`` (0 = spin up, +1 eigenvalue of Z).
 * Phases are restricted to the fourth roots of unity ``i**k``; arbitrary
   complex weights live only on dense matrices.
+* Every word is also held as bit masks ``(x, z, k)`` meaning
+  ``i**k X**x Z**z``: bit ``n - 1 - i`` of ``x`` (of ``z``) is set when site
+  ``i`` carries X or Y (Z or Y), and Y = iXZ, so each Y adds 1 to ``k``.
+  Products, basis actions and commutation tests read only these masks
+  (Aaronson & Gottesman, Phys. Rev. A 70, 052328 (2004)).
 * Dense realizations are refused above ``dense_cap()`` sites (default 12,
   dimension 4096); the ``SHIELDLAB_DENSE_CAP`` environment variable may
   lower (never raise) the cap.
@@ -14,8 +19,9 @@ Conventions fixed here and used repo-wide:
 
 from __future__ import annotations
 
+import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,16 +32,11 @@ LETTERS = "IXYZ"
 #: hard ceiling for dense matrices; 2^12 = 4096, ~268 MB per complex matrix
 DENSE_SITE_CAP = 12
 
-# product table: (a, b) -> (c, k) meaning  a . b = i**k . c   (single site)
-_MUL = {
-    ("I", "I"): ("I", 0), ("I", "X"): ("X", 0), ("I", "Y"): ("Y", 0), ("I", "Z"): ("Z", 0),
-    ("X", "I"): ("X", 0), ("X", "X"): ("I", 0), ("X", "Y"): ("Z", 1), ("X", "Z"): ("Y", 3),
-    ("Y", "I"): ("Y", 0), ("Y", "X"): ("Z", 3), ("Y", "Y"): ("I", 0), ("Y", "Z"): ("X", 1),
-    ("Z", "I"): ("Z", 0), ("Z", "X"): ("Y", 1), ("Z", "Y"): ("X", 3), ("Z", "Z"): ("I", 0),
-}
-
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _PHASE_TEXT = ("+", "+i", "-", "-i")
+_SIGN = np.array([1.0, -1.0])
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 def dense_cap() -> int:
@@ -70,16 +71,27 @@ class PauliString:
     """A word over {I, X, Y, Z} with a fourth-root-of-unity phase.
 
     ``letters[i]`` is the letter on site ``i``; ``phase_k`` encodes the
-    scalar ``i**phase_k``.
+    scalar ``i**phase_k``. ``xzk`` holds the same word as the masks
+    ``(x, z, k)`` of ``i**k X**x Z**z`` (see the module docstring).
     """
 
     letters: str
     phase_k: int = 0
+    xzk: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(c not in LETTERS for c in self.letters):
+        if not set(self.letters) <= set(LETTERS):
             raise ValueError(f"invalid Pauli letters {self.letters!r}")
-        object.__setattr__(self, "phase_k", self.phase_k % 4)
+        try:
+            k = operator.index(self.phase_k) % 4
+        except TypeError:
+            raise ValueError(f"phase_k must be an integer, got {self.phase_k!r}") from None
+        object.__setattr__(self, "phase_k", k)
+        object.__setattr__(self, "xzk", (
+            int("0" + self.letters.translate(_X_BITS), 2),
+            int("0" + self.letters.translate(_Z_BITS), 2),
+            (k + self.letters.count("Y")) % 4,
+        ))
 
     # -- constructors ---------------------------------------------------
 
@@ -117,7 +129,7 @@ class PauliString:
 
     @property
     def is_identity_word(self) -> bool:
-        return set(self.letters) <= {"I"}
+        return not (self.xzk[0] | self.xzk[1])
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.letters) if c != "I")
@@ -137,13 +149,10 @@ class PauliString:
             raise SizeMismatchError(
                 f"cannot multiply words on {self.n_sites} and {other.n_sites} sites"
             )
-        k = self.phase_k + other.phase_k
-        out = []
-        for a, b in zip(self.letters, other.letters):
-            c, dk = _MUL[(a, b)]
-            out.append(c)
-            k += dk
-        return PauliString("".join(out), k)
+        x, z, k = _product(self.xzk, other.xzk)
+        letters = "".join("IZXY"[2 * (x >> b & 1) + (z >> b & 1)]
+                          for b in range(self.n_sites - 1, -1, -1))
+        return PauliString(letters, k - (x & z).bit_count())
 
     def left_parity(self) -> int:
         """Number of sites carrying Z or Y, mod 2.
@@ -151,7 +160,7 @@ class PauliString:
         Products of generators drawn from {Z_i Z_j, X_i} preserve this
         parity: each factor flips the Z/Y character of zero or two sites.
         """
-        return sum(1 for c in self.letters if c in "ZY") % 2
+        return self.xzk[1].bit_count() % 2
 
     def trace(self) -> complex:
         """Exact trace: ``2**n * phase`` for the identity word, else 0."""
@@ -170,25 +179,13 @@ class PauliString:
     def basis_action(self) -> tuple[int, np.ndarray]:
         """Action on computational basis states, without the dense matrix.
 
-        Returns ``(mask, coefs)`` such that P|k> = coefs[k] |k ^ mask>:
-        X and Y letters contribute bit flips to ``mask``; Z and Y letters
-        contribute signs, and each Y one factor of i. Lets dim-sized vectors
-        be transformed in O(dim) instead of O(dim**2).
+        Returns ``(mask, coefs)`` such that P|j> = coefs[j] |j ^ mask>: with
+        P = i**k X**x Z**z, the mask is x and coefs[j] = i**k (-1)**popcount(j & z).
+        Lets dim-sized vectors be transformed in O(dim) instead of O(dim**2).
         """
         check_dense_cap(self.n_sites)
-        n = self.n_sites
-        mask = 0
-        coefs = np.full(1 << n, self.phase, dtype=complex)
-        idx = np.arange(1 << n)
-        for i, c in enumerate(self.letters):
-            bit = 1 << (n - 1 - i)
-            if c in "XY":
-                mask |= bit
-            if c in "ZY":
-                coefs = coefs * (1.0 - 2.0 * ((idx & bit) != 0))
-            if c == "Y":
-                coefs = coefs * 1j
-        return mask, coefs
+        x, z, k = self.xzk
+        return x, _PHASES[k] * _signs(np.arange(1 << self.n_sites), z)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """P @ psi for a state vector (or a stack of column vectors)."""
@@ -228,3 +225,21 @@ class PauliString:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PauliString({self.to_text()!r})"
+
+
+def _product(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Masks (x, z, k) of the product of two words given by their masks:
+    moving X**x2 left past Z**z1 costs (-1)**popcount(z1 & x2)."""
+    (x1, z1, k1), (x2, z2, k2) = a, b
+    return x1 ^ x2, z1 ^ z2, (k1 + k2 + 2 * (z1 & x2).bit_count()) % 4
+
+
+def _signs(idx: np.ndarray, z: int) -> np.ndarray:
+    """(-1)**popcount(j & z) for every index j of ``idx``, in one pass over
+    the set bits of z."""
+    parity = np.zeros(idx.shape, dtype=idx.dtype)
+    while z:
+        b = z.bit_length() - 1
+        parity ^= idx >> b
+        z ^= 1 << b
+    return _SIGN[parity & 1]

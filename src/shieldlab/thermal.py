@@ -56,7 +56,7 @@ from .errors import (
 )
 from .hamiltonian import HamiltonianTerms, build_hamiltonian, split_hamiltonian
 from .lattice import LatticeSpec, RegionSplit
-from .pauli import PauliString, check_dense_cap
+from .pauli import PauliString, _signs, check_dense_cap
 
 SHIELDING_PASS_TOL = 1e-9
 SHIELDING_FAIL_TOL = 1e-3
@@ -204,11 +204,11 @@ def spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
     check_dense_cap(n)
     x, y, zz = [0.0] * n, [0.0] * n, []
     for c, p in H.terms:
-        sup = p.support()
-        if len(sup) == 2:
-            zz.append((c, *sup))
+        flip, sign, _ = p.xzk
+        if flip:
+            (y if sign else x)[n - flip.bit_length()] += c
         else:
-            (x if p.letters[sup[0]] == "X" else y)[sup[0]] += c
+            zz.append((c, sign))
     r = [math.hypot(xi, yi) if yi != 0.0 else xi for xi, yi in zip(x, y)]
     conserved = [i for i in range(n) if r[i] == 0.0]
     pivot = (conserved + [0])[0]
@@ -217,8 +217,8 @@ def spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
     rows = (_offsets([bit[i] for i in conserved if i != pivot])[:, None]
             + _offsets([bit[i] for i in free]))
     diag = np.zeros(rows.shape)
-    for c, i, j in zz:  # Z_i Z_j is -1 where the two bits differ
-        diag += c * (1.0 - 2.0 * (((rows >> (n - 1 - i)) ^ (rows >> (n - 1 - j))) & 1))
+    for c, sign in zz:
+        diag += c * _signs(rows, sign)
     d = rows.shape[1]
     a = np.arange(d)
     stack = np.zeros((len(rows), d, d))

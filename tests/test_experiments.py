@@ -35,6 +35,9 @@ from shieldlab.tables import format_cell
 from helpers import kron_terms, kron_word, sector_states_reference
 
 
+OVER_CAP = {"n_sites": 13, "index_base": 0, "edges": [], "h": [0.5] * 13}
+
+
 def lattice_json(lat):
     return {
         "n_sites": lat.n_sites,
@@ -174,6 +177,8 @@ class TestVerifyShielding:
         ({"interface_field": "0.3"}, "interface_field"),
         ({"interface_field": 0.3, "split": {"X": [0, 1, 2], "Y": [1, 2, 3]}},
          r"^split: .*single-site interface, got \|S\|=2"),
+        ({"lattice": OVER_CAP},
+         r"^lattice\.n_sites: dense realization of 13 sites exceeds the cap of 12"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         with pytest.raises(ShieldlabError, match=key):
@@ -377,6 +382,8 @@ class TestConjecture:
         ({"beta": "warm"}, "beta"),
         ({"beta": -1.0}, "beta"),
         ({"betas": [1.0]}, "'betas'"),
+        ({"lattice": OVER_CAP},
+         r"^lattice\.n_sites: dense realization of 13 sites exceeds the cap of 12"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         with pytest.raises(ShieldlabError, match=key):
@@ -447,6 +454,8 @@ class TestQuenchRunner:
         ({"post": lattice_json(validate_lattice(
             6, [(i, i + 1, 1.0) for i in range(5)] + [(0, 5, 1.0)], [0.5] * 6))},
          r"^post: pre and post lattices differ in edge set"),
+        ({"pre": OVER_CAP},
+         r"^pre\.n_sites: dense realization of 13 sites exceeds the cap of 12"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         with pytest.raises(ShieldlabError, match=key):
@@ -531,6 +540,9 @@ class TestDualCheckRunner:
         ({"chain": lattice_json(validate_lattice(3, [(0, 1, 1.0), (1, 2, 1.0)], [0.2] * 3,
                                                  [0.0, 0.1, 0.0]))},
          r"^chain: dual construction requires g ≡ 0"),
+        ({"n_sites": 13}, r"^n_sites: dense realization of 13 sites exceeds the cap of 12"),
+        ({"chain": OVER_CAP},
+         r"^chain\.n_sites: dense realization of 13 sites exceeds the cap of 12"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         with pytest.raises(ShieldlabError, match=key):
@@ -541,6 +553,20 @@ class TestDualCheckRunner:
         lat = make_chain(3, [2.0, 3.0], [0.1, 0.2, 0.3])
         with pytest.raises(ShieldlabError, match=f"'{key}'"):
             run_dual_check({"chain": lattice_json(lat), key: 1})
+
+    def test_dual_check_needs_no_word_products(self, monkeypatch):
+        # the dual words and their relations are read from bit masks, so a
+        # run builds no product word
+        cfg = shipped_config("dual_check")
+        expected = run_dual_check(cfg)
+
+        def no_products(self, other):
+            raise AssertionError("PauliString.__mul__ called")
+
+        monkeypatch.setattr(PauliString, "__mul__", no_products)
+        table = run_dual_check(cfg)
+        assert table.rows == expected.rows
+        assert table.metadata["verdict"] == expected.metadata["verdict"]
 
     def test_dense_builders_need_no_kron(self, monkeypatch):
         # every library builder of a dense word goes through its basis
@@ -673,6 +699,23 @@ class TestCli:
             "quench": {"pre": lattice_json(lat), "quench_site": 0, "quench_h": -1.0},
         }[experiment]
         edit(cfg)
+        proc = self.run_cli(tmp_path, experiment, cfg)
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("experiment, cfg, message", [
+        ("verify-shielding", {"lattice": OVER_CAP, "split": {"X": [0], "Y": [0]}},
+         "error: lattice.n_sites: dense realization of 13 sites exceeds the cap of 12"),
+        ("conjecture", {"lattice": OVER_CAP, "split": {"X": [0], "Y": [0]}},
+         "error: lattice.n_sites: dense realization of 13 sites exceeds the cap of 12"),
+        ("quench", {"pre": OVER_CAP, "quench_site": 0, "quench_h": 1.0},
+         "error: pre.n_sites: dense realization of 13 sites exceeds the cap of 12"),
+        ("dual-check", {"n_sites": 13},
+         "error: n_sites: dense realization of 13 sites exceeds the cap of 12"),
+    ])
+    def test_over_cap_lattice_exits_one_with_its_key(self, tmp_path, experiment, cfg,
+                                                     message):
         proc = self.run_cli(tmp_path, experiment, cfg)
         assert proc.returncode == 1
         assert message in proc.stderr

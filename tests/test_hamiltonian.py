@@ -20,7 +20,7 @@ from shieldlab import (
     validate_split,
 )
 
-from helpers import dense_reference, dual_reference, kron_terms
+from helpers import dense_reference, dual_reference, kron_terms, kron_word
 
 
 def random_lattice(rng, n, with_g=False):
@@ -277,6 +277,32 @@ class TestDualChain:
                     continue
                 z, x = dc.mu_z(c).to_dense(), dc.mu_x(d).to_dense()
                 assert np.abs(z @ x - x @ z).max() < 1e-14
+
+    def test_algebra_residual_catches_broken_operators(self):
+        class DroppedX(DualChain):  # mu_x(2) commutes with mu_z(2)
+            def mu_x(self, d):
+                word = super().mu_x(d)
+                if d != 2:
+                    return word
+                return PauliString(word.letters[:2] + "I" + word.letters[3:])
+
+        class PhasedZ(DualChain):  # every mu_z squares to -1
+            def mu_z(self, d):
+                return PauliString(super().mu_z(d).letters, 1)
+
+        dc = dual_chain(make_chain(5, [1.0, 0.5, 2.0, 0.8], [0.1, 0.2, 0.3, 0.4, 0.6]))
+        dropped, phased = (cls(dc.n_sites, dc.dual_couplings, dc.dual_fields)
+                           for cls in (DroppedX, PhasedZ))
+        assert dropped.mu_x(2) == PauliString("IIIXX")
+        assert dual_algebra_residual(dc) == 0.0
+        assert dual_algebra_residual(dropped) == 2.0
+        assert dual_algebra_residual(phased) == 2.0
+        # the dense dual side follows whatever words mu_z and mu_x return
+        for chain in (dc, dropped, phased):
+            words = [(J, kron_word(chain.mu_z(d))) for d, J in enumerate(chain.dual_fields)]
+            words += [(h, kron_word(chain.mu_x(d)) @ kron_word(chain.mu_x(d + 1)))
+                      for d, h in enumerate(chain.dual_couplings)]
+            assert np.array_equal(chain.to_dense(), -sum(c * m for c, m in words))
 
     def test_null_field_cuts_dual_graph(self):
         h = [0.5, 0.5, 0.0, 0.5, 0.5]

@@ -70,6 +70,60 @@ class TestMultiplication:
             assert (a * b) * c == a * (b * c)
 
 
+class TestPhaseExponent:
+    @pytest.mark.parametrize("phase_k", [1.5, "1", 2.0, None])
+    def test_non_integer_rejected_with_its_value(self, phase_k):
+        with pytest.raises(ValueError, match=f"phase_k must be an integer, got {phase_k!r}"):
+            PauliString("XY", phase_k)
+
+    def test_integer_types_reduced_mod_four(self):
+        assert PauliString("XY", np.int64(5)) == PauliString("XY", 1)
+        assert PauliString("XY", -1).phase_k == 3
+
+
+class TestMasksAgainstKron:
+    """The (x, z, k) algebra against matrices built only by helpers.kron_op
+    from each word's letters and phase exponent (never through basis_action)."""
+
+    @staticmethod
+    def check_word(p):
+        dense = kron_word(p)
+        n, dim = p.n_sites, 2 ** p.n_sites
+        # the convention: P = i**k X**x Z**z, site 0 on the top bit
+        x, z, k = p.xzk
+        flips = kron_op(n, {i: SX for i in range(n) if x >> (n - 1 - i) & 1})
+        signs = kron_op(n, {i: SZ for i in range(n) if z >> (n - 1 - i) & 1})
+        assert np.array_equal(dense, 1j ** k * flips @ signs), p
+        mask, coefs = p.basis_action()
+        j = np.arange(dim)
+        assert np.array_equal(dense[j ^ mask, j], coefs), p
+        assert np.count_nonzero(dense) == dim
+        # left parity 0 exactly when P commutes with the all-X string
+        x_all = kron_op(n, {i: SX for i in range(n)})
+        commutes = np.array_equal(dense @ x_all, x_all @ dense)
+        assert p.left_parity() == (0 if commutes else 1), p
+        assert p.is_identity_word == np.array_equal(dense, dense[0, 0] * np.eye(dim)), p
+
+    def test_every_single_site_pair_at_every_phase(self):
+        for a, b in product("IXYZ", repeat=2):
+            for ka, kb in product(range(4), repeat=2):
+                p, q = PauliString(a, ka), PauliString(b, kb)
+                assert np.array_equal(kron_word(p * q), kron_word(p) @ kron_word(q)), (p, q)
+                for word in (p, q, p * q):
+                    self.check_word(word)
+
+    def test_random_words_of_one_to_five_sites(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            p, q = (PauliString("".join(rng.choice(list("IXYZ"), size=n)),
+                                int(rng.integers(4))) for _ in range(2))
+            pq = p * q
+            assert np.array_equal(kron_word(pq), kron_word(p) @ kron_word(q)), (p, q)
+            for word in (p, q, pq):
+                self.check_word(word)
+
+
 class TestDense:
     def test_identity_word(self):
         assert np.array_equal(PauliString.identity(3).to_dense(), np.eye(8))
