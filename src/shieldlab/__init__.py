@@ -16,14 +16,12 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidSiteSetError,
     LengthMismatchError,
-    NonCommutingSplitError,
     NonConvergenceError,
     NonFiniteParameterError,
     NonzeroInterfaceFieldError,
     NotAChainError,
     NotACoverError,
     NotHermitianError,
-    ObservableOutsideRegionError,
     SelfEdgeError,
     ShieldlabError,
     SizeMismatchError,
@@ -72,12 +70,7 @@ from .closedform import (
     fourspin_series_plateau,
     fourspin_zero_temperature_limit,
 )
-from .dynamics import (
-    QuenchProtocol,
-    evolve,
-    run_quench,
-    shielded_dynamics_check,
-)
+from .dynamics import QuenchProtocol, run_quench
 from .tables import ResultTable, emit
 from .experiments import (
     RUNNERS,

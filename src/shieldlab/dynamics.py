@@ -1,42 +1,31 @@
-"""Exact unitary time evolution and the commuting-split dynamics identity.
+"""Exact quench dynamics, read from the post-quench spectrum.
 
-Evolution is spectral throughout (no Trotterization): with H = V diag(w) V†,
-U(t) = V exp(-i w t) V†, read from the spectrum cached on H, so every time
-step reuses one eigendecomposition. That spectrum is a set of real blocks of
-the Y-rotated Hamiltonian, split on the spin flip and on the Z of every
-zero-field site, each block placed in the full basis once per eigenspace it
-stands for (see :mod:`shieldlab.thermal`): U(t) is assembled from
-block-size products, and quench states are projected onto each placement
-and evolved there with real eigenvectors, every time of a batch in one
-product. A batch holds as many times as fit a fixed budget of full-basis
-entries, however small the blocks, and each observable is read once per
-batch, over all of its columns. The headline identity: if H = H_X + H_Y
-with [H_X, H_Y] = 0 and an observable O is supported away from H_X, then
-
-    Tr(e^{-itH} rho e^{itH} O) = Tr(e^{-itH_Y} rho e^{itH_Y} O)
-
-for every initial state rho — the expectation never feels H_X.
+Evolution is spectral throughout (no Trotterization): the post-quench
+Hamiltonian is solved once, as the real blocks of :mod:`shieldlab.thermal`
+(split on the spin flip and on the Z of every zero-field site, each placed
+in the full basis once per eigenspace it stands for), and every time step
+reads that one spectrum. :func:`run_quench` is the library's only time
+evolution. It projects the initial state's pure components onto each
+placement once and evolves them there with real eigenvectors, every time
+of a batch in one product. A batch holds as many times as fit a fixed
+budget of full-basis entries, however small the blocks, and each
+observable is read once per batch, over all of its columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonCommutingSplitError,
-    ObservableOutsideRegionError,
-    ShieldlabError,
-    SizeMismatchError,
-)
-from .hamiltonian import HamiltonianTerms, build_hamiltonian, commutator_norm
+from .errors import ShieldlabError, SizeMismatchError
+from .hamiltonian import build_hamiltonian
 from .lattice import LatticeSpec
 from .pauli import PauliString
 from .tables import ResultTable
-from .thermal import DensityMatrix, _dot, _ground_cut, expectation, spectrum
+from .thermal import DensityMatrix, _dot, _ground_cut, spectrum
 
-_COMMUTATOR_TOL = 1e-12
 # full-basis entries of one time batch of evolved states in run_quench
 _BATCH_ENTRIES = 1 << 20
 
@@ -65,60 +54,20 @@ class QuenchProtocol:
         if pre_pairs != post_pairs:
             raise SizeMismatchError("pre and post lattices differ in edge set", key="post")
         times = tuple(float(t) for t in self.times)
+        if not all(map(math.isfinite, times)):
+            raise ShieldlabError("must be finite", key="times")
         if any(t < 0 for t in times) or list(times) != sorted(times):
             raise ShieldlabError("must be non-negative and ascending", key="times")
         object.__setattr__(self, "times", times)
         for k, obs in enumerate(self.observables):
             if obs.n_sites != self.pre.n_sites:
                 raise SizeMismatchError(
-                    f"observable {obs.to_text()!r} does not match the lattice size"
-                )
+                    f"observable {obs.to_text()!r} does not match the lattice size",
+                    key=f"observables[{k}]")
             if obs.phase_k % 2:
                 raise ShieldlabError(
                     f"{obs.to_text()!r} has phase +i or -i, so its expectation is not real",
                     key=f"observables[{k}]")
-
-
-def evolve(H: HamiltonianTerms, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """rho(t) = U rho0 U† with U = exp(-i H t) built spectrally."""
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    if H.n_sites != rho0.n_sites:
-        raise SizeMismatchError("Hamiltonian and state live on different sites")
-    if t == 0.0:
-        return DensityMatrix(rho0.matrix.copy(), rho0.site_labels)
-    u = spectrum(H).function(lambda w: np.exp(-1j * w * t))
-    rho = u @ rho0.matrix @ u.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(rho, rho0.site_labels)
-
-
-def shielded_dynamics_check(h_x: HamiltonianTerms, h_y: HamiltonianTerms,
-                            obs: PauliString, rho0: DensityMatrix,
-                            times) -> float:
-    """Max deviation over ``times`` between full-H and H_Y-only expectations.
-
-    Preconditions enforced: the split must commute, and the observable must
-    not overlap the support of ``h_x`` (it then commutes with H_X, which is
-    what the identity needs).
-    """
-    if h_x.n_sites != h_y.n_sites:
-        raise SizeMismatchError("split parts live on different site counts")
-    if commutator_norm(h_x, h_y) > _COMMUTATOR_TOL:
-        raise NonCommutingSplitError("H_X and H_Y do not commute")
-    overlap = set(obs.support()) & set(h_x.support())
-    if overlap:
-        raise ObservableOutsideRegionError(
-            f"observable touches sites {sorted(overlap)} inside the X region"
-        )
-    times = list(times)
-
-    def series(H: HamiltonianTerms) -> list[float]:
-        return [expectation(evolve(H, rho0, t), obs) for t in times]
-
-    # one spectrum per Hamiltonian; the full one is dropped before H_Y is solved
-    full = series(HamiltonianTerms(h_x.n_sites, h_x.terms + h_y.terms))
-    return max((abs(a - b) for a, b in zip(full, series(h_y))), default=0.0)
 
 
 def _observable_site(obs: PauliString) -> int:
@@ -159,6 +108,13 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
     (at least one), however small the blocks. Each observable is then
     applied once to the whole array and summed per column. Rows are ordered
     by (t, site), with single-site observables labeled by their site.
+
+    The headline identity, in this function's rows: let a zero-field
+    interface split the post lattice into X and Y, with bulks A and B. The
+    X-side terms (fields on A, couplings inside X) commute with the rest, so
+    from any ``rho0``, post lattices that differ only on the X side give the
+    same rows for every observable on B. The far side never feels H_X; with
+    the X side set to zero it evolves under H_Y alone.
     """
     states, weights = _initial_states(protocol, rho0)
     post = spectrum(build_hamiltonian(protocol.post))

@@ -77,15 +77,7 @@ class TermOutsideSplitError(ShieldlabError):
     """A Hamiltonian term is supported outside both region sets."""
 
 
-# -- series / dynamics --------------------------------------------------------
+# -- series --------------------------------------------------------------------
 
 class NonConvergenceError(ShieldlabError):
     """A series did not converge within the iteration cap."""
-
-
-class NonCommutingSplitError(ShieldlabError):
-    """The two Hamiltonian parts do not commute, so the identity does not apply."""
-
-
-class ObservableOutsideRegionError(ShieldlabError):
-    """An observable overlaps the support of the other region's Hamiltonian."""

@@ -28,7 +28,7 @@ from .closedform import (
 )
 from .dynamics import QuenchProtocol, _observable_site, run_quench
 from .errors import IndexOutOfRangeError, ShieldlabError
-from .hamiltonian import build_hamiltonian, dual_algebra_residual, dual_chain
+from .hamiltonian import _mask_sums, build_hamiltonian, dual_algebra_residual, dual_chain
 from .lattice import (
     LatticeSpec,
     make_chain,
@@ -363,8 +363,9 @@ def run_conjecture(cfg: dict) -> ResultTable:
     (index k+1) the B-side fields are redrawn — first the homogeneous offset,
     then one draw per B site ascending, summed. Rows record ⟨X⟩ and ⟨Z⟩ of
     every A site in the reduced state on A at ``beta``; ground runs add rows
-    per conserved interface-Z sector, each read from that sector's piece. The verdict classifies the worst
-    across-trial variation of the mixed-state rows.
+    per conserved interface-Z sector, each read from that sector's piece. The
+    verdict classifies the worst across-trial variation of the mixed-state
+    rows.
     """
     read = _config(cfg, "conjecture")
     lat, base = read("lattice", _lattice)
@@ -455,7 +456,7 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     (none). With a split the verdict compares the time variation of
     observables on the shielded bulk (must stay below 1e-9) to the driven side,
     grouping rows by their ``site`` column; two observables may then not share
-    a site.
+    a site, and none may touch both bulks.
     """
     read = _config(cfg, "quench")
     pre, base = read("pre", _lattice)
@@ -472,6 +473,11 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     if split is not None:
         first: dict[int, int] = {}
         for k, obs in enumerate(observables):
+            sup = set(obs.support())
+            if sup & split.A and sup & split.B:
+                raise ShieldlabError(
+                    "touches both bulks of the split, so the verdict could not "
+                    "file it on one side", key=f"observables[{k}]")
             site = _observable_site(obs)
             if first.setdefault(site, k) != k:
                 raise ShieldlabError(
@@ -517,8 +523,9 @@ def run_dual_check(cfg: dict) -> ResultTable:
     and ``zero_field_site`` (none; numbered from 0), which pins that field to
     zero so the dual graph splits in two. Per trial k (generator index k),
     couplings then fields are drawn in ascending order. Columns report the
-    max-entry difference of the direct and dual-variable dense Hamiltonians,
-    the dual operator-algebra residual and the number of dual components.
+    max-entry difference of the direct and dual-variable Hamiltonians, read
+    per flip mask without either dense matrix, the dual operator-algebra
+    residual and the number of dual components.
     """
     table = ResultTable(columns=(
         "trial", "n_sites", "hamiltonian_residual", "algebra_residual",
@@ -546,8 +553,10 @@ def run_dual_check(cfg: dict) -> ResultTable:
     worst_alg = 0.0
     for k, lat in enumerate(chains):
         dc = dual_chain(lat)
-        direct = build_hamiltonian(lat).to_dense()
-        residual = float(np.abs(direct - dc.to_dense()).max())
+        direct = _mask_sums(lat.n_sites, [(c, p.xzk) for c, p in build_hamiltonian(lat).terms])
+        dual = _mask_sums(lat.n_sites, dc._words())
+        residual = max((float(np.abs(direct.get(x, 0.0) - dual.get(x, 0.0)).max())
+                        for x in direct.keys() | dual.keys()), default=0.0)
         algebra = dual_algebra_residual(dc)
         worst_h = max(worst_h, residual)
         worst_alg = max(worst_alg, algebra)

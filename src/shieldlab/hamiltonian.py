@@ -7,9 +7,10 @@ The model Hamiltonian on a lattice is
 held as a list of (real coefficient, Pauli word) terms. Only the three term
 shapes above are admitted, which keeps every Hamiltonian Hermitian by
 construction. The eigensolver (:func:`shieldlab.thermal.spectrum`) reads its
-blocks straight from these terms; the dense matrix of
-:meth:`HamiltonianTerms.to_dense`, built by bit arithmetic, is the tests'
-oracle and the direct side of the dual check.
+blocks straight from these terms. Every dense reading of a sum of words (the
+matrices of :meth:`HamiltonianTerms.to_dense` and :meth:`DualChain.to_dense`,
+the commutator norm and the dual check's residual) sums the words' basis
+actions per flip mask x: entry (j ^ x, j) is Σ c·i^k·(-1)^popcount(j & z).
 """
 
 from __future__ import annotations
@@ -71,42 +72,43 @@ class HamiltonianTerms:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def support(self) -> frozenset[int]:
-        out: set[int] = set()
-        for _, p in self.terms:
-            out.update(p.support())
-        return frozenset(out)
-
     def has_y_terms(self) -> bool:
         return any(_term_shape(p) == "Y" for _, p in self.terms)
 
     def to_dense(self) -> np.ndarray:
         """Dense matrix under the site-0-is-MSB convention.
 
-        Built from each term's masks (x, z, k): ZZ terms (x = 0) are diagonal,
-        X_i and Y_i couple j <-> j ^ x, Y_i with the signs i (-1)**popcount(j & z).
-        Real dtype when no Y term is present. No solve reads it: it is the
-        oracle that the block spectrum is tested against and the direct side
-        of the dual check.
+        The terms are summed per flip mask (:func:`_mask_sums`): ZZ terms
+        (x = 0) give the diagonal, X_i and Y_i couple j <-> j ^ x. Each sum
+        is scattered once. Real dtype when no Y term is present. No solve
+        reads it: it is the oracle that the block spectrum is tested against.
         """
         if self._dense is None:
-            check_dense_cap(self.n_sites)
-            dim = 1 << self.n_sites
-            dtype = complex if self.has_y_terms() else float
-            H = np.zeros((dim, dim), dtype=dtype)
-            idx = np.arange(dim)
-            diag = np.zeros(dim)
-            for c, p in self.terms:
-                x, z, k = p.xzk
-                if not x:
-                    diag += c * _signs(idx, z)
-                elif z:
-                    H[idx ^ x, idx] += c * _PHASES[k] * _signs(idx, z)
-                else:
-                    H[idx ^ x, idx] += c
-            H[idx, idx] += diag
+            sums = _mask_sums(self.n_sites, [(c, p.xzk) for c, p in self.terms])
+            idx = np.arange(1 << self.n_sites)
+            H = np.zeros((idx.size, idx.size), dtype=complex if self.has_y_terms() else float)
+            for x, acc in sums.items():
+                H[idx ^ x, idx] = acc
             self._dense = H
         return self._dense
+
+
+def _mask_sums(n_sites: int, words) -> dict[int, np.ndarray]:
+    """Σ c·i^k·(-1)^popcount(j & z) over the words ``(c, (x, z, k))`` of each
+    flip mask x, for every basis index j: entry (j ^ x, j) of the words' sum.
+
+    Each mask's words are added from zero in the order given; words with
+    c = 0 are skipped. The sums are real when every c·i^k is.
+    """
+    check_dense_cap(n_sites)
+    idx = np.arange(1 << n_sites)
+    weights = [(x, z, c * _PHASES[k]) for c, (x, z, k) in words if c != 0]
+    real = not any(w.imag for _, _, w in weights)
+    sums: dict[int, np.ndarray] = {}
+    for x, z, w in weights:
+        acc = sums.setdefault(x, np.zeros(idx.size, dtype=float if real else complex))
+        acc += (w.real if real else w) * _signs(idx, z)
+    return sums
 
 
 def build_hamiltonian(lat: LatticeSpec) -> HamiltonianTerms:
@@ -211,13 +213,12 @@ def commutator_norm(A, B) -> float:
     keyed by the masks (x, z) of each product, so terms that commute cancel
     exactly and a vanishing commutator returns exactly 0.0. Entry (j ^ x, j)
     comes only from surviving words with flip mask x, so they are summed per
-    mask as basis actions and no 2^n x 2^n matrix is formed.
+    mask (:func:`_mask_sums`) and no 2^n x 2^n matrix is formed.
     """
     n_a, terms_a = _as_terms(A)
     n_b, terms_b = _as_terms(B)
     if n_a != n_b:
         raise SizeMismatchError("operands live on different numbers of sites")
-    check_dense_cap(n_a)
     acc: dict[tuple[int, int], complex] = {}
     for a, p in terms_a:
         for b, q in terms_b:
@@ -225,14 +226,8 @@ def commutator_norm(A, B) -> float:
             acc[x, z] = acc.get((x, z), 0j) + a * b * _PHASES[k]
             x, z, k = _product(q.xzk, p.xzk)
             acc[x, z] = acc.get((x, z), 0j) - a * b * _PHASES[k]
-    survivors = {w: c for w, c in acc.items() if c != 0}
-    if not survivors:
-        return 0.0
-    idx = np.arange(1 << n_a)
-    by_mask: dict[int, np.ndarray] = {}
-    for (x, z), c in survivors.items():
-        by_mask[x] = by_mask.get(x, 0) + c * _signs(idx, z)
-    return max(float(np.abs(v).max()) for v in by_mask.values())
+    sums = _mask_sums(n_a, [(c, (x, z, 0)) for (x, z), c in acc.items()])
+    return max((float(np.abs(v).max()) for v in sums.values()), default=0.0)
 
 
 @dataclass
@@ -290,25 +285,23 @@ class DualChain:
                 comps.append([d + 1])
         return tuple(tuple(c) for c in comps)
 
+    def _words(self) -> list[tuple[float, tuple[int, int, int]]]:
+        """The rewritten Hamiltonian as (weight, masks) words: -J_d mu_z(d)
+        for every dual site, then -h_d mu_x(d) mu_x(d+1) for every dual edge."""
+        xs = [self.mu_x(d).xzk for d in range(self.n_dual_sites)]
+        words = [(-J, self.mu_z(d).xzk) for d, J in enumerate(self.dual_fields)]
+        words += [(-h, _product(xs[d], xs[d + 1])) for d, h in enumerate(self.dual_couplings)]
+        return words
+
     def to_dense(self) -> np.ndarray:
         """Dense matrix of the rewritten Hamiltonian (dual-variable form): the
-        dual words' basis actions, read from their masks, are summed per flip
-        mask and each sum is scattered once (the mu_z words share mask 0).
-        Real dtype when every word is real (even k), as X and Z strings are."""
-        check_dense_cap(self.n_sites)
-        dim = 1 << self.n_sites
-        idx = np.arange(dim)
-        xs = [self.mu_x(d).xzk for d in range(self.n_dual_sites)]
-        words = [(J, self.mu_z(d).xzk) for d, J in enumerate(self.dual_fields)]
-        words += [(h, _product(xs[d], xs[d + 1])) for d, h in enumerate(self.dual_couplings)]
-        real = not any(k % 2 for _, (_, _, k) in words)
-        by_mask: dict[int, np.ndarray] = {}
-        for c, (x, z, k) in words:
-            if c != 0.0:
-                acc = by_mask.setdefault(x, np.zeros(dim, dtype=float if real else complex))
-                acc -= c * ((_PHASES[k].real if real else _PHASES[k]) * _signs(idx, z))
-        H = np.zeros((dim, dim), dtype=float if real else complex)
-        for x, acc in by_mask.items():
+        dual words are summed per flip mask (:func:`_mask_sums`) and each sum
+        is scattered once (the mu_z words share mask 0). Real dtype when
+        every word is real, as X and Z strings are."""
+        sums = _mask_sums(self.n_sites, self._words())
+        idx = np.arange(1 << self.n_sites)
+        H = np.zeros((idx.size, idx.size), dtype=np.result_type(float, *sums.values()))
+        for x, acc in sums.items():
             H[idx ^ x, idx] = acc
         return H
 

@@ -28,10 +28,10 @@ block is split further on the other zero-field sites: m ≥ 1 of them give
 none the two half-size P sectors are solved. One rule places every block in
 the full basis: a placement turns a block column v into Σ_k c_k·(v on R_k).
 A shared block is placed twice, plainly on R and on R̄; a sector of P once,
-on R and R̄ with coefficients (1, ±1)/√2. Gibbs states, ground mixtures and
-U(t) are assembled from block-size products per placement and rotated back
-by the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. None of them forms a full 2^n
-eigenvector matrix.
+on R and R̄ with coefficients (1, ±1)/√2. Gibbs states and ground mixtures
+are assembled from block-size products per placement and rotated back by
+the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ; quench states are evolved inside
+the placements. None of them forms a full 2^n eigenvector matrix.
 
 Verdict thresholds used throughout the experiment runners:
 

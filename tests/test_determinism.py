@@ -15,6 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = {
     "conjecture_patch9": ("conjecture", {"value"}),
     "verify_shielding_chain": ("verify-shielding", {"distance", "rho_variation"}),
+    "counterexample": ("counterexample",
+                       {"magnetization_series", "magnetization_ED", "abs_delta"}),
+    "dual_check": ("dual-check", {"hamiltonian_residual", "algebra_residual"}),
 }
 
 

@@ -5,20 +5,16 @@ import pytest
 
 from shieldlab import (
     DensityMatrix,
-    NonCommutingSplitError,
-    ObservableOutsideRegionError,
     PauliString,
     QuenchProtocol,
     ShieldlabError,
     SizeMismatchError,
     build_hamiltonian,
-    evolve,
-    ground_state_density,
     make_chain,
     make_diamond,
     run_quench,
-    shielded_dynamics_check,
     split_hamiltonian,
+    update_parameters,
     validate_lattice,
     validate_split,
 )
@@ -27,117 +23,107 @@ from helpers import random_mixed_state, random_product_state, random_pure_state
 from test_thermal import dense_ground, dense_spectrum, oracle_lattices, zero_field_lattices
 
 
-def minus_x_hamiltonian():
-    from shieldlab import HamiltonianTerms
-    return HamiltonianTerms(1, ((-1.0, PauliString("X")),))
+def x_side_posts(lat, split, rng):
+    """The three post lattices of the dynamics identity: the full lattice,
+    "H_Y alone" (the X-bulk fields and the X-side couplings set to 0) and the
+    X side redrawn from ``rng`` (couplings from [-2, 2], then x fields from
+    [0, 1] and no y fields)."""
+    x_edges = [(i, j) for (i, j, _) in lat.edges
+               if {i, j} <= split.X and not {i, j} <= split.S]
+    bulk = sorted(split.A)
+
+    def x_side(couplings, fields):
+        h, g = list(lat.h), list(lat.g)
+        for i, value in zip(bulk, fields):
+            h[i], g[i] = value, 0.0
+        return update_parameters(lat, h=h, g=g, J_by_edge=dict(zip(x_edges, couplings)))
+
+    alone = x_side([0.0] * len(x_edges), [0.0] * len(bulk))
+    redrawn = x_side(rng.uniform(-2, 2, len(x_edges)), rng.uniform(0, 1, len(bulk)))
+    return lat, alone, redrawn
 
 
-class TestEvolve:
-    def test_time_zero_is_exact(self):
-        rng = np.random.default_rng(3)
-        rho0 = DensityMatrix(random_mixed_state(rng, 2), (0, 1))
-        H = build_hamiltonian(make_chain(2, [1.0], [0.5, 0.5]))
-        out = evolve(H, rho0, 0.0)
-        assert np.array_equal(out.matrix, rho0.matrix)
+def deviations(posts, rho0, observables, times):
+    """Largest row differences of run_quench from ``rho0`` between the first
+    post lattice and each of the others."""
+    full, *others = (
+        run_quench(QuenchProtocol(posts[0], post, tuple(times), tuple(observables)),
+                   rho0=rho0).rows
+        for post in posts)
+    assert all([r[:2] for r in full] == [r[:2] for r in other] for other in others)
+    return tuple(max(abs(a[2] - b[2]) for a, b in zip(full, other)) for other in others)
 
-    def test_rabi_flip(self):
-        # H = -X, rho0 = |0><0|: <Z(t)> = cos(2t), so a pi/2 pulse flips it
-        rho0 = DensityMatrix(np.diag([1.0, 0.0]), (0,))
-        H = minus_x_hamiltonian()
-        for t in (0.3, 0.9, math.pi / 2):
-            rho_t = evolve(H, rho0, t)
-            z = float(np.real(rho_t.matrix[0, 0] - rho_t.matrix[1, 1]))
-            assert z == pytest.approx(math.cos(2 * t), abs=1e-12)
 
-    def test_purity_and_spectrum_conserved(self):
-        rng = np.random.default_rng(7)
-        lat = make_chain(3, rng.uniform(-2, 2, 2), rng.uniform(0, 1, 3))
-        H = build_hamiltonian(lat)
-        rho0 = DensityMatrix(random_mixed_state(rng, 3), (0, 1, 2))
-        spec0 = np.linalg.eigvalsh(rho0.matrix)
-        for t in (0.5, 2.0, 7.3):
-            rho_t = evolve(H, rho0, t)
-            assert abs(np.trace(rho_t.matrix).real - 1.0) < 1e-10
-            purity0 = np.trace(rho0.matrix @ rho0.matrix).real
-            purity_t = np.trace(rho_t.matrix @ rho_t.matrix).real
-            assert abs(purity0 - purity_t) < 1e-10
-            assert np.abs(np.linalg.eigvalsh(rho_t.matrix) - spec0).max() < 1e-10
-
-    def test_energy_conserved(self):
-        rng = np.random.default_rng(11)
-        lat = make_chain(4, rng.uniform(-1, 1, 3), rng.uniform(0, 1, 4))
-        H = build_hamiltonian(lat)
-        rho0 = DensityMatrix(random_pure_state(rng, 4), (0, 1, 2, 3))
-        h_dense = H.to_dense()
-        e0 = np.trace(rho0.matrix @ h_dense).real
-        for t in (1.0, 4.0):
-            et = np.trace(evolve(H, rho0, t).matrix @ h_dense).real
-            assert abs(et - e0) < 1e-10
-
-    def test_rejects_nonfinite_time(self):
-        rho0 = DensityMatrix(np.eye(2) / 2, (0,))
-        with pytest.raises(ValueError):
-            evolve(minus_x_hamiltonian(), rho0, math.inf)
+def identity_deviations(lat, split, rho0, observables, times, rng):
+    """:func:`deviations` over :func:`x_side_posts`, for observables on B:
+    the full lattice against H_Y alone and against the X side redrawn. H_Y
+    alone is checked to have exactly the terms of split_hamiltonian's h_y."""
+    assert all(set(obs.support()) <= split.B for obs in observables)
+    posts = x_side_posts(lat, split, rng)
+    h_y = split_hamiltonian(build_hamiltonian(lat), split).h_y
+    assert build_hamiltonian(posts[1]).terms == h_y.terms
+    return deviations(posts, rho0, observables, times)
 
 
 class TestShieldedDynamics:
+    """From a caller's state, post lattices that differ only on the X side
+    give the same rows for observables on B."""
+
     def chain_parts(self, rng, n=6, L=3):
         h = rng.uniform(0, 1, size=n)
         h[L] = 0.0
         lat = make_chain(n, rng.uniform(-2, 2, size=n - 1), h)
-        split = validate_split(lat, range(L + 1), range(L, n))
-        parts = split_hamiltonian(build_hamiltonian(lat), split)
-        return lat, split, parts
+        return lat, validate_split(lat, range(L + 1), range(L, n))
 
     def test_identity_for_product_state(self):
         rng = np.random.default_rng(13)
-        lat, split, parts = self.chain_parts(rng)
+        lat, split = self.chain_parts(rng)
         rho0 = DensityMatrix(random_product_state(rng, 6), tuple(range(6)))
-        obs = PauliString.single(6, 5, "Z")
-        dev = shielded_dynamics_check(parts.h_x, parts.h_y, obs, rho0,
-                                      [0.0, 0.7, 1.9, 3.1])
-        assert dev < 1e-10
+        devs = identity_deviations(lat, split, rho0, [PauliString.single(6, 5, "Z")],
+                                   [0.0, 0.7, 1.9, 3.1], rng)
+        assert max(devs) < 1e-10
 
     def test_identity_for_entangled_state(self):
         rng = np.random.default_rng(17)
-        lat, split, parts = self.chain_parts(rng)
+        lat, split = self.chain_parts(rng)
         rho0 = DensityMatrix(random_pure_state(rng, 6), tuple(range(6)))
         obs = PauliString.from_sites(6, {4: "X", 5: "Z"})
-        dev = shielded_dynamics_check(parts.h_x, parts.h_y, obs, rho0,
-                                      [0.4, 1.3, 2.6])
-        assert dev < 1e-10
+        devs = identity_deviations(lat, split, rho0, [obs], [0.4, 1.3, 2.6], rng)
+        assert max(devs) < 1e-10
 
     def test_diamond_split_obeys_identity(self):
         rng = np.random.default_rng(19)
         lat = make_diamond(1.0, 1.0)
         split = validate_split(lat, {0, 1, 2}, {1, 2, 3})
-        parts = split_hamiltonian(build_hamiltonian(lat), split)
         rho0 = DensityMatrix(random_mixed_state(rng, 4), (0, 1, 2, 3))
-        obs = PauliString.single(4, 3, "X")
-        dev = shielded_dynamics_check(parts.h_x, parts.h_y, obs, rho0,
-                                      [0.5, 1.5, 3.0])
-        assert dev < 1e-10
+        devs = identity_deviations(lat, split, rho0, [PauliString.single(4, 3, "X")],
+                                   [0.5, 1.5, 3.0], rng)
+        assert max(devs) < 1e-10
 
-    def test_observable_on_interface_rejected(self):
+    def test_interface_observable_feels_the_x_side(self):
+        # X on the zero-field site does not commute with the X-side coupling
+        # into it, so the identity holds only on B
         rng = np.random.default_rng(23)
-        lat, split, parts = self.chain_parts(rng)
+        lat, split = self.chain_parts(rng)
         rho0 = DensityMatrix(random_product_state(rng, 6), tuple(range(6)))
-        with pytest.raises(ObservableOutsideRegionError):
-            shielded_dynamics_check(parts.h_x, parts.h_y,
-                                    PauliString.single(6, 3, "Z"), rho0, [1.0])
+        devs = deviations(x_side_posts(lat, split, rng), rho0,
+                          [PauliString.single(6, 3, "X")], [0.0, 0.7, 1.9, 3.1])
+        assert min(devs) > 1e-3
 
-    def test_noncommuting_split_rejected(self):
+    def test_interface_field_lets_the_x_side_through(self):
+        # control: with a field on the interface site the split does not
+        # commute, and dropping or redrawing the X side (h_0 and J_01)
+        # moves <Z_3>
         rng = np.random.default_rng(29)
         n = 4
         h = rng.uniform(0.1, 1, size=n)  # no zero interface field
         lat = make_chain(n, [1.0] * (n - 1), h)
         split = validate_split(lat, {0, 1}, {1, 2, 3},
                                require_zero_interface_fields=False)
-        parts = split_hamiltonian(build_hamiltonian(lat), split)
         rho0 = DensityMatrix(random_product_state(rng, n), tuple(range(n)))
-        with pytest.raises(NonCommutingSplitError):
-            shielded_dynamics_check(parts.h_x, parts.h_y,
-                                    PauliString.single(n, 3, "Z"), rho0, [1.0])
+        devs = deviations(x_side_posts(lat, split, rng), rho0,
+                          [PauliString.single(n, 3, "Z")], [0.0, 0.9, 2.3, 4.1])
+        assert min(devs) > 1e-3
 
 
 class TestQuenchProtocol:
@@ -159,6 +145,19 @@ class TestQuenchProtocol:
         with pytest.raises(ValueError):
             QuenchProtocol(pre, pre, (1.0, 0.5),
                            (PauliString.single(2, 0, "Z"),))
+
+    @pytest.mark.parametrize("times", [(0.0, math.inf), (0.0, math.nan, 1.0),
+                                       (-math.inf, 0.0)])
+    def test_rejects_nonfinite_times(self, times):
+        pre = make_chain(2, [1.0], [0.5, 0.5])
+        with pytest.raises(ShieldlabError, match=r"^times: must be finite"):
+            QuenchProtocol(pre, pre, times, (PauliString.single(2, 0, "Z"),))
+
+    def test_wrong_size_observable_names_its_key(self):
+        pre = make_chain(2, [1.0], [0.5, 0.5])
+        obs = (PauliString.single(2, 0, "Z"), PauliString.single(3, 0, "Z"))
+        with pytest.raises(SizeMismatchError, match=r"^observables\[1\]: observable"):
+            QuenchProtocol(pre, pre, (0.0,), obs)
 
 
 class TestRunQuench:
@@ -306,20 +305,19 @@ class TestRunQuench:
         assert any(variation[s][1] - variation[s][0] > 1e-2 for s in range(L))
 
     def test_matches_density_evolution(self):
-        # vector fast path against the literal rho(t) = U rho U† definition
-        rng = np.random.default_rng(31)
+        # vector fast path against the literal rho(t) = U rho U† definition,
+        # with U and rho from dense eigh
         pre = make_chain(3, [1.0, 0.5], [0.4, 0.0, 0.7])
         post = make_chain(3, [1.0, 0.5], [-2.0, 0.0, 0.7])
         obs = tuple(PauliString.single(3, i, "Z") for i in range(3))
         times = (0.0, 0.8, 1.7)
         table = run_quench(QuenchProtocol(pre, post, times, obs))
-        from shieldlab import expectation
-        rho0 = ground_state_density(build_hamiltonian(pre))
-        h_post = build_hamiltonian(post)
+        rho0, _, tol = dense_ground(build_hamiltonian(pre))
+        w, v = dense_spectrum(build_hamiltonian(post))
         for (t, site, value) in table.rows:
-            ref = expectation(evolve(h_post, rho0, t),
-                              PauliString.single(3, site, "Z"))
-            assert value == pytest.approx(ref, abs=1e-12)
+            u = (v * np.exp(-1j * w * t)) @ v.conj().T
+            ref = np.trace(u @ rho0 @ u.conj().T @ obs[site].to_dense()).real
+            assert value == pytest.approx(ref, abs=tol)
 
     def test_caller_supplied_initial_state(self):
         rng = np.random.default_rng(37)
@@ -335,17 +333,19 @@ class TestRunQuench:
 class TestSectorOracle:
     """Evolution through the parity sectors against dense eigh."""
 
-    def test_evolve_matches_dense_eigh(self):
+    def test_mixed_state_evolution_matches_dense_eigh(self):
+        # a full-rank caller's state, read by every single-site observable
         rng = np.random.default_rng(41)
         for lat in oracle_lattices(43):
             n = lat.n_sites
-            H = build_hamiltonian(lat)
-            w, v = dense_spectrum(H)
+            w, v = dense_spectrum(build_hamiltonian(lat))
             rho0 = DensityMatrix(random_mixed_state(rng, n), tuple(range(n)))
-            for t in (0.4, 3.1):
+            obs = tuple(PauliString.single(n, i, "XYZ"[i % 3]) for i in range(n))
+            table = run_quench(QuenchProtocol(lat, lat, (0.4, 3.1), obs), rho0=rho0)
+            for (t, site, value) in table.rows:
                 u = (v * np.exp(-1j * w * t)) @ v.conj().T
-                ref = u @ rho0.matrix @ u.conj().T
-                assert np.abs(evolve(H, rho0, t).matrix - ref).max() < 1e-12
+                ref = np.trace(u @ rho0.matrix @ u.conj().T @ obs[site].to_dense()).real
+                assert value == pytest.approx(ref, abs=1e-12)
 
     @staticmethod
     def check_quench(pre, post):

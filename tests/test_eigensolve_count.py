@@ -17,6 +17,7 @@ from shieldlab import (
     DensityMatrix,
     HamiltonianTerms,
     PauliString,
+    QuenchProtocol,
     ShieldlabError,
     build_hamiltonian,
     gibbs,
@@ -24,10 +25,10 @@ from shieldlab import (
     make_chain,
     run_conjecture,
     run_counterexample,
+    run_quench,
     run_quench_experiment,
     run_verify_shielding,
-    shielded_dynamics_check,
-    split_hamiltonian,
+    update_parameters,
     validate_split,
 )
 
@@ -92,16 +93,28 @@ def test_verify_shielding_solves_each_trial_once_plus_the_shielded_side(eig_call
     assert len(eig_calls) == trials + 1
 
 
-def test_shielded_dynamics_check_solves_two_hamiltonians(eig_calls):
-    lat, split = shielded_chain()
-    parts = split_hamiltonian(build_hamiltonian(lat), split)
+def test_quench_from_a_callers_state_never_solves_the_pre_hamiltonian(
+        monkeypatch, eig_calls):
+    # the caller's state is split into pure states by one dense eigh; only
+    # the post Hamiltonian's spectrum is solved, as one real block of 32
+    import shieldlab.dynamics as dynamics
+    solved = []
+    spectrum = dynamics.spectrum
+
+    def recorded(H):
+        solved.append(H.terms)
+        return spectrum(H)
+
+    monkeypatch.setattr(dynamics, "spectrum", recorded)
+    pre, _ = shielded_chain()
+    post = update_parameters(pre, h=[-2.0, *pre.h[1:]])
     rng = np.random.default_rng(3)
     rho0 = DensityMatrix(random_product_state(rng, 6), tuple(range(6)))
-    times = [0.3, 0.9, 1.7, 2.2, 4.0]
-    dev = shielded_dynamics_check(parts.h_x, parts.h_y,
-                                  PauliString.single(6, 5, "X"), rho0, times)
-    assert dev < 1e-10
-    assert len(eig_calls) == 2
+    protocol = QuenchProtocol(pre, post, (0.3, 0.9, 1.7, 2.2, 4.0),
+                              (PauliString.single(6, 5, "X"),))
+    assert len(run_quench(protocol, rho0=rho0).rows) == 5
+    assert solved == [build_hamiltonian(post).terms]
+    assert eig_calls == [(64, 64), (1, 32, 32)]
 
 
 def test_gibbs_states_and_ground_state_share_one_solve(eig_calls):

@@ -10,10 +10,13 @@ import pytest
 import shieldlab.experiments as experiments
 from shieldlab import (
     RUNNERS,
+    DualChain,
     PauliString,
     ResultTable,
     ShieldlabError,
+    build_hamiltonian,
     commutator_norm,
+    dual_chain,
     emit,
     expectation,
     make_chain,
@@ -32,7 +35,7 @@ from shieldlab import (
 )
 from shieldlab.tables import format_cell
 
-from helpers import kron_terms, kron_word, sector_states_reference
+from helpers import dense_reference, kron_terms, kron_word, sector_states_reference
 
 
 OVER_CAP = {"n_sites": 13, "index_base": 0, "edges": [], "h": [0.5] * 13}
@@ -448,6 +451,7 @@ class TestQuenchRunner:
         ({"observables": ["+ X1 X1"]}, r"observables\[0\]: site 1 assigned twice"),
         ({"observables": ["+ X6"]}, r"observables\[0\]: site 6 outside"),
         ({"observables": ["+ X4", "+ Z4 Z5"]}, r"observables\[1\]: shares its site"),
+        ({"observables": ["+ X5", "+ X0 X5"]}, r"^observables\[1\]: touches both bulks"),
         ({"times": [1.0, 0.5]}, r"^times: must be non-negative and ascending"),
         ({"times": {"start": -0.5, "stop": 1.0, "step": 0.5}},
          r"^times: must be non-negative and ascending"),
@@ -553,6 +557,65 @@ class TestDualCheckRunner:
         lat = make_chain(3, [2.0, 3.0], [0.1, 0.2, 0.3])
         with pytest.raises(ShieldlabError, match=f"'{key}'"):
             run_dual_check({"chain": lattice_json(lat), key: 1})
+
+    @staticmethod
+    def run_with_dual(monkeypatch, cfg, cls):
+        """The runner's rows with every dual chain rebuilt as ``cls``, and the
+        (lattice, dual) pairs it compared."""
+        chains = []
+
+        def rebuilt(lat):
+            dc = dual_chain(lat)
+            chains.append((lat, cls(dc.n_sites, dc.dual_couplings, dc.dual_fields)))
+            return chains[-1][1]
+
+        monkeypatch.setattr(experiments, "dual_chain", rebuilt)
+        rows = run_dual_check(cfg).rows
+        assert len(chains) == len(rows) == cfg["trials"]
+        return chains, rows
+
+    @pytest.mark.parametrize("name", ["dual_check", "dual_check_cut"])
+    def test_residual_read_per_flip_mask_is_the_dense_max(self, monkeypatch, name):
+        # the runner reads |direct - dual| per flip mask, with no dense
+        # matrix; a dual with one mu_x word altered reads the largest entry
+        # of the dense difference, against the builders exactly and against
+        # Kronecker references within 1e-12
+        cfg = shipped_config(name)
+        assert [row[2] for row in run_dual_check(cfg).rows] == [0.0] * cfg["trials"]
+
+        class AlteredX(DualChain):  # mu_x(2) loses its X on site 2
+            def mu_x(self, d):
+                letters = super().mu_x(d).letters
+                return PauliString(letters[:2] + "I" + letters[3:] if d == 2 else letters)
+
+        chains, rows = self.run_with_dual(monkeypatch, {**cfg, "trials": 4}, AlteredX)
+        for (lat, dc), row in zip(chains, rows):
+            words = [(J, kron_word(dc.mu_z(d))) for d, J in enumerate(dc.dual_fields)]
+            words += [(h, kron_word(dc.mu_x(d)) @ kron_word(dc.mu_x(d + 1)))
+                      for d, h in enumerate(dc.dual_couplings)]
+            reference = -sum(c * m for c, m in words)
+            assert row[2] == np.abs(build_hamiltonian(lat).to_dense() - dc.to_dense()).max()
+            assert row[2] == pytest.approx(np.abs(dense_reference(lat) - reference).max(),
+                                           abs=1e-12)
+            assert row[2] > 1e-3
+
+    def test_residual_reads_the_masks_of_both_sides(self, monkeypatch):
+        # a word on a flip mask that only the dual has, or a direct word the
+        # dual lacks, is the whole residual
+        cfg = shipped_config("dual_check", trials=3)
+
+        class ExtraWord(DualChain):
+            def _words(self):
+                return [*super()._words(), (3.0, PauliString("XX" + "I" * 6).xzk)]
+
+        class MissingWord(DualChain):
+            def _words(self):
+                return super()._words()[:-1]
+
+        _, rows = self.run_with_dual(monkeypatch, cfg, ExtraWord)
+        assert [row[2] for row in rows] == [3.0] * 3
+        chains, rows = self.run_with_dual(monkeypatch, cfg, MissingWord)
+        assert [row[2] for row in rows] == [abs(lat.h[-1]) for lat, _ in chains]
 
     def test_dual_check_needs_no_word_products(self, monkeypatch):
         # the dual words and their relations are read from bit masks, so a
@@ -688,6 +751,9 @@ class TestCli:
          "error: pre.edges[2]: duplicate edge (0, 1)"),
         ("quench", lambda cfg: cfg.update(split={"X": [0, 1], "Y": [2]}),
          "error: split: edge (1, 2) crosses"),
+        ("quench", lambda cfg: cfg.update(split={"X": [0, 1], "Y": [1, 2]},
+                                          observables=["+ X0 X2"]),
+         "error: observables[0]: touches both bulks"),
         ("counterexample", lambda cfg: cfg.update(betas=["ground"]),
          "error: betas[0] must be a finite number"),
     ])
