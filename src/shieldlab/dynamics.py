@@ -24,7 +24,7 @@ from .hamiltonian import build_hamiltonian
 from .lattice import LatticeSpec
 from .pauli import PauliString
 from .tables import ResultTable
-from .thermal import DensityMatrix, _dot, _ground_cut, spectrum
+from .thermal import DensityMatrix, _dot, _ground_columns, spectrum
 
 # full-basis entries of one time batch of evolved states in run_quench
 _BATCH_ENTRIES = 1 << 20
@@ -79,13 +79,15 @@ def _initial_states(protocol: QuenchProtocol,
                     rho0: DensityMatrix | None) -> tuple[np.ndarray, np.ndarray]:
     """Weighted pure states (columns, weights) whose mixture is the initial state.
 
-    The pre-quench spectrum is solved here and released on return, so it
-    never shares memory with the post-quench one.
+    By default these are the pre-quench ground columns, weighted uniformly,
+    from :func:`shieldlab.thermal._ground_columns`, composed from separate
+    solves when the pre's zero fields cut its field sites into two or more
+    components. Their mixture is the ground projector whatever basis spans
+    it, so no verdict depends on the path. Whatever is solved here is
+    released on return, so it never shares memory with the post spectrum.
     """
     if rho0 is None:
-        pre = spectrum(build_hamiltonian(protocol.pre))
-        cut = _ground_cut(pre)
-        states = pre.columns(lambda w: w <= cut)
+        states = _ground_columns(build_hamiltonian(protocol.pre))
         return states, np.full(states.shape[1], 1.0 / states.shape[1])
     if rho0.n_sites != protocol.pre.n_sites:
         raise SizeMismatchError("initial state does not match the lattice")
@@ -98,7 +100,13 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
     """Evolve through a quench and tabulate (t, site, value) expectations.
 
     The initial state defaults to the uniform ground-space mixture of the
-    pre-quench Hamiltonian; any caller-supplied state is used as-is. Rather
+    pre-quench Hamiltonian; any caller-supplied state is used as-is. When
+    the pre's zero fields cut its field sites into two or more components,
+    that default is composed from the components' own solves
+    (:func:`shieldlab.thermal._ground_columns`) rather than from one solve
+    of the whole pre. No verdict rests on how it is computed: the identity
+    below holds for any ``rho0``, and the mixture is the same ground
+    projector, so only rounding differs. Rather
     than rotating the full density matrix at every time, the state is
     decomposed once into weighted pure states and projected once into each
     placement of the post-Hamiltonian's blocks. There it is evolved as

@@ -456,7 +456,9 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     (none). With a split the verdict compares the time variation of
     observables on the shielded bulk (must stay below 1e-9) to the driven side,
     grouping rows by their ``site`` column; two observables may then not share
-    a site, and none may touch both bulks.
+    a site, none may touch both bulks, one must have its site on the shielded
+    bulk and ``times`` must hold two distinct times, or the verdict would
+    pass on no data.
     """
     read = _config(cfg, "quench")
     pre, base = read("pre", _lattice)
@@ -484,6 +486,12 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
                     f"shares its site column ({site}) with observables[{first[site]}], "
                     "so the verdict could not tell their rows apart",
                     key=f"observables[{k}]")
+        if not any(site in split.B for site in first):
+            raise ShieldlabError("none lies on the shielded bulk of the split: "
+                                 "the run would have no data", key="observables")
+        if len(set(times)) < 2:
+            raise ShieldlabError("holds a single time, so nothing can vary: "
+                                 "the run would have no data", key="times")
     table = run_quench(protocol)
 
     verdict: dict = {"status": "pass"}

@@ -33,6 +33,15 @@ are assembled from block-size products per placement and rotated back by
 the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ; quench states are evolved inside
 the placements. None of them forms a full 2^n eigenvector matrix.
 
+One reader does without that spectrum: the default initial state of a
+quench, whose ground-space columns :func:`_ground_columns` composes when the
+zero-field sites cut the field sites into two or more components. With each
+zero-field Z fixed, the components no longer interact, so each is solved on
+its own for every pattern, and the ground columns are products of their
+eigenvectors, kept under the same cut as :func:`ground_state_density`. No
+verdict rests on this path: the quench identity holds for any initial
+state, and every Gibbs, ground and reduced state stays on :func:`spectrum`.
+
 Verdict thresholds used throughout the experiment runners:
 
 * a shielding distance below ``SHIELDING_PASS_TOL`` (1e-9) counts as exact
@@ -148,7 +157,7 @@ class SpectralDecomposition:
             if not nonzero.all():
                 v, fw = v[:, nonzero], fw[nonzero]
             vf = v * fw
-            parts.append(vf @ v.conj().T if np.iscomplexobj(v) else _dot(v, vf.T))
+            parts.append(_dot(v, vf.T))
         out = np.zeros((self.dim, self.dim), dtype=np.result_type(*parts))
         for b, rows, coefs in self.placements:
             for r, cr in zip(rows, coefs):
@@ -182,13 +191,53 @@ def _offsets(bits) -> np.ndarray:
     return out
 
 
+def _read_terms(H: HamiltonianTerms):
+    """The field strengths r, the diagonal terms and the y-field phases of
+    ``H``, read from its terms once its size is checked against the dense cap.
+
+    Per site, the X and Y coefficients a, b are summed; the field is turned
+    onto x with strength r = hypot(a, b) and phase φ = atan2(b, a), or r = a
+    where b = 0. The diagonal terms come as (coefficient, Z mask) pairs in
+    term order. The phases d = ⊗ diag(1, e^{iφ_i}) are None without y fields.
+    """
+    n = H.n_sites
+    check_dense_cap(n)
+    x, y, zz = [0.0] * n, [0.0] * n, []
+    for c, p in H.terms:
+        flip, sign, _ = p.xzk
+        if flip:
+            (y if sign else x)[n - flip.bit_length()] += c
+        else:
+            zz.append((c, sign))
+    r = [math.hypot(xi, yi) if yi != 0.0 else xi for xi, yi in zip(x, y)]
+    phases = None
+    if any(y):
+        idx = np.arange(1 << n)
+        angle = np.zeros(1 << n)
+        for i in range(n):
+            if y[i] != 0.0:
+                angle += math.atan2(y[i], x[i]) * ((idx >> (n - 1 - i)) & 1)
+        phases = np.exp(1j * angle)
+    return r, zz, phases
+
+
+def _flip_stack(diag: np.ndarray, fields) -> np.ndarray:
+    """Blocks holding the rows of ``diag`` on their diagonals and fields[k]
+    wherever bit k of the block index flips, the first bit most significant."""
+    d = diag.shape[1]
+    a = np.arange(d)
+    stack = np.zeros((len(diag), d, d))
+    stack[:, a, a] = diag
+    for k, f in enumerate(fields):
+        stack[:, a, a ^ (1 << (len(fields) - 1 - k))] = f
+    return stack
+
+
 def spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
     """Eigendecomposition of ``H``, read block by block from its terms,
     solved on first use and cached on ``H``.
 
-    Per site, the X and Y coefficients a, b are summed; the field is turned
-    onto x with strength r = hypot(a, b) and phase φ = atan2(b, a), or r = a
-    where b = 0, and the phases d come back on the decomposition. Sites with
+    The fields r and phases d are those of :func:`_read_terms`. Sites with
     r = 0 conserve their Z. The pivot is the first of them, else site 0;
     the rows R of a block share the pivot bit 0 and one pattern of the other
     conserved bits, and run over the remaining bits. A block holds the ZZ
@@ -201,15 +250,7 @@ def spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
     if H._spectrum is not None:
         return H._spectrum
     n = H.n_sites
-    check_dense_cap(n)
-    x, y, zz = [0.0] * n, [0.0] * n, []
-    for c, p in H.terms:
-        flip, sign, _ = p.xzk
-        if flip:
-            (y if sign else x)[n - flip.bit_length()] += c
-        else:
-            zz.append((c, sign))
-    r = [math.hypot(xi, yi) if yi != 0.0 else xi for xi, yi in zip(x, y)]
+    r, zz, phases = _read_terms(H)
     conserved = [i for i in range(n) if r[i] == 0.0]
     pivot = (conserved + [0])[0]
     free = [i for i in range(n) if r[i] != 0.0 and i != pivot]
@@ -219,12 +260,7 @@ def spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
     diag = np.zeros(rows.shape)
     for c, sign in zz:
         diag += c * _signs(rows, sign)
-    d = rows.shape[1]
-    a = np.arange(d)
-    stack = np.zeros((len(rows), d, d))
-    stack[:, a, a] = diag
-    for k, i in enumerate(free):
-        stack[:, a, a ^ (1 << (len(free) - 1 - k))] = r[i]
+    stack = _flip_stack(diag, [r[i] for i in free])
     top = (1 << n) - 1
     if not n:  # no sites: one basis state, energy 0
         placements = [(0, rows, (1.0,))]
@@ -232,28 +268,91 @@ def spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
         placements = [(b, at[None], (1.0,))
                       for b, row in enumerate(rows) for at in (row, top - row)]
     else:
+        d = rows.shape[1]
+        a = np.arange(d)
         cross = np.zeros((d, d))
         cross[a, d - 1 - a] = r[0]
         stack = np.concatenate([stack + cross, stack - cross])
         both, c = np.concatenate([rows, top - rows]), math.sqrt(0.5)
         placements = [(0, both, (c, c)), (1, both, (c, -c))]
-    phases = None
-    if any(y):
-        idx = np.arange(1 << n)
-        angle = np.zeros(1 << n)
-        for i in range(n):
-            if y[i] != 0.0:
-                angle += math.atan2(y[i], x[i]) * ((idx >> (n - 1 - i)) & 1)
-        phases = np.exp(1j * angle)
     w, v = np.linalg.eigh(stack)
     H._spectrum = SpectralDecomposition(tuple(zip(w, v)), tuple(placements), phases)
     return H._spectrum
 
 
-def _ground_cut(dec: SpectralDecomposition, degeneracy_tol: float = 1e-9) -> float:
-    """Highest energy in the ground space that ground_state_density defines."""
-    w = dec.eigenvalues
-    return w[0] + degeneracy_tol * max(float(w[-1] - w[0]), 1.0)
+def _ground_cut(low: float, high: float, degeneracy_tol: float = 1e-9) -> float:
+    """Highest energy in the ground space that ground_state_density defines,
+    for a spectrum running from ``low`` to ``high``."""
+    return low + degeneracy_tol * max(float(high - low), 1.0)
+
+
+def _ground_columns(H: HamiltonianTerms) -> np.ndarray:
+    """Full-basis columns spanning the ground space of ``H``, the space that
+    :func:`ground_state_density` mixes, with the same cut.
+
+    The sites with a field are joined by every diagonal term acting on two
+    of them. With one such component or none, the columns come from
+    :func:`spectrum`, whose blocks are then the cheapest solve. With more,
+    each pattern s of the zero-field Z's makes H a constant plus one commuting
+    piece per component: its own diagonal terms and its couplings to the
+    zero-field sites, read at s, on the diagonal, and r_i wherever its site
+    i flips. Every component is solved for all patterns in one stacked call.
+    A product of component levels e_j has energy const(s) + Σ_j e_j; the
+    cut is taken from the lowest and highest such sums, and the ground
+    columns are the products of component eigenvectors at or below it,
+    each placed on the rows of its pattern and rotated by the phases. Only
+    levels within a pattern's slack above its lowest sum are enumerated.
+    No spectrum of ``H`` is formed on this path, so none is cached on it.
+    """
+    n = H.n_sites
+    r, zz, phases = _read_terms(H)
+    bit = [1 << (n - 1 - i) for i in range(n)]
+    label = {i: i for i in range(n) if r[i] != 0.0}  # smallest site of its component
+    for _, sign in zz:
+        ends = {label[i] for i in label if sign & bit[i]}
+        if len(ends) > 1:
+            label = {i: min(ends) if k in ends else k for i, k in label.items()}
+    parts = [[i for i in label if label[i] == k] for k in sorted(set(label.values()))]
+    if len(parts) < 2:
+        dec = spectrum(H)
+        w = dec.eigenvalues
+        cut = _ground_cut(w[0], w[-1])
+        return dec.columns(lambda x: x <= cut)
+
+    patterns = _offsets([bit[i] for i in range(n) if r[i] == 0.0])
+    part_of = {i: j for j, part in enumerate(parts) for i in part}
+    const = np.zeros(patterns.size)
+    diags = [np.zeros((patterns.size, 1 << len(part))) for part in parts]
+    local = [_offsets([bit[i] for i in part]) for part in parts]
+    for c, sign in zz:
+        touched = {part_of[i] for i in part_of if sign & bit[i]}
+        if touched:
+            (j,) = touched
+            diags[j] += c * _signs(patterns[:, None] + local[j], sign)
+        else:
+            const += c * _signs(patterns, sign)
+    solved = [np.linalg.eigh(_flip_stack(diag, [r[i] for i in part]))
+              for part, diag in zip(parts, diags)]
+    low = high = const  # summed in the order the products below are
+    for w, _ in solved:
+        low, high = low + w[:, 0], high + w[:, -1]
+    cut = _ground_cut(low.min(), high.max())
+
+    rows = _offsets([bit[i] for part in parts for i in part])
+    columns = []
+    for s in np.flatnonzero(low <= cut):
+        energy = const[s]
+        for w, _ in solved:
+            energy = np.add.outer(energy, w[s][w[s] - w[s, 0] <= cut - low[s]])
+        for pick in np.argwhere(energy <= cut):
+            column = np.zeros(1 << n)
+            product = np.ones(1)
+            for (_, v), level in zip(solved, pick):
+                product = np.multiply.outer(product, v[s, :, level]).ravel()
+            column[patterns[s] + rows] = product
+            columns.append(column)
+    out = np.stack(columns, axis=1)
+    return out if phases is None else phases[:, None] * out
 
 
 @dataclass
@@ -312,7 +411,7 @@ def _weights(dec: SpectralDecomposition, beta: float, degeneracy_tol: float = 1e
     """
     w = dec.eigenvalues
     if math.isinf(beta):
-        cut = _ground_cut(dec, degeneracy_tol)
+        cut = _ground_cut(w[0], w[-1], degeneracy_tol)
         d = int(np.count_nonzero(w <= cut))
         return (lambda x: (x <= cut) / d), d
     low = w[0]

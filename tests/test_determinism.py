@@ -18,6 +18,7 @@ CONFIGS = {
     "counterexample": ("counterexample",
                        {"magnetization_series", "magnetization_ED", "abs_delta"}),
     "dual_check": ("dual-check", {"hamiltonian_residual", "algebra_residual"}),
+    "quench_chain12": ("quench", {"value"}),
 }
 
 

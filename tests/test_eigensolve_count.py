@@ -51,6 +51,23 @@ def eig_calls(monkeypatch):
 
 
 @pytest.fixture
+def solved_terms(monkeypatch):
+    """The terms of every Hamiltonian handed to ``spectrum``, through the
+    bindings of both ``dynamics`` and ``thermal``."""
+    import shieldlab.dynamics as dynamics
+    solved = []
+    spectrum = thermal.spectrum
+
+    def recorded(H):
+        solved.append(H.terms)
+        return spectrum(H)
+
+    monkeypatch.setattr(dynamics, "spectrum", recorded)
+    monkeypatch.setattr(thermal, "spectrum", recorded)
+    return solved
+
+
+@pytest.fixture
 def state_dims(monkeypatch):
     """Dimensions of every matrix ``SpectralDecomposition.function`` returns
     and of every ``DensityMatrix`` built."""
@@ -94,18 +111,9 @@ def test_verify_shielding_solves_each_trial_once_plus_the_shielded_side(eig_call
 
 
 def test_quench_from_a_callers_state_never_solves_the_pre_hamiltonian(
-        monkeypatch, eig_calls):
+        solved_terms, eig_calls):
     # the caller's state is split into pure states by one dense eigh; only
     # the post Hamiltonian's spectrum is solved, as one real block of 32
-    import shieldlab.dynamics as dynamics
-    solved = []
-    spectrum = dynamics.spectrum
-
-    def recorded(H):
-        solved.append(H.terms)
-        return spectrum(H)
-
-    monkeypatch.setattr(dynamics, "spectrum", recorded)
     pre, _ = shielded_chain()
     post = update_parameters(pre, h=[-2.0, *pre.h[1:]])
     rng = np.random.default_rng(3)
@@ -113,7 +121,7 @@ def test_quench_from_a_callers_state_never_solves_the_pre_hamiltonian(
     protocol = QuenchProtocol(pre, post, (0.3, 0.9, 1.7, 2.2, 4.0),
                               (PauliString.single(6, 5, "X"),))
     assert len(run_quench(protocol, rho0=rho0).rows) == 5
-    assert solved == [build_hamiltonian(post).terms]
+    assert solved_terms == [build_hamiltonian(post).terms]
     assert eig_calls == [(64, 64), (1, 32, 32)]
 
 
@@ -126,9 +134,25 @@ def test_gibbs_states_and_ground_state_share_one_solve(eig_calls):
     assert len(eig_calls) == 1
 
 
-def test_quench_runner_solves_pre_and_post_once(eig_calls):
+def test_quench_runner_solves_pre_and_post_once(solved_terms, eig_calls):
+    # the zero field on site 3 cuts the pre's field sites into {0, 1, 2} and
+    # {4, 5}: its ground space is composed from one stack per side, both Z
+    # patterns of site 3 at once, and never reaches spectrum; the post is
+    # one real block of 32
     assert len(run_quench_experiment(short_quench()).rows) == 5 * 6
-    # one zero-field site: each 64-dim H is one real block of 32
+    assert eig_calls == [(2, 8, 8), (2, 4, 4), (1, 32, 32)]
+    pre, _ = shielded_chain()
+    post = update_parameters(pre, h=[-2.0, *pre.h[1:]])
+    assert solved_terms == [build_hamiltonian(post).terms]
+
+
+def test_quench_pre_with_its_zero_field_at_a_chain_end_is_one_block(eig_calls):
+    # a zero field at the end leaves the other sites one component, so the
+    # pre is solved by spectrum, as one real block of 32 like the post
+    cfg = short_quench()
+    cfg["pre"]["h"] = [0.0, 0.6, 0.6, 0.6, 0.6, 0.6]
+    cfg["quench_site"] = 5
+    assert len(run_quench_experiment(cfg).rows) == 5 * 6
     assert eig_calls == [(1, 32, 32)] * 2
 
 

@@ -460,10 +460,22 @@ class TestQuenchRunner:
          r"^post: pre and post lattices differ in edge set"),
         ({"pre": OVER_CAP},
          r"^pre\.n_sites: dense realization of 13 sites exceeds the cap of 12"),
+        ({"observables": ["+ X0", "+ X1"]}, r"^observables: none lies on the shielded bulk"),
+        ({"observables": ["+ X2"]}, r"^observables: none lies on the shielded bulk"),
+        ({"observables": ["+ Z2 Z3"]}, r"^observables: none lies on the shielded bulk"),
+        ({"times": [1.5]}, r"^times: holds a single time"),
+        ({"times": {"start": 0.5, "stop": 0.5, "step": 0.25}}, r"^times: holds a single time"),
+        ({"times": [0.5, 0.5]}, r"^times: holds a single time"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         with pytest.raises(ShieldlabError, match=key):
             run_quench_experiment({**self.quench_config(), **extra})
+
+    def test_without_a_split_one_time_and_any_sites_still_run(self):
+        cfg = {**self.quench_config(observables=["+ X0"]), "times": [1.5]}
+        del cfg["split"]
+        table = run_quench_experiment(cfg)
+        assert len(table.rows) == 1 and table.metadata["verdict"] == {"status": "pass"}
 
     def test_verdict_does_not_depend_on_row_order(self, monkeypatch):
         import random
@@ -714,6 +726,21 @@ class TestCli:
         proc = self.run_cli(tmp_path, "verify-shielding", chain_config(trials=0))
         assert proc.returncode == 1
         assert "trials" in proc.stderr
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"observables": ["+ X0", "+ X1"]}, "error: observables: none lies on the shielded bulk"),
+        ({"observables": ["+ X2"]}, "error: observables: none lies on the shielded bulk"),
+        ({"times": [2.0]}, "error: times: holds a single time"),
+    ])
+    def test_quench_verdict_without_data_exits_one(self, tmp_path, edit, message):
+        lat = make_chain(5, [1.0] * 4, [0.5, 0.6, 0.0, 0.7, 0.8])
+        cfg = {"pre": lattice_json(lat), "quench_site": 0, "quench_h": -3.0,
+               "times": [0.0, 1.0], "observables": "x",
+               "split": {"X": [0, 1, 2], "Y": [2, 3, 4]}, **edit}
+        proc = self.run_cli(tmp_path, "quench", cfg)
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, edit, message", [
         ("verify-shielding", lambda cfg: cfg.update(trails=2), "'trails'"),

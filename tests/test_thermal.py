@@ -305,6 +305,75 @@ class TestGroundState:
         assert trace_distance(warm, gibbs(H, 2.0)) == 0.0
 
 
+def cut_lattices(rng):
+    """(lattice, composed) pairs: ``composed`` says whether the zero-field
+    sites cut the field sites into two or more components (or none are
+    needed: a graph that falls apart by itself)."""
+    def chain(zero, y_fields):
+        h, g = rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9) * y_fields
+        h[zero] = g[zero] = 0.0
+        return validate_lattice(9, [(i, i + 1, rng.uniform(-2, 2)) for i in range(8)], h, g)
+
+    for zero in ([4], [2, 6], [1, 4, 7]):
+        for y_fields in (False, True):
+            yield chain(zero, y_fields), True
+    bowtie = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
+    h, g = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5)
+    h[2] = g[2] = 0.0
+    yield validate_lattice(5, [(i, j, rng.uniform(-2, 2)) for i, j in bowtie], h, g), True
+    # triangular patch of rows 1-4, interface row 3 at zero field
+    patch = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 4), (3, 6), (3, 7),
+             (4, 5), (4, 7), (4, 8), (5, 8), (5, 9), (6, 7), (7, 8), (8, 9)]
+    h = rng.uniform(0, 1, 10)
+    h[[3, 4, 5]] = 0.0
+    yield validate_lattice(10, [(i, j, rng.uniform(-2, 2)) for i, j in patch], h), True
+    # uniform couplings: an antiferromagnetic zero-field triangle ties six of
+    # its eight patterns, and two zero-field star centres tie all four
+    triangle = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (1, 5)]
+    yield validate_lattice(6, [(i, j, -1.0) for i, j in triangle], [0, 0, 0, .5, .5, .5]), True
+    stars = [(0, 1), (0, 2), (3, 4), (3, 5)]
+    yield validate_lattice(6, [(i, j, 1.0) for i, j in stars], [0, .5, .5, 0, .5, .5]), True
+    # no zero field, but the graph is two chains
+    yield validate_lattice(5, [(0, 1, 0.7), (1, 2, -1.2), (3, 4, 0.9)],
+                           rng.uniform(0.2, 1, 5), rng.uniform(-1, 1, 5)), True
+    # one component: a zero field at a chain end, in a ring, or none at all
+    yield make_chain(7, rng.uniform(-2, 2, 6), [0.0, *rng.uniform(-1, 1, 6)]), False
+    ring = [(i, (i + 1) % 6, rng.uniform(-2, 2)) for i in range(6)]
+    yield validate_lattice(6, ring, [0.4, 0.0, 0.3, 0.8, 0.5, 0.6]), False
+    yield random_graph_lattice(rng, 7, y_fields=True, n_zero=0), False
+
+
+class TestGroundColumns:
+    """The quench's default initial state: ground-space columns composed per
+    component of the field sites, against the dense oracle."""
+
+    def test_columns_span_the_dense_ground_space(self):
+        widths = []
+        for lat, composed in cut_lattices(np.random.default_rng(97)):
+            H = build_hamiltonian(lat)
+            got = thermal._ground_columns(H)
+            # spectrum caches on H, so an uncached H took the composed path
+            assert (H._spectrum is None) == composed
+            ref, d, _ = dense_ground(H)
+            dec = spectrum(build_hamiltonian(lat))
+            cut = thermal._ground_cut(dec.eigenvalues[0], dec.eigenvalues[-1])
+            assert got.shape == (2 ** lat.n_sites, d)
+            assert dec.columns(lambda w: w <= cut).shape[1] == d
+            assert np.abs(got.conj().T @ got - np.eye(d)).max() < 1e-12
+            assert np.abs(got @ got.conj().T / d - ref).max() < 1e-12
+            widths.append(d)
+        assert widths[8:10] == [6, 4]  # the tied uniform lattices
+
+    def test_one_component_is_spectrums_own_columns(self):
+        for lat, composed in cut_lattices(np.random.default_rng(101)):
+            if not composed:
+                dec = spectrum(build_hamiltonian(lat))
+                w = dec.eigenvalues
+                cut = thermal._ground_cut(w[0], w[-1])
+                assert np.array_equal(thermal._ground_columns(build_hamiltonian(lat)),
+                                      dec.columns(lambda x: x <= cut))
+
+
 class TestSectorOracle:
     """Gibbs and ground states from the parity sectors against dense eigh, and
     reduced states from the blocks against the traced full state."""
