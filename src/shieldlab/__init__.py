@@ -27,7 +27,7 @@ from .errors import (
     SizeMismatchError,
     TermOutsideSplitError,
 )
-from .pauli import PauliString, dense_cap, DENSE_SITE_CAP
+from .pauli import PauliString, DENSE_SITE_CAP
 from .lattice import (
     LatticeSpec,
     RegionSplit,

@@ -37,7 +37,7 @@ from .lattice import (
     validate_lattice,
     validate_split,
 )
-from .pauli import PauliString, check_dense_cap, dense_cap
+from .pauli import DENSE_SITE_CAP, PauliString, check_dense_cap
 from .tables import ResultTable
 from .thermal import (
     SHIELDING_FAIL_TOL,
@@ -160,12 +160,12 @@ def _site(n: int, base: int = 0):
 _text = _value(str, "a string")
 _count = _value(int, "an integer >= 1", lambda v: v >= 1)
 _sites = _value(int, "an integer >= 1", lambda v: v >= 1,  # and within the dense cap
-                lambda v, path: v if v <= dense_cap() else _keyed(path, check_dense_cap, v))
+                lambda v, path: v if v <= DENSE_SITE_CAP else _keyed(path, check_dense_cap, v))
 _real = _value((int, float), "a finite number", math.isfinite, lambda v, path: float(v))
 _range = _value((list, tuple), "a [low, high] pair", lambda v: len(v) == 2,
                 lambda v, path: (_real(v[0], f"{path}[0]"), _real(v[1], f"{path}[1]")))
 _beta = _value((int, float, str), 'a number >= 0 or "ground" (or "inf")',
-               lambda v: v in ("ground", "inf", "infinity") if isinstance(v, str) else v >= 0,
+               lambda v: v in ("ground", "inf") if isinstance(v, str) else v >= 0,
                lambda v, path: math.inf if isinstance(v, str) else float(v))
 _finite_beta = _value((int, float), "a finite number >= 0 (the series takes no beta = inf)",
                       lambda v: 0 <= v < math.inf, lambda v, path: float(v))
@@ -454,11 +454,11 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     ``times`` ({"start": 0, "stop": 6, "step": 0.05}); ``observables`` ("x",
     "z", or Pauli strings such as "+ X0 Z1" numbered from 0); ``split``
     (none). With a split the verdict compares the time variation of
-    observables on the shielded bulk (must stay below 1e-9) to the driven side,
-    grouping rows by their ``site`` column; two observables may then not share
-    a site, none may touch both bulks, one must have its site on the shielded
-    bulk and ``times`` must hold two distinct times, or the verdict would
-    pass on no data.
+    observables whose support meets the shielded bulk (must stay below 1e-9)
+    to those whose support meets the driven bulk, reading each from its
+    ``site`` column; two observables may then not share a site, none may
+    touch both bulks, one must meet the shielded bulk and ``times`` must
+    hold two distinct times, or the verdict would pass on no data.
     """
     read = _config(cfg, "quench")
     pre, base = read("pre", _lattice)
@@ -474,6 +474,7 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     read.done()
     if split is not None:
         first: dict[int, int] = {}
+        shielded_sites, driven_sites = set(), set()
         for k, obs in enumerate(observables):
             sup = set(obs.support())
             if sup & split.A and sup & split.B:
@@ -486,7 +487,11 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
                     f"shares its site column ({site}) with observables[{first[site]}], "
                     "so the verdict could not tell their rows apart",
                     key=f"observables[{k}]")
-        if not any(site in split.B for site in first):
+            if sup & split.B:
+                shielded_sites.add(site)
+            if sup & split.A:
+                driven_sites.add(site)
+        if not shielded_sites:
             raise ShieldlabError("none lies on the shielded bulk of the split: "
                                  "the run would have no data", key="observables")
         if len(set(times)) < 2:
@@ -500,8 +505,8 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
         for _, site, value in table.rows:
             per_site.setdefault(site, []).append(value)
         variation = {site: max(v) - min(v) for site, v in per_site.items()}
-        shielded = max((v for s, v in variation.items() if s in split.B), default=0.0)
-        driven = max((v for s, v in variation.items() if s in split.A), default=0.0)
+        shielded = max((variation[s] for s in shielded_sites), default=0.0)
+        driven = max((variation[s] for s in driven_sites), default=0.0)
         verdict = {
             "status": "pass" if shielded < QUENCH_SHIELDED_TOL else "fail",
             "max_variation_shielded": shielded,

@@ -68,13 +68,6 @@ class HamiltonianTerms:
             if not np.isfinite(c):
                 raise ValueError("non-finite coefficient")
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-    def has_y_terms(self) -> bool:
-        return any(_term_shape(p) == "Y" for _, p in self.terms)
-
     def to_dense(self) -> np.ndarray:
         """Dense matrix under the site-0-is-MSB convention.
 
@@ -86,7 +79,7 @@ class HamiltonianTerms:
         if self._dense is None:
             sums = _mask_sums(self.n_sites, [(c, p.xzk) for c, p in self.terms])
             idx = np.arange(1 << self.n_sites)
-            H = np.zeros((idx.size, idx.size), dtype=complex if self.has_y_terms() else float)
+            H = np.zeros((idx.size, idx.size), dtype=np.result_type(float, *sums.values()))
             for x, acc in sums.items():
                 H[idx ^ x, idx] = acc
             self._dense = H
@@ -268,12 +261,6 @@ class DualChain:
     def mu_x(self, d: int) -> PauliString:
         n = self.n_sites
         return PauliString.from_sites(n, {k: "X" for k in range(d, n)})
-
-    def dual_edges(self) -> tuple[tuple[int, int, float], ...]:
-        """Dual-graph edge list; zero couplings are omitted (that is the cut)."""
-        return tuple(
-            (d, d + 1, c) for d, c in enumerate(self.dual_couplings) if c != 0.0
-        )
 
     def dual_components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the dual graph under nonzero couplings."""

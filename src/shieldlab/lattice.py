@@ -146,19 +146,18 @@ def make_chain(n: int, J, h) -> LatticeSpec:
     return validate_lattice(n, edges, h)
 
 
-def make_diamond(h_left: float = 1.0, h_right: float = 1.0,
-                 coupling: float = 1.0) -> LatticeSpec:
+def make_diamond(h_left: float = 1.0, h_right: float = 1.0) -> LatticeSpec:
     """Four-site diamond: 0 — {1, 2} — 3 with field-free middle sites.
 
     Site 0 couples to sites 1 and 2, which couple to site 3; there is no
     edge between 1 and 2. The natural two-site-interface split is
     X = {0, 1, 2}, Y = {1, 2, 3}.
     """
-    edges = [(0, 1, coupling), (0, 2, coupling), (1, 3, coupling), (2, 3, coupling)]
+    edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]
     return validate_lattice(4, edges, [h_left, 0.0, 0.0, h_right])
 
 
-def make_triangular_patch(row_sizes, coupling: float = 1.0):
+def make_triangular_patch(row_sizes):
     """Triangular-lattice patch built row by row.
 
     Row ``r`` holds ``row_sizes[r]`` sites; site (r, c) connects to
@@ -173,14 +172,14 @@ def make_triangular_patch(row_sizes, coupling: float = 1.0):
     edges: list[tuple[int, int, float]] = []
     for r, row in enumerate(rows):
         for c in range(len(row) - 1):
-            edges.append((row[c], row[c + 1], coupling))
+            edges.append((row[c], row[c + 1], 1.0))
         if r + 1 < len(rows):
             nxt = rows[r + 1]
             for c in range(len(row)):
                 if c < len(nxt):
-                    edges.append((row[c], nxt[c], coupling))
+                    edges.append((row[c], nxt[c], 1.0))
                 if c + 1 < len(nxt):
-                    edges.append((row[c], nxt[c + 1], coupling))
+                    edges.append((row[c], nxt[c + 1], 1.0))
     return validate_lattice(k, edges, [0.0] * k), rows
 
 

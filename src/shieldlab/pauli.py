@@ -12,20 +12,18 @@ Conventions fixed here and used repo-wide:
   ``i`` carries X or Y (Z or Y), and Y = iXZ, so each Y adds 1 to ``k``.
   Products, basis actions and commutation tests read only these masks
   (Aaronson & Gottesman, Phys. Rev. A 70, 052328 (2004)).
-* Dense realizations are refused above ``dense_cap()`` sites (default 12,
-  dimension 4096); the ``SHIELDLAB_DENSE_CAP`` environment variable may
-  lower (never raise) the cap.
+* Dense realizations are refused above ``DENSE_SITE_CAP`` (12) sites,
+  dimension 4096.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionOverflowError, ShieldlabError, SizeMismatchError
+from .errors import DimensionOverflowError, SizeMismatchError
 
 LETTERS = "IXYZ"
 
@@ -39,30 +37,10 @@ _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 
 
-def dense_cap() -> int:
-    """Current dense-site cap; the environment may only lower the default.
-
-    A ``SHIELDLAB_DENSE_CAP`` that is not an integer of at least 1 raises.
-    """
-    raw = os.environ.get("SHIELDLAB_DENSE_CAP")
-    if raw is None:
-        return DENSE_SITE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ShieldlabError(
-            f"SHIELDLAB_DENSE_CAP must be an integer of at least 1, got {raw!r}"
-        )
-    return min(DENSE_SITE_CAP, cap)
-
-
 def check_dense_cap(n_sites: int) -> None:
-    cap = dense_cap()
-    if n_sites > cap:
+    if n_sites > DENSE_SITE_CAP:
         raise DimensionOverflowError(
-            f"dense realization of {n_sites} sites exceeds the cap of {cap}"
+            f"dense realization of {n_sites} sites exceeds the cap of {DENSE_SITE_CAP}"
         )
 
 
@@ -168,14 +146,6 @@ class PauliString:
             return (2 ** self.n_sites) * self.phase
         return 0j
 
-    def to_dense(self) -> np.ndarray:
-        """Dense matrix: ``coefs[k]`` at row ``k ^ mask`` of column k."""
-        mask, coefs = self.basis_action()
-        idx = np.arange(coefs.size)
-        out = np.zeros((coefs.size, coefs.size), dtype=complex)
-        out[idx ^ mask, idx] = coefs
-        return out
-
     def basis_action(self) -> tuple[int, np.ndarray]:
         """Action on computational basis states, without the dense matrix.
 
@@ -188,11 +158,9 @@ class PauliString:
         return x, _PHASES[k] * _signs(np.arange(1 << self.n_sites), z)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """P @ psi for a state vector (or a stack of column vectors)."""
+        """P @ psi for a stack of column vectors ``psi`` (dim × columns)."""
         mask, coefs = self.basis_action()
         idx = np.arange(coefs.size) ^ mask
-        if psi.ndim == 1:
-            return coefs[idx] * psi[idx]
         return coefs[idx, None] * psi[idx, :]
 
     # -- text form ---------------------------------------------------------

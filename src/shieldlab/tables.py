@@ -27,10 +27,6 @@ class ResultTable:
             )
         self.rows.append(tuple(values))
 
-    def column(self, name: str) -> list:
-        k = self.columns.index(name)
-        return [row[k] for row in self.rows]
-
 
 def format_cell(value) -> str:
     """Render one cell: floats at 17 significant digits, '.' decimal point."""

@@ -10,13 +10,13 @@ which keeps degenerate cases deterministic). Shielding verdicts and the
 conjecture runner read reduced states straight from the spectrum: each
 block's eigenvector columns, scaled by √f(w), are regrouped by kept and
 traced bits and summed as M M†, so no 2^n×2^n state is formed. The full
-states of :func:`gibbs` and :func:`ground_state_density`, traced by
-:func:`partial_trace` through exact index-bit bucketing, are the dense
-oracle.
+states of :func:`gibbs` and :func:`ground_state_density` are assembled from
+the same spectrum, and :func:`partial_trace` reduces them by exact
+index-bit bucketing.
 
 The spectrum is held in blocks, read by :func:`spectrum` straight from the
 Hamiltonian's terms; no 2^n×2^n Hamiltonian is formed on the way (its
-``to_dense`` stays the tests' oracle and the dual check's direct side). A
+``to_dense`` stays the tests' oracle for these blocks). A
 per-site rotation about z turns each site's field terms onto x,
 a X_i + b Y_i = r D_i X_i D_i† with D_i = diag(1, e^{iφ}), and leaves every
 ZZ term alone. The rotated H′ is real and commutes with the global spin
@@ -72,6 +72,9 @@ SHIELDING_FAIL_TOL = 1e-3
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
+# eigenvalues within this share of the spectral span (at least 1) of the
+# lowest one make up the ground space
+_GROUND_TOL = 1e-9
 
 
 def classify_distance(distance: float) -> str:
@@ -280,10 +283,10 @@ def spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
     return H._spectrum
 
 
-def _ground_cut(low: float, high: float, degeneracy_tol: float = 1e-9) -> float:
+def _ground_cut(low: float, high: float) -> float:
     """Highest energy in the ground space that ground_state_density defines,
     for a spectrum running from ``low`` to ``high``."""
-    return low + degeneracy_tol * max(float(high - low), 1.0)
+    return low + _GROUND_TOL * max(float(high - low), 1.0)
 
 
 def _ground_columns(H: HamiltonianTerms) -> np.ndarray:
@@ -315,9 +318,8 @@ def _ground_columns(H: HamiltonianTerms) -> np.ndarray:
     parts = [[i for i in label if label[i] == k] for k in sorted(set(label.values()))]
     if len(parts) < 2:
         dec = spectrum(H)
-        w = dec.eigenvalues
-        cut = _ground_cut(w[0], w[-1])
-        return dec.columns(lambda x: x <= cut)
+        f, _ = _weights(dec, math.inf)
+        return dec.columns(lambda x: f(x) != 0)
 
     patterns = _offsets([bit[i] for i in range(n) if r[i] == 0.0])
     part_of = {i: j for j, part in enumerate(parts) for i in part}
@@ -402,7 +404,7 @@ def _default_labels(n_sites: int, site_labels) -> tuple[int, ...]:
     return labels
 
 
-def _weights(dec: SpectralDecomposition, beta: float, degeneracy_tol: float = 1e-9):
+def _weights(dec: SpectralDecomposition, beta: float):
     """Eigenvector weights f of the state at ``beta``, and its ground degeneracy.
 
     Finite beta: f(w) = e^{-beta(w - w0)} / Z with w0 the lowest eigenvalue, so
@@ -411,7 +413,7 @@ def _weights(dec: SpectralDecomposition, beta: float, degeneracy_tol: float = 1e
     """
     w = dec.eigenvalues
     if math.isinf(beta):
-        cut = _ground_cut(w[0], w[-1], degeneracy_tol)
+        cut = _ground_cut(w[0], w[-1])
         d = int(np.count_nonzero(w <= cut))
         return (lambda x: (x <= cut) / d), d
     low = w[0]
@@ -434,16 +436,15 @@ def gibbs(H: HamiltonianTerms, beta: float, site_labels=None) -> DensityMatrix:
     return DensityMatrix(rho, _default_labels(H.n_sites, site_labels))
 
 
-def ground_state_density(H: HamiltonianTerms, degeneracy_tol: float = 1e-9,
-                         site_labels=None) -> DensityMatrix:
+def ground_state_density(H: HamiltonianTerms, site_labels=None) -> DensityMatrix:
     """Uniform mixture over the ground eigenspace (the beta → ∞ Gibbs limit).
 
-    Eigenvalues within ``degeneracy_tol`` of the minimum, measured relative
-    to the spectral span, belong to the ground space; its dimension is
-    reported on the result's ``degeneracy`` field.
+    Eigenvalues within 1e-9 of the minimum, measured relative to the
+    spectral span (at least 1), belong to the ground space; its dimension
+    is reported on the result's ``degeneracy`` field.
     """
     dec = spectrum(H)
-    f, d = _weights(dec, math.inf, degeneracy_tol)
+    f, d = _weights(dec, math.inf)
     rho = dec.function(f)
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(rho, _default_labels(H.n_sites, site_labels), degeneracy=d)
@@ -549,39 +550,22 @@ def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.nd
     return pieces
 
 
-def expectation(rho: DensityMatrix, obs) -> float:
-    """Real expectation value Tr(rho · obs).
+def expectation(rho: DensityMatrix, obs: PauliString) -> float:
+    """Real expectation value Tr(rho · obs) of a Pauli word.
 
-    ``obs`` is a Pauli word or a dense matrix. A Pauli word either matches
-    the state's sites positionally or is a global word whose support lies
-    inside ``rho.site_labels`` (it is then restricted automatically).
-    Raises if the imaginary residual exceeds 1e-10.
+    ``obs`` lives on the state's own sites: letter k acts on
+    ``rho.site_labels[k]``. Tr(rho P) is gathered along the stripe
+    rho[j, j ^ mask] in O(dim) work. Raises if the imaginary residual
+    exceeds 1e-10.
     """
-    if isinstance(obs, PauliString):
-        if obs.n_sites == rho.n_sites:
-            word = obs
-        elif set(obs.support()) <= set(rho.site_labels):
-            pos = {site: k for k, site in enumerate(rho.site_labels)}
-            word = PauliString.from_sites(
-                rho.n_sites, {pos[i]: obs.letters[i] for i in obs.support()},
-                obs.phase_k,
-            )
-        else:
-            raise SizeMismatchError(
-                f"observable {obs.to_text()!r} is not supported on sites "
-                f"{rho.site_labels}"
-            )
-        # Tr(rho P) gathered along the stripe rho[j, j ^ mask]; O(dim) work
-        mask, coefs = word.basis_action()
-        idx = np.arange(rho.dim)
-        value = complex(np.dot(rho.matrix[idx, idx ^ mask], coefs))
-    else:
-        obs = np.asarray(obs)
-        if obs.shape != rho.matrix.shape:
-            raise SizeMismatchError(
-                f"observable shape {obs.shape} does not match state {rho.matrix.shape}"
-            )
-        value = complex(np.einsum("ij,ji->", rho.matrix, obs))
+    if obs.n_sites != rho.n_sites:
+        raise SizeMismatchError(
+            f"observable {obs.to_text()!r} acts on {obs.n_sites} sites, "
+            f"the state on {rho.n_sites}"
+        )
+    mask, coefs = obs.basis_action()
+    idx = np.arange(rho.dim)
+    value = complex(np.dot(rho.matrix[idx, idx ^ mask], coefs))
     if abs(value.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residual {value.imag}")
     return float(value.real)

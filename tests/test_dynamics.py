@@ -19,7 +19,7 @@ from shieldlab import (
     validate_split,
 )
 
-from helpers import random_mixed_state, random_product_state, random_pure_state
+from helpers import kron_word, random_mixed_state, random_product_state, random_pure_state
 from test_thermal import dense_ground, dense_spectrum, oracle_lattices, zero_field_lattices
 
 
@@ -243,7 +243,7 @@ class TestRunQuench:
         w, v = dense_spectrum(h_post)
         for (t, site, value) in table.rows:
             u = (v * np.exp(-1j * w * t)) @ v.conj().T
-            ref = np.trace(u @ rho0 @ u.conj().T @ obs[site].to_dense()).real
+            ref = np.trace(u @ rho0 @ u.conj().T @ kron_word(obs[site])).real
             assert value == pytest.approx(ref, abs=1e-12)
 
     def test_each_observable_is_applied_once_per_batch(self, monkeypatch):
@@ -316,7 +316,7 @@ class TestRunQuench:
         w, v = dense_spectrum(build_hamiltonian(post))
         for (t, site, value) in table.rows:
             u = (v * np.exp(-1j * w * t)) @ v.conj().T
-            ref = np.trace(u @ rho0 @ u.conj().T @ obs[site].to_dense()).real
+            ref = np.trace(u @ rho0 @ u.conj().T @ kron_word(obs[site])).real
             assert value == pytest.approx(ref, abs=tol)
 
     def test_caller_supplied_initial_state(self):
@@ -344,7 +344,7 @@ class TestSectorOracle:
             table = run_quench(QuenchProtocol(lat, lat, (0.4, 3.1), obs), rho0=rho0)
             for (t, site, value) in table.rows:
                 u = (v * np.exp(-1j * w * t)) @ v.conj().T
-                ref = np.trace(u @ rho0.matrix @ u.conj().T @ obs[site].to_dense()).real
+                ref = np.trace(u @ rho0.matrix @ u.conj().T @ kron_word(obs[site])).real
                 assert value == pytest.approx(ref, abs=1e-12)
 
     @staticmethod
@@ -357,7 +357,7 @@ class TestSectorOracle:
         w, v = dense_spectrum(build_hamiltonian(post))
         for (t, site, value) in table.rows:
             u = (v * np.exp(-1j * w * t)) @ v.conj().T
-            ref = np.trace(u @ rho0 @ u.conj().T @ obs[site].to_dense()).real
+            ref = np.trace(u @ rho0 @ u.conj().T @ kron_word(obs[site])).real
             assert value == pytest.approx(ref, abs=tol)
 
     def test_run_quench_matches_dense_eigh(self):

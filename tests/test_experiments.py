@@ -421,6 +421,40 @@ class TestQuenchRunner:
         table = run_quench_experiment(self.quench_config(observables="z"))
         assert max(abs(v) for (_, _, v) in table.rows) < 1e-10
 
+    @staticmethod
+    def verdict_and_variation(h, quench_site, X, Y, observables):
+        """The verdict of a 6-site chain quench and each site column's variation."""
+        cfg = {
+            "pre": lattice_json(make_chain(6, [1.0] * 5, h)),
+            "quench_site": quench_site,
+            "quench_h": -10.0,
+            "times": {"start": 0.0, "stop": 2.0, "step": 0.25},
+            "observables": observables,
+            "split": {"X": X, "Y": Y},
+        }
+        table = run_quench_experiment(cfg)
+        per_site = {}
+        for _, site, value in table.rows:
+            per_site.setdefault(site, []).append(value)
+        return table.metadata["verdict"], {s: max(v) - min(v) for s, v in per_site.items()}
+
+    @pytest.mark.parametrize("observables", [["+ Z2 Z3"], ["+ Z2 Z3", "+ X4"]])
+    def test_interface_word_reaching_b_is_shielded(self, observables):
+        # "+ Z2 Z3" is read from column 2, the interface site, but reaches B
+        verdict, variation = self.verdict_and_variation(
+            [0.5, 0.6, 0.0, 0.7, 0.8, 0.9], 0, [0, 1, 2], [2, 3, 4, 5], observables)
+        assert verdict["status"] == "pass"
+        assert verdict["max_variation_shielded"] == max(variation.values())
+        assert verdict["max_variation_driven"] == 0.0
+
+    def test_interface_word_reaching_a_is_driven(self):
+        # the mirror image: "+ Z3 Z4" is read from column 3 and reaches A
+        verdict, variation = self.verdict_and_variation(
+            [0.9, 0.8, 0.7, 0.0, 0.6, 0.5], 5, [3, 4, 5], [0, 1, 2, 3], ["+ X0", "+ Z3 Z4"])
+        assert verdict["status"] == "pass"
+        assert verdict["max_variation_shielded"] == variation[0] < 1e-9
+        assert verdict["max_variation_driven"] == variation[3] > 1e-2
+
     def test_explicit_observable_list(self):
         cfg = self.quench_config(observables=["+ X5", "+ Z0 Z1"])
         table = run_quench_experiment(cfg)
@@ -462,7 +496,6 @@ class TestQuenchRunner:
          r"^pre\.n_sites: dense realization of 13 sites exceeds the cap of 12"),
         ({"observables": ["+ X0", "+ X1"]}, r"^observables: none lies on the shielded bulk"),
         ({"observables": ["+ X2"]}, r"^observables: none lies on the shielded bulk"),
-        ({"observables": ["+ Z2 Z3"]}, r"^observables: none lies on the shielded bulk"),
         ({"times": [1.5]}, r"^times: holds a single time"),
         ({"times": {"start": 0.5, "stop": 0.5, "step": 0.25}}, r"^times: holds a single time"),
         ({"times": [0.5, 0.5]}, r"^times: holds a single time"),
@@ -644,8 +677,8 @@ class TestDualCheckRunner:
         assert table.metadata["verdict"] == expected.metadata["verdict"]
 
     def test_dense_builders_need_no_kron(self, monkeypatch):
-        # every library builder of a dense word goes through its basis
-        # action; np.kron is left to the tests' own oracles, built first
+        # every library reading of a word goes through its basis action;
+        # np.kron is left to the tests' own oracles, built first
         cfg = shipped_config("dual_check")
         expected = run_dual_check(cfg)
         words = [PauliString(w, k) for w in ("XYZI", "YYIZ", "IIII") for k in range(4)]
@@ -662,8 +695,10 @@ class TestDualCheckRunner:
         table = run_dual_check(cfg)
         assert table.rows == expected.rows
         assert table.metadata["verdict"] == expected.metadata["verdict"]
+        j = np.arange(16)
         for p, dense in zip(words, dense_words):
-            assert np.array_equal(p.to_dense(), dense)
+            mask, coefs = p.basis_action()
+            assert np.array_equal(dense[j ^ mask, j], coefs)
         assert commutator_norm(a, b) == np.abs(A @ B - B @ A).max() > 0
 
 
