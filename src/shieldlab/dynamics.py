@@ -80,11 +80,11 @@ def _initial_states(protocol: QuenchProtocol,
     """Weighted pure states (columns, weights) whose mixture is the initial state.
 
     By default these are the pre-quench ground columns, weighted uniformly,
-    from :func:`shieldlab.thermal._ground_columns`, composed from separate
-    solves when the pre's zero fields cut its field sites into two or more
-    components. Their mixture is the ground projector whatever basis spans
-    it, so no verdict depends on the path. Whatever is solved here is
-    released on return, so it never shares memory with the post spectrum.
+    from :func:`shieldlab.thermal._ground_columns`, which solves each
+    component that the pre's zero fields cut off on its own. Their mixture
+    is the ground projector whatever basis spans it, so no verdict depends
+    on the path. Whatever is solved here is released on return, so it
+    never shares memory with the post spectrum.
     """
     if rho0 is None:
         states = _ground_columns(build_hamiltonian(protocol.pre))
@@ -100,14 +100,13 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
     """Evolve through a quench and tabulate (t, site, value) expectations.
 
     The initial state defaults to the uniform ground-space mixture of the
-    pre-quench Hamiltonian; any caller-supplied state is used as-is. When
-    the pre's zero fields cut its field sites into two or more components,
-    that default is composed from the components' own solves
-    (:func:`shieldlab.thermal._ground_columns`) rather than from one solve
-    of the whole pre. No verdict rests on how it is computed: the identity
-    below holds for any ``rho0``, and the mixture is the same ground
-    projector, so only rounding differs. Rather
-    than rotating the full density matrix at every time, the state is
+    pre-quench Hamiltonian; any caller-supplied state is used as-is. That
+    default is read from the same block solve as every spectrum, with each
+    component of the pre's field sites solved on its own
+    (:func:`shieldlab.thermal._ground_columns`). No verdict rests on how it
+    is computed: the identity below holds for any ``rho0``, and the mixture
+    is the same ground projector, so only rounding differs. Rather than
+    rotating the full density matrix at every time, the state is
     decomposed once into weighted pure states and projected once into each
     placement of the post-Hamiltonian's blocks. There it is evolved as
     vectors, a batch of times in one real-by-complex product done as one

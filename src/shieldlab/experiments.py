@@ -458,12 +458,17 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     to those whose support meets the driven bulk, reading each from its
     ``site`` column; two observables may then not share a site, none may
     touch both bulks, one must meet the shielded bulk and ``times`` must
-    hold two distinct times, or the verdict would pass on no data.
+    hold two distinct times, or the verdict would pass on no data. The
+    quench must then change only the X side: the post must keep the pre's
+    fields on S ∪ B and its couplings of every edge with an end in B, or
+    the error names ``quench_site`` (or ``post``).
     """
     read = _config(cfg, "quench")
     pre, base = read("pre", _lattice)
     post, _ = read("post", _lattice, None) or (None, None)
+    change = "post"  # the key that names the quench
     if post is None:
+        change = "quench_site"
         h = list(pre.h)
         h[read("quench_site", _site(pre.n_sites, base))] = read("quench_h", _real)
         post = update_parameters(pre, h=h)
@@ -473,6 +478,15 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     split = read("split", _split(pre, base), None)
     read.done()
     if split is not None:
+        off_x = [f"the field on site {i + base}" for i in sorted(split.S | split.B)
+                if (pre.h[i], pre.g[i]) != (post.h[i], post.g[i])]
+        off_x += [f"the coupling of edge ({i + base}, {j + base})"
+                 for (i, j, J), (_, _, K) in zip(pre.edges, post.edges)
+                 if J != K and {i, j} & split.B]
+        if off_x:
+            raise ShieldlabError(
+                f"changes {off_x[0]}, which is not on the X side of the split (fields on "
+                "A, couplings within X), so the verdict would not test shielding", key=change)
         first: dict[int, int] = {}
         shielded_sites, driven_sites = set(), set()
         for k, obs in enumerate(observables):

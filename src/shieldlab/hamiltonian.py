@@ -45,8 +45,8 @@ class HamiltonianTerms:
 
     Treat instances as immutable; the dense matrix and the eigendecomposition
     are each computed once on first access and cached (the latter by
-    :func:`shieldlab.thermal.spectrum`, the only place a Hamiltonian is
-    diagonalized, which never builds the dense matrix).
+    :func:`shieldlab.thermal.spectrum`, whose block solve is the only place
+    a Hamiltonian is diagonalized and never builds the dense matrix).
     """
 
     n_sites: int

@@ -74,10 +74,6 @@ class PauliString:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def identity(cls, n_sites: int) -> "PauliString":
-        return cls("I" * n_sites)
-
-    @classmethod
     def single(cls, n_sites: int, site: int, letter: str) -> "PauliString":
         if not 0 <= site < n_sites:
             raise SizeMismatchError(f"site {site} outside 0..{n_sites - 1}")
@@ -101,24 +97,8 @@ class PauliString:
     def n_sites(self) -> int:
         return len(self.letters)
 
-    @property
-    def phase(self) -> complex:
-        return _PHASES[self.phase_k]
-
-    @property
-    def is_identity_word(self) -> bool:
-        return not (self.xzk[0] | self.xzk[1])
-
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.letters) if c != "I")
-
-    def letter(self, site: int) -> str:
-        return self.letters[site]
-
-    def restrict(self, sites) -> "PauliString":
-        """Word restricted to ``sites`` (ascending); phase is kept."""
-        kept = sorted(sites)
-        return PauliString("".join(self.letters[i] for i in kept), self.phase_k)
 
     # -- algebra ----------------------------------------------------------
 
@@ -131,20 +111,6 @@ class PauliString:
         letters = "".join("IZXY"[2 * (x >> b & 1) + (z >> b & 1)]
                           for b in range(self.n_sites - 1, -1, -1))
         return PauliString(letters, k - (x & z).bit_count())
-
-    def left_parity(self) -> int:
-        """Number of sites carrying Z or Y, mod 2.
-
-        Products of generators drawn from {Z_i Z_j, X_i} preserve this
-        parity: each factor flips the Z/Y character of zero or two sites.
-        """
-        return self.xzk[1].bit_count() % 2
-
-    def trace(self) -> complex:
-        """Exact trace: ``2**n * phase`` for the identity word, else 0."""
-        if self.is_identity_word:
-            return (2 ** self.n_sites) * self.phase
-        return 0j
 
     def basis_action(self) -> tuple[int, np.ndarray]:
         """Action on computational basis states, without the dense matrix.

@@ -14,33 +14,29 @@ states of :func:`gibbs` and :func:`ground_state_density` are assembled from
 the same spectrum, and :func:`partial_trace` reduces them by exact
 index-bit bucketing.
 
-The spectrum is held in blocks, read by :func:`spectrum` straight from the
-Hamiltonian's terms; no 2^n×2^n Hamiltonian is formed on the way (its
-``to_dense`` stays the tests' oracle for these blocks). A
-per-site rotation about z turns each site's field terms onto x,
-a X_i + b Y_i = r D_i X_i D_i† with D_i = diag(1, e^{iφ}), and leaves every
-ZZ term alone. The rotated H′ is real and commutes with the global spin
-flip P = ∏X_i, which maps basis row r to R̄ = 2^n - 1 - r, and with Z_l on
-every site l that has no field. H′ is split into the two sectors of P,
-pivoted on such a site, where they coincide and are solved once, and that
-block is split further on the other zero-field sites: m ≥ 1 of them give
-2^(m-1) real blocks of dimension 2^(n-m), solved in one stacked call; with
-none the two half-size P sectors are solved. One rule places every block in
-the full basis: a placement turns a block column v into Σ_k c_k·(v on R_k).
-A shared block is placed twice, plainly on R and on R̄; a sector of P once,
-on R and R̄ with coefficients (1, ±1)/√2. Gibbs states and ground mixtures
-are assembled from block-size products per placement and rotated back by
-the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ; quench states are evolved inside
-the placements. None of them forms a full 2^n eigenvector matrix.
+The spectrum is held in blocks, read by :func:`spectrum` (through
+:func:`_decompose`) straight from the Hamiltonian's terms; no 2^n×2^n
+Hamiltonian is formed on the way (its ``to_dense`` stays the tests' oracle
+for these blocks). A per-site rotation about z turns each site's field terms
+onto x, a X_i + b Y_i = r D_i X_i D_i† with D_i = diag(1, e^{iφ}), and
+leaves every ZZ term alone. The rotated H′ is real and commutes with the
+global spin flip P = ∏X_i, which maps basis row r to R̄ = 2^n - 1 - r, and
+with Z_l on every site l that has no field. H′ is split into the two sectors
+of P, pivoted on such a site, where they coincide and are solved once, and
+that block is split further on the other zero-field sites: m ≥ 1 of them
+give 2^(m-1) real blocks of dimension 2^(n-m), solved in one stacked call;
+with none the two half-size P sectors are solved. One rule places every
+block in the full basis: a placement turns a block column v into Σ_k c_k·(v
+on R_k). A shared block is placed twice, plainly on R and on R̄; a sector of
+P once, on R and R̄ with coefficients (1, ±1)/√2. Gibbs states and ground
+mixtures are assembled from block-size products per placement and rotated
+back by the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ; quench states are evolved
+inside the placements. None of them forms a full 2^n eigenvector matrix.
 
-One reader does without that spectrum: the default initial state of a
-quench, whose ground-space columns :func:`_ground_columns` composes when the
-zero-field sites cut the field sites into two or more components. With each
-zero-field Z fixed, the components no longer interact, so each is solved on
-its own for every pattern, and the ground columns are products of their
-eigenvectors, kept under the same cut as :func:`ground_state_density`. No
-verdict rests on this path: the quench identity holds for any initial
-state, and every Gibbs, ground and reduced state stays on :func:`spectrum`.
+One reader does without that spectrum: the quench's default initial state,
+whose ground columns :func:`_ground_columns` reads from the same block solve,
+:func:`_decompose`, with each component that the zero-field sites cut off
+solved on its own and the blocks formed as products of their eigenvectors.
 
 Verdict thresholds used throughout the experiment runners:
 
@@ -90,11 +86,12 @@ def classify_distance(distance: float) -> str:
 class SpectralDecomposition:
     """Eigenvalues and orthonormal eigenvector columns, block by block.
 
-    ``blocks`` holds one (eigenvalues ascending, eigenvector columns) pair
-    per solved block. ``placements`` says where the blocks sit in the full
-    basis: a placement (b, rows, coefs) turns a column v of block b into
-    Σ_k coefs[k]·(v on rows[k]), ``rows`` holding one row set per
-    coefficient. A block is placed once per eigenspace it stands for, so
+    ``blocks`` holds one (eigenvalues, eigenvector columns) pair per block:
+    ascending for a solved block, not for a product of solved blocks;
+    :attr:`eigenvalues` sorts them all. ``placements`` says where the blocks
+    sit in the full basis: a placement (b, rows, coefs) turns a column v of
+    block b into Σ_k coefs[k]·(v on rows[k]), ``rows`` holding one row set
+    per coefficient. A block is placed once per eigenspace it stands for, so
     every eigenvalue counts once per placement, and the placed columns are
     orthonormal and cover the basis. With ``phases`` d set, the blocks
     decompose M′ and the matrix described is M = d ⊙ M′ ⊙ d̄ᵀ.
@@ -237,124 +234,89 @@ def _flip_stack(diag: np.ndarray, fields) -> np.ndarray:
 
 
 def spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
-    """Eigendecomposition of ``H``, read block by block from its terms,
-    solved on first use and cached on ``H``.
-
-    The fields r and phases d are those of :func:`_read_terms`. Sites with
-    r = 0 conserve their Z. The pivot is the first of them, else site 0;
-    the rows R of a block share the pivot bit 0 and one pattern of the other
-    conserved bits, and run over the remaining bits. A block holds the ZZ
-    energies on its diagonal and r_i wherever site i flips. With m ≥ 1
-    conserved sites each block is placed on R and on R̄; with none the
-    pivot's field couples R to R̄ as r_0 times the anti-identity J, and the
-    sectors block ± r_0·J are placed on (R, R̄) with (1, ±1)/√2. All blocks
-    share one dimension and go to LAPACK in one stacked call.
-    """
-    if H._spectrum is not None:
-        return H._spectrum
-    n = H.n_sites
-    r, zz, phases = _read_terms(H)
-    conserved = [i for i in range(n) if r[i] == 0.0]
-    pivot = (conserved + [0])[0]
-    free = [i for i in range(n) if r[i] != 0.0 and i != pivot]
-    bit = [1 << (n - 1 - i) for i in range(n)]
-    rows = (_offsets([bit[i] for i in conserved if i != pivot])[:, None]
-            + _offsets([bit[i] for i in free]))
-    diag = np.zeros(rows.shape)
-    for c, sign in zz:
-        diag += c * _signs(rows, sign)
-    stack = _flip_stack(diag, [r[i] for i in free])
-    top = (1 << n) - 1
-    if not n:  # no sites: one basis state, energy 0
-        placements = [(0, rows, (1.0,))]
-    elif conserved:
-        placements = [(b, at[None], (1.0,))
-                      for b, row in enumerate(rows) for at in (row, top - row)]
-    else:
-        d = rows.shape[1]
-        a = np.arange(d)
-        cross = np.zeros((d, d))
-        cross[a, d - 1 - a] = r[0]
-        stack = np.concatenate([stack + cross, stack - cross])
-        both, c = np.concatenate([rows, top - rows]), math.sqrt(0.5)
-        placements = [(0, both, (c, c)), (1, both, (c, -c))]
-    w, v = np.linalg.eigh(stack)
-    H._spectrum = SpectralDecomposition(tuple(zip(w, v)), tuple(placements), phases)
+    """Eigendecomposition of ``H``, read block by block from its terms by
+    :func:`_decompose` with all field sites in one part, solved on first use
+    and cached on ``H``."""
+    if H._spectrum is None:
+        H._spectrum = _decompose(H, False)
     return H._spectrum
 
 
-def _ground_cut(low: float, high: float) -> float:
-    """Highest energy in the ground space that ground_state_density defines,
-    for a spectrum running from ``low`` to ``high``."""
-    return low + _GROUND_TOL * max(float(high - low), 1.0)
+def _decompose(H: HamiltonianTerms, by_component: bool) -> SpectralDecomposition:
+    """Eigendecomposition of ``H`` in blocks, one per pattern of its
+    conserved Z's, each a product over parts of the field sites.
 
-
-def _ground_columns(H: HamiltonianTerms) -> np.ndarray:
-    """Full-basis columns spanning the ground space of ``H``, the space that
-    :func:`ground_state_density` mixes, with the same cut.
-
-    The sites with a field are joined by every diagonal term acting on two
-    of them. With one such component or none, the columns come from
-    :func:`spectrum`, whose blocks are then the cheapest solve. With more,
-    each pattern s of the zero-field Z's makes H a constant plus one commuting
-    piece per component: its own diagonal terms and its couplings to the
-    zero-field sites, read at s, on the diagonal, and r_i wherever its site
-    i flips. Every component is solved for all patterns in one stacked call.
-    A product of component levels e_j has energy const(s) + Σ_j e_j; the
-    cut is taken from the lowest and highest such sums, and the ground
-    columns are the products of component eigenvectors at or below it,
-    each placed on the rows of its pattern and rotated by the phases. Only
-    levels within a pattern's slack above its lowest sum are enumerated.
-    No spectrum of ``H`` is formed on this path, so none is cached on it.
+    The fields r and phases d are those of :func:`_read_terms`. Sites with
+    r = 0 conserve their Z. The pivot is the first of them; the rows R of a
+    block share the pivot bit 0 and one pattern of the other conserved bits,
+    and run over the bits of the field sites. These are one part, or with
+    ``by_component`` one part per component that the diagonal terms join.
+    With every conserved Z fixed the parts do not interact: each part's
+    block holds on its diagonal the diagonal terms that touch it (the first
+    part also those that touch none) and r_i wherever its site i flips, and
+    is solved for all patterns in one stacked call. With two or more parts
+    a block is the Kronecker product of their eigenvectors, energies summed.
+    With a pivot each block is placed on R and on R̄. With none and one
+    part, site 0 leaves the part: its field couples R to R̄ as r_0 times the
+    anti-identity J, and the sectors block ± r_0·J are placed on (R, R̄)
+    with (1, ±1)/√2. With none and more parts, the block is placed once
+    over the whole basis.
     """
     n = H.n_sites
     r, zz, phases = _read_terms(H)
     bit = [1 << (n - 1 - i) for i in range(n)]
-    label = {i: i for i in range(n) if r[i] != 0.0}  # smallest site of its component
+    conserved = [i for i in range(n) if r[i] == 0.0]
+    # the parts: field sites of one label, joined across each diagonal term
+    label = {i: i if by_component else 0 for i in range(n) if r[i] != 0.0}
     for _, sign in zz:
         ends = {label[i] for i in label if sign & bit[i]}
         if len(ends) > 1:
             label = {i: min(ends) if k in ends else k for i, k in label.items()}
-    parts = [[i for i in label if label[i] == k] for k in sorted(set(label.values()))]
-    if len(parts) < 2:
-        dec = spectrum(H)
-        f, _ = _weights(dec, math.inf)
-        return dec.columns(lambda x: f(x) != 0)
-
-    patterns = _offsets([bit[i] for i in range(n) if r[i] == 0.0])
-    part_of = {i: j for j, part in enumerate(parts) for i in part}
-    const = np.zeros(patterns.size)
-    diags = [np.zeros((patterns.size, 1 << len(part))) for part in parts]
-    local = [_offsets([bit[i] for i in part]) for part in parts]
+    parts = [[i for i in label if label[i] == k] for k in sorted(set(label.values()))] or [[]]
+    sectors = n > 0 and not conserved and len(parts) == 1
+    if sectors:
+        parts = [parts[0][1:]]  # pivot on site 0
+    patterns = _offsets([bit[i] for i in conserved[1:]])
+    part_rows = [patterns[:, None] + _offsets([bit[i] for i in part]) for part in parts]
+    masks = [sum(bit[i] for i in part) for part in parts]
+    diags = [np.zeros(at.shape) for at in part_rows]
     for c, sign in zz:
-        touched = {part_of[i] for i in part_of if sign & bit[i]}
-        if touched:
-            (j,) = touched
-            diags[j] += c * _signs(patterns[:, None] + local[j], sign)
-        else:
-            const += c * _signs(patterns, sign)
-    solved = [np.linalg.eigh(_flip_stack(diag, [r[i] for i in part]))
-              for part, diag in zip(parts, diags)]
-    low = high = const  # summed in the order the products below are
-    for w, _ in solved:
-        low, high = low + w[:, 0], high + w[:, -1]
-    cut = _ground_cut(low.min(), high.max())
+        j = next((j for j, mask in enumerate(masks) if sign & mask), 0)
+        diags[j] += c * _signs(part_rows[j], sign)
+    stacks = [_flip_stack(diag, [r[i] for i in part]) for part, diag in zip(parts, diags)]
+    if sectors:
+        d = part_rows[0].shape[1]
+        a = np.arange(d)
+        cross = np.zeros((d, d))
+        cross[a, d - 1 - a] = r[0]
+        stacks = [np.concatenate([stacks[0] + cross, stacks[0] - cross])]
+    (w, v), *others = [np.linalg.eigh(stack) for stack in stacks]
+    blocks = []
+    for s in range(len(w)):
+        ws, vs = w[s], v[s]
+        for pw, pv in others:
+            ws, vs = np.add.outer(ws, pw[s]).ravel(), np.kron(vs, pv[s])
+        blocks.append((ws, vs))
+    rows = patterns[:, None] + _offsets([bit[i] for part in parts for i in part])
+    top = (1 << n) - 1
+    if conserved:
+        placements = [(b, at[None], (1.0,))
+                      for b, row in enumerate(rows) for at in (row, top - row)]
+    elif sectors:
+        both, c = np.concatenate([rows, top - rows]), math.sqrt(0.5)
+        placements = [(0, both, (c, c)), (1, both, (c, -c))]
+    else:
+        placements = [(0, rows, (1.0,))]
+    return SpectralDecomposition(tuple(blocks), tuple(placements), phases)
 
-    rows = _offsets([bit[i] for part in parts for i in part])
-    columns = []
-    for s in np.flatnonzero(low <= cut):
-        energy = const[s]
-        for w, _ in solved:
-            energy = np.add.outer(energy, w[s][w[s] - w[s, 0] <= cut - low[s]])
-        for pick in np.argwhere(energy <= cut):
-            column = np.zeros(1 << n)
-            product = np.ones(1)
-            for (_, v), level in zip(solved, pick):
-                product = np.multiply.outer(product, v[s, :, level]).ravel()
-            column[patterns[s] + rows] = product
-            columns.append(column)
-    out = np.stack(columns, axis=1)
-    return out if phases is None else phases[:, None] * out
+
+def _ground_columns(H: HamiltonianTerms) -> np.ndarray:
+    """Full-basis columns spanning the ground space that
+    :func:`ground_state_density` mixes, from blocks solved per component of
+    the field sites; nothing is cached on ``H``."""
+    dec = _decompose(H, True)
+    f, _ = _weights(dec, math.inf)
+    return dec.columns(lambda w: f(w) != 0)
 
 
 @dataclass
@@ -409,11 +371,12 @@ def _weights(dec: SpectralDecomposition, beta: float):
 
     Finite beta: f(w) = e^{-beta(w - w0)} / Z with w0 the lowest eigenvalue, so
     large beta cannot overflow, and the degeneracy is None. beta = inf: the
-    uniform mixture f(w) = (w <= cut) / d over the d-dimensional ground space.
+    uniform mixture f(w) = (w <= cut) / d over the d-dimensional ground space,
+    cut = w0 + _GROUND_TOL·max(span, 1); the one place it is chosen.
     """
     w = dec.eigenvalues
     if math.isinf(beta):
-        cut = _ground_cut(w[0], w[-1])
+        cut = w[0] + _GROUND_TOL * max(float(w[-1] - w[0]), 1.0)
         d = int(np.count_nonzero(w <= cut))
         return (lambda x: (x <= cut) / d), d
     low = w[0]

@@ -136,11 +136,11 @@ def test_gibbs_states_and_ground_state_share_one_solve(eig_calls):
 
 def test_quench_runner_solves_pre_and_post_once(solved_terms, eig_calls):
     # the zero field on site 3 cuts the pre's field sites into {0, 1, 2} and
-    # {4, 5}: its ground space is composed from one stack per side, both Z
-    # patterns of site 3 at once, and never reaches spectrum; the post is
-    # one real block of 32
+    # {4, 5}: its ground space is composed from one block per side, solved
+    # with site 3 as the pivot like spectrum's one pattern, and never
+    # reaches spectrum; the post is one real block of 32
     assert len(run_quench_experiment(short_quench()).rows) == 5 * 6
-    assert eig_calls == [(2, 8, 8), (2, 4, 4), (1, 32, 32)]
+    assert eig_calls == [(1, 8, 8), (1, 4, 4), (1, 32, 32)]
     pre, _ = shielded_chain()
     post = update_parameters(pre, h=[-2.0, *pre.h[1:]])
     assert solved_terms == [build_hamiltonian(post).terms]

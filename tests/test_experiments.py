@@ -537,6 +537,27 @@ class TestQuenchRunner:
         del cfg["quench_h"]
         assert run_quench_experiment(cfg).metadata["verdict"]["max_variation_driven"] < 1e-9
 
+    def test_post_may_change_only_the_x_side(self):
+        cfg = self.quench_config()
+        del cfg["quench_site"], cfg["quench_h"]
+        n = cfg["pre"]["n_sites"]
+
+        def post(h, J):
+            edges = [(i, i + 1, J.get(i, 1.0)) for i in range(n - 1)]
+            return lattice_json(validate_lattice(n, edges, h))
+
+        # fields on A = {0, 1} and couplings within X = {0, 1, 2} are X-side
+        cfg["post"] = post([-3.0, 0.9, 0.0, 0.5, 0.5, 0.5], {0: -2.0, 1: 0.3})
+        verdict = run_quench_experiment(cfg).metadata["verdict"]
+        assert verdict["status"] == "pass" and verdict["max_variation_driven"] > 1e-2
+        h = [0.5, 0.5, 0.0, 0.5, 0.5, 0.5]
+        for h_4, J, what in ((0.2, {}, "the field on site 4"),
+                             (0.5, {2: 0.4}, r"the coupling of edge \(2, 3\)"),
+                             (0.5, {4: 0.4}, r"the coupling of edge \(4, 5\)")):
+            cfg["post"] = post(h[:4] + [h_4, 0.5], J)
+            with pytest.raises(ShieldlabError, match=rf"^post: changes {what},"):
+                run_quench_experiment(cfg)
+
     def test_quench_site_counts_from_the_index_base(self):
         cfg = self.quench_config()
         cfg["pre"]["index_base"] = 1
@@ -772,6 +793,26 @@ class TestCli:
         cfg = {"pre": lattice_json(lat), "quench_site": 0, "quench_h": -3.0,
                "times": [0.0, 1.0], "observables": "x",
                "split": {"X": [0, 1, 2], "Y": [2, 3, 4]}, **edit}
+        proc = self.run_cli(tmp_path, "quench", cfg)
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"quench_site": 2}, "error: quench_site: changes the field on site 2,"),
+        ({"quench_site": 4}, "error: quench_site: changes the field on site 4,"),
+        ({"post": lattice_json(make_chain(6, [1.0] * 5, [0.5, 0.5, 0.3, 0.5, 0.5, 0.5]))},
+         "error: post: changes the field on site 2,"),
+    ], ids=["quench_on_S", "quench_in_B", "post_field_on_S"])
+    def test_quench_off_the_x_side_exits_one(self, tmp_path, edit, message):
+        # none of these changes only the X side, so a shielded side that
+        # moves would be blamed on shielding
+        lat = make_chain(6, [1.0] * 5, [0.5, 0.5, 0.0, 0.5, 0.5, 0.5])
+        cfg = {"pre": lattice_json(lat), "quench_site": 0, "quench_h": -3.0,
+               "times": [0.0, 1.0], "observables": "x",
+               "split": {"X": [0, 1, 2], "Y": [2, 3, 4, 5]}, **edit}
+        if "post" in edit:
+            del cfg["quench_site"], cfg["quench_h"]
         proc = self.run_cli(tmp_path, "quench", cfg)
         assert proc.returncode == 1
         assert message in proc.stderr

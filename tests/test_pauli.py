@@ -16,6 +16,18 @@ def word(text, n):
     return PauliString.from_text(text, n)
 
 
+def z_parity(p):
+    """Number of sites carrying Z or Y, mod 2, read from the z mask."""
+    return p.xzk[1].bit_count() % 2
+
+
+def trace(p):
+    """Tr P from the basis action P|j> = coefs[j] |j ^ mask>: only a word
+    that flips no bit has a diagonal."""
+    mask, coefs = p.basis_action()
+    return complex(coefs.sum()) if mask == 0 else 0j
+
+
 class TestMultiplication:
     def test_single_site_identity(self):
         p = word("+ X0", 1) * word("+ Y0", 1)
@@ -31,7 +43,7 @@ class TestMultiplication:
 
     def test_involution(self):
         p = word("+ Y2", 3)
-        assert p * p == PauliString.identity(3)
+        assert p * p == PauliString("III")
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
@@ -39,11 +51,12 @@ class TestMultiplication:
 
     def test_phases_stay_fourth_roots(self):
         rng = np.random.default_rng(3)
-        p = PauliString.identity(3)
+        p = PauliString("III")
         for _ in range(60):
             letters = "".join(rng.choice(list("IXYZ")) for _ in range(3))
             p = p * PauliString(letters, int(rng.integers(4)))
-            assert p.phase in (1, 1j, -1, -1j)
+            assert p.phase_k in (0, 1, 2, 3)
+            assert p.xzk[2] == (p.phase_k + p.letters.count("Y")) % 4
 
     def test_dense_homomorphism_exact(self):
         # entries are exact elements of {0, ±1, ±i}: equality must be exact
@@ -96,11 +109,12 @@ class TestMasksAgainstKron:
         j = np.arange(dim)
         assert np.array_equal(dense[j ^ mask, j], coefs), p
         assert np.count_nonzero(dense) == dim
-        # left parity 0 exactly when P commutes with the all-X string
+        # Z/Y parity 0 exactly when P commutes with the all-X string
         x_all = kron_op(n, {i: SX for i in range(n)})
         commutes = np.array_equal(dense @ x_all, x_all @ dense)
-        assert p.left_parity() == (0 if commutes else 1), p
-        assert p.is_identity_word == np.array_equal(dense, dense[0, 0] * np.eye(dim)), p
+        assert z_parity(p) == (0 if commutes else 1), p
+        assert (not (x | z)) == np.array_equal(dense, dense[0, 0] * np.eye(dim)), p
+        assert trace(p) == np.trace(dense), p
 
     def test_every_single_site_pair_at_every_phase(self):
         for a, b in product("IXYZ", repeat=2):
@@ -137,7 +151,7 @@ class TestBasisAction:
 
     def test_cap_enforced(self):
         with pytest.raises(DimensionOverflowError):
-            PauliString.identity(13).basis_action()
+            PauliString("I" * 13).basis_action()
 
     def test_basis_action_matches_dense(self):
         rng = np.random.default_rng(17)
@@ -152,28 +166,31 @@ class TestBasisAction:
 
 class TestTrace:
     def test_identity_trace(self):
-        assert PauliString.identity(3).trace() == 8
+        assert trace(PauliString("III")) == 8
 
     def test_single_pauli_traceless(self):
-        assert word("+ Z0", 2).trace() == 0
+        assert trace(word("+ Z0", 2)) == 0
 
     def test_word_trace_matches_dense(self):
         p = word("+ Z0 X1 Z2", 3)
-        assert p.trace() == 0
-        assert p.trace() == np.trace(kron_word(p))
+        assert trace(p) == 0
+        assert trace(p) == np.trace(kron_word(p))
 
     def test_phase_carried(self):
-        assert PauliString("II", 1).trace() == 4j
+        assert trace(PauliString("II", 1)) == 4j
 
 
 class TestLeftParity:
+    """The parity argument of the paper on the z mask: products of the
+    generators {Z_i Z_j, X_i} flip the Z/Y character of zero or two sites."""
+
     @pytest.mark.parametrize("text, n, parity", [
         ("+ Z0 Z1", 2, 0),
         ("+ Z0 Y1 X2", 3, 0),
         ("+ Z0", 1, 1),
     ])
     def test_examples(self, text, n, parity):
-        assert word(text, n).left_parity() == parity
+        assert z_parity(word(text, n)) == parity
 
     def test_generator_products_preserve_parity(self):
         # products of ZZ-pair and X generators: each step flips the Z/Y
@@ -181,7 +198,7 @@ class TestLeftParity:
         rng = np.random.default_rng(23)
         for n in (3, 4, 5, 6):
             for _ in range(20):
-                acc = PauliString.identity(n)
+                acc = PauliString("I" * n)
                 for _ in range(15):
                     if rng.random() < 0.5:
                         i, j = rng.choice(n, size=2, replace=False)
@@ -189,9 +206,9 @@ class TestLeftParity:
                             n, {int(i): "Z", int(j): "Z"})
                     else:
                         gen = PauliString.single(n, int(rng.integers(n)), "X")
-                    before = acc.left_parity()
+                    before = z_parity(acc)
                     acc = acc * gen
-                    assert acc.left_parity() == before == 0
+                    assert z_parity(acc) == before == 0
 
     def test_interface_z_forces_vanishing_trace_elsewhere(self):
         # generator products with even parity: whenever the word carries Z
@@ -199,8 +216,9 @@ class TestLeftParity:
         # over the remaining sites vanishes
         rng = np.random.default_rng(29)
         n, interface = 5, 2
+        at = 1 << (n - 1 - interface)
         for _ in range(200):
-            acc = PauliString.identity(n)
+            acc = PauliString("I" * n)
             for _ in range(int(rng.integers(1, 12))):
                 if rng.random() < 0.5:
                     i, j = rng.choice(n, size=2, replace=False)
@@ -208,18 +226,19 @@ class TestLeftParity:
                         n, {int(i): "Z", int(j): "Z"})
                 else:
                     acc = acc * PauliString.single(n, int(rng.integers(n)), "X")
-            assert acc.left_parity() == 0
-            if acc.letter(interface) == "Z":
-                rest = acc.restrict([i for i in range(n) if i != interface])
-                assert not rest.is_identity_word
-                assert rest.trace() == 0
+            x, z, k = acc.xzk
+            assert z_parity(acc) == 0
+            if z & at and not x & at:  # Z on the interface
+                assert (x | z) & ~at  # another site is not I
+                rest = acc.letters[:interface] + acc.letters[interface + 1:]
+                assert trace(PauliString(rest, k)) == 0
 
 
 class TestTextForm:
     def test_documented_example(self):
         p = PauliString.from_text("+i Z0 X3", 4)
         assert p.letters == "ZIIX"
-        assert p.phase == 1j
+        assert p.phase_k == 1
         assert p.to_text() == "+i Z0 X3"
 
     def test_round_trip_random(self):
@@ -231,8 +250,8 @@ class TestTextForm:
             assert PauliString.from_text(p.to_text(), n) == p
 
     def test_identity_prints_bare_phase(self):
-        assert PauliString.identity(2).to_text() == "+"
-        assert PauliString.from_text("+", 2) == PauliString.identity(2)
+        assert PauliString("II").to_text() == "+"
+        assert PauliString.from_text("+", 2) == PauliString("II")
 
     def test_rejects_double_assignment(self):
         with pytest.raises(ValueError):

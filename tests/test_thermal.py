@@ -345,34 +345,50 @@ def cut_lattices(rng):
 
 
 class TestGroundColumns:
-    """The quench's default initial state: ground-space columns composed per
+    """The quench's default initial state: ground-space columns solved per
     component of the field sites, against the dense oracle."""
 
-    def test_columns_span_the_dense_ground_space(self):
-        widths = []
+    def test_columns_span_the_dense_ground_space(self, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        widths, covered = [], set()
         for lat, composed in cut_lattices(np.random.default_rng(97)):
+            n = lat.n_sites
+            m = sum(h == g == 0.0 for h, g in zip(lat.h, lat.g))
             H = build_hamiltonian(lat)
+            shapes.clear()
             got = thermal._ground_columns(H)
-            # spectrum caches on H, so an uncached H took the composed path
-            assert (H._spectrum is None) == composed
-            ref, d, _ = dense_ground(H)
+            assert H._spectrum is None
+            solved, shapes[:] = shapes[:], []
             dec = spectrum(build_hamiltonian(lat))
-            cut = thermal._ground_cut(dec.eigenvalues[0], dec.eigenvalues[-1])
-            assert got.shape == (2 ** lat.n_sites, d)
-            assert dec.columns(lambda w: w <= cut).shape[1] == d
+            if composed:
+                # one stack per component, over the 2^(m-1) patterns spectrum
+                # solves (one pattern without a zero field), their blocks
+                # covering the field sites
+                assert len(solved) >= 2
+                assert {s[0] for s in solved} == {2 ** (m - 1) if m else 1}
+                assert math.prod(s[1] for s in solved) == 2 ** (n - m)
+                covered.add((min(m, 2), any(lat.g)))
+            else:
+                assert solved == shapes
+            ref, d, _ = dense_ground(H)
+            assert got.shape == (2 ** n, d)
+            assert thermal._weights(dec, math.inf)[1] == d
             assert np.abs(got.conj().T @ got - np.eye(d)).max() < 1e-12
             assert np.abs(got @ got.conj().T / d - ref).max() < 1e-12
             widths.append(d)
         assert widths[8:10] == [6, 4]  # the tied uniform lattices
+        # m >= 2 zero fields with y fields, and the all-field two chains
+        assert {(2, True), (0, True)} <= covered
 
     def test_one_component_is_spectrums_own_columns(self):
         for lat, composed in cut_lattices(np.random.default_rng(101)):
             if not composed:
                 dec = spectrum(build_hamiltonian(lat))
-                w = dec.eigenvalues
-                cut = thermal._ground_cut(w[0], w[-1])
+                f, _ = thermal._weights(dec, math.inf)
                 assert np.array_equal(thermal._ground_columns(build_hamiltonian(lat)),
-                                      dec.columns(lambda x: x <= cut))
+                                      dec.columns(lambda x: f(x) != 0))
 
 
 class TestSectorOracle:
@@ -614,16 +630,16 @@ class TestShielding:
             h[L] = 0.0
             lat = update_parameters(lat, h=h)
         split = validate_split(lat, range(L + 1), range(L, 6))
-        obs = PauliString.single(6, 0, "Z")
+        obs = PauliString.single(L, 0, "Z")  # on the kept sites 0..L-1
         before = expectation(partial_trace(gibbs(build_hamiltonian(lat), 1.3),
-                                           range(L)), obs.restrict(range(L)))
+                                           range(L)), obs)
         h2 = list(lat.h)
         for i in range(L + 1, 6):
             h2[i] = rng.uniform(0, 1)
         lat2 = update_parameters(lat, h=h2,
                                  J_by_edge={(L, L + 1): rng.uniform(-2, 2)})
         after = expectation(partial_trace(gibbs(build_hamiltonian(lat2), 1.3),
-                                          range(L)), obs.restrict(range(L)))
+                                          range(L)), obs)
         assert abs(before - after) < 1e-10
 
     def test_two_site_interface_fails_at_finite_temperature(self):
