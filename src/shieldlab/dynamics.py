@@ -6,10 +6,14 @@ Hamiltonian is solved once, as the real blocks of :mod:`shieldlab.thermal`
 in the full basis once per eigenspace it stands for), and every time step
 reads that one spectrum. :func:`run_quench` is the library's only time
 evolution. It projects the initial state's pure components onto each
-placement once and evolves them there with real eigenvectors, every time
-of a batch in one product. A batch holds as many times as fit a fixed
-budget of full-basis entries, however small the blocks, and each
-observable is read once per batch, over all of its columns.
+placement once, skipping those they have no part in, and evolves them
+there with real eigenvectors, every time of a batch in one real product.
+The states stay in the real frame of the blocks, as their real and
+imaginary parts; the y-field phases go into each observable's coefficients
+instead, once per run. A batch holds as many times as fit a fixed budget of
+full-basis entries, however small the blocks, and each observable is read
+once per batch, over all of its columns, as one real product over half the
+basis that pairs each row with the row its flips reach.
 """
 
 from __future__ import annotations
@@ -75,9 +79,9 @@ def _observable_site(obs: PauliString) -> int:
     return sup[0] if sup else -1
 
 
-def _initial_states(protocol: QuenchProtocol,
-                    rho0: DensityMatrix | None) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted pure states (columns, weights) whose mixture is the initial state.
+def _initial_states(protocol: QuenchProtocol, rho0: DensityMatrix | None) -> np.ndarray:
+    """Pure states, each scaled by the square root of its weight, whose
+    mixture Σ ψψ† is the initial state.
 
     By default these are the pre-quench ground columns, weighted uniformly,
     from :func:`shieldlab.thermal._ground_columns`, which solves each
@@ -88,12 +92,67 @@ def _initial_states(protocol: QuenchProtocol,
     """
     if rho0 is None:
         states = _ground_columns(build_hamiltonian(protocol.pre))
-        return states, np.full(states.shape[1], 1.0 / states.shape[1])
+        return states / math.sqrt(states.shape[1])
     if rho0.n_sites != protocol.pre.n_sites:
         raise SizeMismatchError("initial state does not match the lattice")
     vals, vecs = np.linalg.eigh(rho0.matrix)
     keep = vals > 1e-14
-    return vecs[:, keep], vals[keep]
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+def _folded(obs: PauliString, phases: np.ndarray | None):
+    """The flip mask x of the Hermitian word ``obs`` and the real and
+    imaginary parts (None where all zero) of its coefficients in the real
+    frame of the phases d.
+
+    There P′ = d̄ ⊙ P ⊙ dᵀ takes |j> to c′_j |j ^ x> with
+    c′_j = i^k (-1)^popcount(j & z) d_j d̄_{j^x}. P′ is Hermitian, so entry j
+    of P′ applied to the all-ones vector, d̄ ⊙ P d, is the conjugate of c′_j.
+    For x = 0 the coefficients run over every row; else, doubled, over the
+    rows j with x's top bit clear, in the order of :func:`_pairs`, standing
+    for j and j ^ x.
+    """
+    x = obs.xzk[0]
+    d = np.ones((1 << obs.n_sites, 1)) if phases is None else phases[:, None]
+    c = (d * obs.apply(d).conj())[:, 0]
+    if x:
+        low = 1 << (x.bit_length() - 1)
+        c = 2 * c.reshape(-1, 2, low)[:, 0].ravel()
+    return x, *(part if part.any() else None for part in (c.real, c.imag))
+
+
+def _pairs(evolved: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows j of ``evolved`` with flip mask x's top bit clear and their
+    partners j ^ x, found by a reshape on that bit and a gather on x's lower
+    bits, if it has any; for x = 0, every row paired with itself."""
+    if not x:
+        return evolved, evolved
+    low = 1 << (x.bit_length() - 1)
+    halves = evolved.reshape(-1, 2, low, *evolved.shape[1:])
+    partners = halves[:, 1]
+    if x != low:
+        partners = partners[:, np.arange(low) ^ (x ^ low)]
+    return halves[:, 0], partners
+
+
+def _read(word, evolved: np.ndarray) -> np.ndarray:
+    """Σ_φ ⟨φ|P′|φ⟩ per time, for P′ the word read by :func:`_folded` and
+    states φ = a + ib held in the real array ``evolved`` of shape (rows,
+    states, 2, times), a at [:, :, 0] and b at [:, :, 1].
+
+    The pair (j, j′ = j ^ x) gives 2 Re[c′_j φ_j φ̄_j′] = 2[Re c′·(a a′ + b b′)
+    − Im c′·(b a′ − a b′)], one real product per nonzero part of c′ over the
+    rows j that :func:`_pairs` finds; b a′ and a b′ come from the same
+    product with the partner's a and b swapped.
+    """
+    x, re, im = word
+    lo, hi = _pairs(evolved, x)
+    out = np.zeros(evolved.shape[-1])
+    for part, partner, sign in ((re, hi, 1.0), (im, hi[..., ::-1, :], -1.0)):
+        if part is not None:
+            s = (part @ (lo * partner).reshape(part.size, -1)).reshape(evolved.shape[1:])
+            out += s[:, 0].sum(axis=0) + sign * s[:, 1].sum(axis=0)
+    return out
 
 
 def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> ResultTable:
@@ -105,16 +164,24 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
     component of the pre's field sites solved on its own
     (:func:`shieldlab.thermal._ground_columns`). No verdict rests on how it
     is computed: the identity below holds for any ``rho0``, and the mixture
-    is the same ground projector, so only rounding differs. Rather than
-    rotating the full density matrix at every time, the state is
-    decomposed once into weighted pure states and projected once into each
-    placement of the post-Hamiltonian's blocks. There it is evolved as
-    vectors, a batch of times in one real-by-complex product done as one
-    real product, and added into one full-basis array per batch. A batch
-    holds as many times as fit ``_BATCH_ENTRIES`` entries of that array
-    (at least one), however small the blocks. Each observable is then
-    applied once to the whole array and summed per column. Rows are ordered
-    by (t, site), with single-site observables labeled by their site.
+    is the same ground projector, so only rounding differs.
+
+    Rather than rotating the full density matrix at every time, the state
+    is decomposed once into pure states scaled by the square roots of their
+    weights, so that a time's value is a sum over columns. They are turned
+    into the post's real frame (H = d ⊙ H′ ⊙ d̄ᵀ with H′ real) by d̄ and
+    projected once into each placement of its blocks; a column whose
+    projection is exactly zero is skipped there, and so is a placement with
+    none left. A batch of times is evolved by one real product per
+    placement, the block's real eigenvectors against the real and imaginary
+    parts of the phased coordinates, and added into one real full-basis
+    array per batch that holds both parts of every state at every time. A
+    batch holds as many times as fit ``_BATCH_ENTRIES`` complex entries, the
+    bytes of that array (at least one time), however small the blocks. Each
+    observable is read once per batch by :func:`_read`, its coefficients
+    folded with d once per run by :func:`_folded`, so neither the evolution
+    nor the readout forms a complex full-basis array. Rows are ordered by
+    (t, site), with single-site observables labeled by their site.
 
     The headline identity, in this function's rows: let a zero-field
     interface split the post lattice into X and Y, with bulks A and B. The
@@ -123,32 +190,37 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
     same rows for every observable on B. The far side never feels H_X; with
     the X side set to zero it evolves under H_Y alone.
     """
-    states, weights = _initial_states(protocol, rho0)
+    states = _initial_states(protocol, rho0)
     post = spectrum(build_hamiltonian(protocol.post))
+    if post.phases is not None:
+        states = post.phases.conj()[:, None] * states
 
-    coords = [_dot(post.blocks[b][1].conj().T, post.project(p, states))
-              for p, (b, _, _) in enumerate(post.placements)]
     width = states.shape[1]
+    coords = []
+    for p, (b, _, _) in enumerate(post.placements):
+        proj = post.project(p, states)
+        live = np.flatnonzero(proj.any(axis=0))
+        if live.size:
+            coords.append((p, live, _dot(post.blocks[b][1].T, proj[:, live])))
     batch = max(1, _BATCH_ENTRIES // (post.dim * width))
     sites = [_observable_site(obs) for obs in protocol.observables]
     obs_order = np.argsort(np.array(sites), kind="stable")
+    words = [_folded(protocol.observables[i], post.phases) for i in obs_order]
 
     rows = []
     times = np.array(protocol.times)
     for start in range(0, times.size, batch):
         ts = times[start:start + batch]
-        evolved = np.zeros((post.dim, ts.size * width), dtype=complex)
-        for p, ((b, _, _), c) in enumerate(zip(post.placements, coords)):
-            w, v = post.blocks[b]
-            # columns ordered by (time, state), as the readout reshapes them
-            phased = np.exp(-1j * np.outer(w, ts))[:, :, None] * c[:, None, :]
-            post.lift(p, _dot(v, phased.reshape(w.size, -1)), evolved)
-        readouts = [np.sum(evolved.conj() * protocol.observables[i].apply(evolved), axis=0)
-                    .reshape(ts.size, width) for i in obs_order]
+        evolved = np.zeros((post.dim, width, 2, ts.size))
+        for p, live, c in coords:
+            w, v = post.blocks[post.placements[p][0]]
+            phased = np.exp(-1j * np.outer(w, ts))[:, None, :] * c[:, :, None]
+            parts = np.stack([phased.real, phased.imag], axis=2).reshape(w.size, -1)
+            post.lift(p, _dot(v, parts).reshape(-1, live.size, 2, ts.size), evolved, live)
+        values = [_read(word, evolved) for word in words]
         for k, t in enumerate(ts):
-            for obs_idx, vals in zip(obs_order, readouts):
-                value = float(np.real(np.sum(weights * vals[k])))
-                rows.append((float(t), sites[obs_idx], value))
+            for obs_idx, vals in zip(obs_order, values):
+                rows.append((float(t), sites[obs_idx], float(vals[k])))
     table = ResultTable(columns=("t", "site", "value"))
     table.rows = rows
     return table

@@ -30,8 +30,10 @@ block in the full basis: a placement turns a block column v into Σ_k c_k·(v
 on R_k). A shared block is placed twice, plainly on R and on R̄; a sector of
 P once, on R and R̄ with coefficients (1, ±1)/√2. Gibbs states and ground
 mixtures are assembled from block-size products per placement and rotated
-back by the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ; quench states are evolved
-inside the placements. None of them forms a full 2^n eigenvector matrix.
+back by the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. Quench states are evolved
+inside the placements and stay in the frame of H′, where lifts and
+projections work; the quench folds d into its observables instead. None of
+them forms a full 2^n eigenvector matrix.
 
 One reader does without that spectrum: the quench's default initial state,
 whose ground columns :func:`_ground_columns` reads from the same block solve,
@@ -115,33 +117,32 @@ class SpectralDecomposition:
         """All eigenvalues, ascending."""
         return np.sort(self._values())
 
-    def lift(self, p: int, y: np.ndarray, out: np.ndarray) -> None:
-        """Add d ⊙ Σ_k coefs[k]·(y on rows[k]) to full-basis columns ``out``,
-        for coordinates ``y`` in placement ``p``; only its rows are touched."""
+    def lift(self, p: int, y: np.ndarray, out: np.ndarray, cols=None) -> None:
+        """Add Σ_k coefs[k]·(y on rows[k]) to full-basis columns ``out`` (to
+        its columns ``cols`` only, if given: the second axis), for coordinates
+        ``y`` in placement ``p``; only its rows are touched. The phases d are
+        not applied: ``out`` is in the frame of M′."""
         _, rows, coefs = self.placements[p]
         for at, c in zip(rows, coefs):
-            part = y if self.phases is None else self.phases[at, None] * y
-            out[at] += _scaled(c, part)
+            out[at if cols is None else np.ix_(at, cols)] += _scaled(c, y)
 
     def project(self, p: int, x: np.ndarray) -> np.ndarray:
-        """Coordinates in placement ``p`` of full-basis columns ``x``: the
-        adjoint of :meth:`lift`, Σ_k coefs[k]·(d̄ ⊙ x)[rows[k]]."""
+        """Coordinates in placement ``p`` of full-basis columns ``x`` in the
+        frame of M′: the adjoint of :meth:`lift`, Σ_k coefs[k]·x[rows[k]]."""
         _, rows, coefs = self.placements[p]
-        if self.phases is not None:
-            x = self.phases.conj()[:, None] * x
         return sum(_scaled(c, x[at]) for at, c in zip(rows, coefs))
 
     def columns(self, keep) -> np.ndarray:
-        """Full-basis eigenvector columns whose eigenvalues ``keep(w)`` selects."""
+        """Full-basis eigenvector columns of M whose eigenvalues ``keep(w)``
+        selects: the lifted block columns, times d."""
         picked = [v[:, keep(w)] for w, v in self.blocks]
         placed = [picked[b] for b, _, _ in self.placements]
-        kinds = [y.dtype for y in picked] + ([] if self.phases is None else [self.phases.dtype])
-        out = np.zeros((self.dim, sum(y.shape[1] for y in placed)), dtype=np.result_type(*kinds))
+        out = np.zeros((self.dim, sum(y.shape[1] for y in placed)), dtype=np.result_type(*picked))
         start = 0
         for p, y in enumerate(placed):
             self.lift(p, y, out[:, start:start + y.shape[1]])
             start += y.shape[1]
-        return out
+        return out if self.phases is None else self.phases[:, None] * out
 
     def function(self, f) -> np.ndarray:
         """f(M) = Σ V f(w) V† over the placements, as a full-basis matrix.

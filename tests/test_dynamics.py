@@ -206,7 +206,9 @@ class TestRunQuench:
             table = run_quench(QuenchProtocol(pre, post, times, obs), rho0=rho0)
             evolution = products[2:]  # after one projection per placement
             assert len(evolution) == n_products
-            # each product fills half of its batch's full-basis array
+            # each ground column lies in one placement, so a product takes the
+            # real and imaginary parts of that one column at each time: the
+            # batch's budget of complex entries over the two placements
             assert rho0 is not None or all(2 * z <= budget for _, z in evolution)
             tail = run_quench(QuenchProtocol(pre, post, times[-3:], obs), rho0=rho0)
             assert [r[2] for r in table.rows[-3:]] == pytest.approx(
@@ -215,7 +217,10 @@ class TestRunQuench:
     def test_many_small_blocks_evolve_in_one_batch(self, monkeypatch):
         # 6 zero-field sites after the quench: 32 blocks of dimension 4, each
         # placed twice; a short grid fits one batch, so each placement is
-        # projected onto once and evolved in one product
+        # projected onto once and evolved in one product. Each placement lies
+        # on one side of the pre's zero-field site 2, so one of the two ground
+        # columns is live there: its projection is one column wide, and its
+        # product takes that column's real and imaginary parts at every time.
         import shieldlab.dynamics as dynamics
         from shieldlab import spectrum
         products = []
@@ -236,8 +241,10 @@ class TestRunQuench:
         obs = tuple(PauliString.single(n, i, "XYZ"[i % 3]) for i in range(n))
         times = tuple(np.arange(0.0, 3.0, 0.25))
         table = run_quench(QuenchProtocol(pre, post, times, obs))
+        live = 1
         assert len(products) == 2 * placements
-        assert all(shape[1] == len(times) * 2 for shape in products[placements:])
+        assert all(shape == (4, live) for shape in products[:placements])
+        assert all(shape == (4, 2 * len(times) * live) for shape in products[placements:])
 
         rho0, _, _ = dense_ground(build_hamiltonian(pre))
         w, v = dense_spectrum(h_post)
@@ -246,18 +253,18 @@ class TestRunQuench:
             ref = np.trace(u @ rho0 @ u.conj().T @ kron_word(obs[site])).real
             assert value == pytest.approx(ref, abs=1e-12)
 
-    def test_each_observable_is_applied_once_per_batch(self, monkeypatch):
-        # the batched readout gives the same bytes as reading every (time,
-        # observable) on its own columns of the same evolved array
+    def test_each_observable_is_read_once_per_batch(self, monkeypatch):
+        # one read per word and batch, over every column of the batch; the
+        # rows match the dense oracle
         import shieldlab.dynamics as dynamics
-        calls = []
-        original = PauliString.apply
+        reads = []
+        original = dynamics._read
 
-        def recorded(self, psi):
-            calls.append((self, psi))
-            return original(self, psi)
+        def recorded(word, evolved):
+            reads.append((word[0], evolved.shape))
+            return original(word, evolved)
 
-        monkeypatch.setattr(PauliString, "apply", recorded)
+        monkeypatch.setattr(dynamics, "_read", recorded)
         monkeypatch.setattr(dynamics, "_BATCH_ENTRIES", 64 * 2 * 4)  # 4 times per batch
         n = 6
         edges = [1.0, -0.7, 1.3, 0.4, -1.1]
@@ -266,23 +273,20 @@ class TestRunQuench:
         obs = tuple(PauliString.single(n, i, "XYZ"[i % 3]) for i in (4, 0, 5, 2))
         times = tuple(np.arange(0.0, 2.5, 0.25))  # 10 times: batches of 4, 4, 2
         table = run_quench(QuenchProtocol(pre, post, times, obs))
-        assert len(calls) == len(obs) * 3
-
-        reference = []
-        batches = [psi for k, (_, psi) in enumerate(calls) if k % len(obs) == 0]
-        in_order = sorted(obs, key=lambda o: o.support()[0])
-        t_iter = iter(times)
         width = 2  # the ground pair of the zero-field site
-        weights = np.full(width, 1.0 / width)
-        for evolved in batches:
-            for k in range(evolved.shape[1] // width):
-                t = next(t_iter)
-                state = evolved[:, k * width:(k + 1) * width]
-                for o in in_order:
-                    vals = np.sum(state.conj() * original(o, state), axis=0)
-                    reference.append(
-                        (float(t), o.support()[0], float(np.real(np.sum(weights * vals)))))
-        assert table.rows == reference
+        in_order = sorted(obs, key=lambda o: o.support()[0])
+        # the batch's real array: rows, states, real and imaginary parts, times
+        assert reads == [(o.xzk[0], (64, width, 2, k))
+                         for k in (4, 4, 2) for o in in_order]
+
+        rho0, _, _ = dense_ground(build_hamiltonian(pre))
+        w, v = dense_spectrum(build_hamiltonian(post))
+        expected = [(t, o.support()[0], o) for t in times for o in in_order]
+        assert [r[:2] for r in table.rows] == [e[:2] for e in expected]
+        for (t, _, value), (_, _, o) in zip(table.rows, expected):
+            u = (v * np.exp(-1j * w * t)) @ v.conj().T
+            ref = np.trace(u @ rho0 @ u.conj().T @ kron_word(o)).real
+            assert abs(value - ref) <= 1e-12
 
     def test_disturbance_stops_at_zero_field_site(self):
         n, L = 8, 3
@@ -328,6 +332,90 @@ class TestRunQuench:
         from shieldlab import expectation
         assert table.rows[0][2] == pytest.approx(
             expectation(rho0, obs[0]), abs=1e-12)
+
+
+class TestFoldedPhases:
+    """The y-field phases folded into each word's coefficients, against the
+    dense kron_word evolution: y fields on every field site, words with
+    imaginary coefficients and multi-bit flip masks, both placement layouts,
+    from the ground start and from a full-rank state."""
+
+    WORDS = ("+ Y0", "+ X1 Y3", "- Z0 Y2 X4", "+ Z5 Z6")
+
+    @staticmethod
+    def lattices(zero):
+        rng = np.random.default_rng(71)
+        n = 7
+        edges = [(i, i + 1, rng.uniform(-2, 2)) for i in range(n - 1)] + [(1, 5, 0.8)]
+        h, g = rng.uniform(0.3, 1, n), rng.uniform(0.3, 1, n) * rng.choice([-1, 1], n)
+        h[zero] = g[zero] = 0.0
+        pre = validate_lattice(n, edges, h, g)
+        h[3], g[3] = -2.0, 1.5
+        return pre, validate_lattice(n, edges, h, g)
+
+    @pytest.mark.parametrize("zero", [[], [2, 5]])
+    @pytest.mark.parametrize("start", ["ground", "mixed"])
+    def test_rows_match_dense_evolution(self, zero, start):
+        from shieldlab import spectrum
+        pre, post = self.lattices(zero)
+        n = pre.n_sites
+        dec = spectrum(build_hamiltonian(post))
+        assert dec.phases is not None
+        # no zero field: the two spin-flip sectors, each on (R, R̄) with
+        # (1, ±1)/√2; else one pivot, each block placed on R and R̄
+        coefs = {c for _, _, c in dec.placements}
+        assert coefs == ({(math.sqrt(0.5), math.sqrt(0.5)), (math.sqrt(0.5), -math.sqrt(0.5))}
+                         if not zero else {(1.0,)})
+        obs = tuple(PauliString.from_text(text, n) for text in self.WORDS)
+        assert [o.xzk[0] for o in obs] == [64, 40, 20, 0]
+        times = (0.0, 0.6, 1.7)
+        if start == "ground":
+            rho0, state = dense_ground(build_hamiltonian(pre))[0], None
+        else:
+            state = DensityMatrix(random_mixed_state(np.random.default_rng(73), n),
+                                  tuple(range(n)))
+            rho0 = state.matrix
+        table = run_quench(QuenchProtocol(pre, post, times, obs), rho0=state)
+        in_order = sorted(obs, key=lambda o: o.support()[0])
+        w, v = dense_spectrum(build_hamiltonian(post))
+        assert len(table.rows) == len(times) * len(obs)
+        for k, (t, site, value) in enumerate(table.rows):
+            o = in_order[k % len(obs)]
+            assert (t, site) == (times[k // len(obs)], o.support()[0])
+            u = (v * np.exp(-1j * w * t)) @ v.conj().T
+            ref = np.trace(u @ rho0 @ u.conj().T @ kron_word(o)).real
+            assert abs(value - ref) <= 1e-12, (t, o)
+
+    def test_placement_without_support_runs_no_product(self, monkeypatch):
+        # zero fields on sites 1 and 2: the ground space has Z1 Z2 = sign J12,
+        # so it lies on two of the four placements, and the other two take
+        # neither a projection nor an evolution product
+        import shieldlab.dynamics as dynamics
+        from shieldlab import spectrum
+        products = []
+        original = dynamics._dot
+
+        def recorded(a, z):
+            products.append(z.shape)
+            return original(a, z)
+
+        monkeypatch.setattr(dynamics, "_dot", recorded)
+        pre = make_chain(4, [0.9, 1.3, -0.6], [0.7, 0.0, 0.0, 0.5])
+        post = make_chain(4, [0.9, 1.3, -0.6], [-2.0, 0.0, 0.0, 0.5])
+        assert len(spectrum(build_hamiltonian(post)).placements) == 4
+        obs = tuple(PauliString.single(4, i, "XYZ"[i % 3]) for i in range(4))
+        times = (0.0, 0.5, 1.4)
+        table = run_quench(QuenchProtocol(pre, post, times, obs))
+        # one projection and one product for each of the two live placements
+        assert products == [(4, 1), (4, 1), (4, 2 * len(times)), (4, 2 * len(times))]
+
+        rho0, d, _ = dense_ground(build_hamiltonian(pre))
+        assert d == 2
+        w, v = dense_spectrum(build_hamiltonian(post))
+        for (t, site, value) in table.rows:
+            u = (v * np.exp(-1j * w * t)) @ v.conj().T
+            ref = np.trace(u @ rho0 @ u.conj().T @ kron_word(obs[site])).real
+            assert abs(value - ref) <= 1e-12
 
 
 class TestSectorOracle:

@@ -160,6 +160,15 @@ class TestBasisAction:
                 p = PauliString("".join(rng.choice(list("IXYZ"), size=n)),
                                 int(rng.integers(4)))
                 psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+                # P|j> = coefs[j] |j ^ mask>, entry by entry and on a vector
+                mask, coefs = p.basis_action()
+                j = np.arange(2 ** n)
+                dense = np.zeros((2 ** n, 2 ** n), dtype=complex)
+                dense[j ^ mask, j] = coefs
+                assert np.array_equal(dense, kron_word(p)), p
+                moved = np.zeros_like(psi)
+                moved[j ^ mask] = coefs * psi
+                assert np.allclose(moved, kron_word(p) @ psi, atol=1e-14)
                 assert np.allclose(p.apply(psi[:, None])[:, 0], kron_word(p) @ psi,
                                    atol=1e-14)
 
