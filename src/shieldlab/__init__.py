@@ -4,7 +4,8 @@ The library builds spin-lattice Hamiltonians from explicit graphs, computes
 exact Gibbs and ground states, reduces them by partial trace, and checks the
 shielding behavior of zero-field interfaces — together with the chain
 duality, the two-site-interface counterexample series, and commuting-split
-quench dynamics. Everything is dense and exact up to 12 sites.
+quench dynamics. Everything is exact and refused past 12 sites, and dense
+but for quenches of open chains, which are solved as free fermions.
 """
 
 __version__ = "0.1.0"

@@ -1,14 +1,19 @@
-"""Exact quench dynamics, read from the post-quench spectrum.
+"""Exact quench dynamics: every time read from one solve of the post.
 
-Evolution is spectral throughout (no Trotterization): the post-quench
-Hamiltonian is solved once, as the real blocks of :mod:`shieldlab.thermal`
+:func:`run_quench` is the library's only time evolution, and it takes one of
+two paths, chosen from its inputs. A quench of open chains with g ≡ 0 from
+the default ground mixture, read through ±X_i and ±Z_i Z_{i+1}, is solved
+as free fermions (:mod:`shieldlab.freefermion`): one 2n×2n solve of each
+whole chain, and every time read from the 2n×2n Majorana correlations.
+
+Every other quench is solved in the real blocks of :mod:`shieldlab.thermal`
 (split on the spin flip and on the Z of every zero-field site, each placed
-in the full basis once per eigenspace it stands for), and every time step
-reads that one spectrum. :func:`run_quench` is the library's only time
-evolution. It projects the initial state's pure components onto each
-placement once, skipping those they have no part in, and evolves them
-there with real eigenvectors, every time of a batch in one real product.
-The states stay in the real frame of the blocks, as their real and
+in the full basis once per eigenspace it stands for), with no
+Trotterization: the post-quench Hamiltonian is solved once and every time
+step reads that one spectrum. The initial state's pure components are
+projected onto each placement once, skipping those they have no part in,
+and evolved there with real eigenvectors, every time of a batch in one real
+product. The states stay in the real frame of the blocks, as their real and
 imaginary parts; the y-field phases go into each observable's coefficients
 instead, once per run. A batch holds as many times as fit a fixed budget of
 full-basis entries, however small the blocks, and each observable is read
@@ -24,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShieldlabError, SizeMismatchError
+from .freefermion import _quench_values
 from .hamiltonian import build_hamiltonian
 from .lattice import LatticeSpec
-from .pauli import PauliString
+from .pauli import PauliString, check_dense_cap
 from .tables import ResultTable
 from .thermal import DensityMatrix, _dot, _ground_columns, spectrum
 
@@ -159,29 +165,21 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
     """Evolve through a quench and tabulate (t, site, value) expectations.
 
     The initial state defaults to the uniform ground-space mixture of the
-    pre-quench Hamiltonian; any caller-supplied state is used as-is. That
-    default is read from the same block solve as every spectrum, with each
-    component of the pre's field sites solved on its own
-    (:func:`shieldlab.thermal._ground_columns`). No verdict rests on how it
-    is computed: the identity below holds for any ``rho0``, and the mixture
-    is the same ground projector, so only rounding differs.
+    pre-quench Hamiltonian; any caller-supplied state is used as-is. Rows
+    are ordered by (t, site), with single-site observables labeled by their
+    site. Lattices over the dense cap are refused on either path, and the
+    table's metadata names the one that ran as its ``solver``.
 
-    Rather than rotating the full density matrix at every time, the state
-    is decomposed once into pure states scaled by the square roots of their
-    weights, so that a time's value is a sum over columns. They are turned
-    into the post's real frame (H = d ⊙ H′ ⊙ d̄ᵀ with H′ real) by d̄ and
-    projected once into each placement of its blocks; a column whose
-    projection is exactly zero is skipped there, and so is a placement with
-    none left. A batch of times is evolved by one real product per
-    placement, the block's real eigenvectors against the real and imaginary
-    parts of the phased coordinates, and added into one real full-basis
-    array per batch that holds both parts of every state at every time. A
-    batch holds as many times as fit ``_BATCH_ENTRIES`` complex entries, the
-    bytes of that array (at least one time), however small the blocks. Each
-    observable is read once per batch by :func:`_read`, its coefficients
-    folded with d once per run by :func:`_folded`, so neither the evolution
-    nor the readout forms a complex full-basis array. Rows are ordered by
-    (t, site), with single-site observables labeled by their site.
+    From the default state, when pre and post are open chains with g ≡ 0
+    and every observable is ±X_i or ±Z_i Z_{i+1}, the rows come from the
+    chain's 2n×2n Majorana correlations (:mod:`shieldlab.freefermion`,
+    ``"free-fermion"``): one small solve of each whole chain, no 2^n state
+    and no split. That holds unless the pre has modes at or under the
+    ground cut that, filled together, pass it; its ground mixture is then
+    not Gaussian. There, and for every other input, the rows come from the
+    post's blocks (:func:`_blocked_values`, ``"blocked"``). Both cut the
+    ground space at the same :func:`shieldlab.thermal._ground_slack` of the
+    pre's span, so only rounding differs between them.
 
     The headline identity, in this function's rows: let a zero-field
     interface split the post lattice into X and Y, with bulks A and B. The
@@ -189,6 +187,42 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
     from any ``rho0``, post lattices that differ only on the X side give the
     same rows for every observable on B. The far side never feels H_X; with
     the X side set to zero it evolves under H_Y alone.
+    """
+    check_dense_cap(protocol.pre.n_sites)
+    sites = [_observable_site(obs) for obs in protocol.observables]
+    obs_order = np.argsort(np.array(sites), kind="stable")
+    values, solver = None, "free-fermion"
+    if rho0 is None:
+        values = _quench_values(protocol.pre, protocol.post, protocol.times,
+                                protocol.observables)
+    if values is None:
+        values, solver = _blocked_values(protocol, rho0, obs_order), "blocked"
+    table = ResultTable(columns=("t", "site", "value"), metadata={"solver": solver})
+    table.rows = [(t, sites[i], float(values[k, i]))
+                  for k, t in enumerate(protocol.times) for i in obs_order]
+    return table
+
+
+def _blocked_values(protocol: QuenchProtocol, rho0: DensityMatrix | None,
+                    obs_order: np.ndarray) -> np.ndarray:
+    """Values of the observables (columns) at the times (rows), evolved in
+    the post's real blocks, spectral throughout (no Trotterization).
+
+    The initial state is decomposed once into pure states scaled by the
+    square roots of their weights (:func:`_initial_states`), so that a
+    time's value is a sum over columns. They are turned into the post's real
+    frame (H = d ⊙ H′ ⊙ d̄ᵀ with H′ real) by d̄ and projected once into each
+    placement of its blocks; a column whose projection is exactly zero is
+    skipped there, and so is a placement with none left. A batch of times is
+    evolved by one real product per placement, the block's real
+    eigenvectors against the real and imaginary parts of the phased
+    coordinates, and added into one real full-basis array per batch that
+    holds both parts of every state at every time. A batch holds as many
+    times as fit ``_BATCH_ENTRIES`` complex entries, the bytes of that array
+    (at least one time), however small the blocks. Each observable is read
+    once per batch by :func:`_read`, in ``obs_order``, its coefficients
+    folded with d once per run by :func:`_folded`, so neither the evolution
+    nor the readout forms a complex full-basis array.
     """
     states = _initial_states(protocol, rho0)
     post = spectrum(build_hamiltonian(protocol.post))
@@ -203,12 +237,10 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
         if live.size:
             coords.append((p, live, _dot(post.blocks[b][1].T, proj[:, live])))
     batch = max(1, _BATCH_ENTRIES // (post.dim * width))
-    sites = [_observable_site(obs) for obs in protocol.observables]
-    obs_order = np.argsort(np.array(sites), kind="stable")
     words = [_folded(protocol.observables[i], post.phases) for i in obs_order]
 
-    rows = []
     times = np.array(protocol.times)
+    out = np.empty((times.size, len(words)))
     for start in range(0, times.size, batch):
         ts = times[start:start + batch]
         evolved = np.zeros((post.dim, width, 2, ts.size))
@@ -217,10 +249,6 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
             phased = np.exp(-1j * np.outer(w, ts))[:, None, :] * c[:, :, None]
             parts = np.stack([phased.real, phased.imag], axis=2).reshape(w.size, -1)
             post.lift(p, _dot(v, parts).reshape(-1, live.size, 2, ts.size), evolved, live)
-        values = [_read(word, evolved) for word in words]
-        for k, t in enumerate(ts):
-            for obs_idx, vals in zip(obs_order, values):
-                rows.append((float(t), sites[obs_idx], float(vals[k])))
-    table = ResultTable(columns=("t", "site", "value"))
-    table.rows = rows
-    return table
+        for i, word in zip(obs_order, words):
+            out[start:start + ts.size, i] = _read(word, evolved)
+    return out

@@ -456,12 +456,14 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     (none). With a split the verdict compares the time variation of
     observables whose support meets the shielded bulk (must stay below 1e-9)
     to those whose support meets the driven bulk, reading each from its
-    ``site`` column; two observables may then not share a site, none may
-    touch both bulks, one must meet the shielded bulk and ``times`` must
-    hold two distinct times, or the verdict would pass on no data. The
-    quench must then change only the X side: the post must keep the pre's
-    fields on S ∪ B and its couplings of every edge with an end in B, or
-    the error names ``quench_site`` (or ``post``).
+    ``site`` column; none may then touch both bulks, one must meet the
+    shielded bulk and ``times`` must hold two distinct times, or the verdict
+    would pass on no data. The quench must then change only the X side: the
+    post must keep the pre's fields on S ∪ B and its couplings of every edge
+    with an end in B, or the error names ``quench_site`` (or ``post``). With
+    or without a split, two observables may not share a site column, whose
+    rows would share their (t, site) keys. The sidecar's ``solver`` names
+    the path :func:`run_quench` took, ``"free-fermion"`` or ``"blocked"``.
     """
     read = _config(cfg, "quench")
     pre, base = read("pre", _lattice)
@@ -477,6 +479,13 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     protocol = QuenchProtocol(pre=pre, post=post, times=tuple(times), observables=observables)
     split = read("split", _split(pre, base), None)
     read.done()
+    first: dict[int, int] = {}
+    for k, obs in enumerate(observables):
+        site = _observable_site(obs)
+        if first.setdefault(site, k) != k:
+            raise ShieldlabError(
+                f"shares its site column ({site}) with observables[{first[site]}], "
+                "so the rows could not be told apart", key=f"observables[{k}]")
     if split is not None:
         off_x = [f"the field on site {i + base}" for i in sorted(split.S | split.B)
                 if (pre.h[i], pre.g[i]) != (post.h[i], post.g[i])]
@@ -487,7 +496,6 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
             raise ShieldlabError(
                 f"changes {off_x[0]}, which is not on the X side of the split (fields on "
                 "A, couplings within X), so the verdict would not test shielding", key=change)
-        first: dict[int, int] = {}
         shielded_sites, driven_sites = set(), set()
         for k, obs in enumerate(observables):
             sup = set(obs.support())
@@ -496,11 +504,6 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
                     "touches both bulks of the split, so the verdict could not "
                     "file it on one side", key=f"observables[{k}]")
             site = _observable_site(obs)
-            if first.setdefault(site, k) != k:
-                raise ShieldlabError(
-                    f"shares its site column ({site}) with observables[{first[site]}], "
-                    "so the verdict could not tell their rows apart",
-                    key=f"observables[{k}]")
             if sup & split.B:
                 shielded_sites.add(site)
             if sup & split.A:
@@ -527,7 +530,7 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
             "max_variation_driven": driven,
             "shielded_tol": QUENCH_SHIELDED_TOL,
         }
-    table.metadata = _metadata(read, verdict)
+    table.metadata = {**_metadata(read, verdict), "solver": table.metadata["solver"]}
     return table
 
 

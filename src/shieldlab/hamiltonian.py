@@ -326,14 +326,23 @@ def dual_algebra_residual(dc: DualChain) -> float:
     return worst
 
 
+def _chain_fault(lat: LatticeSpec) -> str | None:
+    """Why ``lat`` is not an open nearest-neighbor chain with g ≡ 0, the
+    lattices that :func:`dual_chain` rewrites and that Jordan–Wigner turns
+    into free fermions; None when it is one."""
+    expected = [(i, i + 1) for i in range(lat.n_sites - 1)]
+    if [(i, j) for (i, j, _) in lat.edges] != expected:
+        return "lattice is not an open nearest-neighbor chain"
+    if any(x != 0.0 for x in lat.g):
+        return "dual construction requires g ≡ 0"
+    return None
+
+
 def dual_chain(lat: LatticeSpec) -> DualChain:
     """Dual description of an open chain with g ≡ 0."""
-    n = lat.n_sites
-    expected = [(i, i + 1) for i in range(n - 1)]
-    if [(i, j) for (i, j, _) in lat.edges] != expected:
-        raise NotAChainError("lattice is not an open nearest-neighbor chain")
-    if any(x != 0.0 for x in lat.g):
-        raise NotAChainError("dual construction requires g ≡ 0")
+    fault = _chain_fault(lat)
+    if fault is not None:
+        raise NotAChainError(fault)
     J = [e[2] for e in lat.edges]
-    return DualChain(n_sites=n, dual_couplings=tuple(lat.h),
+    return DualChain(n_sites=lat.n_sites, dual_couplings=tuple(lat.h),
                      dual_fields=(0.0, *J, 0.0))

@@ -2,7 +2,7 @@
 
 Everything here is spectral. Each Hamiltonian is diagonalized once: the
 eigendecomposition is cached on the ``HamiltonianTerms``, and Gibbs states
-at every beta, the ground space and the time evolution of
+at every beta, the ground space and the blocked time evolution of
 :mod:`shieldlab.dynamics` all read that one spectrum. Gibbs states shift the
 ground energy out for stability; the ground state is always the uniform
 mixture over the ground eigenspace (the beta → ∞ limit of the Gibbs state,
@@ -367,17 +367,25 @@ def _default_labels(n_sites: int, site_labels) -> tuple[int, ...]:
     return labels
 
 
+def _ground_slack(span: float) -> float:
+    """How far above the lowest level the ground space reaches in a spectrum
+    of this span: _GROUND_TOL·max(span, 1)."""
+    return _GROUND_TOL * max(span, 1.0)
+
+
 def _weights(dec: SpectralDecomposition, beta: float):
     """Eigenvector weights f of the state at ``beta``, and its ground degeneracy.
 
     Finite beta: f(w) = e^{-beta(w - w0)} / Z with w0 the lowest eigenvalue, so
     large beta cannot overflow, and the degeneracy is None. beta = inf: the
     uniform mixture f(w) = (w <= cut) / d over the d-dimensional ground space,
-    cut = w0 + _GROUND_TOL·max(span, 1); the one place it is chosen.
+    cut = w0 + :func:`_ground_slack` of the span; the one place it is chosen
+    (the free-fermion quench of :mod:`shieldlab.freefermion` takes the same
+    slack of its chain's span, and keeps to this choice).
     """
     w = dec.eigenvalues
     if math.isinf(beta):
-        cut = w[0] + _GROUND_TOL * max(float(w[-1] - w[0]), 1.0)
+        cut = w[0] + _ground_slack(float(w[-1] - w[0]))
         d = int(np.count_nonzero(w <= cut))
         return (lambda x: (x <= cut) / d), d
     low = w[0]

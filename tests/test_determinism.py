@@ -1,8 +1,12 @@
 """CLI runs in separate processes: BLAS thread counts move values only in the
-last bits, and a rerun at the same thread count repeats byte for byte."""
+last bits, and a rerun at the same thread count repeats byte for byte.
+
+``quench_chain12`` takes the free-fermion path; ``quench_chain12_y``, the same
+chain with a y field on site 2, takes the blocked path."""
 
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -19,28 +23,40 @@ CONFIGS = {
                        {"magnetization_series", "magnetization_ED", "abs_delta"}),
     "dual_check": ("dual-check", {"hamiltonian_residual", "algebra_residual"}),
     "quench_chain12": ("quench", {"value"}),
+    "quench_chain12_y": ("quench", {"value"}),
 }
 
 
-def run_cli(out: Path, name: str, threads: int) -> tuple[bytes, bytes]:
+def config_path(root: Path, name: str) -> Path:
+    if name != "quench_chain12_y":
+        return ROOT / "configs" / f"{name}.json"
+    cfg = json.loads((ROOT / "configs" / "quench_chain12.json").read_text(encoding="utf-8"))
+    cfg["pre"]["g"] = [0.0, 0.3] + [0.0] * 10
+    path = root / f"{name}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+def run_cli(out: Path, config: Path, experiment: str, threads: int) -> tuple[bytes, bytes]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "shieldlab.cli", CONFIGS[name][0],
-         "--config", str(ROOT / "configs" / f"{name}.json"), "--out", str(out)],
+        [sys.executable, "-m", "shieldlab.cli", experiment,
+         "--config", str(config), "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    table = out / f"{CONFIGS[name][0]}.csv"
+    table = out / f"{experiment}.csv"
     return table.read_bytes(), table.with_suffix(".csv.meta.json").read_bytes()
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("determinism")
-    return {(name, run): run_cli(root / name / run, name, threads)
+    return {(name, run): run_cli(root / name / run, config_path(root, name),
+                                 CONFIGS[name][0], threads)
             for name in CONFIGS
             for run, threads in (("one", 1), ("two", 2), ("two_again", 2))}
 
@@ -62,3 +78,9 @@ def test_thread_count_moves_values_below_1e_12(runs):
 def test_rerun_in_a_new_process_is_byte_identical(runs):
     for name in CONFIGS:
         assert runs[name, "two"] == runs[name, "two_again"]
+
+
+def test_each_quench_path_is_covered(runs):
+    for name, solver in (("quench_chain12", "free-fermion"), ("quench_chain12_y", "blocked")):
+        for run in ("one", "two"):
+            assert json.loads(runs[name, run][1])["solver"] == solver

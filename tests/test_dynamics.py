@@ -161,7 +161,7 @@ class TestQuenchProtocol:
 
 
 class TestRunQuench:
-    def test_stationary_when_nothing_changes(self):
+    def test_stationary_when_nothing_changes(self, quench_path):
         pre = make_chain(4, [1.0] * 3, [0.5, 0.0, 0.5, 0.5])
         obs = tuple(PauliString.single(4, i, "X") for i in range(4))
         protocol = QuenchProtocol(pre, pre, tuple(np.arange(0, 3.0, 0.5)), obs)
@@ -170,7 +170,7 @@ class TestRunQuench:
             values = [v for (t, s, v) in table.rows if s == site]
             assert max(values) - min(values) < 1e-12
 
-    def test_rows_ordered_by_time_then_site(self):
+    def test_rows_ordered_by_time_then_site(self, quench_path):
         pre = make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5])
         obs = tuple(PauliString.single(3, i, "X") for i in (2, 0, 1))
         protocol = QuenchProtocol(pre, pre, (0.0, 1.0), obs)
@@ -288,7 +288,7 @@ class TestRunQuench:
             ref = np.trace(u @ rho0 @ u.conj().T @ kron_word(o)).real
             assert abs(value - ref) <= 1e-12
 
-    def test_disturbance_stops_at_zero_field_site(self):
+    def test_disturbance_stops_at_zero_field_site(self, quench_path):
         n, L = 8, 3
         h = [0.5] * n
         h[L] = 0.0

@@ -96,10 +96,11 @@ def shielded_chain(n=6, L=3):
     return lat, validate_split(lat, range(L + 1), range(L, n))
 
 
-def short_quench():
+def short_quench(observables="x"):
     lat, _ = shielded_chain()
     return {"pre": lattice_json(lat), "quench_site": 0, "quench_h": -2.0,
-            "times": {"start": 0.0, "stop": 1.0, "step": 0.25}}
+            "times": {"start": 0.0, "stop": 1.0, "step": 0.25},
+            "observables": observables}
 
 
 def test_verify_shielding_solves_each_trial_once_plus_the_shielded_side(eig_calls):
@@ -135,11 +136,22 @@ def test_gibbs_states_and_ground_state_share_one_solve(eig_calls):
 
 
 def test_quench_runner_solves_pre_and_post_once(solved_terms, eig_calls):
-    # the zero field on site 3 cuts the pre's field sites into {0, 1, 2} and
-    # {4, 5}: its ground space is composed from one block per side, solved
-    # with site 3 as the pivot like spectrum's one pattern, and never
-    # reaches spectrum; the post is one real block of 32
-    assert len(run_quench_experiment(short_quench()).rows) == 5 * 6
+    # a chain read through X_i: each lattice is one 12x12 Majorana form,
+    # the pre's solved first, and no block spectrum is read
+    table = run_quench_experiment(short_quench())
+    assert len(table.rows) == 5 * 6 and table.metadata["solver"] == "free-fermion"
+    assert eig_calls == [(12, 12), (12, 12)]
+    assert solved_terms == []
+
+
+def test_blocked_quench_runner_solves_pre_and_post_once(solved_terms, eig_calls):
+    # read through Z_i, the same chain takes the blocked path. The zero
+    # field on site 3 cuts the pre's field sites into {0, 1, 2} and {4, 5}:
+    # its ground space is composed from one block per side, solved with
+    # site 3 as the pivot like spectrum's one pattern, and never reaches
+    # spectrum; the post is one real block of 32
+    table = run_quench_experiment(short_quench("z"))
+    assert len(table.rows) == 5 * 6 and table.metadata["solver"] == "blocked"
     assert eig_calls == [(1, 8, 8), (1, 4, 4), (1, 32, 32)]
     pre, _ = shielded_chain()
     post = update_parameters(pre, h=[-2.0, *pre.h[1:]])
@@ -149,7 +161,7 @@ def test_quench_runner_solves_pre_and_post_once(solved_terms, eig_calls):
 def test_quench_pre_with_its_zero_field_at_a_chain_end_is_one_block(eig_calls):
     # a zero field at the end leaves the other sites one component, so the
     # pre is solved by spectrum, as one real block of 32 like the post
-    cfg = short_quench()
+    cfg = short_quench("z")
     cfg["pre"]["h"] = [0.0, 0.6, 0.6, 0.6, 0.6, 0.6]
     cfg["quench_site"] = 5
     assert len(run_quench_experiment(cfg).rows) == 5 * 6
@@ -208,8 +220,9 @@ def test_counterexample_solves_each_diamond_once(eig_calls):
     (run_verify_shielding, lambda: shipped_config("verify_shielding_control", trials=2)),
     (run_counterexample, lambda: shipped_config("counterexample")),
     (run_quench_experiment, short_quench),
+    (run_quench_experiment, lambda: short_quench("z")),
 ], ids=["conjecture_patch10", "verify_shielding_chain", "verify_shielding_control",
-        "counterexample", "quench"])
+        "counterexample", "quench", "blocked_quench"])
 def test_no_solve_builds_a_dense_hamiltonian(monkeypatch, run, cfg):
     # the blocks are read from the terms; to_dense is left to the oracles
     def no_dense(self):

@@ -408,7 +408,7 @@ class TestQuenchRunner:
             "split": {"X": list(range(L + 1)), "Y": list(range(L, n))},
         }
 
-    def test_shielded_side_is_static(self):
+    def test_shielded_side_is_static(self, quench_path):
         table = run_quench_experiment(self.quench_config())
         verdict = table.metadata["verdict"]
         assert verdict["status"] == "pass"
@@ -439,7 +439,7 @@ class TestQuenchRunner:
         return table.metadata["verdict"], {s: max(v) - min(v) for s, v in per_site.items()}
 
     @pytest.mark.parametrize("observables", [["+ Z2 Z3"], ["+ Z2 Z3", "+ X4"]])
-    def test_interface_word_reaching_b_is_shielded(self, observables):
+    def test_interface_word_reaching_b_is_shielded(self, observables, quench_path):
         # "+ Z2 Z3" is read from column 2, the interface site, but reaches B
         verdict, variation = self.verdict_and_variation(
             [0.5, 0.6, 0.0, 0.7, 0.8, 0.9], 0, [0, 1, 2], [2, 3, 4, 5], observables)
@@ -447,7 +447,7 @@ class TestQuenchRunner:
         assert verdict["max_variation_shielded"] == max(variation.values())
         assert verdict["max_variation_driven"] == 0.0
 
-    def test_interface_word_reaching_a_is_driven(self):
+    def test_interface_word_reaching_a_is_driven(self, quench_path):
         # the mirror image: "+ Z3 Z4" is read from column 3 and reaches A
         verdict, variation = self.verdict_and_variation(
             [0.9, 0.8, 0.7, 0.0, 0.6, 0.5], 5, [3, 4, 5], [0, 1, 2, 3], ["+ X0", "+ Z3 Z4"])
@@ -510,6 +510,14 @@ class TestQuenchRunner:
         table = run_quench_experiment(cfg)
         assert len(table.rows) == 1 and table.metadata["verdict"] == {"status": "pass"}
 
+    def test_without_a_split_observables_still_may_not_share_a_site(self):
+        # their rows would share every (t, site) key
+        cfg = self.quench_config(observables=["+ Z0", "+ X0 X1"])
+        del cfg["split"]
+        with pytest.raises(ShieldlabError,
+                           match=r"^observables\[1\]: shares its site column \(0\)"):
+            run_quench_experiment(cfg)
+
     def test_verdict_does_not_depend_on_row_order(self, monkeypatch):
         import random
 
@@ -537,7 +545,7 @@ class TestQuenchRunner:
         del cfg["quench_h"]
         assert run_quench_experiment(cfg).metadata["verdict"]["max_variation_driven"] < 1e-9
 
-    def test_post_may_change_only_the_x_side(self):
+    def test_post_may_change_only_the_x_side(self, quench_path):
         cfg = self.quench_config()
         del cfg["quench_site"], cfg["quench_h"]
         n = cfg["pre"]["n_sites"]
@@ -850,6 +858,8 @@ class TestCli:
          "error: observables[0]: site 1 assigned twice"),
         ("quench", lambda cfg: cfg.update(observables=["+ Z0", "+i X0"]),
          "error: observables[1]: '+i X0' has phase +i or -i"),
+        ("quench", lambda cfg: cfg.update(observables=["+ Z0", "+ X0 X1"]),
+         "error: observables[1]: shares its site column (0) with observables[0]"),
         ("quench", lambda cfg: cfg["pre"]["edges"].append([1, 0, 2.0]),
          "error: pre.edges[2]: duplicate edge (0, 1)"),
         ("quench", lambda cfg: cfg.update(split={"X": [0, 1], "Y": [2]}),
