@@ -17,11 +17,11 @@ from shieldlab import (
     classical_chain_reduced,
     commutator_norm,
     expectation,
-    gibbs,
     make_chain,
     partial_trace,
     shielding_report,
     split_hamiltonian,
+    thermal_state,
     trace_distance,
     update_parameters,
     validate_split,
@@ -53,8 +53,8 @@ wild = update_parameters(
     lat, h=wild_h,
     J_by_edge={(i, i + 1): rng.uniform(-10, 10) for i in range(cut)},
 )
-before = partial_trace(gibbs(build_hamiltonian(lat), beta), range(cut, n))
-after = partial_trace(gibbs(build_hamiltonian(wild), beta), range(cut, n))
+before = partial_trace(thermal_state(build_hamiltonian(lat), beta), range(cut, n))
+after = partial_trace(thermal_state(build_hamiltonian(wild), beta), range(cut, n))
 print(f"  after rewriting the left half entirely: distance "
       f"{trace_distance(before, after):.3e}")
 

@@ -55,8 +55,6 @@ from .thermal import (
     SpectralDecomposition,
     classify_distance,
     expectation,
-    gibbs,
-    ground_state_density,
     partial_trace,
     shielding_report,
     spectrum,

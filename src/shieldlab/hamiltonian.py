@@ -77,12 +77,7 @@ class HamiltonianTerms:
         reads it: it is the oracle that the block spectrum is tested against.
         """
         if self._dense is None:
-            sums = _mask_sums(self.n_sites, [(c, p.xzk) for c, p in self.terms])
-            idx = np.arange(1 << self.n_sites)
-            H = np.zeros((idx.size, idx.size), dtype=np.result_type(float, *sums.values()))
-            for x, acc in sums.items():
-                H[idx ^ x, idx] = acc
-            self._dense = H
+            self._dense = _dense_matrix(self.n_sites, [(c, p.xzk) for c, p in self.terms])
         return self._dense
 
 
@@ -102,6 +97,17 @@ def _mask_sums(n_sites: int, words) -> dict[int, np.ndarray]:
         acc = sums.setdefault(x, np.zeros(idx.size, dtype=float if real else complex))
         acc += (w.real if real else w) * _signs(idx, z)
     return sums
+
+
+def _dense_matrix(n_sites: int, words) -> np.ndarray:
+    """Dense matrix of the words ``(c, (x, z, k))``: each :func:`_mask_sums`
+    sum scattered once onto its stripe (j ^ x, j); real when the sums are."""
+    sums = _mask_sums(n_sites, words)
+    idx = np.arange(1 << n_sites)
+    H = np.zeros((idx.size, idx.size), dtype=np.result_type(float, *sums.values()))
+    for x, acc in sums.items():
+        H[idx ^ x, idx] = acc
+    return H
 
 
 def build_hamiltonian(lat: LatticeSpec) -> HamiltonianTerms:
@@ -186,40 +192,25 @@ def split_hamiltonian(H: HamiltonianTerms, split: RegionSplit) -> SplitHamiltoni
     )
 
 
-def _as_terms(obj) -> tuple[int, tuple[Term, ...]]:
-    """Normalize HamiltonianTerms / PauliString / (coeff, word) iterables."""
-    if isinstance(obj, HamiltonianTerms):
-        return obj.n_sites, obj.terms
-    if isinstance(obj, PauliString):
-        return obj.n_sites, ((1.0, obj),)
-    terms = tuple((float(c), p) for (c, p) in obj)
-    if not terms:
-        raise SizeMismatchError("cannot infer site count from an empty term list")
-    return terms[0][1].n_sites, terms
-
-
-def commutator_norm(A, B) -> float:
+def commutator_norm(A: HamiltonianTerms, B: HamiltonianTerms) -> float:
     """Max-entry magnitude of AB - BA.
 
-    Operands are HamiltonianTerms, bare Pauli words, or iterables of
-    (coefficient, word) pairs. The commutator is collected word by word,
-    keyed by the masks (x, z) of each product, so terms that commute cancel
-    exactly and a vanishing commutator returns exactly 0.0. Entry (j ^ x, j)
-    comes only from surviving words with flip mask x, so they are summed per
-    mask (:func:`_mask_sums`) and no 2^n x 2^n matrix is formed.
+    The commutator is collected word by word, keyed by the masks (x, z) of
+    each product, so terms that commute cancel exactly and a vanishing
+    commutator returns exactly 0.0. Entry (j ^ x, j) comes only from
+    surviving words with flip mask x, so they are summed per mask
+    (:func:`_mask_sums`) and no 2^n x 2^n matrix is formed.
     """
-    n_a, terms_a = _as_terms(A)
-    n_b, terms_b = _as_terms(B)
-    if n_a != n_b:
+    if A.n_sites != B.n_sites:
         raise SizeMismatchError("operands live on different numbers of sites")
     acc: dict[tuple[int, int], complex] = {}
-    for a, p in terms_a:
-        for b, q in terms_b:
+    for a, p in A.terms:
+        for b, q in B.terms:
             x, z, k = _product(p.xzk, q.xzk)
             acc[x, z] = acc.get((x, z), 0j) + a * b * _PHASES[k]
             x, z, k = _product(q.xzk, p.xzk)
             acc[x, z] = acc.get((x, z), 0j) - a * b * _PHASES[k]
-    sums = _mask_sums(n_a, [(c, (x, z, 0)) for (x, z), c in acc.items()])
+    sums = _mask_sums(A.n_sites, [(c, (x, z, 0)) for (x, z), c in acc.items()])
     return max((float(np.abs(v).max()) for v in sums.values()), default=0.0)
 
 
@@ -285,12 +276,7 @@ class DualChain:
         dual words are summed per flip mask (:func:`_mask_sums`) and each sum
         is scattered once (the mu_z words share mask 0). Real dtype when
         every word is real, as X and Z strings are."""
-        sums = _mask_sums(self.n_sites, self._words())
-        idx = np.arange(1 << self.n_sites)
-        H = np.zeros((idx.size, idx.size), dtype=np.result_type(float, *sums.values()))
-        for x, acc in sums.items():
-            H[idx ^ x, idx] = acc
-        return H
+        return _dense_matrix(self.n_sites, self._words())
 
 
 def dual_algebra_residual(dc: DualChain) -> float:

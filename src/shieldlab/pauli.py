@@ -10,8 +10,8 @@ Conventions fixed here and used repo-wide:
 * Every word is also held as bit masks ``(x, z, k)`` meaning
   ``i**k X**x Z**z``: bit ``n - 1 - i`` of ``x`` (of ``z``) is set when site
   ``i`` carries X or Y (Z or Y), and Y = iXZ, so each Y adds 1 to ``k``.
-  Products, basis actions and commutation tests read only these masks
-  (Aaronson & Gottesman, Phys. Rev. A 70, 052328 (2004)).
+  Products (:func:`_product`), basis actions and commutation tests read
+  only these masks (Aaronson & Gottesman, Phys. Rev. A 70, 052328 (2004)).
 * Dense realizations are refused above ``DENSE_SITE_CAP`` (12) sites,
   dimension 4096.
 """
@@ -101,16 +101,6 @@ class PauliString:
         return tuple(i for i, c in enumerate(self.letters) if c != "I")
 
     # -- algebra ----------------------------------------------------------
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if self.n_sites != other.n_sites:
-            raise SizeMismatchError(
-                f"cannot multiply words on {self.n_sites} and {other.n_sites} sites"
-            )
-        x, z, k = _product(self.xzk, other.xzk)
-        letters = "".join("IZXY"[2 * (x >> b & 1) + (z >> b & 1)]
-                          for b in range(self.n_sites - 1, -1, -1))
-        return PauliString(letters, k - (x & z).bit_count())
 
     def basis_action(self) -> tuple[int, np.ndarray]:
         """Action on computational basis states, without the dense matrix.

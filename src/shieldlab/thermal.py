@@ -9,10 +9,10 @@ mixture over the ground eigenspace (the beta → ∞ limit of the Gibbs state,
 which keeps degenerate cases deterministic). Shielding verdicts and the
 conjecture runner read reduced states straight from the spectrum: each
 block's eigenvector columns, scaled by √f(w), are regrouped by kept and
-traced bits and summed as M M†, so no 2^n×2^n state is formed. The full
-states of :func:`gibbs` and :func:`ground_state_density` are assembled from
-the same spectrum, and :func:`partial_trace` reduces them by exact
-index-bit bucketing.
+traced bits and summed as M M†, so no 2^n×2^n state is formed. The one
+full-state constructor, :func:`thermal_state`, assembles the state at any
+beta >= 0 (beta = inf for the ground mixture) from the same spectrum, and
+:func:`partial_trace` reduces it by exact index-bit bucketing.
 
 The spectrum is held in blocks, read by :func:`spectrum` (through
 :func:`_decompose`) straight from the Hamiltonian's terms; no 2^n×2^n
@@ -313,8 +313,8 @@ def _decompose(H: HamiltonianTerms, by_component: bool) -> SpectralDecomposition
 
 def _ground_columns(H: HamiltonianTerms) -> np.ndarray:
     """Full-basis columns spanning the ground space that
-    :func:`ground_state_density` mixes, from blocks solved per component of
-    the field sites; nothing is cached on ``H``."""
+    :func:`thermal_state` mixes at beta = inf, from blocks solved per
+    component of the field sites; nothing is cached on ``H``."""
     dec = _decompose(H, True)
     f, _ = _weights(dec, math.inf)
     return dec.columns(lambda w: f(w) != 0)
@@ -343,9 +343,10 @@ class DensityMatrix:
             raise SizeMismatchError(
                 f"dimension {m.shape[0]} does not match {len(self.site_labels)} sites"
             )
-        if float(np.abs(m - m.conj().T).max()) > _HERMITICITY_TOL:
+        # "not <=" so that a NaN or infinite entry fails the checks too
+        if not float(np.abs(m - m.conj().T).max()) <= _HERMITICITY_TOL:
             raise NotHermitianError("density matrix is not Hermitian")
-        if abs(complex(np.trace(m)).real - 1.0) > _TRACE_TOL:
+        if not abs(complex(np.trace(m)).real - 1.0) <= _TRACE_TOL:
             raise ValueError(f"trace is {complex(np.trace(m)).real!r}, expected 1")
         self.matrix = m
 
@@ -393,40 +394,25 @@ def _weights(dec: SpectralDecomposition, beta: float):
     return (lambda x: np.exp(-beta * (x - low)) / z), None
 
 
-def gibbs(H: HamiltonianTerms, beta: float, site_labels=None) -> DensityMatrix:
-    """Exact Gibbs state exp(-beta H) / Z at finite beta >= 0.
+def thermal_state(H: HamiltonianTerms, beta: float, site_labels=None) -> DensityMatrix:
+    """Thermal state of ``H`` at ``beta`` >= 0: the Gibbs state exp(-beta H) / Z
+    at finite beta, the uniform mixture over the ground eigenspace (its beta → ∞
+    limit) at beta = inf.
 
-    Computed spectrally with the spectrum shifted by its minimum, so large
-    beta cannot overflow. ``beta = 0`` gives the maximally mixed state. Use
-    :func:`thermal_state` if beta may be infinite.
+    Computed spectrally with the weights of :func:`_weights`: the spectrum is
+    shifted by its minimum, so large beta cannot overflow, and ``beta = 0``
+    gives the maximally mixed state. Eigenvalues within 1e-9 of the minimum,
+    measured relative to the spectral span (at least 1), belong to the ground
+    space; its dimension is reported on the result's ``degeneracy`` field,
+    which is None at finite beta.
     """
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"beta must be finite and non-negative, got {beta}")
+    if not beta >= 0.0:
+        raise ValueError(f"beta must be non-negative, got {beta}")
     dec = spectrum(H)
-    rho = dec.function(_weights(dec, beta)[0])
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(rho, _default_labels(H.n_sites, site_labels))
-
-
-def ground_state_density(H: HamiltonianTerms, site_labels=None) -> DensityMatrix:
-    """Uniform mixture over the ground eigenspace (the beta → ∞ Gibbs limit).
-
-    Eigenvalues within 1e-9 of the minimum, measured relative to the
-    spectral span (at least 1), belong to the ground space; its dimension
-    is reported on the result's ``degeneracy`` field.
-    """
-    dec = spectrum(H)
-    f, d = _weights(dec, math.inf)
+    f, d = _weights(dec, beta)
     rho = dec.function(f)
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(rho, _default_labels(H.n_sites, site_labels), degeneracy=d)
-
-
-def thermal_state(H: HamiltonianTerms, beta: float, site_labels=None) -> DensityMatrix:
-    """Gibbs state at finite beta, ground-state mixture at beta = inf."""
-    if math.isinf(beta):
-        return ground_state_density(H, site_labels=site_labels)
-    return gibbs(H, beta, site_labels=site_labels)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

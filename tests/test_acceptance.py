@@ -29,7 +29,6 @@ from shieldlab import (
     expectation,
     fourspin_magnetization,
     fourspin_zero_temperature_limit,
-    gibbs,
     make_chain,
     make_diamond,
     make_triangular_patch,
@@ -39,6 +38,7 @@ from shieldlab import (
     run_quench_experiment,
     run_verify_shielding,
     shielding_report,
+    thermal_state,
     validate_lattice,
     validate_split,
 )
@@ -170,7 +170,7 @@ class TestCriterion5FourSpinSeries:
             for h1 in (0.0, 0.5, 1.0, 2.0):
                 for h4 in (0.0, 0.5, 1.0, 2.0):
                     series = fourspin_magnetization(beta, h1, h4)
-                    rho = gibbs(build_hamiltonian(make_diamond(h1, h4)), beta)
+                    rho = thermal_state(build_hamiltonian(make_diamond(h1, h4)), beta)
                     delta = abs(series - expectation(rho, obs))
                     worst = max(worst, delta)
                     assert delta < 1e-8, (beta, h1, h4, delta)

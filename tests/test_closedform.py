@@ -14,16 +14,16 @@ from shieldlab import (
     fourspin_magnetization,
     fourspin_series_plateau,
     fourspin_zero_temperature_limit,
-    gibbs,
     make_diamond,
     partial_trace,
+    thermal_state,
 )
 
 from helpers import SX, SZ, classical_chain_gibbs_diag, kron_op
 
 
 def diamond_magnetization_ed(beta, h1, h4):
-    rho = gibbs(build_hamiltonian(make_diamond(h1, h4)), beta)
+    rho = thermal_state(build_hamiltonian(make_diamond(h1, h4)), beta)
     return expectation(rho, PauliString.single(4, 3, "X"))
 
 

@@ -9,6 +9,8 @@ to LAPACK. Counting wrappers around ``SpectralDecomposition.function`` and
 dense Hamiltonian.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,14 +22,13 @@ from shieldlab import (
     QuenchProtocol,
     ShieldlabError,
     build_hamiltonian,
-    gibbs,
-    ground_state_density,
     make_chain,
     run_conjecture,
     run_counterexample,
     run_quench,
     run_quench_experiment,
     run_verify_shielding,
+    thermal_state,
     update_parameters,
     validate_split,
 )
@@ -126,12 +127,12 @@ def test_quench_from_a_callers_state_never_solves_the_pre_hamiltonian(
     assert eig_calls == [(64, 64), (1, 32, 32)]
 
 
-def test_gibbs_states_and_ground_state_share_one_solve(eig_calls):
+def test_thermal_states_and_ground_state_share_one_solve(eig_calls):
     lat, _ = shielded_chain()
     H = build_hamiltonian(lat)
     for beta in (0.1, 1.0, 5.0):
-        gibbs(H, beta)
-    assert ground_state_density(H).degeneracy == 2
+        thermal_state(H, beta)
+    assert thermal_state(H, math.inf).degeneracy == 2
     assert len(eig_calls) == 1
 
 

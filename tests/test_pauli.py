@@ -8,6 +8,7 @@ from shieldlab import (
     PauliString,
     SizeMismatchError,
 )
+from shieldlab.pauli import _product
 
 from helpers import SX, SZ, kron_op, kron_word
 
@@ -16,9 +17,9 @@ def word(text, n):
     return PauliString.from_text(text, n)
 
 
-def z_parity(p):
+def z_parity(xzk):
     """Number of sites carrying Z or Y, mod 2, read from the z mask."""
-    return p.xzk[1].bit_count() % 2
+    return xzk[1].bit_count() % 2
 
 
 def trace(p):
@@ -28,57 +29,64 @@ def trace(p):
     return complex(coefs.sum()) if mask == 0 else 0j
 
 
+def mul(*words):
+    """Masks of the product of ``words``, left to right, by ``_product``."""
+    out = words[0].xzk
+    for p in words[1:]:
+        out = _product(out, p.xzk)
+    return out
+
+
+def masks_dense(n, xzk):
+    """Dense i**k X**x Z**z of the masks (x, z, k) on ``n`` sites, site 0 on
+    the top bit, built by kron_op (never through basis_action)."""
+    x, z, k = xzk
+    flips = kron_op(n, {i: SX for i in range(n) if x >> (n - 1 - i) & 1})
+    signs = kron_op(n, {i: SZ for i in range(n) if z >> (n - 1 - i) & 1})
+    return 1j ** k * flips @ signs
+
+
+def random_word(rng, n):
+    return PauliString("".join(rng.choice(list("IXYZ"), size=n)), int(rng.integers(4)))
+
+
 class TestMultiplication:
     def test_single_site_identity(self):
-        p = word("+ X0", 1) * word("+ Y0", 1)
-        assert p == word("+i Z0", 1)
+        assert mul(word("+ X0", 1), word("+ Y0", 1)) == word("+i Z0", 1).xzk
 
     def test_zz_times_x_against_dense(self):
-        p = word("+ Z0 Z1", 2)
-        q = word("+ X1", 2)
-        prod = p * q
-        assert prod == word("+i Z0 Y1", 2)
+        prod = mul(word("+ Z0 Z1", 2), word("+ X1", 2))
+        assert prod == word("+i Z0 Y1", 2).xzk
         expected = kron_op(2, {0: SZ, 1: SZ}) @ kron_op(2, {1: SX})
-        assert np.array_equal(kron_word(prod), expected)
+        assert np.array_equal(masks_dense(2, prod), expected)
 
     def test_involution(self):
         p = word("+ Y2", 3)
-        assert p * p == PauliString("III")
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeMismatchError):
-            word("+ X0", 2) * word("+ X0", 3)
+        assert mul(p, p) == PauliString("III").xzk
 
     def test_phases_stay_fourth_roots(self):
         rng = np.random.default_rng(3)
-        p = PauliString("III")
+        acc, dense = PauliString("III").xzk, np.eye(8)
         for _ in range(60):
-            letters = "".join(rng.choice(list("IXYZ")) for _ in range(3))
-            p = p * PauliString(letters, int(rng.integers(4)))
-            assert p.phase_k in (0, 1, 2, 3)
-            assert p.xzk[2] == (p.phase_k + p.letters.count("Y")) % 4
+            p = random_word(rng, 3)
+            acc, dense = _product(acc, p.xzk), dense @ kron_word(p)
+            assert acc[2] in (0, 1, 2, 3)
+            assert np.array_equal(masks_dense(3, acc), dense)
 
     def test_dense_homomorphism_exact(self):
         # entries are exact elements of {0, ±1, ±i}: equality must be exact
         rng = np.random.default_rng(11)
         for n in (1, 2, 3, 4):
             for _ in range(25):
-                a = PauliString("".join(rng.choice(list("IXYZ"), size=n)),
-                                int(rng.integers(4)))
-                b = PauliString("".join(rng.choice(list("IXYZ"), size=n)),
-                                int(rng.integers(4)))
-                assert np.array_equal(kron_word(a * b),
+                a, b = random_word(rng, n), random_word(rng, n)
+                assert np.array_equal(masks_dense(n, mul(a, b)),
                                       kron_word(a) @ kron_word(b))
 
     def test_associativity(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            a, b, c = (
-                PauliString("".join(rng.choice(list("IXYZ"), size=3)),
-                            int(rng.integers(4)))
-                for _ in range(3)
-            )
-            assert (a * b) * c == a * (b * c)
+            a, b, c = (random_word(rng, 3) for _ in range(3))
+            assert _product(mul(a, b), c.xzk) == _product(a.xzk, mul(b, c))
 
 
 class TestPhaseExponent:
@@ -101,10 +109,8 @@ class TestMasksAgainstKron:
         dense = kron_word(p)
         n, dim = p.n_sites, 2 ** p.n_sites
         # the convention: P = i**k X**x Z**z, site 0 on the top bit
-        x, z, k = p.xzk
-        flips = kron_op(n, {i: SX for i in range(n) if x >> (n - 1 - i) & 1})
-        signs = kron_op(n, {i: SZ for i in range(n) if z >> (n - 1 - i) & 1})
-        assert np.array_equal(dense, 1j ** k * flips @ signs), p
+        x, z, _ = p.xzk
+        assert np.array_equal(dense, masks_dense(n, p.xzk)), p
         mask, coefs = p.basis_action()
         j = np.arange(dim)
         assert np.array_equal(dense[j ^ mask, j], coefs), p
@@ -112,7 +118,7 @@ class TestMasksAgainstKron:
         # Z/Y parity 0 exactly when P commutes with the all-X string
         x_all = kron_op(n, {i: SX for i in range(n)})
         commutes = np.array_equal(dense @ x_all, x_all @ dense)
-        assert z_parity(p) == (0 if commutes else 1), p
+        assert z_parity(p.xzk) == (0 if commutes else 1), p
         assert (not (x | z)) == np.array_equal(dense, dense[0, 0] * np.eye(dim)), p
         assert trace(p) == np.trace(dense), p
 
@@ -120,19 +126,19 @@ class TestMasksAgainstKron:
         for a, b in product("IXYZ", repeat=2):
             for ka, kb in product(range(4), repeat=2):
                 p, q = PauliString(a, ka), PauliString(b, kb)
-                assert np.array_equal(kron_word(p * q), kron_word(p) @ kron_word(q)), (p, q)
-                for word in (p, q, p * q):
+                assert np.array_equal(masks_dense(1, mul(p, q)),
+                                      kron_word(p) @ kron_word(q)), (p, q)
+                for word in (p, q):
                     self.check_word(word)
 
     def test_random_words_of_one_to_five_sites(self):
         rng = np.random.default_rng(41)
         for _ in range(200):
             n = int(rng.integers(1, 6))
-            p, q = (PauliString("".join(rng.choice(list("IXYZ"), size=n)),
-                                int(rng.integers(4))) for _ in range(2))
-            pq = p * q
-            assert np.array_equal(kron_word(pq), kron_word(p) @ kron_word(q)), (p, q)
-            for word in (p, q, pq):
+            p, q = random_word(rng, n), random_word(rng, n)
+            assert np.array_equal(masks_dense(n, mul(p, q)),
+                                  kron_word(p) @ kron_word(q)), (p, q)
+            for word in (p, q):
                 self.check_word(word)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -199,7 +205,7 @@ class TestLeftParity:
         ("+ Z0", 1, 1),
     ])
     def test_examples(self, text, n, parity):
-        assert z_parity(word(text, n)) == parity
+        assert z_parity(word(text, n).xzk) == parity
 
     def test_generator_products_preserve_parity(self):
         # products of ZZ-pair and X generators: each step flips the Z/Y
@@ -207,7 +213,7 @@ class TestLeftParity:
         rng = np.random.default_rng(23)
         for n in (3, 4, 5, 6):
             for _ in range(20):
-                acc = PauliString("I" * n)
+                acc = PauliString("I" * n).xzk
                 for _ in range(15):
                     if rng.random() < 0.5:
                         i, j = rng.choice(n, size=2, replace=False)
@@ -216,7 +222,7 @@ class TestLeftParity:
                     else:
                         gen = PauliString.single(n, int(rng.integers(n)), "X")
                     before = z_parity(acc)
-                    acc = acc * gen
+                    acc = _product(acc, gen.xzk)
                     assert z_parity(acc) == before == 0
 
     def test_interface_z_forces_vanishing_trace_elsewhere(self):
@@ -225,22 +231,26 @@ class TestLeftParity:
         # over the remaining sites vanishes
         rng = np.random.default_rng(29)
         n, interface = 5, 2
-        at = 1 << (n - 1 - interface)
+        b = n - 1 - interface
+        at = 1 << b
+
+        def drop(m):  # the mask without the interface bit
+            return (m >> (b + 1)) << b | m & (at - 1)
+
         for _ in range(200):
-            acc = PauliString("I" * n)
+            acc = PauliString("I" * n).xzk
             for _ in range(int(rng.integers(1, 12))):
                 if rng.random() < 0.5:
                     i, j = rng.choice(n, size=2, replace=False)
-                    acc = acc * PauliString.from_sites(
-                        n, {int(i): "Z", int(j): "Z"})
+                    gen = PauliString.from_sites(n, {int(i): "Z", int(j): "Z"})
                 else:
-                    acc = acc * PauliString.single(n, int(rng.integers(n)), "X")
-            x, z, k = acc.xzk
+                    gen = PauliString.single(n, int(rng.integers(n)), "X")
+                acc = _product(acc, gen.xzk)
+            x, z, k = acc
             assert z_parity(acc) == 0
             if z & at and not x & at:  # Z on the interface
                 assert (x | z) & ~at  # another site is not I
-                rest = acc.letters[:interface] + acc.letters[interface + 1:]
-                assert trace(PauliString(rest, k)) == 0
+                assert np.trace(masks_dense(n - 1, (drop(x), drop(z), k))) == 0
 
 
 class TestTextForm:

@@ -15,8 +15,6 @@ from shieldlab import (
     SizeMismatchError,
     build_hamiltonian,
     expectation,
-    gibbs,
-    ground_state_density,
     make_chain,
     make_diamond,
     partial_trace,
@@ -245,12 +243,12 @@ class TestEig:
 class TestGibbs:
     def test_infinite_temperature(self):
         lat = make_chain(3, [1.0, 0.5], [0.4, 0.2, 0.7])
-        rho = gibbs(build_hamiltonian(lat), 0.0)
+        rho = thermal_state(build_hamiltonian(lat), 0.0)
         assert np.allclose(rho.matrix, np.eye(8) / 8)
 
     def test_single_spin_closed_form(self):
         H = HamiltonianTerms(1, ((-1.0, PauliString("X")),))
-        rho = gibbs(H, 1.0)
+        rho = thermal_state(H, 1.0)
         assert expectation(rho, PauliString("X")) == pytest.approx(TANH1, abs=1e-12)
 
     def test_matches_reference(self):
@@ -259,33 +257,35 @@ class TestGibbs:
             lat = make_chain(4, rng.uniform(-2, 2, 3), rng.uniform(0, 1, 4))
             H = build_hamiltonian(lat)
             for beta in (0.1, 1.0, 5.0):
-                got = gibbs(H, beta).matrix
+                got = thermal_state(H, beta).matrix
                 ref = gibbs_reference(dense_reference(lat), beta)
                 assert np.abs(got - ref).max() < 1e-12
 
     def test_large_beta_stable(self):
         lat = make_chain(2, [1.0], [0.5, 0.5])
-        rho = gibbs(build_hamiltonian(lat), 1e6)
+        rho = thermal_state(build_hamiltonian(lat), 1e6)
         assert np.isfinite(rho.matrix).all()
 
-    def test_rejects_bad_beta(self):
-        H = HamiltonianTerms(1, ((-1.0, PauliString("X")),))
-        with pytest.raises(ValueError):
-            gibbs(H, -0.1)
-        with pytest.raises(ValueError):
-            gibbs(H, math.inf)
+    @pytest.mark.parametrize("beta", [-0.1, -math.inf, math.nan])
+    def test_rejects_bad_beta(self, beta):
+        # -inf must not read as the ground mixture, nor nan as any state
+        lat = make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5])
+        with pytest.raises(ValueError, match="beta"):
+            thermal_state(build_hamiltonian(lat), beta)
+        with pytest.raises(ValueError, match="beta"):
+            shielding_report(lat, validate_split(lat, {0, 1}, {1, 2}), beta)
 
 
 class TestGroundState:
     def test_pure_plus_state(self):
         H = HamiltonianTerms(1, ((-1.0, PauliString("X")),))
-        rho = ground_state_density(H)
+        rho = thermal_state(H, math.inf)
         assert rho.degeneracy == 1
         assert np.allclose(rho.matrix, np.full((2, 2), 0.5))
 
     def test_classical_double_degeneracy(self):
         H = build_hamiltonian(make_chain(2, [1.0], [0.0, 0.0]))
-        rho = ground_state_density(H)
+        rho = thermal_state(H, math.inf)
         assert rho.degeneracy == 2
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[3, 3] = 0.5
@@ -295,15 +295,13 @@ class TestGroundState:
         rng = np.random.default_rng(47)
         for _ in range(5):
             lat, _ = random_shielded_chain(rng, n=int(rng.integers(3, 7)))
-            rho = ground_state_density(build_hamiltonian(lat))
+            rho = thermal_state(build_hamiltonian(lat), math.inf)
             assert rho.degeneracy == 2
 
-    def test_thermal_state_dispatch(self):
+    def test_degeneracy_only_at_infinite_beta(self):
         H = build_hamiltonian(make_chain(2, [1.0], [0.3, 0.4]))
-        cold = thermal_state(H, math.inf)
-        assert cold.degeneracy is not None
-        warm = thermal_state(H, 2.0)
-        assert trace_distance(warm, gibbs(H, 2.0)) == 0.0
+        assert thermal_state(H, math.inf).degeneracy == 1
+        assert thermal_state(H, 2.0).degeneracy is None
 
 
 def cut_lattices(rng):
@@ -400,14 +398,14 @@ class TestSectorOracle:
             H = build_hamiltonian(lat)
             for beta in (0.3, 2.0, 40.0):
                 ref = gibbs_reference(H.to_dense(), beta)
-                assert np.abs(gibbs(H, beta).matrix - ref).max() < 1e-12
+                assert np.abs(thermal_state(H, beta).matrix - ref).max() < 1e-12
 
     def test_ground_state_matches_dense_eigh(self):
         degenerate = 0
         for lat in oracle_lattices(59):
             H = build_hamiltonian(lat)
             ref, d, tol = dense_ground(H)
-            rho = ground_state_density(H)
+            rho = thermal_state(H, math.inf)
             assert rho.degeneracy == d
             assert np.abs(rho.matrix - ref).max() < tol
             degenerate += rho.degeneracy > 1
@@ -545,7 +543,7 @@ class TestExpectation:
 
     def test_single_spin_tanh(self):
         H = HamiltonianTerms(1, ((-1.0, PauliString("X")),))
-        assert expectation(gibbs(H, 1.0), PauliString("X")) == pytest.approx(
+        assert expectation(thermal_state(H, 1.0), PauliString("X")) == pytest.approx(
             TANH1, abs=1e-12)
 
     def test_classical_chain_second_site(self):
@@ -631,14 +629,14 @@ class TestShielding:
             lat = update_parameters(lat, h=h)
         split = validate_split(lat, range(L + 1), range(L, 6))
         obs = PauliString.single(L, 0, "Z")  # on the kept sites 0..L-1
-        before = expectation(partial_trace(gibbs(build_hamiltonian(lat), 1.3),
+        before = expectation(partial_trace(thermal_state(build_hamiltonian(lat), 1.3),
                                            range(L)), obs)
         h2 = list(lat.h)
         for i in range(L + 1, 6):
             h2[i] = rng.uniform(0, 1)
         lat2 = update_parameters(lat, h=h2,
                                  J_by_edge={(L, L + 1): rng.uniform(-2, 2)})
-        after = expectation(partial_trace(gibbs(build_hamiltonian(lat2), 1.3),
+        after = expectation(partial_trace(thermal_state(build_hamiltonian(lat2), 1.3),
                                           range(L)), obs)
         assert abs(before - after) < 1e-10
 
@@ -670,6 +668,15 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2), (0,))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, entry):
+        with pytest.raises(ValueError):
+            DensityMatrix(np.full((2, 2), entry), (0,))
+        with pytest.raises(ValueError):
+            DensityMatrix(np.array([[entry, 0.0], [0.0, 0.5]]), (0,))
+        with pytest.raises(ValueError):
+            DensityMatrix(np.array([[0.5, entry], [entry, 0.5]]), (0,))
+
     def test_rejects_bad_dimension(self):
         with pytest.raises(SizeMismatchError):
             DensityMatrix(np.eye(4) / 4, (0,))
@@ -677,7 +684,7 @@ class TestDensityMatrixInvariants:
     def test_gibbs_state_is_positive(self):
         rng = np.random.default_rng(107)
         lat, _ = random_shielded_chain(rng, n=4)
-        rho = gibbs(build_hamiltonian(lat), 2.0)
+        rho = thermal_state(build_hamiltonian(lat), 2.0)
         assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
     def test_pure_states_from_helpers_are_valid(self):
