@@ -10,24 +10,7 @@ but for quenches of open chains, which are solved as free fermions.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CrossEdgeError,
-    DimensionOverflowError,
-    DuplicateEdgeError,
-    IndexOutOfRangeError,
-    InvalidSiteSetError,
-    LengthMismatchError,
-    NonConvergenceError,
-    NonFiniteParameterError,
-    NonzeroInterfaceFieldError,
-    NotAChainError,
-    NotACoverError,
-    NotHermitianError,
-    SelfEdgeError,
-    ShieldlabError,
-    SizeMismatchError,
-    TermOutsideSplitError,
-)
+from .errors import ShieldlabError
 from .pauli import PauliString, DENSE_SITE_CAP
 from .lattice import (
     LatticeSpec,
@@ -67,7 +50,6 @@ from .closedform import (
     fourspin_coefficients,
     fourspin_magnetization,
     fourspin_series_plateau,
-    fourspin_zero_temperature_limit,
 )
 from .dynamics import QuenchProtocol, run_quench
 from .tables import ResultTable, emit

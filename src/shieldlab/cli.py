@@ -1,6 +1,6 @@
 """Command-line front end: one subcommand per experiment family.
 
-    shieldlab <experiment> --config FILE --out DIR [--seed N]
+    shieldlab <experiment> --config FILE --out DIR
 
 Results land in ``<out>/<experiment>.csv`` with a ``.meta.json`` sidecar and
 a machine-readable verdict line on stdout. Exit code 0 on a passing verdict,
@@ -28,18 +28,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's seed")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        table = RUNNERS[args.experiment](cfg)
+        table = RUNNERS[args.experiment](load_config(args.config))
         path = emit(table, Path(args.out) / f"{args.experiment}.csv")
     except Exception as exc:  # noqa: BLE001 - report and signal via exit code
         print(f"error: {exc}", file=sys.stderr)

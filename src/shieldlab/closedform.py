@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import ShieldlabError
 from .thermal import DensityMatrix
 
 _SERIES_CAP = 400
@@ -36,7 +36,7 @@ def classical_chain_reduced(i: int, beta: float, h1: float) -> DensityMatrix:
     into commuting halves around any site.
     """
     if i < 1:
-        raise ValueError(f"site index must be >= 1 (1-indexed), got {i}")
+        raise ShieldlabError(f"site index must be >= 1 (1-indexed), got {i}")
     m = math.tanh(beta) ** (i - 1) * math.tanh(h1 * beta)
     rho = np.array([[(1 + m) / 2, 0.0], [0.0, (1 - m) / 2]])
     return DensityMatrix(rho, (i - 1,))
@@ -78,7 +78,7 @@ def fourspin_coefficients(beta: float, h1: float, h4: float,
     interest (terms peak near n ≈ beta·√(a+2)/2).
     """
     if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
+        raise ShieldlabError(f"beta must be non-negative, got {beta}")
     a1 = 2.0 + h1 * h1
     a4 = 2.0 + h4 * h4
     A = B = C = D = G = H = 0.0
@@ -103,17 +103,13 @@ def fourspin_coefficients(beta: float, h1: float, h4: float,
         H += dH
         residual = max(abs(dA), abs(dB), abs(dC), abs(dD), abs(dG), abs(dH))
         if not math.isfinite(residual) or not math.isfinite(A + C):
-            raise NonConvergenceError(
-                f"series overflowed at n={n} (beta={beta}, h1={h1}, h4={h4})"
-            )
+            raise ShieldlabError(f"series overflowed at n={n} (beta={beta}, h1={h1}, h4={h4})")
         n += 1
         if residual < tol:
             break
         if n >= _SERIES_CAP:
-            raise NonConvergenceError(
-                f"series did not converge within {_SERIES_CAP} terms "
-                f"(beta={beta}, residual={residual})"
-            )
+            raise ShieldlabError(f"series did not converge within {_SERIES_CAP} terms "
+                                 f"(beta={beta}, residual={residual})")
     return FourSpinCoefficients(A=A, B=B, C=C, D=D, G=G, H=H,
                                 n_max=n, residual=residual)
 
@@ -123,17 +119,6 @@ def fourspin_magnetization(beta: float, h1: float, h4: float,
     """X magnetization of the diamond's far outer site: (AG + BH) / (AC + BD)."""
     c = fourspin_coefficients(beta, h1, h4, tol=tol)
     return (c.A * c.G + c.B * c.H) / (c.A * c.C + c.B * c.D)
-
-
-def fourspin_zero_temperature_limit(h4: float) -> float:
-    """Claimed zero-temperature plateau of the diamond magnetization, 1/sqrt(4 + h4²).
-
-    Careful: the convergent series itself plateaus at h4/sqrt(4 + h4²) as
-    beta grows (exact diagonalization agrees), which coincides with this
-    expression only at h4 = 1. Both are independent of the near site's
-    field; see :func:`fourspin_series_plateau` for the series' actual limit.
-    """
-    return 1.0 / math.sqrt(4.0 + h4 * h4)
 
 
 def fourspin_series_plateau(h4: float) -> float:

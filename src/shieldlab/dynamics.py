@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShieldlabError, SizeMismatchError
+from .errors import ShieldlabError
 from .freefermion import _quench_values
 from .hamiltonian import build_hamiltonian
 from .lattice import LatticeSpec
@@ -47,7 +47,8 @@ class QuenchProtocol:
     ``pre`` fixes the initial Hamiltonian (whose ground-space mixture is the
     default initial state), ``post`` the Hamiltonian driving the evolution.
     Both must share the site count and edge pairs; only parameters change.
-    Observables must be Hermitian, so a word with phase ±i is rejected.
+    Observables must be Hermitian, so a word with phase ±i is rejected, and
+    no two may share their first site, which keys their rows in the table.
     Errors name the field at fault (``post``, ``times`` or ``observables[k]``).
     """
 
@@ -58,26 +59,32 @@ class QuenchProtocol:
 
     def __post_init__(self) -> None:
         if self.pre.n_sites != self.post.n_sites:
-            raise SizeMismatchError("pre and post lattices differ in size", key="post")
+            raise ShieldlabError("pre and post lattices differ in size", key="post")
         pre_pairs = [(i, j) for (i, j, _) in self.pre.edges]
         post_pairs = [(i, j) for (i, j, _) in self.post.edges]
         if pre_pairs != post_pairs:
-            raise SizeMismatchError("pre and post lattices differ in edge set", key="post")
+            raise ShieldlabError("pre and post lattices differ in edge set", key="post")
         times = tuple(float(t) for t in self.times)
         if not all(map(math.isfinite, times)):
             raise ShieldlabError("must be finite", key="times")
         if any(t < 0 for t in times) or list(times) != sorted(times):
             raise ShieldlabError("must be non-negative and ascending", key="times")
         object.__setattr__(self, "times", times)
+        first: dict[int, int] = {}
         for k, obs in enumerate(self.observables):
             if obs.n_sites != self.pre.n_sites:
-                raise SizeMismatchError(
+                raise ShieldlabError(
                     f"observable {obs.to_text()!r} does not match the lattice size",
                     key=f"observables[{k}]")
             if obs.phase_k % 2:
                 raise ShieldlabError(
                     f"{obs.to_text()!r} has phase +i or -i, so its expectation is not real",
                     key=f"observables[{k}]")
+            site = _observable_site(obs)
+            if first.setdefault(site, k) != k:
+                raise ShieldlabError(
+                    f"shares its site column ({site}) with observables[{first[site]}], "
+                    "so the rows could not be told apart", key=f"observables[{k}]")
 
 
 def _observable_site(obs: PauliString) -> int:
@@ -100,7 +107,7 @@ def _initial_states(protocol: QuenchProtocol, rho0: DensityMatrix | None) -> np.
         states = _ground_columns(build_hamiltonian(protocol.pre))
         return states / math.sqrt(states.shape[1])
     if rho0.n_sites != protocol.pre.n_sites:
-        raise SizeMismatchError("initial state does not match the lattice")
+        raise ShieldlabError("initial state does not match the lattice")
     vals, vecs = np.linalg.eigh(rho0.matrix)
     keep = vals > 1e-14
     return vecs[:, keep] * np.sqrt(vals[keep])
@@ -166,9 +173,9 @@ def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> R
 
     The initial state defaults to the uniform ground-space mixture of the
     pre-quench Hamiltonian; any caller-supplied state is used as-is. Rows
-    are ordered by (t, site), with single-site observables labeled by their
-    site. Lattices over the dense cap are refused on either path, and the
-    table's metadata names the one that ran as its ``solver``.
+    are ordered by (t, site), each observable labeled by its first site
+    (no two share one). Lattices over the dense cap are refused on either
+    path, and the table's metadata names the one that ran as its ``solver``.
 
     From the default state, when pre and post are open chains with g ≡ 0
     and every observable is ±X_i or ±Z_i Z_{i+1}, the rows come from the

@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NotAChainError,
-    SizeMismatchError,
-    TermOutsideSplitError,
-)
+from .errors import ShieldlabError
 from .lattice import LatticeSpec, RegionSplit
 from .pauli import PauliString, _PHASES, _product, _signs, check_dense_cap
 
@@ -36,7 +32,7 @@ def _term_shape(p: PauliString) -> str:
         return "ZZ"
     if x.bit_count() == 1 and z in (0, x):
         return "Y" if z else "X"
-    raise ValueError(f"unsupported term shape {p.to_text()!r}")
+    raise ShieldlabError(f"unsupported term shape {p.to_text()!r}")
 
 
 @dataclass
@@ -58,15 +54,14 @@ class HamiltonianTerms:
         self.terms = tuple((float(c), p) for (c, p) in self.terms)
         for c, p in self.terms:
             if p.n_sites != self.n_sites:
-                raise SizeMismatchError(
+                raise ShieldlabError(
                     f"term {p.to_text()!r} lives on {p.n_sites} sites, "
-                    f"Hamiltonian on {self.n_sites}"
-                )
+                    f"Hamiltonian on {self.n_sites}")
             if p.phase_k != 0:
-                raise ValueError(f"term {p.to_text()!r} carries a phase")
+                raise ShieldlabError(f"term {p.to_text()!r} carries a phase")
             _term_shape(p)
             if not np.isfinite(c):
-                raise ValueError("non-finite coefficient")
+                raise ShieldlabError("non-finite coefficient")
 
     def to_dense(self) -> np.ndarray:
         """Dense matrix under the site-0-is-MSB convention.
@@ -152,7 +147,7 @@ def split_hamiltonian(H: HamiltonianTerms, split: RegionSplit) -> SplitHamiltoni
     keeps H_Y in shielded form.
     """
     if H.n_sites != split.n_sites:
-        raise SizeMismatchError("Hamiltonian and split disagree on n_sites")
+        raise ShieldlabError("Hamiltonian and split disagree on n_sites")
     x_terms: list[Term] = []
     y_terms: list[Term] = []
     for c, p in H.terms:
@@ -164,9 +159,7 @@ def split_hamiltonian(H: HamiltonianTerms, split: RegionSplit) -> SplitHamiltoni
         elif sup <= split.Y:
             y_terms.append((c, p))
         else:
-            raise TermOutsideSplitError(
-                f"term {p.to_text()!r} is not contained in either region"
-            )
+            raise ShieldlabError(f"term {p.to_text()!r} is not contained in either region")
     # fields on S belong to neither bulk; route them to H_X (see docstring)
     moved = [t for t in y_terms
              if len(t[1].support()) == 1 and t[1].support()[0] in split.S]
@@ -202,7 +195,7 @@ def commutator_norm(A: HamiltonianTerms, B: HamiltonianTerms) -> float:
     (:func:`_mask_sums`) and no 2^n x 2^n matrix is formed.
     """
     if A.n_sites != B.n_sites:
-        raise SizeMismatchError("operands live on different numbers of sites")
+        raise ShieldlabError("operands live on different numbers of sites")
     acc: dict[tuple[int, int], complex] = {}
     for a, p in A.terms:
         for b, q in B.terms:
@@ -328,7 +321,7 @@ def dual_chain(lat: LatticeSpec) -> DualChain:
     """Dual description of an open chain with g ≡ 0."""
     fault = _chain_fault(lat)
     if fault is not None:
-        raise NotAChainError(fault)
+        raise ShieldlabError(fault)
     J = [e[2] for e in lat.edges]
     return DualChain(n_sites=lat.n_sites, dual_couplings=tuple(lat.h),
                      dual_fields=(0.0, *J, 0.0))

@@ -9,16 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import (
-    CrossEdgeError,
-    DuplicateEdgeError,
-    IndexOutOfRangeError,
-    LengthMismatchError,
-    NonFiniteParameterError,
-    NonzeroInterfaceFieldError,
-    NotACoverError,
-    SelfEdgeError,
-)
+from .errors import ShieldlabError
 
 Edge = tuple[int, int, float]
 
@@ -66,29 +57,27 @@ def validate_lattice(n_sites: int, edges, h, g=None) -> LatticeSpec:
     """Canonicalize and check a lattice description.
 
     Edges are returned sorted with ``i < j``. ``g`` defaults to all zeros.
-    Raises ``SelfEdgeError``, ``DuplicateEdgeError``, ``IndexOutOfRangeError``,
-    ``LengthMismatchError`` or ``NonFiniteParameterError``, each keyed by the
-    argument at fault (``edges[k]``, ``h`` or ``g``).
+    Raises ``ShieldlabError`` on a self edge, a duplicate edge, a site out of
+    range, a parameter list of the wrong length or a non-finite parameter,
+    keyed by the argument at fault (``n_sites``, ``edges[k]``, ``h`` or ``g``).
     """
     if n_sites < 1:
-        raise IndexOutOfRangeError(f"must be positive, got {n_sites}", key="n_sites")
+        raise ShieldlabError(f"must be positive, got {n_sites}", key="n_sites")
     canon: list[Edge] = []
     seen: set[tuple[int, int]] = set()
     for k, (i, j, J) in enumerate(edges):
         i, j, key = int(i), int(j), f"edges[{k}]"
         if i == j:
-            raise SelfEdgeError(f"edge ({i}, {j}) joins a site to itself", key=key)
+            raise ShieldlabError(f"edge ({i}, {j}) joins a site to itself", key=key)
         if not (0 <= i < n_sites and 0 <= j < n_sites):
-            raise IndexOutOfRangeError(f"edge ({i}, {j}) outside 0..{n_sites - 1}",
-                                       key=key)
+            raise ShieldlabError(f"edge ({i}, {j}) outside 0..{n_sites - 1}", key=key)
         pair = (min(i, j), max(i, j))
         if pair in seen:
-            raise DuplicateEdgeError(f"duplicate edge {pair}", key=key)
+            raise ShieldlabError(f"duplicate edge {pair}", key=key)
         seen.add(pair)
         J = float(J)
         if not math.isfinite(J):
-            raise NonFiniteParameterError(f"coupling on edge {pair} is not finite",
-                                          key=key)
+            raise ShieldlabError(f"coupling on edge {pair} is not finite", key=key)
         canon.append((pair[0], pair[1], J))
     canon.sort(key=lambda e: (e[0], e[1]))
 
@@ -96,10 +85,9 @@ def validate_lattice(n_sites: int, edges, h, g=None) -> LatticeSpec:
     g = tuple(float(x) for x in g) if g is not None else (0.0,) * n_sites
     for name, values in (("h", h), ("g", g)):
         if len(values) != n_sites:
-            raise LengthMismatchError(
-                f"has {len(values)} entries, expected {n_sites}", key=name)
+            raise ShieldlabError(f"has {len(values)} entries, expected {n_sites}", key=name)
         if any(not math.isfinite(x) for x in values):
-            raise NonFiniteParameterError("has a non-finite entry", key=name)
+            raise ShieldlabError("has a non-finite entry", key=name)
     return LatticeSpec(n_sites, tuple(canon), h, g)
 
 
@@ -115,21 +103,20 @@ def validate_split(lat: LatticeSpec, X, Y, *,
     Y = frozenset(int(i) for i in Y)
     for i in X | Y:
         if not 0 <= i < lat.n_sites:
-            raise IndexOutOfRangeError(f"site {i} outside 0..{lat.n_sites - 1}")
+            raise ShieldlabError(f"site {i} outside 0..{lat.n_sites - 1}")
     if X | Y != frozenset(range(lat.n_sites)):
         missing = sorted(frozenset(range(lat.n_sites)) - (X | Y))
-        raise NotACoverError(f"sites {missing} belong to neither region")
+        raise ShieldlabError(f"sites {missing} belong to neither region")
     S = X & Y
     bulk_x, bulk_y = X - S, Y - S
     for (i, j, _) in lat.edges:
         if (i in bulk_x and j in bulk_y) or (j in bulk_x and i in bulk_y):
-            raise CrossEdgeError(f"edge ({i}, {j}) crosses between the two bulks")
+            raise ShieldlabError(f"edge ({i}, {j}) crosses between the two bulks")
     if require_zero_interface_fields:
         for l in sorted(S):
             if lat.h[l] != 0.0 or lat.g[l] != 0.0:
-                raise NonzeroInterfaceFieldError(
-                    f"interface site {l} carries field h={lat.h[l]}, g={lat.g[l]}"
-                )
+                raise ShieldlabError(
+                    f"interface site {l} carries field h={lat.h[l]}, g={lat.g[l]}")
     return RegionSplit(lat.n_sites, X, Y, S)
 
 
@@ -138,10 +125,9 @@ def make_chain(n: int, J, h) -> LatticeSpec:
     J = list(J)
     h = list(h)
     if len(J) != n - 1 or len(h) != n:
-        raise LengthMismatchError(
+        raise ShieldlabError(
             f"chain of {n} sites needs {n - 1} couplings and {n} fields, "
-            f"got {len(J)} and {len(h)}"
-        )
+            f"got {len(J)} and {len(h)}")
     edges = [(i, i + 1, J[i]) for i in range(n - 1)]
     return validate_lattice(n, edges, h)
 

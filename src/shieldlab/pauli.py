@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionOverflowError, SizeMismatchError
+from .errors import ShieldlabError
 
 LETTERS = "IXYZ"
 
@@ -39,9 +39,8 @@ _Z_BITS = str.maketrans("IXYZ", "0011")
 
 def check_dense_cap(n_sites: int) -> None:
     if n_sites > DENSE_SITE_CAP:
-        raise DimensionOverflowError(
-            f"dense realization of {n_sites} sites exceeds the cap of {DENSE_SITE_CAP}"
-        )
+        raise ShieldlabError(
+            f"dense realization of {n_sites} sites exceeds the cap of {DENSE_SITE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,11 @@ class PauliString:
 
     def __post_init__(self) -> None:
         if not set(self.letters) <= set(LETTERS):
-            raise ValueError(f"invalid Pauli letters {self.letters!r}")
+            raise ShieldlabError(f"invalid Pauli letters {self.letters!r}")
         try:
             k = operator.index(self.phase_k) % 4
         except TypeError:
-            raise ValueError(f"phase_k must be an integer, got {self.phase_k!r}") from None
+            raise ShieldlabError(f"phase_k must be an integer, got {self.phase_k!r}") from None
         object.__setattr__(self, "phase_k", k)
         object.__setattr__(self, "xzk", (
             int("0" + self.letters.translate(_X_BITS), 2),
@@ -76,7 +75,7 @@ class PauliString:
     @classmethod
     def single(cls, n_sites: int, site: int, letter: str) -> "PauliString":
         if not 0 <= site < n_sites:
-            raise SizeMismatchError(f"site {site} outside 0..{n_sites - 1}")
+            raise ShieldlabError(f"site {site} outside 0..{n_sites - 1}")
         word = ["I"] * n_sites
         word[site] = letter
         return cls("".join(word))
@@ -87,7 +86,7 @@ class PauliString:
         word = ["I"] * n_sites
         for site, letter in letters_by_site.items():
             if not 0 <= site < n_sites:
-                raise SizeMismatchError(f"site {site} outside 0..{n_sites - 1}")
+                raise ShieldlabError(f"site {site} outside 0..{n_sites - 1}")
             word[site] = letter
         return cls("".join(word), phase_k)
 
@@ -138,12 +137,12 @@ class PauliString:
         for tok in tokens:
             letter, index = tok[0].upper(), tok[1:]
             if letter not in "XYZ" or not index.isdigit():
-                raise ValueError(f"bad Pauli token {tok!r}")
+                raise ShieldlabError(f"bad Pauli token {tok!r}")
             site = int(index)
             if not 0 <= site < n_sites:
-                raise SizeMismatchError(f"site {site} outside 0..{n_sites - 1}")
+                raise ShieldlabError(f"site {site} outside 0..{n_sites - 1}")
             if word[site] != "I":
-                raise ValueError(f"site {site} assigned twice in {text!r}")
+                raise ShieldlabError(f"site {site} assigned twice in {text!r}")
             word[site] = letter
         return cls("".join(word), phase_k)
 

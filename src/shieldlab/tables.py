@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import ShieldlabError
+
 
 @dataclass
 class ResultTable:
@@ -22,9 +24,8 @@ class ResultTable:
 
     def append(self, *values) -> None:
         if len(values) != len(self.columns):
-            raise ValueError(
-                f"row has {len(values)} values for {len(self.columns)} columns"
-            )
+            raise ShieldlabError(
+                f"row has {len(values)} values for {len(self.columns)} columns")
         self.rows.append(tuple(values))
 
 

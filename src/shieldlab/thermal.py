@@ -56,11 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    InvalidSiteSetError,
-    NotHermitianError,
-    SizeMismatchError,
-)
+from .errors import ShieldlabError
 from .hamiltonian import HamiltonianTerms, build_hamiltonian, split_hamiltonian
 from .lattice import LatticeSpec, RegionSplit
 from .pauli import PauliString, _signs, check_dense_cap
@@ -324,8 +320,8 @@ def _ground_columns(H: HamiltonianTerms) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, unit-trace state on a labeled set of sites.
 
-    ``site_labels`` are the global site indices the state lives on, in the
-    order of the tensor factors (ascending everywhere in this library).
+    ``site_labels`` are the distinct global site indices the state lives on,
+    in the order of the tensor factors (ascending everywhere in this library).
     ``degeneracy`` is set on ground states to record the dimension of the
     ground eigenspace.
     """
@@ -336,18 +332,21 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         self.site_labels = tuple(int(i) for i in self.site_labels)
+        if len(set(self.site_labels)) != len(self.site_labels):
+            raise ShieldlabError(f"site_labels {self.site_labels} repeat a site")
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise SizeMismatchError(f"density matrix must be square, got {m.shape}")
+            raise ShieldlabError(f"density matrix must be square, got {m.shape}")
         if m.shape[0] != 1 << len(self.site_labels):
-            raise SizeMismatchError(
-                f"dimension {m.shape[0]} does not match {len(self.site_labels)} sites"
-            )
-        # "not <=" so that a NaN or infinite entry fails the checks too
-        if not float(np.abs(m - m.conj().T).max()) <= _HERMITICITY_TOL:
-            raise NotHermitianError("density matrix is not Hermitian")
-        if not abs(complex(np.trace(m)).real - 1.0) <= _TRACE_TOL:
-            raise ValueError(f"trace is {complex(np.trace(m)).real!r}, expected 1")
+            raise ShieldlabError(
+                f"dimension {m.shape[0]} does not match {len(self.site_labels)} sites")
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            raise ShieldlabError(f"density matrix entry ({i}, {j}) is {m[i, j]}, not finite")
+        if float(np.abs(m - m.conj().T).max()) > _HERMITICITY_TOL:
+            raise ShieldlabError("density matrix is not Hermitian")
+        if abs(complex(np.trace(m)).real - 1.0) > _TRACE_TOL:
+            raise ShieldlabError(f"trace is {complex(np.trace(m)).real!r}, expected 1")
         self.matrix = m
 
     @property
@@ -357,15 +356,6 @@ class DensityMatrix:
     @property
     def n_sites(self) -> int:
         return len(self.site_labels)
-
-
-def _default_labels(n_sites: int, site_labels) -> tuple[int, ...]:
-    if site_labels is None:
-        return tuple(range(n_sites))
-    labels = tuple(int(i) for i in site_labels)
-    if len(labels) != n_sites:
-        raise SizeMismatchError("site_labels length does not match n_sites")
-    return labels
 
 
 def _ground_slack(span: float) -> float:
@@ -407,12 +397,13 @@ def thermal_state(H: HamiltonianTerms, beta: float, site_labels=None) -> Density
     which is None at finite beta.
     """
     if not beta >= 0.0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
+        raise ShieldlabError(f"beta must be non-negative, got {beta}")
     dec = spectrum(H)
     f, d = _weights(dec, beta)
     rho = dec.function(f)
     rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(rho, _default_labels(H.n_sites, site_labels), degeneracy=d)
+    labels = range(H.n_sites) if site_labels is None else site_labels
+    return DensityMatrix(rho, labels, degeneracy=d)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -426,7 +417,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     keep = sorted(int(i) for i in keep)
     labels = rho.site_labels
     if len(set(keep)) != len(keep) or not set(keep) <= set(labels):
-        raise InvalidSiteSetError(f"keep={keep} is not a subset of {labels}")
+        raise ShieldlabError(f"keep={keep} is not a subset of {labels}")
     pos = {site: k for k, site in enumerate(labels)}
     n = rho.n_sites
     keep_pos = [pos[s] for s in keep]
@@ -445,7 +436,7 @@ def _sites(sites, n: int, what: str) -> list[int]:
     """``sites`` sorted, checked to be distinct sites of an ``n``-site lattice."""
     out = sorted(int(i) for i in sites)
     if len(set(out)) != len(out) or not set(out) <= set(range(n)):
-        raise InvalidSiteSetError(f"{what}={out} is not a set of sites of {n}")
+        raise ShieldlabError(f"{what}={out} is not a set of sites of {n}")
     return out
 
 
@@ -490,7 +481,7 @@ def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.nd
         at = rows.ravel()
         pattern = _bits(at, by, n)
         if np.any(pattern != pattern[0]):
-            raise InvalidSiteSetError(
+            raise ShieldlabError(
                 f"by={by} lists a site with a field: its Z is not conserved")
         if not y.shape[1]:
             continue
@@ -517,22 +508,23 @@ def expectation(rho: DensityMatrix, obs: PauliString) -> float:
     exceeds 1e-10.
     """
     if obs.n_sites != rho.n_sites:
-        raise SizeMismatchError(
+        raise ShieldlabError(
             f"observable {obs.to_text()!r} acts on {obs.n_sites} sites, "
-            f"the state on {rho.n_sites}"
-        )
+            f"the state on {rho.n_sites}")
     mask, coefs = obs.basis_action()
     idx = np.arange(rho.dim)
     value = complex(np.dot(rho.matrix[idx, idx ^ mask], coefs))
     if abs(value.imag) > 1e-10:
-        raise ValueError(f"expectation has imaginary residual {value.imag}")
+        raise ShieldlabError(f"expectation has imaginary residual {value.imag}")
     return float(value.real)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of a - b (both Hermitian, so via eigenvalues)."""
-    if a.dim != b.dim:
-        raise SizeMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
+    """Half the trace norm of a - b (both Hermitian, so via eigenvalues), two
+    states on the same sites in the same order."""
+    if a.site_labels != b.site_labels:
+        raise ShieldlabError(f"states live on different sites: {a.site_labels} "
+                             f"vs {b.site_labels}")
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
 
 

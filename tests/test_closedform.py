@@ -5,15 +5,14 @@ import pytest
 
 from shieldlab import (
     DensityMatrix,
-    NonConvergenceError,
     PauliString,
+    ShieldlabError,
     build_hamiltonian,
     classical_chain_reduced,
     expectation,
     fourspin_coefficients,
     fourspin_magnetization,
     fourspin_series_plateau,
-    fourspin_zero_temperature_limit,
     make_diamond,
     partial_trace,
     thermal_state,
@@ -64,7 +63,7 @@ class TestClassicalChain:
             assert np.abs(a.matrix - b.matrix).max() > 1e-3
 
     def test_rejects_bad_site(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShieldlabError, match="site index must be >= 1"):
             classical_chain_reduced(0, 1.0, 1.0)
 
 
@@ -166,7 +165,7 @@ class TestFourSpinCoefficients:
         assert c.n_max < 400
 
     def test_overflow_raises(self):
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(ShieldlabError, match="^series overflowed at n="):
             fourspin_coefficients(500.0, 2.0, 2.0)
 
 
@@ -197,25 +196,12 @@ class TestFourSpinMagnetization:
 
 
 class TestZeroTemperatureLimit:
-    def test_documented_values(self):
-        assert fourspin_zero_temperature_limit(0.0) == pytest.approx(0.5)
-        assert fourspin_zero_temperature_limit(1.0) == pytest.approx(
-            1.0 / math.sqrt(5.0))
-
-    def test_monotone_decreasing_below_inverse_field(self):
-        values = [fourspin_zero_temperature_limit(h4) for h4 in (2.0, 5.0, 10.0)]
-        assert values == sorted(values, reverse=True)
-        for h4, v in zip((2.0, 5.0, 10.0), values):
-            assert v < 1.0 / h4
-
     def test_agrees_with_series_plateau_only_at_unit_field(self):
-        # the claimed plateau expression and the series' actual large-beta
-        # value coincide exactly at h4 = 1 and nowhere else
-        assert fourspin_zero_temperature_limit(1.0) == pytest.approx(
-            fourspin_series_plateau(1.0), abs=1e-15)
+        # the claimed zero-temperature plateau 1/sqrt(4 + h4²) and the
+        # series' actual large-beta value coincide exactly at h4 = 1 only
+        assert 1.0 / math.sqrt(4.0 + 1.0) == fourspin_series_plateau(1.0)
         for h4 in (0.0, 0.5, 2.0):
-            assert abs(fourspin_zero_temperature_limit(h4)
-                       - fourspin_series_plateau(h4)) > 0.1
+            assert abs(1.0 / math.sqrt(4.0 + h4 * h4) - fourspin_series_plateau(h4)) > 0.1
 
     def test_series_plateau_matches_exact_diagonalization(self):
         for h4 in (0.0, 1.0, 2.0):

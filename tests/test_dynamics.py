@@ -8,7 +8,6 @@ from shieldlab import (
     PauliString,
     QuenchProtocol,
     ShieldlabError,
-    SizeMismatchError,
     build_hamiltonian,
     make_chain,
     make_diamond,
@@ -130,7 +129,7 @@ class TestQuenchProtocol:
     def test_rejects_changed_graph(self):
         pre = make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5])
         post = make_chain(4, [1.0] * 3, [0.5, 0.0, 0.5, 0.5])
-        with pytest.raises(SizeMismatchError):
+        with pytest.raises(ShieldlabError, match="^post: pre and post lattices differ in size"):
             QuenchProtocol(pre, post, (0.0,), (PauliString.single(3, 0, "Z"),))
 
     @pytest.mark.parametrize("text", ["+i X0", "-i Z1"])
@@ -142,7 +141,7 @@ class TestQuenchProtocol:
 
     def test_rejects_unsorted_times(self):
         pre = make_chain(2, [1.0], [0.5, 0.5])
-        with pytest.raises(ValueError):
+        with pytest.raises(ShieldlabError, match="^times: must be non-negative and ascending"):
             QuenchProtocol(pre, pre, (1.0, 0.5),
                            (PauliString.single(2, 0, "Z"),))
 
@@ -153,10 +152,19 @@ class TestQuenchProtocol:
         with pytest.raises(ShieldlabError, match=r"^times: must be finite"):
             QuenchProtocol(pre, pre, times, (PauliString.single(2, 0, "Z"),))
 
+    def test_observables_sharing_a_first_site_are_refused(self):
+        # their rows would share every (t, site) key
+        pre = make_chain(4, [1.0] * 3, [0.5, 0.0, 0.5, 0.5])
+        obs = (PauliString.from_text("+ X0", 4), PauliString.from_text("+ Z0 Z1", 4))
+        with pytest.raises(ShieldlabError,
+                           match=r"^observables\[1\]: shares its site column \(0\) "
+                                 r"with observables\[0\]"):
+            run_quench(QuenchProtocol(pre, pre, (0.0, 1.0), obs))
+
     def test_wrong_size_observable_names_its_key(self):
         pre = make_chain(2, [1.0], [0.5, 0.5])
         obs = (PauliString.single(2, 0, "Z"), PauliString.single(3, 0, "Z"))
-        with pytest.raises(SizeMismatchError, match=r"^observables\[1\]: observable"):
+        with pytest.raises(ShieldlabError, match=r"^observables\[1\]: observable"):
             QuenchProtocol(pre, pre, (0.0,), obs)
 
 
@@ -340,7 +348,7 @@ class TestFoldedPhases:
     imaginary coefficients and multi-bit flip masks, both placement layouts,
     from the ground start and from a full-rank state."""
 
-    WORDS = ("+ Y0", "+ X1 Y3", "- Z0 Y2 X4", "+ Z5 Z6")
+    WORDS = ("+ Y0", "+ X1 Y3", "- Y2 X4 Z6", "+ Z5 Z6")
 
     @staticmethod
     def lattices(zero):

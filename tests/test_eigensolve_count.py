@@ -106,7 +106,7 @@ def short_quench(observables="x"):
 
 def test_verify_shielding_solves_each_trial_once_plus_the_shielded_side(eig_calls):
     trials = 3
-    cfg = chain_config(n=5, L=2, trials=trials, betas=[0.5, 2.0, "inf"])
+    cfg = chain_config(n=5, L=2, trials=trials, betas=[0.5, 2.0, "ground"])
     table = run_verify_shielding(cfg)
     assert len(table.rows) == trials * 3
     assert len(eig_calls) == trials + 1

@@ -103,7 +103,7 @@ class TestTables:
 
     def test_row_length_checked(self):
         table = ResultTable(columns=("a", "b"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ShieldlabError, match="^row has 1 values for 2 columns"):
             table.append(1)
 
 
@@ -218,9 +218,10 @@ class TestVerifyShielding:
 
     def test_ground_betas_read_as_inf(self):
         ground = run_verify_shielding(chain_config(trials=2, betas=["ground", 1.0]))
-        inf = run_verify_shielding(chain_config(trials=2, betas=["inf", 1.0]))
-        assert ground.rows == inf.rows
         assert [row[1] for row in ground.rows[:2]] == [float("inf"), 1.0]
+        with pytest.raises(ShieldlabError,
+                           match=r"^betas\[0\] must be a number >= 0 or \"ground\", got 'inf'"):
+            run_verify_shielding(chain_config(trials=2, betas=["inf"]))
 
 
 class TestCounterexample:
@@ -244,6 +245,15 @@ class TestCounterexample:
                "h1_grid": {"start": 0.0, "stop": 2.0, "step": 0.5}}
         verdict = run_counterexample(cfg).metadata["verdict"]
         assert verdict["plateau_gap_by_beta"]["50.0"] < 1e-3
+
+    def test_plateau_gap_is_measured_against_the_series_plateau(self):
+        # at h4 = 0.5 the rows sit on h4/sqrt(4 + h4²) = 0.2425, which the
+        # claimed 1/sqrt(4 + h4²) = 0.4851 misses by as much
+        cfg = {"h4": 0.5, "betas": [50.0],
+               "h1_grid": {"start": 0.0, "stop": 2.0, "step": 0.5}}
+        table = run_counterexample(cfg)
+        assert all(abs(row[2] - 0.5 / math.sqrt(4.25)) < 1e-12 for row in table.rows)
+        assert table.metadata["verdict"]["plateau_gap_by_beta"]["50.0"] < 1e-12
 
     @pytest.mark.parametrize("extra, key", [
         ({"betas": []}, "betas"),
@@ -743,12 +753,12 @@ class TestDeterminism:
 
 
 class TestCli:
-    def run_cli(self, tmp_path, experiment, cfg, *extra):
+    def run_cli(self, tmp_path, experiment, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         proc = subprocess.run(
             [sys.executable, "-m", "shieldlab.cli", experiment,
-             "--config", str(cfg_path), "--out", str(tmp_path / "out"), *extra],
+             "--config", str(cfg_path), "--out", str(tmp_path / "out")],
             capture_output=True, text=True,
         )
         return proc
@@ -892,11 +902,3 @@ class TestCli:
         cfg["kind"] = "quench"
         proc = self.run_cli(tmp_path, "verify-shielding", cfg)
         assert proc.returncode == 1
-
-    def test_seed_override(self, tmp_path):
-        cfg = chain_config(trials=2, seed=1)
-        proc = self.run_cli(tmp_path, "verify-shielding", cfg, "--seed", "2")
-        assert proc.returncode == 0
-        meta = json.loads(
-            (tmp_path / "out" / "verify-shielding.csv.meta.json").read_text())
-        assert meta["seed"] == 2

@@ -10,9 +10,9 @@ import pytest
 import shieldlab.dynamics as dynamics
 from shieldlab import (
     DensityMatrix,
-    DimensionOverflowError,
     PauliString,
     QuenchProtocol,
+    ShieldlabError,
     emit,
     make_chain,
     make_triangular_patch,
@@ -191,5 +191,5 @@ def test_other_inputs_take_the_blocked_path(case, words):
 
 def test_chains_over_the_cap_are_refused():
     pre = make_chain(13, [1.0] * 12, [0.5] * 13)
-    with pytest.raises(DimensionOverflowError):
+    with pytest.raises(ShieldlabError, match="^dense realization of 13 sites exceeds the cap"):
         run_quench(QuenchProtocol(pre, pre, (0.0,), (PauliString.single(13, 0, "X"),)))

@@ -3,11 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from shieldlab import (
-    DimensionOverflowError,
-    PauliString,
-    SizeMismatchError,
-)
+from shieldlab import PauliString, ShieldlabError
 from shieldlab.pauli import _product
 
 from helpers import SX, SZ, kron_op, kron_word
@@ -92,7 +88,7 @@ class TestMultiplication:
 class TestPhaseExponent:
     @pytest.mark.parametrize("phase_k", [1.5, "1", 2.0, None])
     def test_non_integer_rejected_with_its_value(self, phase_k):
-        with pytest.raises(ValueError, match=f"phase_k must be an integer, got {phase_k!r}"):
+        with pytest.raises(ShieldlabError, match=f"phase_k must be an integer, got {phase_k!r}"):
             PauliString("XY", phase_k)
 
     def test_integer_types_reduced_mod_four(self):
@@ -156,7 +152,7 @@ class TestBasisAction:
         assert np.array_equal(coefs, [1, 1, -1, -1])
 
     def test_cap_enforced(self):
-        with pytest.raises(DimensionOverflowError):
+        with pytest.raises(ShieldlabError, match="^dense realization of 13 sites exceeds the cap"):
             PauliString("I" * 13).basis_action()
 
     def test_basis_action_matches_dense(self):
@@ -273,10 +269,10 @@ class TestTextForm:
         assert PauliString.from_text("+", 2) == PauliString("II")
 
     def test_rejects_double_assignment(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShieldlabError, match="^site 0 assigned twice in '\\+ X0 Z0'"):
             PauliString.from_text("+ X0 Z0", 2)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(SizeMismatchError):
+        with pytest.raises(ShieldlabError, match=r"^site 5 outside 0\.\.1"):
             PauliString.from_text("+ X5", 2)
 

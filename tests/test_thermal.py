@@ -9,10 +9,8 @@ import shieldlab.thermal as thermal
 from shieldlab import (
     DensityMatrix,
     HamiltonianTerms,
-    InvalidSiteSetError,
-    NotHermitianError,
     PauliString,
-    SizeMismatchError,
+    ShieldlabError,
     build_hamiltonian,
     expectation,
     make_chain,
@@ -270,9 +268,9 @@ class TestGibbs:
     def test_rejects_bad_beta(self, beta):
         # -inf must not read as the ground mixture, nor nan as any state
         lat = make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5])
-        with pytest.raises(ValueError, match="beta"):
+        with pytest.raises(ShieldlabError, match="^beta must be non-negative"):
             thermal_state(build_hamiltonian(lat), beta)
-        with pytest.raises(ValueError, match="beta"):
+        with pytest.raises(ShieldlabError, match="^beta must be non-negative"):
             shielding_report(lat, validate_split(lat, {0, 1}, {1, 2}), beta)
 
 
@@ -463,10 +461,10 @@ class TestSectorOracle:
         H = build_hamiltonian(lat)
         assert len(thermal._reduced_states(H, 1.0, [3], by=[1])) == 2
         for by in ([0], [1, 2]):
-            with pytest.raises(InvalidSiteSetError, match="field"):
+            with pytest.raises(ShieldlabError, match="lists a site with a field"):
                 thermal._reduced_states(H, 1.0, [3], by=by)
-        for keep, by in (([4], []), ([0, 0], []), ([3], [7])):
-            with pytest.raises(InvalidSiteSetError):
+        for keep, by, what in (([4], [], "keep"), ([0, 0], [], "keep"), ([3], [7], "by")):
+            with pytest.raises(ShieldlabError, match=f"^{what}=.* is not a set of sites of 4"):
                 thermal._reduced_states(H, 1.0, keep, by)
 
     def test_lift_adds_back_what_project_takes(self):
@@ -527,7 +525,7 @@ class TestPartialTrace:
 
     def test_invalid_site_set(self):
         rho = DensityMatrix(np.eye(2) / 2, (3,))
-        with pytest.raises(InvalidSiteSetError):
+        with pytest.raises(ShieldlabError, match=r"^keep=\[0\] is not a subset of \(3,\)"):
             partial_trace(rho, [0])
 
     def test_keep_everything(self):
@@ -566,12 +564,12 @@ class TestExpectation:
 
     def test_size_mismatch(self):
         rho = DensityMatrix(np.eye(2) / 2, (0,))
-        with pytest.raises(SizeMismatchError):
+        with pytest.raises(ShieldlabError, match="acts on 3 sites, the state on 1"):
             expectation(rho, PauliString.from_sites(3, {1: "X", 2: "Z"}))
 
     def test_imaginary_residual_guard(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]), (0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ShieldlabError, match="^expectation has imaginary residual"):
             expectation(rho, PauliString.from_text("+i Z0", 1))  # anti-Hermitian
 
 
@@ -595,8 +593,14 @@ class TestTraceDistance:
     def test_size_mismatch(self):
         a = DensityMatrix(np.eye(2) / 2, (0,))
         b = DensityMatrix(np.eye(4) / 4, (0, 1))
-        with pytest.raises(SizeMismatchError):
+        with pytest.raises(ShieldlabError, match="states live on different sites"):
             trace_distance(a, b)
+        # one dimension is not enough: the sites must be the same, in order
+        c = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 3))
+        with pytest.raises(ShieldlabError, match=r"\(0, 1\) vs \(2, 3\)"):
+            trace_distance(b, c)
+        with pytest.raises(ShieldlabError, match=r"\(2, 3\) vs \(3, 2\)"):
+            trace_distance(c, DensityMatrix(np.eye(4) / 4, (3, 2)))
 
 
 class TestShielding:
@@ -661,25 +665,33 @@ class TestShielding:
 
 class TestDensityMatrixInvariants:
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(ShieldlabError, match="^density matrix is not Hermitian"):
             DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]), (0,))
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShieldlabError, match="^trace is 2.0, expected 1"):
             DensityMatrix(np.eye(2), (0,))
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entries(self, entry):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShieldlabError, match=rf"entry \(0, 0\) is {entry}, not finite"):
             DensityMatrix(np.full((2, 2), entry), (0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ShieldlabError, match=rf"entry \(0, 0\) is {entry}, not finite"):
             DensityMatrix(np.array([[entry, 0.0], [0.0, 0.5]]), (0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ShieldlabError, match=rf"entry \(0, 1\) is {entry}, not finite"):
             DensityMatrix(np.array([[0.5, entry], [entry, 0.5]]), (0,))
 
     def test_rejects_bad_dimension(self):
-        with pytest.raises(SizeMismatchError):
+        with pytest.raises(ShieldlabError, match="^dimension 4 does not match 1 sites"):
             DensityMatrix(np.eye(4) / 4, (0,))
+
+    def test_rejects_repeated_site_labels(self):
+        with pytest.raises(ShieldlabError, match=r"site_labels \(0, 0\) repeat a site"):
+            DensityMatrix(np.eye(4) / 4, (0, 0))
+        H = build_hamiltonian(make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5]))
+        with pytest.raises(ShieldlabError, match="repeat a site"):
+            thermal_state(H, 1.0, site_labels=(5, 5, 5))
 
     def test_gibbs_state_is_positive(self):
         rng = np.random.default_rng(107)
