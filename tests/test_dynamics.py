@@ -187,6 +187,12 @@ class TestRunQuench:
         assert keys == sorted(keys)
         assert table.columns == ("t", "site", "value")
 
+    def test_initial_state_of_other_size_is_refused(self):
+        pre = make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5])
+        protocol = QuenchProtocol(pre, pre, (0.0, 1.0), (PauliString.single(3, 0, "X"),))
+        with pytest.raises(ShieldlabError, match="^initial state does not match the lattice"):
+            run_quench(protocol, DensityMatrix(np.eye(4) / 4, (0, 1)))
+
     def test_long_time_grid_is_evolved_in_bounded_batches(self, monkeypatch):
         import shieldlab.dynamics as dynamics
         products = []

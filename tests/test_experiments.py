@@ -789,6 +789,35 @@ class TestCli:
         assert "trials" in proc.stderr
 
     @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg["lattice"]["edges"].append([2, 1, 1.0]),
+         "lattice.edges[5]: duplicate edge (0, 1)"),
+        (lambda cfg: cfg["lattice"]["edges"].append([2, 2, 1.0]),
+         "lattice.edges[5]: edge (1, 1) joins a site to itself"),
+        (lambda cfg: cfg["lattice"]["h"].pop(), "lattice.h: has 5 entries, expected 6"),
+        (lambda cfg: cfg["lattice"].update(n_sites=13),
+         "lattice.n_sites: dense realization of 13 sites exceeds the cap of 12"),
+        (lambda cfg: cfg["split"]["Y"].pop(), "split: sites [5] belong to neither region"),
+        (lambda cfg: cfg["lattice"].update(index_base=2),
+         "lattice.index_base must be 0 or 1, got 2"),
+        (lambda cfg: cfg["lattice"]["edges"].append([6, 7, 1.0]),
+         "lattice.edges[5] must be a site in 1..6, got 7"),
+        (lambda cfg: cfg["lattice"]["h"].__setitem__(2, 0.5),
+         "split: interface site 2 carries field h=0.5, g=0.0"),
+        (lambda cfg: cfg["lattice"]["edges"].append([1, 4, 1.0]),
+         "split: edge (0, 3) crosses between the two bulks"),
+    ], ids=["duplicate_edge", "self_edge", "short_h", "13_sites", "not_a_cover",
+            "index_base_2", "out_of_range_site", "interface_field", "edge_between_bulks"])
+    def test_malformed_lattice_or_split_exits_one(self, tmp_path, edit, message):
+        # the refusal's key and message are the whole of stderr
+        cfg = shipped_config("verify_shielding_chain")
+        edit(cfg)
+        proc = self.run_cli(tmp_path, "verify-shielding", cfg)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
         ({"observables": ["+ X0", "+ X1"]}, "error: observables: none lies on the shielded bulk"),
         ({"observables": ["+ X2"]}, "error: observables: none lies on the shielded bulk"),
         ({"times": [2.0]}, "error: times: holds a single time"),

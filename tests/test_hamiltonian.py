@@ -87,6 +87,16 @@ class TestBuild:
         with pytest.raises(ShieldlabError, match="^term '\\+i Z0 Z1' carries a phase"):
             HamiltonianTerms(2, ((1.0, PauliString("ZZ", 1)),))
 
+    def test_rejects_term_on_other_size(self):
+        with pytest.raises(ShieldlabError,
+                           match="^term '\\+ Z0 Z1' lives on 2 sites, Hamiltonian on 3"):
+            HamiltonianTerms(3, ((1.0, PauliString("ZZ")),))
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coefficient(self, c):
+        with pytest.raises(ShieldlabError, match="^non-finite coefficient"):
+            HamiltonianTerms(2, ((1.0, PauliString("ZZ")), (c, PauliString("XI"))))
+
 
 class TestSplit:
     def test_three_site_chain(self):
@@ -149,6 +159,12 @@ class TestSplit:
         bogus = RegionSplit(3, frozenset({0}), frozenset({2}), frozenset())
         with pytest.raises(ShieldlabError, match="is not contained in either region"):
             split_hamiltonian(H, bogus)
+
+    def test_split_of_other_size_refused(self):
+        H = build_hamiltonian(make_chain(3, [1.0, 1.0], [0, 0, 0]))
+        split = validate_split(make_chain(4, [1.0] * 3, [0] * 4), {0, 1}, {1, 2, 3})
+        with pytest.raises(ShieldlabError, match="^Hamiltonian and split disagree on n_sites"):
+            split_hamiltonian(H, split)
 
 
 class TestCommutator:

@@ -51,6 +51,11 @@ class TestValidateLattice:
         with pytest.raises(ShieldlabError, match="^h: has 2 entries, expected 3"):
             validate_lattice(3, [], [0, 0])
 
+    @pytest.mark.parametrize("n_sites", [0, -2])
+    def test_non_positive_size(self, n_sites):
+        with pytest.raises(ShieldlabError, match=f"^n_sites: must be positive, got {n_sites}"):
+            validate_lattice(n_sites, [], [])
+
     def test_edges_canonicalized(self):
         lat = validate_lattice(4, [(3, 2, 1.0), (1, 0, 2.0)], [0] * 4)
         assert lat.edges == ((0, 1, 2.0), (2, 3, 1.0))
@@ -113,6 +118,11 @@ class TestValidateSplit:
         lat = make_chain(4, [1, 1, 1], [0, 0, 0, 0])
         with pytest.raises(ShieldlabError, match=r"^edge \(1, 2\) crosses between the two bulks"):
             validate_split(lat, {0, 1}, {2, 3})
+
+    def test_site_out_of_range(self):
+        lat = make_chain(3, [1, 1], [0.5, 0, 0.5])
+        with pytest.raises(ShieldlabError, match=r"^site 7 outside 0\.\.2"):
+            validate_split(lat, {0, 1, 7}, {1, 2})
 
     def test_empty_interface_allowed_for_disconnected_halves(self):
         lat = validate_lattice(4, [(0, 1, 1.0), (2, 3, 1.0)], [0.1] * 4)

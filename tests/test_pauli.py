@@ -85,6 +85,13 @@ class TestMultiplication:
             assert _product(mul(a, b), c.xzk) == _product(a.xzk, mul(b, c))
 
 
+class TestLetters:
+    @pytest.mark.parametrize("letters", ["XA", "xz", "X Z"])
+    def test_invalid_letters_rejected(self, letters):
+        with pytest.raises(ShieldlabError, match=f"^invalid Pauli letters {letters!r}"):
+            PauliString(letters)
+
+
 class TestPhaseExponent:
     @pytest.mark.parametrize("phase_k", [1.5, "1", 2.0, None])
     def test_non_integer_rejected_with_its_value(self, phase_k):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -681,6 +682,12 @@ class TestDensityMatrixInvariants:
             DensityMatrix(np.array([[entry, 0.0], [0.0, 0.5]]), (0,))
         with pytest.raises(ShieldlabError, match=rf"entry \(0, 1\) is {entry}, not finite"):
             DensityMatrix(np.array([[0.5, entry], [entry, 0.5]]), (0,))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 4)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ShieldlabError,
+                           match=f"^density matrix must be square, got {re.escape(str(shape))}"):
+            DensityMatrix(np.zeros(shape), (0,))
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ShieldlabError, match="^dimension 4 does not match 1 sites"):
