@@ -7,10 +7,10 @@ as free fermions (:mod:`shieldlab.freefermion`): one 2n×2n solve of each
 whole chain, and every time read from the 2n×2n Majorana correlations.
 
 Every other quench is solved in the real blocks of :mod:`shieldlab.thermal`
-(split on the spin flip and on the Z of every zero-field site, each placed
-in the full basis once per eigenspace it stands for), with no
-Trotterization: the post-quench Hamiltonian is solved once and every time
-step reads that one spectrum. The initial state's pure components are
+(split on the spin flip and on the Z of every zero-field site, each solved
+per component of the field sites and placed in the full basis once per
+eigenspace it stands for), with no Trotterization: the pre and the post
+are each solved once, and every time step reads the post's one spectrum. The initial state's pure components are
 projected onto each placement once, skipping those they have no part in,
 and evolved there with real eigenvectors, every time of a batch in one real
 product. The states stay in the real frame of the blocks, as their real and
@@ -97,11 +97,10 @@ def _initial_states(protocol: QuenchProtocol, rho0: DensityMatrix | None) -> np.
     mixture Σ ψψ† is the initial state.
 
     By default these are the pre-quench ground columns, weighted uniformly,
-    from :func:`shieldlab.thermal._ground_columns`, which solves each
-    component that the pre's zero fields cut off on its own. Their mixture
-    is the ground projector whatever basis spans it, so no verdict depends
-    on the path. Whatever is solved here is released on return, so it
-    never shares memory with the post spectrum.
+    from :func:`shieldlab.thermal._ground_columns`, which reads the pre's
+    :func:`shieldlab.thermal.spectrum` as ``thermal_state`` does at
+    beta = inf. The pre's spectrum is cached on a Hamiltonian built here and
+    released on return, so it never shares memory with the post spectrum.
     """
     if rho0 is None:
         states = _ground_columns(build_hamiltonian(protocol.pre))

@@ -95,15 +95,17 @@ def validate_split(lat: LatticeSpec, X, Y, *,
                    require_zero_interface_fields: bool = True) -> RegionSplit:
     """Check a candidate (X, Y) cover against ``lat`` and derive S = X ∩ Y.
 
-    Symmetric in X and Y. ``require_zero_interface_fields=False`` skips the
-    zero-field check; it exists only so control experiments can build
-    deliberately broken splits.
+    Symmetric in X and Y. A site out of range is refused keyed by the set
+    that holds it (``X`` or ``Y``). ``require_zero_interface_fields=False``
+    skips the zero-field check; it exists only so control experiments can
+    build deliberately broken splits.
     """
     X = frozenset(int(i) for i in X)
     Y = frozenset(int(i) for i in Y)
-    for i in X | Y:
-        if not 0 <= i < lat.n_sites:
-            raise ShieldlabError(f"site {i} outside 0..{lat.n_sites - 1}")
+    for key, sites in (("X", X), ("Y", Y)):
+        for i in sorted(sites):
+            if not 0 <= i < lat.n_sites:
+                raise ShieldlabError(f"site {i} outside 0..{lat.n_sites - 1}", key=key)
     if X | Y != frozenset(range(lat.n_sites)):
         missing = sorted(frozenset(range(lat.n_sites)) - (X | Y))
         raise ShieldlabError(f"sites {missing} belong to neither region")

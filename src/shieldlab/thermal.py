@@ -21,24 +21,21 @@ for these blocks). A per-site rotation about z turns each site's field terms
 onto x, a X_i + b Y_i = r D_i X_i D_i† with D_i = diag(1, e^{iφ}), and
 leaves every ZZ term alone. The rotated H′ is real and commutes with the
 global spin flip P = ∏X_i, which maps basis row r to R̄ = 2^n - 1 - r, and
-with Z_l on every site l that has no field. H′ is split into the two sectors
-of P, pivoted on such a site, where they coincide and are solved once, and
-that block is split further on the other zero-field sites: m ≥ 1 of them
-give 2^(m-1) real blocks of dimension 2^(n-m), solved in one stacked call;
-with none the two half-size P sectors are solved. One rule places every
-block in the full basis: a placement turns a block column v into Σ_k c_k·(v
-on R_k). A shared block is placed twice, plainly on R and on R̄; a sector of
-P once, on R and R̄ with coefficients (1, ±1)/√2. Gibbs states and ground
-mixtures are assembled from block-size products per placement and rotated
-back by the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. Quench states are evolved
-inside the placements and stay in the frame of H′, where lifts and
-projections work; the quench folds d into its observables instead. None of
-them forms a full 2^n eigenvector matrix.
-
-One reader does without that spectrum: the quench's default initial state,
-whose ground columns :func:`_ground_columns` reads from the same block solve,
-:func:`_decompose`, with each component that the zero-field sites cut off
-solved on its own and the blocks formed as products of their eigenvectors.
+with Z_l on every site l that has no field. m ≥ 1 such sites give 2^(m-1)
+real blocks of dimension 2^(n-m), each standing for both sectors of P,
+pivoted on one of them. With those Z's fixed, the field sites fall into
+components, joined by ZZ terms, that do not interact: each is solved for
+all patterns in one stacked call, and a block is the Kronecker product of
+their eigenvectors. With no zero field, one component is solved in its two
+half-size P sectors, and several as one whole-basis block. One rule places
+every block in the full basis: a placement turns a block column v into
+Σ_k c_k·(v on R_k). A shared block is placed twice, plainly on R and on R̄;
+a sector of P once, on R and R̄ with coefficients (1, ±1)/√2. Gibbs states
+and ground mixtures are assembled from block-size products per placement
+and rotated back by the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. Quench states
+are evolved inside the placements and stay in the frame of H′, where lifts
+and projections work; the quench folds d into its observables instead.
+None of them lifts the blocks into a full 2^n eigenvector matrix.
 
 Verdict thresholds used throughout the experiment runners:
 
@@ -232,39 +229,37 @@ def _flip_stack(diag: np.ndarray, fields) -> np.ndarray:
 
 def spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
     """Eigendecomposition of ``H``, read block by block from its terms by
-    :func:`_decompose` with all field sites in one part, solved on first use
-    and cached on ``H``."""
+    :func:`_decompose`, solved on first use and cached on ``H``."""
     if H._spectrum is None:
-        H._spectrum = _decompose(H, False)
+        H._spectrum = _decompose(H)
     return H._spectrum
 
 
-def _decompose(H: HamiltonianTerms, by_component: bool) -> SpectralDecomposition:
+def _decompose(H: HamiltonianTerms) -> SpectralDecomposition:
     """Eigendecomposition of ``H`` in blocks, one per pattern of its
-    conserved Z's, each a product over parts of the field sites.
+    conserved Z's, each a product over the parts of the field sites.
 
     The fields r and phases d are those of :func:`_read_terms`. Sites with
     r = 0 conserve their Z. The pivot is the first of them; the rows R of a
     block share the pivot bit 0 and one pattern of the other conserved bits,
-    and run over the bits of the field sites. These are one part, or with
-    ``by_component`` one part per component that the diagonal terms join.
-    With every conserved Z fixed the parts do not interact: each part's
-    block holds on its diagonal the diagonal terms that touch it (the first
-    part also those that touch none) and r_i wherever its site i flips, and
-    is solved for all patterns in one stacked call. With two or more parts
-    a block is the Kronecker product of their eigenvectors, energies summed.
-    With a pivot each block is placed on R and on R̄. With none and one
-    part, site 0 leaves the part: its field couples R to R̄ as r_0 times the
-    anti-identity J, and the sectors block ± r_0·J are placed on (R, R̄)
-    with (1, ±1)/√2. With none and more parts, the block is placed once
-    over the whole basis.
+    and run over the bits of the field sites. Their parts, the components
+    that the diagonal terms join, do not interact: each part's block holds
+    on its diagonal the diagonal terms that touch it (the first part also
+    those that touch none) and r_i wherever its site i flips, and is solved
+    for all patterns in one stacked call; a block is the Kronecker product
+    of the parts' eigenvectors, energies summed. With a pivot each block is
+    placed on R and on R̄. With none and one part, site 0 leaves the part:
+    its field couples R to R̄ as r_0 times the anti-identity J, and the
+    sectors block ± r_0·J are placed on (R, R̄) with (1, ±1)/√2. With none
+    and more parts, or no sites, the block is placed once over the whole
+    basis.
     """
     n = H.n_sites
     r, zz, phases = _read_terms(H)
     bit = [1 << (n - 1 - i) for i in range(n)]
     conserved = [i for i in range(n) if r[i] == 0.0]
     # the parts: field sites of one label, joined across each diagonal term
-    label = {i: i if by_component else 0 for i in range(n) if r[i] != 0.0}
+    label = {i: i for i in range(n) if r[i] != 0.0}
     for _, sign in zz:
         ends = {label[i] for i in label if sign & bit[i]}
         if len(ends) > 1:
@@ -282,10 +277,7 @@ def _decompose(H: HamiltonianTerms, by_component: bool) -> SpectralDecomposition
         diags[j] += c * _signs(part_rows[j], sign)
     stacks = [_flip_stack(diag, [r[i] for i in part]) for part, diag in zip(parts, diags)]
     if sectors:
-        d = part_rows[0].shape[1]
-        a = np.arange(d)
-        cross = np.zeros((d, d))
-        cross[a, d - 1 - a] = r[0]
+        cross = np.diag(np.full(part_rows[0].shape[1], r[0]))[::-1]  # r_0 J
         stacks = [np.concatenate([stacks[0] + cross, stacks[0] - cross])]
     (w, v), *others = [np.linalg.eigh(stack) for stack in stacks]
     blocks = []
@@ -309,11 +301,21 @@ def _decompose(H: HamiltonianTerms, by_component: bool) -> SpectralDecomposition
 
 def _ground_columns(H: HamiltonianTerms) -> np.ndarray:
     """Full-basis columns spanning the ground space that
-    :func:`thermal_state` mixes at beta = inf, from blocks solved per
-    component of the field sites; nothing is cached on ``H``."""
-    dec = _decompose(H, True)
+    :func:`thermal_state` mixes at beta = inf: those of :func:`spectrum`
+    that the same weights keep."""
+    dec = spectrum(H)
     f, _ = _weights(dec, math.inf)
     return dec.columns(lambda w: f(w) != 0)
+
+
+def _site_labels(labels, dim: int) -> tuple[int, ...]:
+    """``labels`` as ints, checked to be distinct and to number log2(dim) sites."""
+    labels = tuple(int(i) for i in labels)
+    if len(set(labels)) != len(labels):
+        raise ShieldlabError(f"site_labels {labels} repeat a site")
+    if dim != 1 << len(labels):
+        raise ShieldlabError(f"dimension {dim} does not match {len(labels)} sites")
+    return labels
 
 
 @dataclass
@@ -331,15 +333,10 @@ class DensityMatrix:
     degeneracy: int | None = None
 
     def __post_init__(self) -> None:
-        self.site_labels = tuple(int(i) for i in self.site_labels)
-        if len(set(self.site_labels)) != len(self.site_labels):
-            raise ShieldlabError(f"site_labels {self.site_labels} repeat a site")
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShieldlabError(f"density matrix must be square, got {m.shape}")
-        if m.shape[0] != 1 << len(self.site_labels):
-            raise ShieldlabError(
-                f"dimension {m.shape[0]} does not match {len(self.site_labels)} sites")
+        self.site_labels = _site_labels(self.site_labels, m.shape[0])
         if not np.isfinite(m).all():
             i, j = np.argwhere(~np.isfinite(m))[0]
             raise ShieldlabError(f"density matrix entry ({i}, {j}) is {m[i, j]}, not finite")
@@ -394,15 +391,16 @@ def thermal_state(H: HamiltonianTerms, beta: float, site_labels=None) -> Density
     gives the maximally mixed state. Eigenvalues within 1e-9 of the minimum,
     measured relative to the spectral span (at least 1), belong to the ground
     space; its dimension is reported on the result's ``degeneracy`` field,
-    which is None at finite beta.
+    which is None at finite beta. ``site_labels`` (default 0..n-1) are checked first.
     """
     if not beta >= 0.0:
         raise ShieldlabError(f"beta must be non-negative, got {beta}")
+    labels = _site_labels(range(H.n_sites) if site_labels is None else site_labels,
+                          1 << H.n_sites)
     dec = spectrum(H)
     f, d = _weights(dec, beta)
     rho = dec.function(f)
     rho = (rho + rho.conj().T) / 2.0
-    labels = range(H.n_sites) if site_labels is None else site_labels
     return DensityMatrix(rho, labels, degeneracy=d)
 
 

@@ -1,9 +1,10 @@
 """Each Hamiltonian is diagonalized once, whatever reads its spectrum.
 
-``shieldlab.thermal.spectrum`` solves every Hamiltonian in one stacked
-``np.linalg.eigh`` call; a counting wrapper around ``np.linalg.eigh`` shows
-how many distinct solves a computation needs and the block stacks it hands
-to LAPACK. Counting wrappers around ``SpectralDecomposition.function`` and
+``shieldlab.thermal.spectrum`` decomposes every Hamiltonian once, in one
+stacked ``np.linalg.eigh`` call per component of its field sites. A counting
+wrapper around ``shieldlab.thermal._decompose`` shows how many Hamiltonians a
+computation solves, and one around ``np.linalg.eigh`` the block stacks it
+hands to LAPACK. Counting wrappers around ``SpectralDecomposition.function`` and
 ``DensityMatrix`` show which states a verdict forms, and a
 ``HamiltonianTerms.to_dense`` that raises shows that no solve builds a
 dense Hamiltonian.
@@ -49,6 +50,20 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     return shapes
+
+
+@pytest.fixture
+def decomposed(monkeypatch):
+    """The terms of every Hamiltonian handed to ``_decompose``, one per call."""
+    seen = []
+    decompose = thermal._decompose
+
+    def recorded(H):
+        seen.append(H.terms)
+        return decompose(H)
+
+    monkeypatch.setattr(thermal, "_decompose", recorded)
+    return seen
 
 
 @pytest.fixture
@@ -104,18 +119,24 @@ def short_quench(observables="x"):
             "observables": observables}
 
 
-def test_verify_shielding_solves_each_trial_once_plus_the_shielded_side(eig_calls):
+def test_verify_shielding_solves_each_trial_once_plus_the_shielded_side(
+        decomposed, eig_calls):
+    # one decomposition per Hamiltonian: the zero field on site 2 cuts each
+    # trial's field sites into {0, 1} and {3, 4}, and leaves the shielded
+    # side {3, 4} alone, one real stack of 4 each
     trials = 3
     cfg = chain_config(n=5, L=2, trials=trials, betas=[0.5, 2.0, "ground"])
     table = run_verify_shielding(cfg)
     assert len(table.rows) == trials * 3
-    assert len(eig_calls) == trials + 1
+    assert len(decomposed) == len(set(decomposed)) == trials + 1
+    assert eig_calls == [(1, 4, 4)] * (2 * trials + 1)
 
 
 def test_quench_from_a_callers_state_never_solves_the_pre_hamiltonian(
-        solved_terms, eig_calls):
+        solved_terms, decomposed, eig_calls):
     # the caller's state is split into pure states by one dense eigh; only
-    # the post Hamiltonian's spectrum is solved, as one real block of 32
+    # the post Hamiltonian's spectrum is solved, one real stack per side of
+    # its zero field on site 3
     pre, _ = shielded_chain()
     post = update_parameters(pre, h=[-2.0, *pre.h[1:]])
     rng = np.random.default_rng(3)
@@ -123,17 +144,30 @@ def test_quench_from_a_callers_state_never_solves_the_pre_hamiltonian(
     protocol = QuenchProtocol(pre, post, (0.3, 0.9, 1.7, 2.2, 4.0),
                               (PauliString.single(6, 5, "X"),))
     assert len(run_quench(protocol, rho0=rho0).rows) == 5
-    assert solved_terms == [build_hamiltonian(post).terms]
-    assert eig_calls == [(64, 64), (1, 32, 32)]
+    assert solved_terms == decomposed == [build_hamiltonian(post).terms]
+    assert eig_calls == [(64, 64), (1, 8, 8), (1, 4, 4)]
 
 
-def test_thermal_states_and_ground_state_share_one_solve(eig_calls):
+def test_thermal_states_and_ground_state_share_one_solve(decomposed, eig_calls):
+    # one decomposition, a real stack for each side of the zero field on site 3
     lat, _ = shielded_chain()
     H = build_hamiltonian(lat)
     for beta in (0.1, 1.0, 5.0):
         thermal_state(H, beta)
     assert thermal_state(H, math.inf).degeneracy == 2
-    assert len(eig_calls) == 1
+    assert decomposed == [H.terms]
+    assert eig_calls == [(1, 8, 8), (1, 4, 4)]
+
+
+@pytest.mark.parametrize("labels, message", [
+    ((5,) * 6, r"^site_labels \(5, 5, 5, 5, 5, 5\) repeat a site"),
+    ((0, 1), "^dimension 64 does not match 2 sites"),
+], ids=["repeated", "short"])
+def test_bad_site_labels_are_refused_before_any_solve(eig_calls, labels, message):
+    lat, _ = shielded_chain()
+    with pytest.raises(ShieldlabError, match=message):
+        thermal_state(build_hamiltonian(lat), 1.0, site_labels=labels)
+    assert eig_calls == []
 
 
 def test_quench_runner_solves_pre_and_post_once(solved_terms, eig_calls):
@@ -145,23 +179,24 @@ def test_quench_runner_solves_pre_and_post_once(solved_terms, eig_calls):
     assert solved_terms == []
 
 
-def test_blocked_quench_runner_solves_pre_and_post_once(solved_terms, eig_calls):
+def test_blocked_quench_runner_solves_pre_and_post_once(
+        solved_terms, decomposed, eig_calls):
     # read through Z_i, the same chain takes the blocked path. The zero
-    # field on site 3 cuts the pre's field sites into {0, 1, 2} and {4, 5}:
-    # its ground space is composed from one block per side, solved with
-    # site 3 as the pivot like spectrum's one pattern, and never reaches
-    # spectrum; the post is one real block of 32
+    # field on site 3 cuts the field sites of both the pre and the post into
+    # {0, 1, 2} and {4, 5}: each is one decomposition, a real stack per side,
+    # the pre's ground space read from its spectrum like the post's times
     table = run_quench_experiment(short_quench("z"))
     assert len(table.rows) == 5 * 6 and table.metadata["solver"] == "blocked"
-    assert eig_calls == [(1, 8, 8), (1, 4, 4), (1, 32, 32)]
+    assert eig_calls == [(1, 8, 8), (1, 4, 4)] * 2
     pre, _ = shielded_chain()
     post = update_parameters(pre, h=[-2.0, *pre.h[1:]])
-    assert solved_terms == [build_hamiltonian(post).terms]
+    terms = [build_hamiltonian(lat).terms for lat in (pre, post)]
+    assert solved_terms == decomposed == terms
 
 
 def test_quench_pre_with_its_zero_field_at_a_chain_end_is_one_block(eig_calls):
     # a zero field at the end leaves the other sites one component, so the
-    # pre is solved by spectrum, as one real block of 32 like the post
+    # pre is one real block of 32 like the post
     cfg = short_quench("z")
     cfg["pre"]["h"] = [0.0, 0.6, 0.6, 0.6, 0.6, 0.6]
     cfg["quench_site"] = 5
@@ -182,10 +217,12 @@ def test_config_with_an_unread_key_solves_nothing(eig_calls):
     assert eig_calls == []
 
 
-def test_conjecture_patch_trial_is_four_blocks_of_128(eig_calls):
-    # 10 sites, three zero-field interface sites: 2^(3-1) blocks of 2^(10-3)
+def test_conjecture_patch_trial_is_one_stack_per_component(decomposed, eig_calls):
+    # 10 sites, three zero-field interface sites: 2^(3-1) patterns, whose
+    # blocks of 2^(10-3) are products over the field sites cut into 3 and 4
     run_conjecture(shipped_config("conjecture_patch10", trials=3))
-    assert eig_calls == [(4, 128, 128)] * 3
+    assert len(decomposed) == len(set(decomposed)) == 3
+    assert eig_calls == [(4, 8, 8), (4, 16, 16)] * 3
 
 
 def test_control_without_zero_field_site_solves_two_half_blocks(eig_calls):
@@ -208,11 +245,14 @@ def test_verdicts_form_no_full_lattice_state(state_dims, run, name, n_sites):
     assert state_dims and max(state_dims) < 2 ** n_sites
 
 
-def test_counterexample_solves_each_diamond_once(eig_calls):
-    # every beta reads the one spectrum of each h1's diamond
+def test_counterexample_solves_each_diamond_once(decomposed, eig_calls):
+    # every beta reads the one spectrum of each h1's diamond. At h1 = 0 only
+    # site 3 has a field, one stack over 2^(3-1) patterns; else the zero-field
+    # sites 1 and 2 cut sites 0 and 3 apart, one stack each
     cfg = {"h4": 1.0, "betas": [1.0, 4.0], "h1_grid": [0.0, 0.5, 1.5]}
     assert len(run_counterexample(cfg).rows) == 2 * 3
-    assert len(eig_calls) == 3
+    assert len(decomposed) == len(set(decomposed)) == 3
+    assert eig_calls == [(4, 2, 2)] + [(2, 2, 2)] * 4
 
 
 @pytest.mark.parametrize("run, cfg", [

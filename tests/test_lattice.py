@@ -120,9 +120,12 @@ class TestValidateSplit:
             validate_split(lat, {0, 1}, {2, 3})
 
     def test_site_out_of_range(self):
+        # keyed by the set that holds the site, in either order
         lat = make_chain(3, [1, 1], [0.5, 0, 0.5])
-        with pytest.raises(ShieldlabError, match=r"^site 7 outside 0\.\.2"):
-            validate_split(lat, {0, 1, 7}, {1, 2})
+        for x, y, key in (({0, 1, 7}, {1, 2}, "X"), ({1, 2}, {0, 1, 7}, "Y")):
+            with pytest.raises(ShieldlabError, match=rf"^{key}: site 7 outside 0\.\.2") as err:
+                validate_split(lat, x, y)
+            assert err.value.key == key
 
     def test_empty_interface_allowed_for_disconnected_halves(self):
         lat = validate_lattice(4, [(0, 1, 1.0), (2, 3, 1.0)], [0.1] * 4)

@@ -114,6 +114,44 @@ def oracle_lattices(seed):
     yield from zero_field_lattices(rng)
 
 
+def cut_lattices(rng):
+    """(lattice, composed) pairs: ``composed`` says whether the zero-field
+    sites cut the field sites into two or more components (or none are
+    needed: a graph that falls apart by itself)."""
+    def chain(zero, y_fields):
+        h, g = rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9) * y_fields
+        h[zero] = g[zero] = 0.0
+        return validate_lattice(9, [(i, i + 1, rng.uniform(-2, 2)) for i in range(8)], h, g)
+
+    for zero in ([4], [2, 6], [1, 4, 7]):
+        for y_fields in (False, True):
+            yield chain(zero, y_fields), True
+    bowtie = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
+    h, g = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5)
+    h[2] = g[2] = 0.0
+    yield validate_lattice(5, [(i, j, rng.uniform(-2, 2)) for i, j in bowtie], h, g), True
+    # triangular patch of rows 1-4, interface row 3 at zero field
+    patch = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 4), (3, 6), (3, 7),
+             (4, 5), (4, 7), (4, 8), (5, 8), (5, 9), (6, 7), (7, 8), (8, 9)]
+    h = rng.uniform(0, 1, 10)
+    h[[3, 4, 5]] = 0.0
+    yield validate_lattice(10, [(i, j, rng.uniform(-2, 2)) for i, j in patch], h), True
+    # uniform couplings: an antiferromagnetic zero-field triangle ties six of
+    # its eight patterns, and two zero-field star centres tie all four
+    triangle = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (1, 5)]
+    yield validate_lattice(6, [(i, j, -1.0) for i, j in triangle], [0, 0, 0, .5, .5, .5]), True
+    stars = [(0, 1), (0, 2), (3, 4), (3, 5)]
+    yield validate_lattice(6, [(i, j, 1.0) for i, j in stars], [0, .5, .5, 0, .5, .5]), True
+    # no zero field, but the graph is two chains
+    yield validate_lattice(5, [(0, 1, 0.7), (1, 2, -1.2), (3, 4, 0.9)],
+                           rng.uniform(0.2, 1, 5), rng.uniform(-1, 1, 5)), True
+    # one component: a zero field at a chain end, in a ring, or none at all
+    yield make_chain(7, rng.uniform(-2, 2, 6), [0.0, *rng.uniform(-1, 1, 6)]), False
+    ring = [(i, (i + 1) % 6, rng.uniform(-2, 2)) for i in range(6)]
+    yield validate_lattice(6, ring, [0.4, 0.0, 0.3, 0.8, 0.5, 0.6]), False
+    yield random_graph_lattice(rng, 7, y_fields=True, n_zero=0), False
+
+
 def eigenvector_columns(dec):
     """Every full-basis eigenvector column of ``dec``, in the order of
     ``dec.eigenvalues``."""
@@ -161,12 +199,16 @@ class TestEig:
         assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-10
 
     def test_blocks_read_from_the_terms_rebuild_the_dense_matrix(self):
-        """f(w) = w gives back H itself: the blocks, their placements and the
-        y-field phases, all read from the terms, against the dense build."""
-        for lat in oracle_lattices(43):
+        """The eigenvalues are the dense ones, and f(w) = w gives back H
+        itself: the blocks, their placements and the y-field phases, all read
+        from the terms, against the dense build, also where the zero fields
+        cut the field sites into components."""
+        cut = (lat for lat, _ in cut_lattices(np.random.default_rng(43)))
+        for lat in itertools.chain(oracle_lattices(43), cut):
             H = build_hamiltonian(lat)
             dec = spectrum(H)
             assert all(v.shape == (w.size, w.size) for w, v in dec.blocks)
+            assert np.abs(dec.eigenvalues - dense_spectrum(H)[0]).max() < 1e-12
             assert np.abs(dec.function(lambda w: w) - H.to_dense()).max() < 1e-12
 
     def test_no_sites_is_one_state_of_energy_zero(self):
@@ -303,47 +345,10 @@ class TestGroundState:
         assert thermal_state(H, 2.0).degeneracy is None
 
 
-def cut_lattices(rng):
-    """(lattice, composed) pairs: ``composed`` says whether the zero-field
-    sites cut the field sites into two or more components (or none are
-    needed: a graph that falls apart by itself)."""
-    def chain(zero, y_fields):
-        h, g = rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9) * y_fields
-        h[zero] = g[zero] = 0.0
-        return validate_lattice(9, [(i, i + 1, rng.uniform(-2, 2)) for i in range(8)], h, g)
-
-    for zero in ([4], [2, 6], [1, 4, 7]):
-        for y_fields in (False, True):
-            yield chain(zero, y_fields), True
-    bowtie = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
-    h, g = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5)
-    h[2] = g[2] = 0.0
-    yield validate_lattice(5, [(i, j, rng.uniform(-2, 2)) for i, j in bowtie], h, g), True
-    # triangular patch of rows 1-4, interface row 3 at zero field
-    patch = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 4), (3, 6), (3, 7),
-             (4, 5), (4, 7), (4, 8), (5, 8), (5, 9), (6, 7), (7, 8), (8, 9)]
-    h = rng.uniform(0, 1, 10)
-    h[[3, 4, 5]] = 0.0
-    yield validate_lattice(10, [(i, j, rng.uniform(-2, 2)) for i, j in patch], h), True
-    # uniform couplings: an antiferromagnetic zero-field triangle ties six of
-    # its eight patterns, and two zero-field star centres tie all four
-    triangle = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (1, 5)]
-    yield validate_lattice(6, [(i, j, -1.0) for i, j in triangle], [0, 0, 0, .5, .5, .5]), True
-    stars = [(0, 1), (0, 2), (3, 4), (3, 5)]
-    yield validate_lattice(6, [(i, j, 1.0) for i, j in stars], [0, .5, .5, 0, .5, .5]), True
-    # no zero field, but the graph is two chains
-    yield validate_lattice(5, [(0, 1, 0.7), (1, 2, -1.2), (3, 4, 0.9)],
-                           rng.uniform(0.2, 1, 5), rng.uniform(-1, 1, 5)), True
-    # one component: a zero field at a chain end, in a ring, or none at all
-    yield make_chain(7, rng.uniform(-2, 2, 6), [0.0, *rng.uniform(-1, 1, 6)]), False
-    ring = [(i, (i + 1) % 6, rng.uniform(-2, 2)) for i in range(6)]
-    yield validate_lattice(6, ring, [0.4, 0.0, 0.3, 0.8, 0.5, 0.6]), False
-    yield random_graph_lattice(rng, 7, y_fields=True, n_zero=0), False
-
-
 class TestGroundColumns:
-    """The quench's default initial state: ground-space columns solved per
-    component of the field sites, against the dense oracle."""
+    """The quench's default initial state: ground-space columns read from
+    the spectrum, solved per component of the field sites, against the
+    dense oracle."""
 
     def test_columns_span_the_dense_ground_space(self, monkeypatch):
         shapes = []
@@ -356,36 +361,25 @@ class TestGroundColumns:
             H = build_hamiltonian(lat)
             shapes.clear()
             got = thermal._ground_columns(H)
-            assert H._spectrum is None
-            solved, shapes[:] = shapes[:], []
-            dec = spectrum(build_hamiltonian(lat))
             if composed:
-                # one stack per component, over the 2^(m-1) patterns spectrum
-                # solves (one pattern without a zero field), their blocks
-                # covering the field sites
-                assert len(solved) >= 2
-                assert {s[0] for s in solved} == {2 ** (m - 1) if m else 1}
-                assert math.prod(s[1] for s in solved) == 2 ** (n - m)
+                # one stack per component, over the 2^(m-1) patterns of the
+                # zero fields (one pattern without a zero field), their
+                # blocks covering the field sites
+                assert len(shapes) >= 2
+                assert {s[0] for s in shapes} == {2 ** (m - 1) if m else 1}
+                assert math.prod(s[1] for s in shapes) == 2 ** (n - m)
                 covered.add((min(m, 2), any(lat.g)))
             else:
-                assert solved == shapes
+                assert len(shapes) == 1
             ref, d, _ = dense_ground(H)
             assert got.shape == (2 ** n, d)
-            assert thermal._weights(dec, math.inf)[1] == d
+            assert thermal._weights(spectrum(H), math.inf)[1] == d
             assert np.abs(got.conj().T @ got - np.eye(d)).max() < 1e-12
             assert np.abs(got @ got.conj().T / d - ref).max() < 1e-12
             widths.append(d)
         assert widths[8:10] == [6, 4]  # the tied uniform lattices
         # m >= 2 zero fields with y fields, and the all-field two chains
         assert {(2, True), (0, True)} <= covered
-
-    def test_one_component_is_spectrums_own_columns(self):
-        for lat, composed in cut_lattices(np.random.default_rng(101)):
-            if not composed:
-                dec = spectrum(build_hamiltonian(lat))
-                f, _ = thermal._weights(dec, math.inf)
-                assert np.array_equal(thermal._ground_columns(build_hamiltonian(lat)),
-                                      dec.columns(lambda x: f(x) != 0))
 
 
 class TestSectorOracle:
