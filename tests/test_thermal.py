@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +46,7 @@ from helpers import (
 )
 
 TANH1 = 0.7615941559557649  # tanh(1)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_shielded_chain(rng, n=None):
@@ -406,11 +412,11 @@ class TestSectorOracle:
 
     @staticmethod
     def keeps(lat):
-        """One site, a non-contiguous set, the complement of a zero-field site
-        and all sites, where the lattice has them."""
+        """No site, one site, a non-contiguous set, the complement of a
+        zero-field site and all sites, where the lattice has them."""
         n = lat.n_sites
         zero = [i for i in range(n) if lat.h[i] == lat.g[i] == 0.0]
-        out = [[n - 1], list(range(n))]
+        out = [[], [n - 1], list(range(n))]
         if n >= 3:
             out.append(list(range(0, n, 2)))
         if zero:
@@ -418,7 +424,11 @@ class TestSectorOracle:
         return out
 
     def test_reduced_states_match_the_traced_full_state(self):
-        for lat in oracle_lattices(73):
+        """Also where the zero fields cut the field sites into components,
+        and where several components with no zero field are placed once over
+        the whole basis; with no site kept, the trace 1."""
+        cut = (lat for lat, _ in cut_lattices(np.random.default_rng(73)))
+        for lat in itertools.chain(oracle_lattices(73), cut):
             H = build_hamiltonian(lat)
             for beta in (0.0, 0.3, 2.0, 40.0, math.inf):
                 rho = thermal_state(H, beta)
@@ -427,6 +437,8 @@ class TestSectorOracle:
                     (got,) = thermal._reduced_states(H, beta, keep)
                     ref = partial_trace(rho, keep).matrix
                     assert np.abs(got - ref).max() < tol
+                    if not keep:
+                        assert got.shape == (1, 1) and abs(got[0, 0] - 1.0) < 1e-12
                     if len(keep) == lat.n_sites:
                         assert np.abs(got - rho.matrix).max() < tol
 
@@ -473,6 +485,60 @@ class TestSectorOracle:
             for p in range(len(dec.placements)):
                 dec.lift(p, dec.project(p, x), out)
             assert np.abs(out - 2 * x).max() < 1e-12
+
+
+class TestReducedStateCost:
+    """What reading a reduced state from the spectrum costs."""
+
+    def test_reduced_states_copy_no_block(self):
+        """The traced peak of a reduced state stays below half the largest
+        block: the block's columns are gathered a batch of traced patterns at
+        a time, never weighted, regrouped or scaled as a whole. Covered: a
+        block placed on R and R̄ (a zero field on site 4) and the two
+        spin-flip sectors (no zero field), each kept on one site, on sites
+        4-9 and on every other site."""
+        for zero in (1, None):  # warm both placement rules on 4 sites
+            h = [0.6, 0.5, 0.3, 0.4]
+            if zero is not None:
+                h[zero] = 0.0
+            warm = build_hamiltonian(make_chain(4, [1.0, -0.5, 0.8], h))
+            for keep in ([0], [1, 2, 3], [0, 2]):
+                thermal._reduced_states(warm, 1.0, keep)
+        rng = np.random.default_rng(113)
+        for zero in (4, None):
+            h = rng.uniform(0.2, 1.0, 10)
+            if zero is not None:
+                h[zero] = 0.0
+            H = build_hamiltonian(make_chain(10, rng.uniform(-2, 2, 9), h))
+            block = max(v.nbytes for _, v in spectrum(H).blocks)
+            for keep in ([5], list(range(4, 10)), list(range(0, 10, 2))):
+                tracemalloc.start()
+                try:
+                    thermal._reduced_states(H, 1.0, keep)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 0.5 * block, (zero, keep, peak / block)
+
+    def test_runners_leave_numpy_ma_unimported(self):
+        """The shipped verify-shielding and conjecture runs never import
+        numpy.ma (np.unique without return flags does, at a cost in time and
+        memory on its first call)."""
+        code = "\n".join([
+            "import sys",
+            "from shieldlab.experiments import load_config, run_conjecture, run_verify_shielding",
+            "run_verify_shielding(load_config(sys.argv[1]))",
+            "run_conjecture(load_config(sys.argv[2]))",
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(ROOT / "configs" / "verify_shielding_chain.json"),
+             str(ROOT / "configs" / "conjecture_patch10.json")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPartialTrace:
@@ -662,6 +728,22 @@ class TestDensityMatrixInvariants:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ShieldlabError, match="^density matrix is not Hermitian"):
             DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]), (0,))
+        # checked a batch of rows at a time: a flaw in the last row counts
+        m = np.eye(256) / 256
+        m[255, 3] = 1e-11
+        with pytest.raises(ShieldlabError, match="^density matrix is not Hermitian"):
+            DensityMatrix(m, tuple(range(8)))
+        m[3, 255] = 1e-11 + 1e-13
+        DensityMatrix(m, tuple(range(8)))
+
+    def test_hermitize_in_place_matches_the_whole_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(127)
+        for dim in (1, 2, 256):
+            for m in (rng.normal(size=(dim, dim)),
+                      rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))):
+                ref = (m + m.conj().T) / 2.0
+                thermal._hermitize(m)
+                assert m.tobytes() == ref.tobytes()
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ShieldlabError, match="^trace is 2.0, expected 1"):
