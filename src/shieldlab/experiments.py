@@ -127,8 +127,6 @@ def _keyed(path: str, call, *args, **kwargs):
         return call(*args, **kwargs)
     except ShieldlabError as exc:
         raise ShieldlabError(exc.message, key=f"{path}.{exc.key}" if exc.key else path) from exc
-    except ValueError as exc:
-        raise ShieldlabError(str(exc), key=path) from exc
 
 
 def _value(kinds, what: str, ok=lambda v: True, cast=lambda v, path: v):
@@ -173,7 +171,11 @@ def _grid(value, path) -> list[float]:
         start, stop = value("start", _real), value("stop", _real)
         step = value("step", _value((int, float), "a finite number > 0",
                                     lambda v: 0 < v < math.inf))
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step
+        if not math.isfinite(steps):
+            raise ShieldlabError(f"spans {steps} steps: the grid has no finite point count",
+                                 key=path)
+        count = int(math.floor(steps + 1e-9)) + 1
         value = [start + k * step for k in range(count)]
     return _list(_real)(value, path)
 
@@ -196,12 +198,12 @@ def _lattice(read, path: str) -> tuple[LatticeSpec, int]:
     return _keyed(path, validate_lattice, n, read("edges", _list(edge, 0)), h, g), base
 
 
-def _split(lat: LatticeSpec, base: int, **kwargs):
+def _split(lat: LatticeSpec, base: int):
     """Parser of a region split of ``lat``, counted from ``base``."""
     def parse(read, path: str):
         read = read if isinstance(read, _Reader) else _Reader(read, path)  # raises
         X, Y = (read(key, _list(_site(lat.n_sites, base), 0)) for key in "XY")
-        return _keyed(path, validate_split, lat, X, Y, **kwargs)
+        return _keyed(path, validate_split, lat, X, Y)
     return parse
 
 
@@ -220,15 +222,19 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
     bulk in ascending site order from ``h_range``, then y-fields likewise if
     ``g_range`` is given — while the Y side stays fixed. Columns report the
     trace distance between the reduced Gibbs state on Y and the shielded
-    Gibbs state, plus the drift of the reduced state from trial 0. A nonzero
-    ``interface_field`` breaks the zero-field precondition as a control; the
-    verdict then flags the expected failure.
+    Gibbs state, plus the drift of the reduced state from trial 0.
+
+    The lattice must carry zero fields on S, like every split's lattice. A
+    nonzero ``interface_field`` then sets h on S after the split is checked,
+    breaking the zero-field precondition as a control; the verdict flags the
+    expected failure. The interface must be one site, and a run that could
+    not fail is refused: a Y that is all interface (keyed ``split``) and no
+    beta above 0 (keyed ``betas``).
     """
     read = _config(cfg, "verify-shielding")
     interface_field = read("interface_field", _real, 0.0)
     lat, base = read("lattice", _lattice)
-    split = read("split", _split(lat, base,
-                                 require_zero_interface_fields=interface_field == 0.0))
+    split = read("split", _split(lat, base))
     betas = read("betas", _list(_beta), [0.1, 1.0, 5.0])
     trials = read("trials", _count, 50)
     j_lo, j_hi = read("J_range", _range, [-2.0, 2.0])
@@ -239,6 +245,11 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
         raise ShieldlabError(
             f"verify-shielding requires a single-site interface, got |S|={len(split.S)}",
             key="split")
+    if not split.B:
+        raise ShieldlabError("Y is all interface: the run would have no data", key="split")
+    if not any(beta > 0 for beta in betas):
+        raise ShieldlabError("holds no beta above 0, where every state is maximally "
+                             "mixed: the run would have no data", key="betas")
     if interface_field != 0.0:
         h = list(lat.h)
         for l in split.S:
@@ -359,7 +370,9 @@ def run_conjecture(cfg: dict) -> ResultTable:
     every A site in the reduced state on A at ``beta``; ground runs add rows
     per conserved interface-Z sector, each read from that sector's piece. The
     verdict classifies the worst across-trial variation of the mixed-state
-    rows.
+    rows, so a run whose rows cannot vary is refused: one trial, an X or a Y
+    that is all interface (keyed ``split``), B fields that every trial draws
+    alike (keyed ``b_field_range``) and ``beta`` 0.
     """
     read = _config(cfg, "conjecture")
     lat, base = read("lattice", _lattice)
@@ -371,8 +384,20 @@ def run_conjecture(cfg: dict) -> ResultTable:
     off_lo, off_hi = read("offset_range", _range, [0.0, 3.0])
     read.done()
 
-    if not split.A:
-        raise ShieldlabError("split: X is all interface: the run would have no data")
+    for bulk, side in ((split.A, "X"), (split.B, "Y")):
+        if not bulk:
+            raise ShieldlabError(f"{side} is all interface: the run would have no data",
+                                 key="split")
+    if trials == 1:
+        raise ShieldlabError("is 1, and one trial cannot vary: the run would have no data",
+                             key="trials")
+    if b_lo == b_hi and off_lo == off_hi:
+        raise ShieldlabError("and offset_range are single points, so every trial draws "
+                             "the same B fields: the run would have no data",
+                             key="b_field_range")
+    if beta == 0:
+        raise ShieldlabError("is 0, where the state is maximally mixed whatever the B "
+                             "fields: the run would have no data", key="beta")
     a_sites = sorted(split.A)
     b_sites = sorted(split.B)
     rng0 = point_rng(read.seed or 0, 0)
@@ -452,12 +477,12 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     to those whose support meets the driven bulk, reading each from its
     ``site`` column; none may then touch both bulks, one must meet the
     shielded bulk and ``times`` must hold two distinct times, or the verdict
-    would pass on no data. The quench must then change only the X side: the
-    post must keep the pre's fields on S ∪ B and its couplings of every edge
-    with an end in B, or the error names ``quench_site`` (or ``post``). With
-    or without a split, two observables may not share a site column, whose
-    rows would share their (t, site) keys (:class:`QuenchProtocol` refuses
-    them). The sidecar's ``solver`` names
+    would pass on no data. The quench must then change the X side and only
+    the X side: a post equal to the pre, or one that changes a field on
+    S ∪ B or the coupling of an edge with an end in B, is refused under
+    ``quench_site`` (or ``post``). With or without a split, two observables
+    may not share a site column, whose rows would share their (t, site) keys
+    (:class:`QuenchProtocol` refuses them). The sidecar's ``solver`` names
     the path :func:`run_quench` took, ``"free-fermion"`` or ``"blocked"``.
     """
     read = _config(cfg, "quench")
@@ -475,6 +500,9 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
     split = read("split", _split(pre, base), None)
     read.done()
     if split is not None:
+        if post == pre:
+            raise ShieldlabError("leaves the pre lattice unchanged, so nothing is driven: "
+                                 "the run would have no data", key=change)
         off_x = [f"the field on site {i + base}" for i in sorted(split.S | split.B)
                 if (pre.h[i], pre.g[i]) != (post.h[i], post.g[i])]
         off_x += [f"the coupling of edge ({i + base}, {j + base})"
@@ -526,50 +554,39 @@ def run_quench_experiment(cfg: dict) -> ResultTable:
 # dual-check
 # ---------------------------------------------------------------------------
 
-def _open_chain(read, path: str) -> LatticeSpec:
-    """A lattice that :func:`dual_chain` accepts: an open chain with g ≡ 0."""
-    lat, _ = _lattice(read, path)
-    _keyed(path, dual_chain, lat)
-    return lat
-
-
 def run_dual_check(cfg: dict) -> ResultTable:
-    """Dual rewriting of random (or one configured) open chains.
+    """Dual rewriting of random open chains.
 
-    Keys (defaults): ``chain`` (one lattice), or else ``n_sites`` (6),
-    ``trials`` (50), ``seed`` (0), ``J_range`` ([-2, 2]), ``h_range`` ([-1, 1])
-    and ``zero_field_site`` (none; numbered from 0), which pins that field to
-    zero so the dual graph splits in two. Per trial k (generator index k),
-    couplings then fields are drawn in ascending order. Columns report the
-    max-entry difference of the direct and dual-variable Hamiltonians, read
-    per flip mask without either dense matrix, the dual operator-algebra
-    residual and the number of dual components.
+    Keys (defaults): ``n_sites`` (6), ``trials`` (50), ``seed`` (0),
+    ``J_range`` ([-2, 2]), ``h_range`` ([-1, 1]) and ``zero_field_site``
+    (none; numbered from 0), which pins that field to zero so the dual graph
+    splits in two. Per trial k (generator index k), couplings then fields
+    are drawn in ascending order. Columns report the max-entry difference of
+    the direct and dual-variable Hamiltonians, read per flip mask without
+    either dense matrix, the dual operator-algebra residual and the number
+    of dual components.
     """
     table = ResultTable(columns=(
         "trial", "n_sites", "hamiltonian_residual", "algebra_residual",
         "n_dual_components",
     ))
     read = _config(cfg, "dual-check")
-    chain = read("chain", _open_chain, None)
-    chains: list[LatticeSpec] = [] if chain is None else [chain]
-    if chain is None:
-        n = read("n_sites", _sites, 6)
-        trials = read("trials", _count, 50)
-        j_lo, j_hi = read("J_range", _range, [-2.0, 2.0])
-        h_lo, h_hi = read("h_range", _range, [-1.0, 1.0])
-        zero_site = read("zero_field_site", _site(n), None)
-        for k in range(trials):
-            rng = point_rng(read.seed or 0, k)
-            J = rng.uniform(j_lo, j_hi, size=n - 1)
-            h = rng.uniform(h_lo, h_hi, size=n)
-            if zero_site is not None:
-                h[zero_site] = 0.0
-            chains.append(make_chain(n, J, h))
+    n = read("n_sites", _sites, 6)
+    trials = read("trials", _count, 50)
+    j_lo, j_hi = read("J_range", _range, [-2.0, 2.0])
+    h_lo, h_hi = read("h_range", _range, [-1.0, 1.0])
+    zero_site = read("zero_field_site", _site(n), None)
     read.done()
 
     worst_h = 0.0
     worst_alg = 0.0
-    for k, lat in enumerate(chains):
+    for k in range(trials):
+        rng = point_rng(read.seed or 0, k)
+        J = rng.uniform(j_lo, j_hi, size=n - 1)
+        h = rng.uniform(h_lo, h_hi, size=n)
+        if zero_site is not None:
+            h[zero_site] = 0.0
+        lat = make_chain(n, J, h)
         dc = dual_chain(lat)
         direct = _mask_sums(lat.n_sites, [(c, p.xzk) for c, p in build_hamiltonian(lat).terms])
         dual = _mask_sums(lat.n_sites, dc._words())

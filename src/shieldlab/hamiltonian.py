@@ -143,7 +143,8 @@ def split_hamiltonian(H: HamiltonianTerms, split: RegionSplit) -> SplitHamiltoni
     on the interface go to H_Y, so H_Y restricted to Y is the shielded
     Hamiltonian that the reduced Gibbs state is compared against. Field
     terms follow their site's bulk; a field sitting exactly on the interface
-    (possible only for deliberately broken splits) is charged to H_X, which
+    (only the verify-shielding control's lattice carries one, set after its
+    split was validated on the lattice without it) is charged to H_X, which
     keeps H_Y in shielded form.
     """
     if H.n_sites != split.n_sites:

@@ -33,8 +33,11 @@ class LatticeSpec:
 class RegionSplit:
     """Cover of the sites by two sets X, Y with interface S = X ∩ Y.
 
-    Valid splits have no edge between X\\S and Y\\S, and exactly zero
-    transverse fields on every interface site.
+    :func:`validate_split` returns only splits with no edge between X\\S and
+    Y\\S and exactly zero transverse fields on every interface site of the
+    lattice it checked. A split holds no fields: the verify-shielding control
+    validates its split on its lattice, which is zero on S, and only then
+    sets a field on S.
     """
 
     n_sites: int
@@ -91,14 +94,12 @@ def validate_lattice(n_sites: int, edges, h, g=None) -> LatticeSpec:
     return LatticeSpec(n_sites, tuple(canon), h, g)
 
 
-def validate_split(lat: LatticeSpec, X, Y, *,
-                   require_zero_interface_fields: bool = True) -> RegionSplit:
+def validate_split(lat: LatticeSpec, X, Y) -> RegionSplit:
     """Check a candidate (X, Y) cover against ``lat`` and derive S = X ∩ Y.
 
     Symmetric in X and Y. A site out of range is refused keyed by the set
-    that holds it (``X`` or ``Y``). ``require_zero_interface_fields=False``
-    skips the zero-field check; it exists only so control experiments can
-    build deliberately broken splits.
+    that holds it (``X`` or ``Y``); so are a site in neither set, an edge
+    between the two bulks and a nonzero field (h or g) on an interface site.
     """
     X = frozenset(int(i) for i in X)
     Y = frozenset(int(i) for i in Y)
@@ -114,11 +115,9 @@ def validate_split(lat: LatticeSpec, X, Y, *,
     for (i, j, _) in lat.edges:
         if (i in bulk_x and j in bulk_y) or (j in bulk_x and i in bulk_y):
             raise ShieldlabError(f"edge ({i}, {j}) crosses between the two bulks")
-    if require_zero_interface_fields:
-        for l in sorted(S):
-            if lat.h[l] != 0.0 or lat.g[l] != 0.0:
-                raise ShieldlabError(
-                    f"interface site {l} carries field h={lat.h[l]}, g={lat.g[l]}")
+    for l in sorted(S):
+        if lat.h[l] != 0.0 or lat.g[l] != 0.0:
+            raise ShieldlabError(f"interface site {l} carries field h={lat.h[l]}, g={lat.g[l]}")
     return RegionSplit(lat.n_sites, X, Y, S)
 
 

@@ -81,14 +81,13 @@ class PauliString:
         return cls("".join(word))
 
     @classmethod
-    def from_sites(cls, n_sites: int, letters_by_site: dict[int, str],
-                   phase_k: int = 0) -> "PauliString":
+    def from_sites(cls, n_sites: int, letters_by_site: dict[int, str]) -> "PauliString":
         word = ["I"] * n_sites
         for site, letter in letters_by_site.items():
             if not 0 <= site < n_sites:
                 raise ShieldlabError(f"site {site} outside 0..{n_sites - 1}")
             word[site] = letter
-        return cls("".join(word), phase_k)
+        return cls("".join(word))
 
     # -- basic structure -------------------------------------------------
 
@@ -136,7 +135,7 @@ class PauliString:
         word = ["I"] * n_sites
         for tok in tokens:
             letter, index = tok[0].upper(), tok[1:]
-            if letter not in "XYZ" or not index.isdigit():
+            if letter not in "XYZ" or not (index.isascii() and index.isdigit()):
                 raise ShieldlabError(f"bad Pauli token {tok!r}")
             site = int(index)
             if not 0 <= site < n_sites:

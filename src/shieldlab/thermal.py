@@ -580,14 +580,13 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 class ShieldingReport:
     """Outcome of one shielding comparison.
 
-    ``lhs`` is the reduced Gibbs state of the full lattice on Y, ``rhs`` the
-    Gibbs state of the shielded Hamiltonian alone; ``distance`` their trace
-    distance and ``verdict`` its classification.
+    ``lhs`` is the reduced Gibbs state of the full lattice on Y; ``distance``
+    is its trace distance from the Gibbs state of the shielded Hamiltonian
+    alone, and ``verdict`` that distance's classification.
     """
 
     distance: float
     lhs: DensityMatrix
-    rhs: DensityMatrix
     verdict: str
 
 
@@ -605,7 +604,7 @@ def _compare_shielded(H: HamiltonianTerms, rhs: DensityMatrix,
     (reduced,) = _reduced_states(H, beta, rhs.site_labels)
     lhs = DensityMatrix(reduced, rhs.site_labels)
     d = trace_distance(lhs, rhs)
-    return ShieldingReport(distance=d, lhs=lhs, rhs=rhs, verdict=classify_distance(d))
+    return ShieldingReport(distance=d, lhs=lhs, verdict=classify_distance(d))
 
 
 def shielding_report(lat: LatticeSpec, split: RegionSplit, beta: float) -> ShieldingReport:

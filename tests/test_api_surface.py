@@ -8,10 +8,18 @@ outside its own definition. References are read from the syntax tree, as
 loaded names and attribute names, so a mention in a docstring or comment
 does not count, and neither does an import alone.
 
-References are matched by name alone, whatever object they are read from:
-a member is credited by any read of its name, so one that shares its name
-with another (``np.trace``, a local variable ``letter``) passes unread and
-has to be found by hand.
+Every parameter with a default, of an exported function or of a public
+method or classmethod of an exported class, must likewise be passed, by
+position or by keyword, in some call of that name outside its definition:
+an option that no caller sets is a second way to do one thing. A call
+through a function that forwards its arguments (``_keyed(path, f, ...)``)
+or with ``*args`` or ``**kwargs`` passes nothing the test can see, and the
+``__init__`` that a dataclass generates is out of scope.
+
+References and calls are matched by name alone, whatever object they are
+read from: a member is credited by any read of its name, so one that
+shares its name with another (``np.trace``, a local variable ``letter``)
+passes unread and has to be found by hand.
 """
 
 import ast
@@ -28,26 +36,36 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "shieldlab").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
-def references(path: Path) -> set[tuple[str, tuple[str, ...]]]:
-    """(name, enclosing definitions, outermost first) for every name read in
-    ``path``."""
-    found = set()
-
+def nodes(path: Path):
+    """(node, enclosing definitions, outermost first) for every node of the
+    syntax tree of ``path``."""
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             owner += (node.name,)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add((node.id, owner))
-        elif isinstance(node, ast.Attribute):
-            found.add((node.attr, owner))
+        yield node, owner
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            yield from visit(child, owner)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), ())
-    return found
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), ())
 
 
-REFERENCES = set().union(*(references(p) for p in SOURCES if p.name != "__init__.py"))
+def name_of(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+NODES = [found for p in SOURCES if p.name != "__init__.py" for found in nodes(p)]
+REFERENCES = {(name_of(node), owner) for node, owner in NODES
+              if isinstance(node, ast.Attribute)
+              or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+# (callee name, positions passed, keywords passed, enclosing definitions);
+# a starred argument ends the positions the test can count
+CALLS = [(name_of(node.func),
+          next((k for k, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+               len(node.args)),
+          {kw.arg for kw in node.keywords if kw.arg is not None}, owner)
+         for node, owner in NODES if isinstance(node, ast.Call)]
 PUBLIC = sorted(name for name in shieldlab.__all__
                 if not inspect.ismodule(getattr(shieldlab, name)))
 MEMBERS = sorted(
@@ -59,6 +77,33 @@ MEMBERS = sorted(
     and isinstance(value, (FunctionType, classmethod, staticmethod, property, cached_property)))
 
 
+def defaulted(func, bound: bool):
+    """(name, position or None when keyword-only) of each parameter of
+    ``func`` that has a default; a bound method's first parameter is not
+    counted."""
+    params = list(inspect.signature(func).parameters.values())[int(bound):]
+    return [(p.name, k if p.kind is p.POSITIONAL_OR_KEYWORD else None)
+            for k, p in enumerate(params) if p.default is not p.empty]
+
+
+OPTIONS = sorted(
+    [((name,), param, pos) for name in PUBLIC
+     if inspect.isfunction(func := getattr(shieldlab, name))
+     for param, pos in defaulted(func, bound=False)]
+    + [((name, member), param, pos) for name, member in MEMBERS
+       if not isinstance(value := vars(getattr(shieldlab, name))[member],
+                         (property, cached_property))
+       for param, pos in defaulted(getattr(value, "__func__", value),
+                                   bound=not isinstance(value, staticmethod))])
+# options no library or demo code sets, each with the reason it stays
+UNSET_OPTIONS = {
+    (("run_quench",), "rho0"): (
+        "the tests' only way to start a quench from a state that no ground "
+        "mixture gives: every ground mixture commutes with its pre's spin flip, "
+        "so its <Z_i> rows read 0 whenever the post has the same field angles"),
+}
+
+
 def read_outside(name, definition) -> bool:
     """Whether ``name`` is read somewhere outside the definition whose
     enclosing path is ``definition``."""
@@ -67,7 +112,8 @@ def read_outside(name, definition) -> bool:
 
 
 def test_sources_found():
-    assert len(SOURCES) > 5 and PUBLIC and MEMBERS
+    assert len(SOURCES) > 5 and PUBLIC and MEMBERS and OPTIONS
+    assert set(UNSET_OPTIONS) <= {(d, p) for d, p, _ in OPTIONS}
 
 
 @pytest.mark.parametrize("name", PUBLIC)
@@ -80,3 +126,17 @@ def test_public_name_has_a_caller(name):
 def test_public_member_has_a_caller(name, member):
     assert read_outside(member, (name, member)), (
         f"shieldlab.{name}.{member} is read nowhere in the library or the demos")
+
+
+@pytest.mark.parametrize("definition, param, pos", OPTIONS,
+                         ids=[f"{'.'.join(d)}({p})" for d, p, _ in OPTIONS])
+def test_option_is_set_by_a_caller(definition, param, pos):
+    passed = any(
+        callee == definition[-1] and owner[:len(definition)] != definition
+        and ((pos is not None and pos < positions) or param in keywords)
+        for callee, positions, keywords, owner in CALLS)
+    if (definition, param) in UNSET_OPTIONS:
+        assert not passed, f"{param} now has a caller; drop it from UNSET_OPTIONS"
+        return
+    assert passed, (
+        f"no library or demo call of shieldlab.{'.'.join(definition)} sets {param}")

@@ -117,8 +117,8 @@ class TestShieldedDynamics:
         n = 4
         h = rng.uniform(0.1, 1, size=n)  # no zero interface field
         lat = make_chain(n, [1.0] * (n - 1), h)
-        split = validate_split(lat, {0, 1}, {1, 2, 3},
-                               require_zero_interface_fields=False)
+        # the split is checked on the zero-field lattice; the posts carry the field
+        split = validate_split(update_parameters(lat, h=[h[0], 0.0, *h[2:]]), {0, 1}, {1, 2, 3})
         rho0 = DensityMatrix(random_product_state(rng, n), tuple(range(n)))
         devs = deviations(x_side_posts(lat, split, rng), rho0,
                           [PauliString.single(n, 3, "Z")], [0.0, 0.9, 2.3, 4.1])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +169,30 @@ class TestVerifyShielding:
         with pytest.raises(ShieldlabError, match=key):
             run_verify_shielding(chain_config(**extra))
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"split": {"X": [0, 1, 2, 3], "Y": [1]}},
+         "split: Y is all interface: the run would have no data"),
+        ({"betas": [0.0]}, "betas: holds no beta above 0, where every state is "
+                           "maximally mixed: the run would have no data"),
+        ({"betas": [0, 0.0]}, "betas: holds no beta above 0"),
+    ], ids=["y_all_interface", "beta_zero", "betas_zero"])
+    def test_run_that_cannot_fail_is_refused(self, extra, message):
+        # each passed at max_distance ~1e-16: with B empty, Tr_X of any state
+        # with the spin flip is I/2 on the zero-field site, and at beta = 0
+        # both states are maximally mixed
+        with pytest.raises(ShieldlabError, match="^" + re.escape(message)) as err:
+            run_verify_shielding(chain_config(**extra))
+        assert err.value.key == message.split(":")[0]
+
+    def test_control_lattice_must_be_zero_on_the_interface(self):
+        # the control sets h on S itself; a field already there is refused
+        # like any split's, whatever interface_field says
+        cfg = shipped_config("verify_shielding_control")
+        cfg["lattice"]["h"][2] = 0.3
+        with pytest.raises(ShieldlabError,
+                           match=r"^split: interface site 2 carries field h=0\.3, g=0\.0"):
+            run_verify_shielding(cfg)
+
     @pytest.mark.parametrize("extra, key", [
         ({"trails": 2}, "'trails'"),
         ({"trials": 2.7}, "trials"),
@@ -179,7 +204,8 @@ class TestVerifyShielding:
         ({"betas": [-1.0]}, r"betas\[0\]"),
         ({"seed": -1}, "seed"),
         ({"interface_field": "0.3"}, "interface_field"),
-        ({"interface_field": 0.3, "split": {"X": [0, 1, 2], "Y": [1, 2, 3]}},
+        ({"interface_field": 0.3, "split": {"X": [0, 1, 2], "Y": [1, 2, 3]},
+          "lattice": lattice_json(make_chain(4, [1.0] * 3, [0.4, 0.0, 0.0, 0.4]))},
          r"^split: .*single-site interface, got \|S\|=2"),
         ({"lattice": OVER_CAP},
          r"^lattice\.n_sites: dense realization of 13 sites exceeds the cap of 12"),
@@ -278,6 +304,10 @@ class TestCounterexample:
         ({"trials": 3}, "'trials'"),
         ({"betas": [1.0, "ground"]}, r"betas\[1\] must be a finite number"),
         ({"betas": ["inf"]}, r"betas\[0\] must be a finite number"),
+        ({"h1_grid": {"start": 0, "stop": 1e300, "step": 1e-300}},
+         "^h1_grid: spans inf steps: the grid has no finite point count"),
+        ({"h1_grid": {"start": -1e308, "stop": 1e308, "step": 1.0}},
+         "^h1_grid: spans inf steps"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         cfg = {"h4": 1.0, "betas": [1.0], "h1_grid": [0.5], **extra}
@@ -384,8 +414,32 @@ class TestConjecture:
             run_conjecture(triangle_config("ground", trials=0))
         cfg = triangle_config("ground")
         cfg["split"] = {"X": [2, 3, 4], "Y": list(range(9))}  # X = interface row
-        with pytest.raises(ShieldlabError, match="split"):
+        with pytest.raises(ShieldlabError, match="^split: X is all interface"):
             run_conjecture(cfg)
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"trials": 1}, "trials: is 1, and one trial cannot vary: the run would have no data"),
+        ({"split": {"X": list(range(9)), "Y": [2, 3, 4]}},
+         "split: Y is all interface: the run would have no data"),
+        ({"b_field_range": [0.5, 0.5], "offset_range": [1.0, 1.0]},
+         "b_field_range: and offset_range are single points, so every trial draws "
+         "the same B fields: the run would have no data"),
+        ({"beta": 0}, "beta: is 0, where the state is maximally mixed whatever the B "
+                      "fields: the run would have no data"),
+        ({"beta": 0.0}, "beta: is 0"),
+    ], ids=["one_trial", "y_all_interface", "single_point_ranges", "beta_zero",
+            "beta_zero_float"])
+    def test_run_that_cannot_fail_is_refused(self, extra, message):
+        # each passed with max_variation <= 1.2e-16
+        with pytest.raises(ShieldlabError, match="^" + re.escape(message)) as err:
+            run_conjecture({**triangle_config("ground"), **extra})
+        assert err.value.key == message.split(":")[0]
+
+    @pytest.mark.parametrize("extra", [{"b_field_range": [0.5, 0.5]},
+                                       {"offset_range": [1.0, 1.0]}])
+    def test_one_single_point_range_still_runs(self, extra):
+        verdict = run_conjecture({**triangle_config("ground", trials=2), **extra})
+        assert verdict.metadata["verdict"]["status"] == "pass"
 
     @pytest.mark.parametrize("extra, key", [
         ({"trials": 2.7}, "trials"),
@@ -510,6 +564,10 @@ class TestQuenchRunner:
         ({"times": [1.5]}, r"^times: holds a single time"),
         ({"times": {"start": 0.5, "stop": 0.5, "step": 0.25}}, r"^times: holds a single time"),
         ({"times": [0.5, 0.5]}, r"^times: holds a single time"),
+        ({"times": {"start": 0, "stop": 1e300, "step": 1e-300}},
+         r"^times: spans inf steps: the grid has no finite point count"),
+        ({"observables": ["+ X²"]}, r"^observables\[0\]: bad Pauli token 'X²'$"),
+        ({"observables": ["+ X5", "+ X٣"]}, r"^observables\[1\]: bad Pauli token 'X٣'$"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         with pytest.raises(ShieldlabError, match=key):
@@ -554,7 +612,23 @@ class TestQuenchRunner:
         with pytest.raises(ShieldlabError, match="'quench_h'"):
             run_quench_experiment(cfg)
         del cfg["quench_h"]
-        assert run_quench_experiment(cfg).metadata["verdict"]["max_variation_driven"] < 1e-9
+        with pytest.raises(ShieldlabError, match="^post: leaves the pre lattice unchanged"):
+            run_quench_experiment(cfg)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"quench_h": 0.5}, "quench_site: leaves the pre lattice unchanged, so nothing is "
+                            "driven: the run would have no data"),
+        ({"quench_site": 2, "quench_h": 0.0}, "quench_site: leaves the pre lattice unchanged"),
+    ], ids=["same_field_in_A", "same_field_on_S"])
+    def test_quench_that_drives_nothing_is_refused(self, edit, message):
+        # with post = pre the run passed at max_variation_shielded 1.1e-16
+        with pytest.raises(ShieldlabError, match="^" + re.escape(message)):
+            run_quench_experiment({**self.quench_config(), **edit})
+
+    def test_without_a_split_an_unchanged_post_still_runs(self):
+        cfg = {**self.quench_config(), "quench_h": 0.5}
+        del cfg["split"]
+        assert run_quench_experiment(cfg).metadata["verdict"] == {"status": "pass"}
 
     def test_post_may_change_only_the_x_side(self, quench_path):
         cfg = self.quench_config()
@@ -605,11 +679,6 @@ class TestDualCheckRunner:
         table = run_dual_check(cfg)
         assert all(row[4] == 2 for row in table.rows)
 
-    def test_explicit_chain(self):
-        lat = make_chain(3, [2.0, 3.0], [0.1, 0.2, 0.3])
-        table = run_dual_check({"chain": lattice_json(lat)})
-        assert table.rows[0][2] == 0.0
-
     def test_run_without_data_is_an_error(self):
         with pytest.raises(ShieldlabError, match="trials"):
             run_dual_check({"n_sites": 5, "trials": 0})
@@ -624,24 +693,13 @@ class TestDualCheckRunner:
         ({"J_range": [1, 2, 3]}, "J_range"),
         ({"h_range": [-1.0]}, "h_range"),
         ({"trails": 0}, "'trails'"),
-        ({"chain": lattice_json(make_triangular_patch([2, 3])[0])},
-         r"^chain: lattice is not an open nearest-neighbor chain"),
-        ({"chain": lattice_json(validate_lattice(3, [(0, 1, 1.0), (1, 2, 1.0)], [0.2] * 3,
-                                                 [0.0, 0.1, 0.0]))},
-         r"^chain: dual construction requires g ≡ 0"),
+        ({"chain": lattice_json(make_chain(3, [2.0, 3.0], [0.1, 0.2, 0.3]))},
+         r"^config key 'chain' is unknown or does not apply"),
         ({"n_sites": 13}, r"^n_sites: dense realization of 13 sites exceeds the cap of 12"),
-        ({"chain": OVER_CAP},
-         r"^chain\.n_sites: dense realization of 13 sites exceeds the cap of 12"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
         with pytest.raises(ShieldlabError, match=key):
             run_dual_check({"n_sites": 8, "trials": 2, "seed": 2, **extra})
-
-    @pytest.mark.parametrize("key", ["trials", "n_sites", "J_range", "zero_field_site"])
-    def test_explicit_chain_excludes_random_chain_keys(self, key):
-        lat = make_chain(3, [2.0, 3.0], [0.1, 0.2, 0.3])
-        with pytest.raises(ShieldlabError, match=f"'{key}'"):
-            run_dual_check({"chain": lattice_json(lat), key: 1})
 
     @staticmethod
     def run_with_dual(monkeypatch, cfg, cls):
@@ -852,6 +910,32 @@ class TestCli:
         assert message in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, cfg, message", [
+        ("conjecture", {"trials": 1},
+         "trials: is 1, and one trial cannot vary: the run would have no data"),
+        ("quench", {"post": lattice_json(make_chain(6, [1.0] * 5,
+                                                    [0.5, 0.5, 0.0, 0.5, 0.5, 0.5]))},
+         "post: leaves the pre lattice unchanged, so nothing is driven: "
+         "the run would have no data"),
+        ("verify-shielding", {"betas": [0]},
+         "betas: holds no beta above 0, where every state is maximally mixed: "
+         "the run would have no data"),
+    ], ids=["conjecture_one_trial", "quench_post_is_pre", "control_at_beta_zero"])
+    def test_run_that_cannot_fail_exits_one(self, tmp_path, experiment, cfg, message):
+        # each passed before it was refused, on no data; the shipped control
+        # at betas [0] reported "control did not violate shielding"
+        base = {
+            "conjecture": lambda: triangle_config("ground"),
+            "quench": lambda: {"pre": cfg["post"], "times": [0.0, 1.0],
+                               "split": {"X": [0, 1, 2], "Y": [2, 3, 4, 5]}},
+            "verify-shielding": lambda: shipped_config("verify_shielding_control"),
+        }[experiment]()
+        proc = self.run_cli(tmp_path, experiment, {**base, **cfg})
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("experiment, edit, message", [
         ("verify-shielding", lambda cfg: cfg.update(trails=2), "'trails'"),
         ("verify-shielding", lambda cfg: cfg["lattice"].update(gg=1), "'lattice.gg'"),
@@ -861,7 +945,7 @@ class TestCli:
         ("counterexample", lambda cfg: cfg.update(
             h1_grid={"start": 0.0, "stop": 1.0, "step": 0.5, "num": 3}), "'h1_grid.num'"),
         ("quench", lambda cfg: cfg.update(post=cfg["pre"]), "'quench_site'"),
-        ("dual-check", lambda cfg: cfg.update(trials=2), "'trials'"),
+        ("dual-check", lambda cfg: cfg.update(chain={"n_sites": 3}), "'chain'"),
     ])
     def test_unread_key_exits_one_with_its_path(self, tmp_path, experiment, edit,
                                                  message):
@@ -870,7 +954,7 @@ class TestCli:
             "verify-shielding": chain_config(trials=2),
             "counterexample": {"betas": [1.0]},
             "quench": {"pre": lattice_json(lat), "quench_site": 0, "quench_h": -1.0},
-            "dual-check": {"chain": lattice_json(lat)},
+            "dual-check": {"n_sites": 3, "trials": 1},
         }[experiment]
         edit(cfg)
         proc = self.run_cli(tmp_path, experiment, cfg)

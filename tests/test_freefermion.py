@@ -67,10 +67,8 @@ def random_chain_quench(rng, n):
     obs = []
     for i in range(n):
         sign = 2 * int(rng.integers(2))
-        if i < n - 1 and rng.random() < 0.5:
-            obs.append(PauliString.from_sites(n, {i: "Z", i + 1: "Z"}, sign))
-        else:
-            obs.append(PauliString.from_sites(n, {i: "X"}, sign))
+        word = {i: "Z", i + 1: "Z"} if i < n - 1 and rng.random() < 0.5 else {i: "X"}
+        obs.append(PauliString(PauliString.from_sites(n, word).letters, sign))
     return pre, make_chain(n, J, quenched), tuple(obs)
 
 

@@ -13,6 +13,7 @@ from shieldlab import (
     dual_chain,
     make_chain,
     make_diamond,
+    make_triangular_patch,
     split_hamiltonian,
     validate_lattice,
     validate_split,
@@ -189,9 +190,9 @@ class TestCommutator:
         assert commutator_norm(parts.h_x, parts.h_y) == 0.0
 
     def test_nonzero_interface_field_breaks_commutation(self):
+        # the split is checked on the zero-field lattice; only H carries the field
+        split = validate_split(make_chain(3, [1.0, 1.0], [0.4, 0.0, 0.9]), {0, 1}, {1, 2})
         lat = make_chain(3, [1.0, 1.0], [0.4, 0.3, 0.9])
-        split = validate_split(lat, {0, 1}, {1, 2},
-                               require_zero_interface_fields=False)
         parts = split_hamiltonian(build_hamiltonian(lat), split)
         assert commutator_norm(parts.h_x, parts.h_y) > 0.1
 
@@ -309,10 +310,16 @@ class TestDualChain:
         assert dc.dual_couplings == (0.1, 0.2, 0.3)
         assert dc.dual_fields == (0.0, 2.0, 3.0, 0.0)
 
-    def test_not_a_chain(self):
-        lat = validate_lattice(3, [(0, 2, 1.0)], [0, 0, 0])
+    @pytest.mark.parametrize("lat", [
+        validate_lattice(3, [(0, 2, 1.0)], [0, 0, 0]),
+        make_triangular_patch([2, 3])[0],
+    ], ids=["skipped_site", "triangular_patch"])
+    def test_not_a_chain(self, lat):
         with pytest.raises(ShieldlabError, match="^lattice is not an open nearest-neighbor chain"):
             dual_chain(lat)
-        lat_g = validate_lattice(2, [(0, 1, 1.0)], [0, 0], [0.1, 0.0])
+
+    @pytest.mark.parametrize("n, g", [(2, [0.1, 0.0]), (3, [0.0, 0.1, 0.0])])
+    def test_y_field_refused(self, n, g):
+        lat = validate_lattice(n, [(i, i + 1, 1.0) for i in range(n - 1)], [0.2] * n, g)
         with pytest.raises(ShieldlabError, match="^dual construction requires g ≡ 0"):
-            dual_chain(lat_g)
+            dual_chain(lat)

@@ -104,9 +104,12 @@ class TestValidateSplit:
         lat = make_chain(3, [1.0, 1.0], [0.4, 0.2, 0.9])
         with pytest.raises(ShieldlabError, match="^interface site 1 carries field h=0.2"):
             validate_split(lat, {0, 1}, {1, 2})
-        # the relaxed path exists for control experiments only
-        split = validate_split(lat, {0, 1}, {1, 2},
-                               require_zero_interface_fields=False)
+        with pytest.raises(ShieldlabError, match="^interface site 1 carries field h=0.0, g=0.1"):
+            validate_split(update_parameters(lat, h=[0.4, 0.0, 0.9], g=[0.0, 0.1, 0.0]),
+                           {0, 1}, {1, 2})
+        # a split holds no fields: a control checks its split on the
+        # zero-field lattice and then sets the field on S
+        split = validate_split(update_parameters(lat, h=[0.4, 0.0, 0.9]), {0, 1}, {1, 2})
         assert split.S == {1}
 
     def test_not_a_cover(self):

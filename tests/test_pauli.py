@@ -283,3 +283,10 @@ class TestTextForm:
         with pytest.raises(ShieldlabError, match=r"^site 5 outside 0\.\.1"):
             PauliString.from_text("+ X5", 2)
 
+    @pytest.mark.parametrize("token", ["X²", "X٣", "Z１"])
+    def test_site_must_be_ascii_digits(self, token):
+        # "²" is a digit to str.isdigit but not to int(); "٣" and "１" are
+        # read by int() as 3 and 1
+        with pytest.raises(ShieldlabError, match=f"^bad Pauli token {token!r}$"):
+            PauliString.from_text(f"+ {token}", 4)
+
