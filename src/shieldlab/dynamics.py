@@ -1,17 +1,19 @@
 """Exact quench dynamics: every time read from one solve of the post.
 
-:func:`run_quench` is the library's only time evolution, and it takes one of
-two paths, chosen from its inputs. A quench of open chains with g ≡ 0 from
-the default ground mixture, read through ±X_i and ±Z_i Z_{i+1}, is solved
-as free fermions (:mod:`shieldlab.freefermion`): one 2n×2n solve of each
-whole chain, and every time read from the 2n×2n Majorana correlations.
+:func:`run_quench` is the library's only time evolution. Every quench starts
+from the pre's ground mixture and takes one of two paths, chosen from its
+inputs. A quench of open chains with g ≡ 0, read through ±X_i and
+±Z_i Z_{i+1}, is solved as free fermions (:mod:`shieldlab.freefermion`): one
+2n×2n solve of each whole chain, and every time read from the 2n×2n
+Majorana correlations.
 
 Every other quench is solved in the real blocks of :mod:`shieldlab.thermal`
 (split on the spin flip and on the Z of every zero-field site, each solved
 per component of the field sites and placed in the full basis once per
 eigenspace it stands for), with no Trotterization: the pre and the post
-are each solved once, and every time step reads the post's one spectrum. The initial state's pure components are
-projected onto each placement once, skipping those they have no part in,
+are each solved once, and every time step reads the post's one spectrum.
+The ground columns of the pre, scaled by the square roots of their weights,
+are projected onto each placement once, skipping those they have no part in,
 and evolved there with real eigenvectors, every time of a batch in one real
 product. The states stay in the real frame of the blocks, as their real and
 imaginary parts; the y-field phases go into each observable's coefficients
@@ -34,7 +36,7 @@ from .hamiltonian import build_hamiltonian
 from .lattice import LatticeSpec
 from .pauli import PauliString, check_dense_cap
 from .tables import ResultTable
-from .thermal import DensityMatrix, _dot, _ground_columns, spectrum
+from .thermal import _dot, _weights, spectrum
 
 # full-basis entries of one time batch of evolved states in run_quench
 _BATCH_ENTRIES = 1 << 20
@@ -44,8 +46,8 @@ _BATCH_ENTRIES = 1 << 20
 class QuenchProtocol:
     """Sudden parameter change on a fixed graph, then unitary evolution.
 
-    ``pre`` fixes the initial Hamiltonian (whose ground-space mixture is the
-    default initial state), ``post`` the Hamiltonian driving the evolution.
+    ``pre`` fixes the initial state, the uniform mixture over its ground
+    space, and ``post`` the Hamiltonian driving the evolution.
     Both must share the site count and edge pairs; only parameters change.
     Observables must be Hermitian, so a word with phase ±i is rejected, and
     no two may share their first site, which keys their rows in the table.
@@ -92,24 +94,16 @@ def _observable_site(obs: PauliString) -> int:
     return sup[0] if sup else -1
 
 
-def _initial_states(protocol: QuenchProtocol, rho0: DensityMatrix | None) -> np.ndarray:
+def _initial_states(pre: LatticeSpec) -> np.ndarray:
     """Pure states, each scaled by the square root of its weight, whose
-    mixture Σ ψψ† is the initial state.
-
-    By default these are the pre-quench ground columns, weighted uniformly,
-    from :func:`shieldlab.thermal._ground_columns`, which reads the pre's
-    :func:`shieldlab.thermal.spectrum` as ``thermal_state`` does at
-    beta = inf. The pre's spectrum is cached on a Hamiltonian built here and
-    released on return, so it never shares memory with the post spectrum.
+    mixture Σ ψψ† is the pre's ground mixture: the columns of the pre's
+    :func:`shieldlab.thermal.spectrum` that :func:`shieldlab.thermal._weights`
+    keeps at beta = inf, as ``thermal_state`` does. The pre's spectrum is
+    cached on a Hamiltonian built here and released on return, so it never
+    shares memory with the post spectrum.
     """
-    if rho0 is None:
-        states = _ground_columns(build_hamiltonian(protocol.pre))
-        return states / math.sqrt(states.shape[1])
-    if rho0.n_sites != protocol.pre.n_sites:
-        raise ShieldlabError("initial state does not match the lattice")
-    vals, vecs = np.linalg.eigh(rho0.matrix)
-    keep = vals > 1e-14
-    return vecs[:, keep] * np.sqrt(vals[keep])
+    dec = spectrum(build_hamiltonian(pre))
+    return dec.columns(_weights(dec, math.inf)[0])
 
 
 def _folded(obs: PauliString, phases: np.ndarray | None):
@@ -167,54 +161,55 @@ def _read(word, evolved: np.ndarray) -> np.ndarray:
     return out
 
 
-def run_quench(protocol: QuenchProtocol, rho0: DensityMatrix | None = None) -> ResultTable:
-    """Evolve through a quench and tabulate (t, site, value) expectations.
+def run_quench(protocol: QuenchProtocol) -> ResultTable:
+    """Evolve the pre-quench ground mixture under the post-quench Hamiltonian
+    and tabulate (t, site, value) expectations.
 
-    The initial state defaults to the uniform ground-space mixture of the
-    pre-quench Hamiltonian; any caller-supplied state is used as-is. Rows
-    are ordered by (t, site), each observable labeled by its first site
-    (no two share one). Lattices over the dense cap are refused on either
-    path, and the table's metadata names the one that ran as its ``solver``.
+    The initial state is the uniform mixture over the ground space of the
+    pre-quench Hamiltonian. Rows are ordered by (t, site), each observable
+    labeled by its first site (no two share one). Lattices over the dense cap
+    are refused on either path, and the table's metadata names the one that
+    ran as its ``solver``.
 
-    From the default state, when pre and post are open chains with g ≡ 0
-    and every observable is ±X_i or ±Z_i Z_{i+1}, the rows come from the
-    chain's 2n×2n Majorana correlations (:mod:`shieldlab.freefermion`,
-    ``"free-fermion"``): one small solve of each whole chain, no 2^n state
-    and no split. That holds unless the pre has modes at or under the
-    ground cut that, filled together, pass it; its ground mixture is then
-    not Gaussian. There, and for every other input, the rows come from the
-    post's blocks (:func:`_blocked_values`, ``"blocked"``). Both cut the
-    ground space at the same :func:`shieldlab.thermal._ground_slack` of the
-    pre's span, so only rounding differs between them.
+    When pre and post are open chains with g ≡ 0 and every observable is
+    ±X_i or ±Z_i Z_{i+1}, the rows come from the chain's 2n×2n Majorana
+    correlations (:mod:`shieldlab.freefermion`, ``"free-fermion"``): one
+    small solve of each whole chain, no 2^n state and no split. That holds
+    unless the pre has modes at or under the ground cut that, filled
+    together, pass it; its ground mixture is then not Gaussian. There, and
+    for every other input, the rows come from the post's blocks
+    (:func:`_blocked_values`, ``"blocked"``). Both cut the ground space at
+    the same :func:`shieldlab.thermal._ground_slack` of the pre's span, so
+    only rounding differs between them.
 
     The headline identity, in this function's rows: let a zero-field
     interface split the post lattice into X and Y, with bulks A and B. The
     X-side terms (fields on A, couplings inside X) commute with the rest, so
-    from any ``rho0``, post lattices that differ only on the X side give the
-    same rows for every observable on B. The far side never feels H_X; with
-    the X side set to zero it evolves under H_Y alone.
+    from one pre, post lattices that differ only on the X side give the same
+    rows for every observable on B. The far side never feels H_X; with the X
+    side set to zero it evolves under H_Y alone. The B rows are constant in
+    time when pre and post agree on the Y side, and in general move when
+    they do not.
     """
     check_dense_cap(protocol.pre.n_sites)
     sites = [_observable_site(obs) for obs in protocol.observables]
     obs_order = np.argsort(np.array(sites), kind="stable")
-    values, solver = None, "free-fermion"
-    if rho0 is None:
-        values = _quench_values(protocol.pre, protocol.post, protocol.times,
-                                protocol.observables)
+    solver = "free-fermion"
+    values = _quench_values(protocol.pre, protocol.post, protocol.times,
+                            protocol.observables)
     if values is None:
-        values, solver = _blocked_values(protocol, rho0, obs_order), "blocked"
+        values, solver = _blocked_values(protocol, obs_order), "blocked"
     table = ResultTable(columns=("t", "site", "value"), metadata={"solver": solver})
     table.rows = [(t, sites[i], float(values[k, i]))
                   for k, t in enumerate(protocol.times) for i in obs_order]
     return table
 
 
-def _blocked_values(protocol: QuenchProtocol, rho0: DensityMatrix | None,
-                    obs_order: np.ndarray) -> np.ndarray:
+def _blocked_values(protocol: QuenchProtocol, obs_order: np.ndarray) -> np.ndarray:
     """Values of the observables (columns) at the times (rows), evolved in
     the post's real blocks, spectral throughout (no Trotterization).
 
-    The initial state is decomposed once into pure states scaled by the
+    The pre's ground mixture is read once as pure states scaled by the
     square roots of their weights (:func:`_initial_states`), so that a
     time's value is a sum over columns. They are turned into the post's real
     frame (H = d ⊙ H′ ⊙ d̄ᵀ with H′ real) by d̄ and projected once into each
@@ -230,7 +225,7 @@ def _blocked_values(protocol: QuenchProtocol, rho0: DensityMatrix | None,
     folded with d once per run by :func:`_folded`, so neither the evolution
     nor the readout forms a complex full-basis array.
     """
-    states = _initial_states(protocol, rho0)
+    states = _initial_states(protocol.pre)
     post = spectrum(build_hamiltonian(protocol.post))
     if post.phases is not None:
         states = post.phases.conj()[:, None] * states

@@ -87,15 +87,15 @@ class _Reader:
 
     def __init__(self, obj, path: str = ""):
         if not isinstance(obj, dict):
-            raise ShieldlabError(
-                f"{path or 'config'} must be a JSON object, got {type(obj).__name__}")
+            raise ShieldlabError(f"{'' if path else 'config '}must be a JSON object, "
+                                 f"got {type(obj).__name__}", key=path or None)
         self.obj, self.path, self._read = obj, path, set()
 
     def __call__(self, key: str, parse, default=...):
         path = f"{self.path}.{key}".lstrip(".")
         value = self.obj.get(key, default)
         if value is ...:
-            raise ShieldlabError(f"missing config key {path!r}")
+            raise ShieldlabError("is missing", key=path)
         self._read.add(key)
         if not isinstance(value, dict):
             return None if value is None and default is None else parse(value, path)
@@ -108,7 +108,7 @@ class _Reader:
         for key in self.obj:
             if key not in self._read:
                 path = f"{self.path}.{key}".lstrip(".")
-                raise ShieldlabError(f"config key {path!r} is unknown or does not apply")
+                raise ShieldlabError("is unknown or does not apply", key=path)
 
 
 def _config(cfg, kind: str) -> _Reader:
@@ -116,7 +116,7 @@ def _config(cfg, kind: str) -> _Reader:
     read = _Reader(cfg)
     written = read("kind", _text, kind)
     if written != kind:
-        raise ShieldlabError(f"config is for {written!r}, not {kind!r}")
+        raise ShieldlabError(f"config is for {written!r}, not {kind!r}", key="kind")
     read.seed = read("seed", _value(int, "an integer >= 0", lambda v: v >= 0), None)
     return read
 
@@ -133,7 +133,8 @@ def _value(kinds, what: str, ok=lambda v: True, cast=lambda v, path: v):
     """Parser of a JSON value of type ``kinds`` (a bool is none) that ``ok`` accepts."""
     def parse(value, path):
         if isinstance(value, bool) or not isinstance(value, kinds) or not ok(value):
-            raise ShieldlabError(f"{path} must be {what}, got {getattr(value, 'obj', value)!r}")
+            raise ShieldlabError(f"must be {what}, got {getattr(value, 'obj', value)!r}",
+                                 key=path)
         return cast(value, path)
     return parse
 
@@ -228,7 +229,8 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
     nonzero ``interface_field`` then sets h on S after the split is checked,
     breaking the zero-field precondition as a control; the verdict flags the
     expected failure. The interface must be one site, and a run that could
-    not fail is refused: a Y that is all interface (keyed ``split``) and no
+    not fail is refused: a Y that is all interface, an X that is all
+    interface without an ``interface_field`` (both keyed ``split``) and no
     beta above 0 (keyed ``betas``).
     """
     read = _config(cfg, "verify-shielding")
@@ -247,6 +249,9 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
             key="split")
     if not split.B:
         raise ShieldlabError("Y is all interface: the run would have no data", key="split")
+    if not split.A and interface_field == 0.0:
+        raise ShieldlabError("X is all interface, so no trial redraws anything: "
+                             "the run would have no data", key="split")
     if not any(beta > 0 for beta in betas):
         raise ShieldlabError("holds no beta above 0, where every state is maximally "
                              "mixed: the run would have no data", key="betas")

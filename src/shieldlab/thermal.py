@@ -130,10 +130,11 @@ class SpectralDecomposition:
         _, rows, coefs = self.placements[p]
         return sum(_scaled(c, x[at]) for at, c in zip(rows, coefs))
 
-    def columns(self, keep) -> np.ndarray:
-        """Full-basis eigenvector columns of M whose eigenvalues ``keep(w)``
-        selects: the lifted block columns, times d."""
-        picked = [v[:, keep(w)] for w, v in self.blocks]
+    def columns(self, f) -> np.ndarray:
+        """Full-basis eigenvector columns of M with weight f(w) ≠ 0, each
+        scaled by √f(w), so that Σ ψψ† over them is f(M): the lifted block
+        columns, times d."""
+        picked = [v * np.sqrt(fw) for v, fw in (_weighted(f, *block) for block in self.blocks)]
         placed = [picked[b] for b, _, _ in self.placements]
         out = np.zeros((self.dim, sum(y.shape[1] for y in placed)), dtype=np.result_type(*picked))
         start = 0
@@ -150,13 +151,9 @@ class SpectralDecomposition:
         coefs[j]·coefs[k]·A on rows[j]×rows[k].
         """
         parts = []
-        for w, v in self.blocks:
-            fw = f(w)
-            nonzero = fw != 0
-            if not nonzero.all():
-                v, fw = v[:, nonzero], fw[nonzero]
-            vf = v * fw
-            parts.append(_dot(v, vf.T))
+        for block in self.blocks:
+            v, fw = _weighted(f, *block)
+            parts.append(_dot(v, (v * fw).T))
         kinds = parts if self.phases is None else [*parts, self.phases]
         out = np.zeros((self.dim, self.dim), dtype=np.result_type(*kinds))
         for b, rows, coefs in self.placements:
@@ -167,6 +164,14 @@ class SpectralDecomposition:
             np.multiply(self.phases[:, None], out, out=out)
             np.multiply(out, self.phases.conj(), out=out)
         return out
+
+
+def _weighted(f, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``v`` whose weight f(w) is not 0, and those weights;
+    ``v`` itself, not a copy, when none is 0."""
+    fw = f(w)
+    nonzero = fw != 0
+    return (v, fw) if nonzero.all() else (v[:, nonzero], fw[nonzero])
 
 
 def _scaled(c: float, a: np.ndarray) -> np.ndarray:
@@ -304,15 +309,6 @@ def _decompose(H: HamiltonianTerms) -> SpectralDecomposition:
     else:
         placements = [(0, rows, (1.0,))]
     return SpectralDecomposition(tuple(blocks), tuple(placements), phases)
-
-
-def _ground_columns(H: HamiltonianTerms) -> np.ndarray:
-    """Full-basis columns spanning the ground space that
-    :func:`thermal_state` mixes at beta = inf: those of :func:`spectrum`
-    that the same weights keep."""
-    dec = spectrum(H)
-    f, _ = _weights(dec, math.inf)
-    return dec.columns(lambda w: f(w) != 0)
 
 
 def _site_labels(labels, dim: int) -> tuple[int, ...]:
@@ -504,12 +500,8 @@ def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.nd
     last = None
     for b, rows, coefs in dec.placements:
         if b != last:  # placements of one block share its weighted columns
-            w, v = dec.blocks[b]
-            fw, last = f(w), b
-            nonzero = fw != 0
-            if not nonzero.all():
-                v, fw = v[:, nonzero], fw[nonzero]
-            root = np.sqrt(fw)
+            v, fw = _weighted(f, *dec.blocks[b])
+            root, last = np.sqrt(fw), b
         at = rows.ravel()
         pattern = _bits(at, by, n)
         if np.any(pattern != pattern[0]):

@@ -38,16 +38,12 @@ from shieldlab import (
     run_verify_shielding,
     shielding_report,
     thermal_state,
+    update_parameters,
     validate_lattice,
     validate_split,
 )
 
-from helpers import (
-    classical_chain_gibbs_diag,
-    random_mixed_state,
-    random_product_state,
-    random_pure_state,
-)
+from helpers import classical_chain_gibbs_diag
 from test_dynamics import identity_deviations
 
 
@@ -245,10 +241,9 @@ class TestCriterion6GroundStateConjecture:
 
 class TestCriterion7Dynamics:
     def test_50_commuting_split_instances(self):
-        # run_quench from each instance's state under the full lattice, H_Y
-        # alone and the X side redrawn (drawn after the instance)
-        state_makers = (random_product_state, random_pure_state,
-                        random_mixed_state)
+        # run_quench from the ground mixture of a random pre on the same graph,
+        # with x and y fields on every site, under the full lattice, H_Y alone
+        # and the X side redrawn (drawn after the instance)
         worst = [0.0, 0.0]
         for k in range(50):
             rng = point_rng(7007, k)
@@ -258,11 +253,11 @@ class TestCriterion7Dynamics:
             h[L] = 0.0
             lat = make_chain(n, rng.uniform(-2, 2, size=n - 1), h)
             split = validate_split(lat, range(L + 1), range(L, n))
-            rho0 = DensityMatrix(state_makers[k % 3](rng, n), tuple(range(n)))
+            pre = update_parameters(lat, h=rng.uniform(0, 1, n), g=rng.uniform(-1, 1, n))
             site = int(rng.integers(L + 1, n))
             letter = ("Z", "X")[k % 2]
             devs = identity_deviations(
-                lat, split, rho0, [PauliString.single(n, site, letter)],
+                lat, split, pre, [PauliString.single(n, site, letter)],
                 [0.0, 0.9, 2.3, 4.1], rng,
             )
             worst = [max(w, d) for w, d in zip(worst, devs)]

@@ -95,13 +95,6 @@ OPTIONS = sorted(
                          (property, cached_property))
        for param, pos in defaulted(getattr(value, "__func__", value),
                                    bound=not isinstance(value, staticmethod))])
-# options no library or demo code sets, each with the reason it stays
-UNSET_OPTIONS = {
-    (("run_quench",), "rho0"): (
-        "the tests' only way to start a quench from a state that no ground "
-        "mixture gives: every ground mixture commutes with its pre's spin flip, "
-        "so its <Z_i> rows read 0 whenever the post has the same field angles"),
-}
 
 
 def read_outside(name, definition) -> bool:
@@ -113,7 +106,6 @@ def read_outside(name, definition) -> bool:
 
 def test_sources_found():
     assert len(SOURCES) > 5 and PUBLIC and MEMBERS and OPTIONS
-    assert set(UNSET_OPTIONS) <= {(d, p) for d, p, _ in OPTIONS}
 
 
 @pytest.mark.parametrize("name", PUBLIC)
@@ -135,8 +127,5 @@ def test_option_is_set_by_a_caller(definition, param, pos):
         callee == definition[-1] and owner[:len(definition)] != definition
         and ((pos is not None and pos < positions) or param in keywords)
         for callee, positions, keywords, owner in CALLS)
-    if (definition, param) in UNSET_OPTIONS:
-        assert not passed, f"{param} now has a caller; drop it from UNSET_OPTIONS"
-        return
     assert passed, (
         f"no library or demo call of shieldlab.{'.'.join(definition)} sets {param}")

@@ -1,8 +1,8 @@
 """CLI runs in separate processes: BLAS thread counts move values only in the
 last bits, and a rerun at the same thread count repeats byte for byte.
 
-``quench_chain12`` takes the free-fermion path; ``quench_chain12_y``, the same
-chain with a y field on site 2, takes the blocked path."""
+``quench_chain12`` takes the free-fermion path; ``quench_chain10_y``, a chain
+with y fields, takes the blocked path."""
 
 import csv
 import io
@@ -23,18 +23,8 @@ CONFIGS = {
                        {"magnetization_series", "magnetization_ED", "abs_delta"}),
     "dual_check": ("dual-check", {"hamiltonian_residual", "algebra_residual"}),
     "quench_chain12": ("quench", {"value"}),
-    "quench_chain12_y": ("quench", {"value"}),
+    "quench_chain10_y": ("quench", {"value"}),
 }
-
-
-def config_path(root: Path, name: str) -> Path:
-    if name != "quench_chain12_y":
-        return ROOT / "configs" / f"{name}.json"
-    cfg = json.loads((ROOT / "configs" / "quench_chain12.json").read_text(encoding="utf-8"))
-    cfg["pre"]["g"] = [0.0, 0.3] + [0.0] * 10
-    path = root / f"{name}.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    return path
 
 
 def run_cli(out: Path, config: Path, experiment: str, threads: int) -> tuple[bytes, bytes]:
@@ -55,7 +45,7 @@ def run_cli(out: Path, config: Path, experiment: str, threads: int) -> tuple[byt
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("determinism")
-    return {(name, run): run_cli(root / name / run, config_path(root, name),
+    return {(name, run): run_cli(root / name / run, ROOT / "configs" / f"{name}.json",
                                  CONFIGS[name][0], threads)
             for name in CONFIGS
             for run, threads in (("one", 1), ("two", 2), ("two_again", 2))}
@@ -81,6 +71,6 @@ def test_rerun_in_a_new_process_is_byte_identical(runs):
 
 
 def test_each_quench_path_is_covered(runs):
-    for name, solver in (("quench_chain12", "free-fermion"), ("quench_chain12_y", "blocked")):
+    for name, solver in (("quench_chain12", "free-fermion"), ("quench_chain10_y", "blocked")):
         for run in ("one", "two"):
             assert json.loads(runs[name, run][1])["solver"] == solver

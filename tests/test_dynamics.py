@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shieldlab import (
-    DensityMatrix,
     PauliString,
     QuenchProtocol,
     ShieldlabError,
@@ -18,7 +17,7 @@ from shieldlab import (
     validate_split,
 )
 
-from helpers import kron_word, random_mixed_state, random_product_state, random_pure_state
+from helpers import kron_word
 from test_thermal import dense_ground, dense_spectrum, oracle_lattices, zero_field_lattices
 
 
@@ -42,18 +41,35 @@ def x_side_posts(lat, split, rng):
     return lat, alone, redrawn
 
 
-def deviations(posts, rho0, observables, times):
-    """Largest row differences of run_quench from ``rho0`` between the first
-    post lattice and each of the others."""
+def tilted(lat, rng):
+    """``lat`` with y fields drawn from [0.3, 1] on every site, the interface
+    included: a pre whose ground mixture conserves no Z and whose field
+    angles differ from those of every post of :func:`x_side_posts`, so that
+    its rows move on B and on S."""
+    return update_parameters(lat, g=rng.uniform(0.3, 1, lat.n_sites))
+
+
+def freed(lat, sites):
+    """``lat`` with ``sites`` free: h = g = 0 there and zero couplings on
+    their edges, so that its ground space holds every Z pattern of them."""
+    h, g = list(lat.h), list(lat.g)
+    for i in sites:
+        h[i] = g[i] = 0.0
+    return update_parameters(lat, h=h, g=g, J_by_edge={
+        (i, j): 0.0 for i, j, _ in lat.edges if {i, j} & set(sites)})
+
+
+def deviations(pre, posts, observables, times):
+    """Largest row differences of run_quench from the ground mixture of
+    ``pre`` between the first post lattice and each of the others."""
     full, *others = (
-        run_quench(QuenchProtocol(posts[0], post, tuple(times), tuple(observables)),
-                   rho0=rho0).rows
+        run_quench(QuenchProtocol(pre, post, tuple(times), tuple(observables))).rows
         for post in posts)
     assert all([r[:2] for r in full] == [r[:2] for r in other] for other in others)
     return tuple(max(abs(a[2] - b[2]) for a, b in zip(full, other)) for other in others)
 
 
-def identity_deviations(lat, split, rho0, observables, times, rng):
+def identity_deviations(lat, split, pre, observables, times, rng):
     """:func:`deviations` over :func:`x_side_posts`, for observables on B:
     the full lattice against H_Y alone and against the X side redrawn. H_Y
     alone is checked to have exactly the terms of split_hamiltonian's h_y."""
@@ -61,12 +77,13 @@ def identity_deviations(lat, split, rho0, observables, times, rng):
     posts = x_side_posts(lat, split, rng)
     h_y = split_hamiltonian(build_hamiltonian(lat), split).h_y
     assert build_hamiltonian(posts[1]).terms == h_y.terms
-    return deviations(posts, rho0, observables, times)
+    return deviations(pre, posts, observables, times)
 
 
 class TestShieldedDynamics:
-    """From a caller's state, post lattices that differ only on the X side
-    give the same rows for observables on B."""
+    """From the ground mixture of a pre with y fields on every site, post
+    lattices that differ only on the X side give the same rows for
+    observables on B."""
 
     def chain_parts(self, rng, n=6, L=3):
         h = rng.uniform(0, 1, size=n)
@@ -74,38 +91,49 @@ class TestShieldedDynamics:
         lat = make_chain(n, rng.uniform(-2, 2, size=n - 1), h)
         return lat, validate_split(lat, range(L + 1), range(L, n))
 
-    def test_identity_for_product_state(self):
+    def test_identity_for_a_single_site_word(self):
         rng = np.random.default_rng(13)
         lat, split = self.chain_parts(rng)
-        rho0 = DensityMatrix(random_product_state(rng, 6), tuple(range(6)))
-        devs = identity_deviations(lat, split, rho0, [PauliString.single(6, 5, "Z")],
-                                   [0.0, 0.7, 1.9, 3.1], rng)
+        devs = identity_deviations(lat, split, tilted(lat, rng),
+                                   [PauliString.single(6, 5, "Z")], [0.0, 0.7, 1.9, 3.1], rng)
         assert max(devs) < 1e-10
 
-    def test_identity_for_entangled_state(self):
+    def test_identity_for_a_two_site_word(self):
         rng = np.random.default_rng(17)
         lat, split = self.chain_parts(rng)
-        rho0 = DensityMatrix(random_pure_state(rng, 6), tuple(range(6)))
         obs = PauliString.from_sites(6, {4: "X", 5: "Z"})
-        devs = identity_deviations(lat, split, rho0, [obs], [0.4, 1.3, 2.6], rng)
+        devs = identity_deviations(lat, split, tilted(lat, rng), [obs], [0.4, 1.3, 2.6], rng)
         assert max(devs) < 1e-10
 
     def test_diamond_split_obeys_identity(self):
         rng = np.random.default_rng(19)
         lat = make_diamond(1.0, 1.0)
         split = validate_split(lat, {0, 1, 2}, {1, 2, 3})
-        rho0 = DensityMatrix(random_mixed_state(rng, 4), (0, 1, 2, 3))
-        devs = identity_deviations(lat, split, rho0, [PauliString.single(4, 3, "X")],
-                                   [0.5, 1.5, 3.0], rng)
+        devs = identity_deviations(lat, split, tilted(lat, rng),
+                                   [PauliString.single(4, 3, "X")], [0.5, 1.5, 3.0], rng)
         assert max(devs) < 1e-10
+
+    def test_b_rows_move_while_the_identity_holds(self):
+        # the pre's y fields tilt the start off the posts' field angles on B,
+        # so <Z_b> is far from 0 and moves, and still no post's X side shows
+        rng = np.random.default_rng(31)
+        n = 7
+        lat = make_chain(n, [1.0, -0.8, 1.2, 0.9, -1.1, 0.7], [0.6, 0.8, 0.5, 0.0, 0.7, 0.9, 0.6])
+        split = validate_split(lat, range(4), range(3, n))
+        pre = tilted(lat, rng)
+        obs = [PauliString.single(n, b, "Z") for b in sorted(split.B)]
+        times = np.arange(0.0, 3.0, 0.3)
+        rows = run_quench(QuenchProtocol(pre, lat, tuple(times), tuple(obs))).rows
+        assert max(abs(value) for _, _, value in rows) > 0.1
+        assert max(identity_deviations(lat, split, pre, obs, times, rng)) < 1e-10
 
     def test_interface_observable_feels_the_x_side(self):
         # X on the zero-field site does not commute with the X-side coupling
-        # into it, so the identity holds only on B
+        # into it, so the identity holds only on B; the pre's field on that
+        # site keeps <X_3> off 0, where a start that conserves Z_3 holds it
         rng = np.random.default_rng(23)
         lat, split = self.chain_parts(rng)
-        rho0 = DensityMatrix(random_product_state(rng, 6), tuple(range(6)))
-        devs = deviations(x_side_posts(lat, split, rng), rho0,
+        devs = deviations(tilted(lat, rng), x_side_posts(lat, split, rng),
                           [PauliString.single(6, 3, "X")], [0.0, 0.7, 1.9, 3.1])
         assert min(devs) > 1e-3
 
@@ -119,8 +147,7 @@ class TestShieldedDynamics:
         lat = make_chain(n, [1.0] * (n - 1), h)
         # the split is checked on the zero-field lattice; the posts carry the field
         split = validate_split(update_parameters(lat, h=[h[0], 0.0, *h[2:]]), {0, 1}, {1, 2, 3})
-        rho0 = DensityMatrix(random_product_state(rng, n), tuple(range(n)))
-        devs = deviations(x_side_posts(lat, split, rng), rho0,
+        devs = deviations(tilted(lat, rng), x_side_posts(lat, split, rng),
                           [PauliString.single(n, 3, "Z")], [0.0, 0.9, 2.3, 4.1])
         assert min(devs) > 1e-3
 
@@ -187,12 +214,6 @@ class TestRunQuench:
         assert keys == sorted(keys)
         assert table.columns == ("t", "site", "value")
 
-    def test_initial_state_of_other_size_is_refused(self):
-        pre = make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5])
-        protocol = QuenchProtocol(pre, pre, (0.0, 1.0), (PauliString.single(3, 0, "X"),))
-        with pytest.raises(ShieldlabError, match="^initial state does not match the lattice"):
-            run_quench(protocol, DensityMatrix(np.eye(4) / 4, (0, 1)))
-
     def test_long_time_grid_is_evolved_in_bounded_batches(self, monkeypatch):
         import shieldlab.dynamics as dynamics
         products = []
@@ -210,21 +231,21 @@ class TestRunQuench:
         post = make_chain(6, [1.0, -0.7, 1.3, 0.4, -1.1], [-2.0] + h[1:])
         obs = (PauliString.single(6, 5, "Z"),)
         times = tuple(np.arange(0.0, 20.0, 0.1))
-        mixed = DensityMatrix(random_mixed_state(np.random.default_rng(5), 6), tuple(range(6)))
+        wide = freed(pre, [1, 2, 3, 4])
         # one 32-dim block placed twice in a 64-dim basis: the ground pair is
         # evolved 2000 // (64 * 2) = 15 times per batch, 14 batches for 200
-        # times; a full-rank state exceeds the budget at one time, so one time
-        # per batch; one product per placement and batch
-        for rho0, n_products in ((None, 2 * 14), (mixed, 2 * 200)):
+        # times; the 16 ground columns of four free sites exceed the budget at
+        # one time, so one time per batch; one product per placement and batch
+        for start, n_products in ((pre, 2 * 14), (wide, 2 * 200)):
             products.clear()
-            table = run_quench(QuenchProtocol(pre, post, times, obs), rho0=rho0)
+            table = run_quench(QuenchProtocol(start, post, times, obs))
             evolution = products[2:]  # after one projection per placement
             assert len(evolution) == n_products
             # each ground column lies in one placement, so a product takes the
             # real and imaginary parts of that one column at each time: the
             # batch's budget of complex entries over the two placements
-            assert rho0 is not None or all(2 * z <= budget for _, z in evolution)
-            tail = run_quench(QuenchProtocol(pre, post, times[-3:], obs), rho0=rho0)
+            assert start is wide or all(2 * z <= budget for _, z in evolution)
+            tail = run_quench(QuenchProtocol(start, post, times[-3:], obs))
             assert [r[2] for r in table.rows[-3:]] == pytest.approx(
                 [r[2] for r in tail.rows], abs=1e-12)
 
@@ -337,22 +358,13 @@ class TestRunQuench:
             ref = np.trace(u @ rho0 @ u.conj().T @ kron_word(obs[site])).real
             assert value == pytest.approx(ref, abs=tol)
 
-    def test_caller_supplied_initial_state(self):
-        rng = np.random.default_rng(37)
-        pre = make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5])
-        rho0 = DensityMatrix(random_mixed_state(rng, 3), (0, 1, 2))
-        obs = (PauliString.single(3, 2, "Z"),)
-        table = run_quench(QuenchProtocol(pre, pre, (0.0, 1.0), obs), rho0=rho0)
-        from shieldlab import expectation
-        assert table.rows[0][2] == pytest.approx(
-            expectation(rho0, obs[0]), abs=1e-12)
-
 
 class TestFoldedPhases:
     """The y-field phases folded into each word's coefficients, against the
     dense kron_word evolution: y fields on every field site, words with
     imaginary coefficients and multi-bit flip masks, both placement layouts,
-    from the ground start and from a full-rank state."""
+    from a narrow ground start and from one with live columns in every
+    placement."""
 
     WORDS = ("+ Y0", "+ X1 Y3", "- Y2 X4 Z6", "+ Z5 Z6")
 
@@ -368,7 +380,7 @@ class TestFoldedPhases:
         return pre, validate_lattice(n, edges, h, g)
 
     @pytest.mark.parametrize("zero", [[], [2, 5]])
-    @pytest.mark.parametrize("start", ["ground", "mixed"])
+    @pytest.mark.parametrize("start", ["ground", "wide"])
     def test_rows_match_dense_evolution(self, zero, start):
         from shieldlab import spectrum
         pre, post = self.lattices(zero)
@@ -383,13 +395,13 @@ class TestFoldedPhases:
         obs = tuple(PauliString.from_text(text, n) for text in self.WORDS)
         assert [o.xzk[0] for o in obs] == [64, 40, 20, 0]
         times = (0.0, 0.6, 1.7)
-        if start == "ground":
-            rho0, state = dense_ground(build_hamiltonian(pre))[0], None
-        else:
-            state = DensityMatrix(random_mixed_state(np.random.default_rng(73), n),
-                                  tuple(range(n)))
-            rho0 = state.matrix
-        table = run_quench(QuenchProtocol(pre, post, times, obs), rho0=state)
+        if start == "wide":
+            # sites 2 and 5 free, and 0 too: eight ground columns, every Z
+            # pattern of the post's zero-field sites among them
+            pre = freed(pre, [0, 2, 5])
+        rho0, d, _ = dense_ground(build_hamiltonian(pre))
+        assert d == (8 if start == "wide" else 1 if not zero else 2)
+        table = run_quench(QuenchProtocol(pre, post, times, obs))
         in_order = sorted(obs, key=lambda o: o.support()[0])
         w, v = dense_spectrum(build_hamiltonian(post))
         assert len(table.rows) == len(times) * len(obs)
@@ -435,19 +447,21 @@ class TestFoldedPhases:
 class TestSectorOracle:
     """Evolution through the parity sectors against dense eigh."""
 
-    def test_mixed_state_evolution_matches_dense_eigh(self):
-        # a full-rank caller's state, read by every single-site observable
-        rng = np.random.default_rng(41)
+    def test_wide_start_evolution_matches_dense_eigh(self):
+        # from a pre with every third site free, whose ground columns have
+        # every Z pattern of those sites, read by every single-site observable
         for lat in oracle_lattices(43):
             n = lat.n_sites
+            pre = freed(lat, range(0, n, 3))
             w, v = dense_spectrum(build_hamiltonian(lat))
-            rho0 = DensityMatrix(random_mixed_state(rng, n), tuple(range(n)))
+            rho0, d, tol = dense_ground(build_hamiltonian(pre))
+            assert d % 2 ** len(range(0, n, 3)) == 0
             obs = tuple(PauliString.single(n, i, "XYZ"[i % 3]) for i in range(n))
-            table = run_quench(QuenchProtocol(lat, lat, (0.4, 3.1), obs), rho0=rho0)
+            table = run_quench(QuenchProtocol(pre, lat, (0.4, 3.1), obs))
             for (t, site, value) in table.rows:
                 u = (v * np.exp(-1j * w * t)) @ v.conj().T
-                ref = np.trace(u @ rho0.matrix @ u.conj().T @ kron_word(obs[site])).real
-                assert value == pytest.approx(ref, abs=1e-12)
+                ref = np.trace(u @ rho0 @ u.conj().T @ kron_word(obs[site])).real
+                assert value == pytest.approx(ref, abs=tol)
 
     @staticmethod
     def check_quench(pre, post):

@@ -17,16 +17,12 @@ import pytest
 
 import shieldlab.thermal as thermal
 from shieldlab import (
-    DensityMatrix,
     HamiltonianTerms,
-    PauliString,
-    QuenchProtocol,
     ShieldlabError,
     build_hamiltonian,
     make_chain,
     run_conjecture,
     run_counterexample,
-    run_quench,
     run_quench_experiment,
     run_verify_shielding,
     thermal_state,
@@ -34,7 +30,6 @@ from shieldlab import (
     validate_split,
 )
 
-from helpers import random_product_state
 from test_experiments import chain_config, lattice_json, shipped_config, triangle_config
 
 
@@ -130,22 +125,6 @@ def test_verify_shielding_solves_each_trial_once_plus_the_shielded_side(
     assert len(table.rows) == trials * 3
     assert len(decomposed) == len(set(decomposed)) == trials + 1
     assert eig_calls == [(1, 4, 4)] * (2 * trials + 1)
-
-
-def test_quench_from_a_callers_state_never_solves_the_pre_hamiltonian(
-        solved_terms, decomposed, eig_calls):
-    # the caller's state is split into pure states by one dense eigh; only
-    # the post Hamiltonian's spectrum is solved, one real stack per side of
-    # its zero field on site 3
-    pre, _ = shielded_chain()
-    post = update_parameters(pre, h=[-2.0, *pre.h[1:]])
-    rng = np.random.default_rng(3)
-    rho0 = DensityMatrix(random_product_state(rng, 6), tuple(range(6)))
-    protocol = QuenchProtocol(pre, post, (0.3, 0.9, 1.7, 2.2, 4.0),
-                              (PauliString.single(6, 5, "X"),))
-    assert len(run_quench(protocol, rho0=rho0).rows) == 5
-    assert solved_terms == decomposed == [build_hamiltonian(post).terms]
-    assert eig_calls == [(64, 64), (1, 8, 8), (1, 4, 4)]
 
 
 def test_thermal_states_and_ground_state_share_one_solve(decomposed, eig_calls):

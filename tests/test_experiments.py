@@ -136,19 +136,18 @@ class TestVerifyShielding:
         assert verdict["max_distance"] > 1e-3
         assert verdict["note"] == "shielding violated (expected: precondition broken)"
 
-    def test_endpoint_interface_degenerates_to_exact_zero(self):
-        # X = {interface}: nothing on the X side to randomize, identical states
-        n = 2
-        lat = make_chain(n, [1.3], [0.0, 0.8])
-        cfg = {
-            "lattice": lattice_json(lat),
-            "split": {"X": [0], "Y": [0, 1]},
-            "betas": [1.0],
-            "trials": 3,
-            "seed": 1,
-        }
-        table = run_verify_shielding(cfg)
-        assert table.metadata["verdict"]["max_distance"] < 1e-14
+    def test_x_all_interface_is_refused(self):
+        # X = {interface}: nothing on the X side to redraw, so every trial
+        # compared identical states, and the run passed at max_distance 0
+        lat = make_chain(2, [1.3], [0.0, 0.8])
+        cfg = {"lattice": lattice_json(lat), "split": {"X": [0], "Y": [0, 1]},
+               "betas": [1.0], "trials": 3, "seed": 1}
+        with pytest.raises(ShieldlabError, match="^split: X is all interface, so no trial "
+                                                 "redraws anything") as err:
+            run_verify_shielding(cfg)
+        assert err.value.key == "split"
+        # the control's interface field is the one thing such a split can test
+        assert len(run_verify_shielding({**cfg, "interface_field": 0.3}).rows) == 3
 
     def test_requires_single_site_interface(self):
         lat = make_diamond(1.0, 1.0)
@@ -184,6 +183,23 @@ class TestVerifyShielding:
             run_verify_shielding(chain_config(**extra))
         assert err.value.key == message.split(":")[0]
 
+    @pytest.mark.parametrize("edit, key, message", [
+        (lambda cfg: cfg.update(trials=0), "trials", "must be an integer >= 1, got 0"),
+        (lambda cfg: cfg.pop("lattice"), "lattice", "is missing"),
+        (lambda cfg: cfg.update(trails=2), "trails", "is unknown or does not apply"),
+        (lambda cfg: cfg["lattice"].update(gg=1), "lattice.gg", "is unknown or does not apply"),
+        (lambda cfg: cfg.update(split=[1]), "split", "must be a JSON object, got list"),
+        (lambda cfg: cfg.update(kind="quench"), "kind",
+         "config is for 'quench', not 'verify-shielding'"),
+    ], ids=["value", "missing", "unknown", "nested_unknown", "not_an_object", "kind"])
+    def test_parser_refusal_is_keyed(self, edit, key, message):
+        # the key path is the error's key, and the message no longer repeats it
+        cfg = chain_config()
+        edit(cfg)
+        with pytest.raises(ShieldlabError) as err:
+            run_verify_shielding(cfg)
+        assert (err.value.key, err.value.message) == (key, message)
+
     def test_control_lattice_must_be_zero_on_the_interface(self):
         # the control sets h on S itself; a field already there is refused
         # like any split's, whatever interface_field says
@@ -194,7 +210,7 @@ class TestVerifyShielding:
             run_verify_shielding(cfg)
 
     @pytest.mark.parametrize("extra, key", [
-        ({"trails": 2}, "'trails'"),
+        ({"trails": 2}, "^trails: is unknown or does not apply"),
         ({"trials": 2.7}, "trials"),
         ({"trials": True}, "trials"),
         ({"J_range": [1, 2, 3]}, "J_range"),
@@ -218,13 +234,13 @@ class TestVerifyShielding:
     def test_unknown_nested_key_names_its_path(self, section, key):
         cfg = chain_config()
         cfg[section][key] = 1
-        with pytest.raises(ShieldlabError, match=rf"'{section}\.{key}'"):
+        with pytest.raises(ShieldlabError, match=rf"^{section}\.{key}: is unknown"):
             run_verify_shielding(cfg)
 
     @pytest.mark.parametrize("edit, key", [
-        (lambda cfg: cfg.pop("lattice"), "missing config key 'lattice'"),
-        (lambda cfg: cfg["lattice"].pop("n_sites"), "'lattice.n_sites'"),
-        (lambda cfg: cfg.update(lattice=[1]), "lattice must be a JSON object"),
+        (lambda cfg: cfg.pop("lattice"), "^lattice: is missing"),
+        (lambda cfg: cfg["lattice"].pop("n_sites"), r"^lattice\.n_sites: is missing"),
+        (lambda cfg: cfg.update(lattice=[1]), "^lattice: must be a JSON object, got list"),
         (lambda cfg: cfg["lattice"].update(index_base=2), "lattice.index_base"),
         (lambda cfg: cfg["lattice"]["edges"].append([0, 1]), r"lattice\.edges\[3\]"),
         (lambda cfg: cfg["lattice"]["h"].__setitem__(0, None), r"lattice\.h\[0\]"),
@@ -246,7 +262,7 @@ class TestVerifyShielding:
         ground = run_verify_shielding(chain_config(trials=2, betas=["ground", 1.0]))
         assert [row[1] for row in ground.rows[:2]] == [float("inf"), 1.0]
         with pytest.raises(ShieldlabError,
-                           match=r"^betas\[0\] must be a number >= 0 or \"ground\", got 'inf'"):
+                           match=r"^betas\[0\]: must be a number >= 0 or \"ground\", got 'inf'"):
             run_verify_shielding(chain_config(trials=2, betas=["inf"]))
 
 
@@ -294,16 +310,16 @@ class TestCounterexample:
 
     @pytest.mark.parametrize("extra, key", [
         ({"h1_grid": {"start": 0.0, "stop": 1.0, "step": 0.5, "num": 3}},
-         r"'h1_grid\.num'"),
-        ({"h1_grid": {"start": 0.0, "step": 0.5}}, r"'h1_grid\.stop'"),
+         r"^h1_grid\.num: is unknown"),
+        ({"h1_grid": {"start": 0.0, "step": 0.5}}, r"^h1_grid\.stop: is missing"),
         ({"h1_grid": [0.5, "1"]}, r"h1_grid\[1\]"),
         ({"h4": "1"}, "h4"),
         ({"betas": 1.0}, "betas"),
         ({"series_tol": None}, "series_tol"),
         ({"seed": 1.5}, "seed"),
-        ({"trials": 3}, "'trials'"),
-        ({"betas": [1.0, "ground"]}, r"betas\[1\] must be a finite number"),
-        ({"betas": ["inf"]}, r"betas\[0\] must be a finite number"),
+        ({"trials": 3}, "^trials: is unknown"),
+        ({"betas": [1.0, "ground"]}, r"^betas\[1\]: must be a finite number"),
+        ({"betas": ["inf"]}, r"^betas\[0\]: must be a finite number"),
         ({"h1_grid": {"start": 0, "stop": 1e300, "step": 1e-300}},
          "^h1_grid: spans inf steps: the grid has no finite point count"),
         ({"h1_grid": {"start": -1e308, "stop": 1e308, "step": 1.0}},
@@ -449,7 +465,7 @@ class TestConjecture:
         ({"b_field_range": {"low": 0.0}}, "b_field_range"),
         ({"beta": "warm"}, "beta"),
         ({"beta": -1.0}, "beta"),
-        ({"betas": [1.0]}, "'betas'"),
+        ({"betas": [1.0]}, "^betas: is unknown"),
         ({"lattice": OVER_CAP},
          r"^lattice\.n_sites: dense realization of 13 sites exceeds the cap of 12"),
     ])
@@ -537,15 +553,15 @@ class TestQuenchRunner:
             run_quench_experiment(cfg)
 
     @pytest.mark.parametrize("extra, key", [
-        ({"times": {"start": 0.0, "stop": 2.0, "step": 0.25, "num": 9}}, r"'times\.num'"),
+        ({"times": {"start": 0.0, "stop": 2.0, "step": 0.25, "num": 9}}, r"^times\.num: is unknown"),
         ({"quench_site": 6}, "quench_site"),
         ({"quench_site": -1}, "quench_site"),
         ({"quench_site": 1.0}, "quench_site"),
         ({"quench_h": "strong"}, "quench_h"),
         ({"observables": [5]}, r"observables\[0\]"),
         ({"observables": "y"}, "observables"),
-        ({"split": {"X": [0, 1, 2], "Y": [2, 3, 4, 5], "Z": [2]}}, r"'split\.Z'"),
-        ({"trials": 3}, "'trials'"),
+        ({"split": {"X": [0, 1, 2], "Y": [2, 3, 4, 5], "Z": [2]}}, r"^split\.Z: is unknown"),
+        ({"trials": 3}, "^trials: is unknown"),
         ({"observables": ["+ X5", "+ Q1"]}, r"observables\[1\]: bad Pauli token"),
         ({"observables": ["+ X1 X1"]}, r"observables\[0\]: site 1 assigned twice"),
         ({"observables": ["+ X6"]}, r"observables\[0\]: site 6 outside"),
@@ -606,10 +622,10 @@ class TestQuenchRunner:
     def test_post_lattice_excludes_the_site_patch(self):
         cfg = self.quench_config()
         cfg["post"] = cfg["pre"]
-        with pytest.raises(ShieldlabError, match="'quench_site'"):
+        with pytest.raises(ShieldlabError, match="^quench_site: is unknown or does not apply"):
             run_quench_experiment(cfg)
         del cfg["quench_site"]
-        with pytest.raises(ShieldlabError, match="'quench_h'"):
+        with pytest.raises(ShieldlabError, match="^quench_h: is unknown or does not apply"):
             run_quench_experiment(cfg)
         del cfg["quench_h"]
         with pytest.raises(ShieldlabError, match="^post: leaves the pre lattice unchanged"):
@@ -692,9 +708,9 @@ class TestDualCheckRunner:
         ({"n_sites": 8.0}, "n_sites"),
         ({"J_range": [1, 2, 3]}, "J_range"),
         ({"h_range": [-1.0]}, "h_range"),
-        ({"trails": 0}, "'trails'"),
+        ({"trails": 0}, "^trails: is unknown"),
         ({"chain": lattice_json(make_chain(3, [2.0, 3.0], [0.1, 0.2, 0.3]))},
-         r"^config key 'chain' is unknown or does not apply"),
+         r"^chain: is unknown or does not apply"),
         ({"n_sites": 13}, r"^n_sites: dense realization of 13 sites exceeds the cap of 12"),
     ])
     def test_bad_input_names_the_key(self, extra, key):
@@ -856,9 +872,9 @@ class TestCli:
          "lattice.n_sites: dense realization of 13 sites exceeds the cap of 12"),
         (lambda cfg: cfg["split"]["Y"].pop(), "split: sites [5] belong to neither region"),
         (lambda cfg: cfg["lattice"].update(index_base=2),
-         "lattice.index_base must be 0 or 1, got 2"),
+         "lattice.index_base: must be 0 or 1, got 2"),
         (lambda cfg: cfg["lattice"]["edges"].append([6, 7, 1.0]),
-         "lattice.edges[5] must be a site in 1..6, got 7"),
+         "lattice.edges[5]: must be a site in 1..6, got 7"),
         (lambda cfg: cfg["lattice"]["h"].__setitem__(2, 0.5),
          "split: interface site 2 carries field h=0.5, g=0.0"),
         (lambda cfg: cfg["lattice"]["edges"].append([1, 4, 1.0]),
@@ -937,15 +953,20 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, edit, message", [
-        ("verify-shielding", lambda cfg: cfg.update(trails=2), "'trails'"),
-        ("verify-shielding", lambda cfg: cfg["lattice"].update(gg=1), "'lattice.gg'"),
-        ("verify-shielding", lambda cfg: cfg["split"].update(Z=[1]), "'split.Z'"),
-        ("verify-shielding", lambda cfg: cfg.pop("lattice"),
-         "missing config key 'lattice'"),
+        ("verify-shielding", lambda cfg: cfg.update(trails=2),
+         "error: trails: is unknown or does not apply"),
+        ("verify-shielding", lambda cfg: cfg["lattice"].update(gg=1),
+         "error: lattice.gg: is unknown or does not apply"),
+        ("verify-shielding", lambda cfg: cfg["split"].update(Z=[1]),
+         "error: split.Z: is unknown or does not apply"),
+        ("verify-shielding", lambda cfg: cfg.pop("lattice"), "error: lattice: is missing"),
         ("counterexample", lambda cfg: cfg.update(
-            h1_grid={"start": 0.0, "stop": 1.0, "step": 0.5, "num": 3}), "'h1_grid.num'"),
-        ("quench", lambda cfg: cfg.update(post=cfg["pre"]), "'quench_site'"),
-        ("dual-check", lambda cfg: cfg.update(chain={"n_sites": 3}), "'chain'"),
+            h1_grid={"start": 0.0, "stop": 1.0, "step": 0.5, "num": 3}),
+         "error: h1_grid.num: is unknown or does not apply"),
+        ("quench", lambda cfg: cfg.update(post=cfg["pre"]),
+         "error: quench_site: is unknown or does not apply"),
+        ("dual-check", lambda cfg: cfg.update(chain={"n_sites": 3}),
+         "error: chain: is unknown or does not apply"),
     ])
     def test_unread_key_exits_one_with_its_path(self, tmp_path, experiment, edit,
                                                  message):
@@ -978,7 +999,7 @@ class TestCli:
                                           observables=["+ X0 X2"]),
          "error: observables[0]: touches both bulks"),
         ("counterexample", lambda cfg: cfg.update(betas=["ground"]),
-         "error: betas[0] must be a finite number"),
+         "error: betas[0]: must be a finite number"),
     ])
     def test_error_below_the_reader_exits_one_with_its_path(self, tmp_path, experiment,
                                                             edit, message):

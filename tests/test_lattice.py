@@ -192,11 +192,11 @@ class TestJson:
         assert lat.g == (0.1, 0.2)
 
     def test_bad_index_base(self):
-        with pytest.raises(ShieldlabError, match=r"^lattice\.index_base must be 0 or 1, got 2"):
+        with pytest.raises(ShieldlabError, match=r"^lattice\.index_base: must be 0 or 1, got 2"):
             read_lattice({"n_sites": 2, "index_base": 2, "edges": [], "h": [0, 0]})
 
     @pytest.mark.parametrize("extra, key", [
-        ({"gg": [0.0, 0.0]}, r"'lattice\.gg'"),
+        ({"gg": [0.0, 0.0]}, r"^lattice\.gg: is unknown"),
         ({"n_sites": 2.0}, r"lattice\.n_sites"),
         ({"edges": [[1, 3, 1.0]]}, r"lattice\.edges\[0\]"),
         ({"h": [0.0, "0.5"]}, r"lattice\.h\[1\]"),
@@ -208,7 +208,7 @@ class TestJson:
 
     def test_split_rejects_unknown_keys(self):
         lat, base = read_lattice({"n_sites": 2, "edges": [[1, 2, 1.0]], "h": [0.0, 0.5]})
-        with pytest.raises(ShieldlabError, match=r"'split\.Z'"):
+        with pytest.raises(ShieldlabError, match=r"^split\.Z: is unknown"):
             read_split({"X": [1], "Y": [1, 2], "Z": []}, lat, base)
 
 

@@ -162,7 +162,7 @@ def eigenvector_columns(dec):
     """Every full-basis eigenvector column of ``dec``, in the order of
     ``dec.eigenvalues``."""
     order = np.argsort(dec._values(), kind="stable")
-    return dec.columns(lambda w: slice(None))[:, order]
+    return dec.columns(np.ones_like)[:, order]
 
 
 def dense_spectrum(H):
@@ -282,7 +282,7 @@ class TestEig:
             if shared:
                 assert all(np.array_equal(s, dec.dim - 1 - r) for (r,), (s,) in placed)
             for phases in (None, np.exp(2j * np.pi * rng.random(dec.dim))):
-                v = replace(dec, phases=phases).columns(lambda w: slice(None))
+                v = replace(dec, phases=phases).columns(np.ones_like)
                 assert v.shape == (dec.dim,) * 2
                 assert np.abs(v.conj().T @ v - np.eye(dec.dim)).max() < 1e-12
 
@@ -352,9 +352,9 @@ class TestGroundState:
 
 
 class TestGroundColumns:
-    """The quench's default initial state: ground-space columns read from
-    the spectrum, solved per component of the field sites, against the
-    dense oracle."""
+    """The quench's initial state: ground-space columns read from the
+    spectrum, solved per component of the field sites and scaled by the
+    square roots of their weights, against the dense oracle."""
 
     def test_columns_span_the_dense_ground_space(self, monkeypatch):
         shapes = []
@@ -366,7 +366,8 @@ class TestGroundColumns:
             m = sum(h == g == 0.0 for h, g in zip(lat.h, lat.g))
             H = build_hamiltonian(lat)
             shapes.clear()
-            got = thermal._ground_columns(H)
+            dec = spectrum(H)
+            got = dec.columns(thermal._weights(dec, math.inf)[0])
             if composed:
                 # one stack per component, over the 2^(m-1) patterns of the
                 # zero fields (one pattern without a zero field), their
@@ -379,9 +380,9 @@ class TestGroundColumns:
                 assert len(shapes) == 1
             ref, d, _ = dense_ground(H)
             assert got.shape == (2 ** n, d)
-            assert thermal._weights(spectrum(H), math.inf)[1] == d
-            assert np.abs(got.conj().T @ got - np.eye(d)).max() < 1e-12
-            assert np.abs(got @ got.conj().T / d - ref).max() < 1e-12
+            assert thermal._weights(dec, math.inf)[1] == d
+            assert np.abs(got.conj().T @ got - np.eye(d) / d).max() < 1e-12
+            assert np.abs(got @ got.conj().T - ref).max() < 1e-12
             widths.append(d)
         assert widths[8:10] == [6, 4]  # the tied uniform lattices
         # m >= 2 zero fields with y fields, and the all-field two chains
