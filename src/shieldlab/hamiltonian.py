@@ -37,7 +37,7 @@ def _term_shape(p: PauliString) -> str:
 
 @dataclass
 class HamiltonianTerms:
-    """Sum of real-weighted Pauli words restricted to ZZ / X / Y shapes.
+    """Sum of real-weighted Pauli words of ZZ / X / Y shape on n_sites >= 1.
 
     Treat instances as immutable; the dense matrix and the eigendecomposition
     are each computed once on first access and cached (the latter by
@@ -51,6 +51,8 @@ class HamiltonianTerms:
     _spectrum: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.n_sites < 1:
+            raise ShieldlabError(f"must be positive, got {self.n_sites}", key="n_sites")
         self.terms = tuple((float(c), p) for (c, p) in self.terms)
         for c, p in self.terms:
             if p.n_sites != self.n_sites:
@@ -154,19 +156,14 @@ def split_hamiltonian(H: HamiltonianTerms, split: RegionSplit) -> SplitHamiltoni
     for c, p in H.terms:
         sup = set(p.support())
         if sup <= split.S:
-            y_terms.append((c, p))
+            # a field on S belongs to neither bulk: H_X takes it (see docstring)
+            (x_terms if len(sup) == 1 else y_terms).append((c, p))
         elif sup <= split.X:
             x_terms.append((c, p))
         elif sup <= split.Y:
             y_terms.append((c, p))
         else:
             raise ShieldlabError(f"term {p.to_text()!r} is not contained in either region")
-    # fields on S belong to neither bulk; route them to H_X (see docstring)
-    moved = [t for t in y_terms
-             if len(t[1].support()) == 1 and t[1].support()[0] in split.S]
-    if moved:
-        y_terms = [t for t in y_terms if t not in moved]
-        x_terms.extend(moved)
 
     y_sites = tuple(sorted(split.Y))
     relabel = {site: k for k, site in enumerate(y_sites)}

@@ -33,11 +33,11 @@ class LatticeSpec:
 class RegionSplit:
     """Cover of the sites by two sets X, Y with interface S = X ∩ Y.
 
-    :func:`validate_split` returns only splits with no edge between X\\S and
-    Y\\S and exactly zero transverse fields on every interface site of the
-    lattice it checked. A split holds no fields: the verify-shielding control
-    validates its split on its lattice, which is zero on S, and only then
-    sets a field on S.
+    :func:`validate_split` returns only splits with X and Y non-empty, no
+    edge between X\\S and Y\\S and exactly zero transverse fields on every
+    interface site of the lattice it checked. A split holds no fields: the
+    verify-shielding control validates its split on its lattice, which is
+    zero on S, and only then sets a field on S.
     """
 
     n_sites: int
@@ -97,13 +97,16 @@ def validate_lattice(n_sites: int, edges, h, g=None) -> LatticeSpec:
 def validate_split(lat: LatticeSpec, X, Y) -> RegionSplit:
     """Check a candidate (X, Y) cover against ``lat`` and derive S = X ∩ Y.
 
-    Symmetric in X and Y. A site out of range is refused keyed by the set
-    that holds it (``X`` or ``Y``); so are a site in neither set, an edge
-    between the two bulks and a nonzero field (h or g) on an interface site.
+    Symmetric in X and Y. An empty set is refused keyed by its name (``X``
+    or ``Y``), and a site out of range keyed by the set that holds it; so
+    are a site in neither set, an edge between the two bulks and a nonzero
+    field (h or g) on an interface site.
     """
     X = frozenset(int(i) for i in X)
     Y = frozenset(int(i) for i in Y)
     for key, sites in (("X", X), ("Y", Y)):
+        if not sites:
+            raise ShieldlabError("holds no site", key=key)
         for i in sorted(sites):
             if not 0 <= i < lat.n_sites:
                 raise ShieldlabError(f"site {i} outside 0..{lat.n_sites - 1}", key=key)

@@ -21,23 +21,23 @@ The spectrum is held in blocks, read by :func:`spectrum` (through
 Hamiltonian is formed on the way (its ``to_dense`` stays the tests' oracle
 for these blocks). A per-site rotation about z turns each site's field terms
 onto x, a X_i + b Y_i = r D_i X_i D_i† with D_i = diag(1, e^{iφ}), and
-leaves every ZZ term alone. The rotated H′ is real and commutes with the
-global spin flip P = ∏X_i, which maps basis row r to R̄ = 2^n - 1 - r, and
-with Z_l on every site l that has no field. m ≥ 1 such sites give 2^(m-1)
-real blocks of dimension 2^(n-m), each standing for both sectors of P,
-pivoted on one of them. With those Z's fixed, the field sites fall into
-components, joined by ZZ terms, that do not interact: each is solved for
-all patterns in one stacked call, and a block is the Kronecker product of
-their eigenvectors. With no zero field, one component is solved in its two
-half-size P sectors, and several as one whole-basis block. One rule places
-every block in the full basis: a placement turns a block column v into
-Σ_k c_k·(v on R_k). A shared block is placed twice, plainly on R and on R̄;
-a sector of P once, on R and R̄ with coefficients (1, ±1)/√2. Gibbs states
-and ground mixtures are assembled from block-size products per placement
-and rotated back by the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. Quench states
-are evolved inside the placements and stay in the frame of H′, where lifts
-and projections work; the quench folds d into its observables instead.
-None of them lifts the blocks into a full 2^n eigenvector matrix.
+leaves every ZZ term alone. The rotated H′ is real and commutes with Z_l on
+every site l that has no field, and with the spin flip ∏X_i over all sites
+or over any component of the graph of ZZ terms. Every block is at most half
+the basis. With m ≥ 1 zero-field sites, the first one's Z splits H′ into
+2^(m-1) real blocks of dimension 2^(n-m), each placed plainly on its rows R
+and on their flip R̄ = 2^n - 1 - R. With none, the spin flip of site 0's
+component splits it into two sectors, each placed on R and on R̄, R with that
+component's bits flipped, with coefficients (1, ±1)/√2. Once the Z's are
+fixed, the field sites fall into components that do not interact: each is
+solved for all patterns in one stacked call, and a block is the Kronecker
+product of their eigenvectors. A placement turns a block column v into
+Σ_k c_k·(v on R_k). Gibbs states and ground mixtures are assembled from
+block-size products per placement and rotated back by the diagonal phases
+d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. Quench states are evolved inside the placements and
+stay in the frame of H′, where lifts and projections work; the quench folds
+d into its observables instead. None of them lifts the blocks into a full
+2^n eigenvector matrix.
 
 Verdict thresholds used throughout the experiment runners:
 
@@ -218,12 +218,7 @@ def _read_terms(H: HamiltonianTerms):
     r = [math.hypot(xi, yi) if yi != 0.0 else xi for xi, yi in zip(x, y)]
     phases = None
     if any(y):
-        idx = np.arange(1 << n)
-        angle = np.zeros(1 << n)
-        for i in range(n):
-            if y[i] != 0.0:
-                angle += math.atan2(y[i], x[i]) * ((idx >> (n - 1 - i)) & 1)
-        phases = np.exp(1j * angle)
+        phases = np.exp(1j * _offsets([math.atan2(b, a) if b else 0.0 for a, b in zip(x, y)]))
     return r, zz, phases
 
 
@@ -248,23 +243,24 @@ def spectrum(H: HamiltonianTerms) -> SpectralDecomposition:
 
 
 def _decompose(H: HamiltonianTerms) -> SpectralDecomposition:
-    """Eigendecomposition of ``H`` in blocks, one per pattern of its
-    conserved Z's, each a product over the parts of the field sites.
+    """Eigendecomposition of ``H`` in blocks of at most half the basis,
+    each a product over the parts of the field sites.
 
     The fields r and phases d are those of :func:`_read_terms`. Sites with
-    r = 0 conserve their Z. The pivot is the first of them; the rows R of a
-    block share the pivot bit 0 and one pattern of the other conserved bits,
-    and run over the bits of the field sites. Their parts, the components
+    r = 0 conserve their Z. The parts, the components of the field sites
     that the diagonal terms join, do not interact: each part's block holds
     on its diagonal the diagonal terms that touch it (the first part also
     those that touch none) and r_i wherever its site i flips, and is solved
     for all patterns in one stacked call; a block is the Kronecker product
-    of the parts' eigenvectors, energies summed. With a pivot each block is
-    placed on R and on R̄. With none and one part, site 0 leaves the part:
-    its field couples R to R̄ as r_0 times the anti-identity J, and the
-    sectors block ± r_0·J are placed on (R, R̄) with (1, ±1)/√2. With none
-    and more parts, or no sites, the block is placed once over the whole
-    basis.
+    of the parts' eigenvectors, energies summed. Its rows R set the pivot's
+    bit to 0. The pivot is either
+
+    * the first zero-field site, R holding one pattern of the other
+      conserved bits; each block is placed on R and on R̄ = 2^n - 1 - R; or
+    * with no zero field, site 0, which leaves its part. Its field couples
+      R to R̄, R with the bits of site 0's component flipped, as r_0 times
+      the anti-identity J on that part, so the part is solved in its sectors
+      ± r_0·J, and each sector's block is placed on (R, R̄) with (1, ±1)/√2.
     """
     n = H.n_sites
     r, zz, phases = _read_terms(H)
@@ -277,9 +273,11 @@ def _decompose(H: HamiltonianTerms) -> SpectralDecomposition:
         if len(ends) > 1:
             label = {i: min(ends) if k in ends else k for i, k in label.items()}
     parts = [[i for i in label if label[i] == k] for k in sorted(set(label.values()))] or [[]]
-    sectors = n > 0 and not conserved and len(parts) == 1
-    if sectors:
-        parts = [parts[0][1:]]  # pivot on site 0
+    if conserved:
+        flip = (1 << n) - 1
+    else:  # pivot on site 0, the first site of the first part
+        flip = sum(bit[i] for i in parts[0])
+        parts[0] = parts[0][1:]
     patterns = _offsets([bit[i] for i in conserved[1:]])
     part_rows = [patterns[:, None] + _offsets([bit[i] for i in part]) for part in parts]
     masks = [sum(bit[i] for i in part) for part in parts]
@@ -288,26 +286,24 @@ def _decompose(H: HamiltonianTerms) -> SpectralDecomposition:
         j = next((j for j, mask in enumerate(masks) if sign & mask), 0)
         diags[j] += c * _signs(part_rows[j], sign)
     stacks = [_flip_stack(diag, [r[i] for i in part]) for part, diag in zip(parts, diags)]
-    if sectors:
+    if not conserved:
         cross = np.diag(np.full(part_rows[0].shape[1], r[0]))[::-1]  # r_0 J
-        stacks = [np.concatenate([stacks[0] + cross, stacks[0] - cross])]
+        stacks[0] = np.concatenate([stacks[0] + cross, stacks[0] - cross])
     (w, v), *others = [np.linalg.eigh(stack) for stack in stacks]
     blocks = []
     for s in range(len(w)):
         ws, vs = w[s], v[s]
+        p = s % len(patterns)  # block s's pattern: both sectors share the one
         for pw, pv in others:
-            ws, vs = np.add.outer(ws, pw[s]).ravel(), np.kron(vs, pv[s])
+            ws, vs = np.add.outer(ws, pw[p]).ravel(), np.kron(vs, pv[p])
         blocks.append((ws, vs))
     rows = patterns[:, None] + _offsets([bit[i] for part in parts for i in part])
-    top = (1 << n) - 1
     if conserved:
         placements = [(b, at[None], (1.0,))
-                      for b, row in enumerate(rows) for at in (row, top - row)]
-    elif sectors:
-        both, c = np.concatenate([rows, top - rows]), math.sqrt(0.5)
-        placements = [(0, both, (c, c)), (1, both, (c, -c))]
+                      for b, row in enumerate(rows) for at in (row, row ^ flip)]
     else:
-        placements = [(0, rows, (1.0,))]
+        both, c = np.concatenate([rows, rows ^ flip]), math.sqrt(0.5)
+        placements = [(0, both, (c, c)), (1, both, (c, -c))]
     return SpectralDecomposition(tuple(blocks), tuple(placements), phases)
 
 

@@ -93,6 +93,12 @@ class TestBuild:
                            match="^term '\\+ Z0 Z1' lives on 2 sites, Hamiltonian on 3"):
             HamiltonianTerms(3, ((1.0, PauliString("ZZ")),))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_no_sites(self, n):
+        with pytest.raises(ShieldlabError, match=f"^n_sites: must be positive, got {n}$") as err:
+            HamiltonianTerms(n, ())
+        assert err.value.key == "n_sites"
+
     @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_coefficient(self, c):
         with pytest.raises(ShieldlabError, match="^non-finite coefficient"):
@@ -114,13 +120,11 @@ class TestSplit:
         assert parts.y_sites == (1, 2)
 
     def test_whole_lattice_as_y(self):
+        # a side with no site is refused, so no shielded Hamiltonian has 0 sites
         lat = make_chain(3, [1.0, 1.0], [0.2, 0.3, 0.4])
-        H = build_hamiltonian(lat)
-        split = validate_split(lat, set(), {0, 1, 2})
-        parts = split_hamiltonian(H, split)
-        assert parts.h_x.terms == ()
-        assert parts.h_y.terms == H.terms
-        assert parts.h_shielded.terms == H.terms
+        with pytest.raises(ShieldlabError, match="^X: holds no site$") as err:
+            validate_split(lat, set(), {0, 1, 2})
+        assert err.value.key == "X"
 
     def test_diamond_split_matches_series_operator_split(self):
         lat = make_diamond(0.8, 1.2)

@@ -130,6 +130,14 @@ class TestValidateSplit:
                 validate_split(lat, x, y)
             assert err.value.key == key
 
+    def test_empty_set(self):
+        # keyed by the set that is empty, in either order
+        lat = make_chain(3, [1, 1], [0.5, 0, 0.5])
+        for x, y, key in ((set(), {0, 1, 2}, "X"), ({0, 1, 2}, [], "Y")):
+            with pytest.raises(ShieldlabError, match=rf"^{key}: holds no site$") as err:
+                validate_split(lat, x, y)
+            assert err.value.key == key
+
     def test_empty_interface_allowed_for_disconnected_halves(self):
         lat = validate_lattice(4, [(0, 1, 1.0), (2, 3, 1.0)], [0.1] * 4)
         split = validate_split(lat, {0, 1}, {2, 3})

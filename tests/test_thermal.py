@@ -148,9 +148,14 @@ def cut_lattices(rng):
     yield validate_lattice(6, [(i, j, -1.0) for i, j in triangle], [0, 0, 0, .5, .5, .5]), True
     stars = [(0, 1), (0, 2), (3, 4), (3, 5)]
     yield validate_lattice(6, [(i, j, 1.0) for i, j in stars], [0, .5, .5, 0, .5, .5]), True
-    # no zero field, but the graph is two chains
+    # no zero field, but the graph falls apart: two chains; site 0 alone;
+    # no edge at all; components that interleave, 0-3-5, 1-2 and 4
     yield validate_lattice(5, [(0, 1, 0.7), (1, 2, -1.2), (3, 4, 0.9)],
                            rng.uniform(0.2, 1, 5), rng.uniform(-1, 1, 5)), True
+    for n, pairs in ((5, [(1, 2), (2, 3), (2, 4)]), (4, []), (6, [(0, 3), (3, 5), (1, 2)])):
+        for y_fields in (False, True):
+            h, g = rng.uniform(0.2, 1, n), rng.uniform(-1, 1, n) * y_fields
+            yield validate_lattice(n, [(i, j, rng.uniform(-2, 2)) for i, j in pairs], h, g), True
     # one component: a zero field at a chain end, in a ring, or none at all
     yield make_chain(7, rng.uniform(-2, 2, 6), [0.0, *rng.uniform(-1, 1, 6)]), False
     ring = [(i, (i + 1) % 6, rng.uniform(-2, 2)) for i in range(6)]
@@ -217,10 +222,13 @@ class TestEig:
             assert np.abs(dec.eigenvalues - dense_spectrum(H)[0]).max() < 1e-12
             assert np.abs(dec.function(lambda w: w) - H.to_dense()).max() < 1e-12
 
-    def test_no_sites_is_one_state_of_energy_zero(self):
-        dec = spectrum(HamiltonianTerms(0, ()))
-        assert dec.dim == 1 and np.array_equal(dec.eigenvalues, [0.0])
-        assert np.array_equal(dec.function(lambda w: w + 1.0), [[1.0]])
+    def test_every_block_is_at_most_half_the_basis(self):
+        """Both placement rules halve the basis, also where a lattice with no
+        zero field falls apart into components."""
+        cut = (lat for lat, _ in cut_lattices(np.random.default_rng(67)))
+        for lat in itertools.chain(oracle_lattices(67), cut):
+            dec = spectrum(build_hamiltonian(lat))
+            assert max(w.size for w, _ in dec.blocks) <= 2 ** (lat.n_sites - 1), lat
 
     def test_y_fields_solve_as_two_real_sectors(self):
         rng = np.random.default_rng(47)
@@ -263,10 +271,12 @@ class TestEig:
         exactly one plain placement or in exactly two spin-flip sector
         placements; the placed columns are unitary with and without phases;
         a block shared by two coinciding sectors is solved once and placed
-        twice, on R and on R̄."""
+        twice, on R and on R̄. Also where a lattice with no zero field falls
+        apart into components."""
         rng = np.random.default_rng(89)
         c = math.sqrt(0.5)
-        for lat in oracle_lattices(89):
+        cut = (lat for lat, _ in cut_lattices(np.random.default_rng(89)))
+        for lat in itertools.chain(oracle_lattices(89), cut):
             dec = spectrum(build_hamiltonian(lat))
             shared = any(h == g == 0.0 for h, g in zip(lat.h, lat.g))
             assert sum(rows.shape[1] for _, rows, _ in dec.placements) == dec.dim
@@ -370,11 +380,13 @@ class TestGroundColumns:
             got = dec.columns(thermal._weights(dec, math.inf)[0])
             if composed:
                 # one stack per component, over the 2^(m-1) patterns of the
-                # zero fields (one pattern without a zero field), their
-                # blocks covering the field sites
+                # zero fields; without a zero field, site 0's component in
+                # its two sectors and every other one once. Their blocks
+                # cover the field sites, site 0 the pivot without a zero field
                 assert len(shapes) >= 2
-                assert {s[0] for s in shapes} == {2 ** (m - 1) if m else 1}
-                assert math.prod(s[1] for s in shapes) == 2 ** (n - m)
+                stacked = [2 ** (m - 1)] * len(shapes) if m else [2] + [1] * (len(shapes) - 1)
+                assert [s[0] for s in shapes] == stacked
+                assert math.prod(s[1] for s in shapes) == 2 ** (n - max(m, 1))
                 covered.add((min(m, 2), any(lat.g)))
             else:
                 assert len(shapes) == 1
@@ -426,8 +438,8 @@ class TestSectorOracle:
 
     def test_reduced_states_match_the_traced_full_state(self):
         """Also where the zero fields cut the field sites into components,
-        and where several components with no zero field are placed once over
-        the whole basis; with no site kept, the trace 1."""
+        and where a lattice with no zero field falls apart into components,
+        split on the spin flip of site 0's; with no site kept, the trace 1."""
         cut = (lat for lat, _ in cut_lattices(np.random.default_rng(73)))
         for lat in itertools.chain(oracle_lattices(73), cut):
             H = build_hamiltonian(lat)
