@@ -36,7 +36,7 @@ from .hamiltonian import build_hamiltonian
 from .lattice import LatticeSpec
 from .pauli import PauliString, check_dense_cap
 from .tables import ResultTable
-from .thermal import _dot, _weights, spectrum
+from .thermal import _weights, spectrum
 
 # full-basis entries of one time batch of evolved states in run_quench
 _BATCH_ENTRIES = 1 << 20
@@ -203,6 +203,15 @@ def run_quench(protocol: QuenchProtocol) -> ResultTable:
     table.rows = [(t, sites[i], float(values[k, i]))
                   for k, t in enumerate(protocol.times) for i in obs_order]
     return table
+
+
+def _dot(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z, as one real product over z's real and imaginary parts when a is real."""
+    if np.iscomplexobj(a) or not np.iscomplexobj(z):
+        return a @ z
+    m = z.shape[1]
+    both = a @ np.concatenate([z.real, z.imag], axis=1)
+    return both[:, :m] + 1j * both[:, m:]
 
 
 def _blocked_values(protocol: QuenchProtocol, obs_order: np.ndarray) -> np.ndarray:

@@ -6,15 +6,15 @@ at every beta, the ground space and the blocked time evolution of
 :mod:`shieldlab.dynamics` all read that one spectrum. Gibbs states shift the
 ground energy out for stability; the ground state is always the uniform
 mixture over the ground eigenspace (the beta → ∞ limit of the Gibbs state,
-which keeps degenerate cases deterministic). Shielding verdicts and the
-conjecture runner read reduced states straight from the spectrum: the
-rows of each placed block, sorted by traced and kept bits, are gathered a
-batch of traced patterns at a time, laid out as kept bits × (traced
-pattern, column), weighted by √f(w) and summed as M M†, so no 2^n×2^n
-state and no full-size copy of a block is formed. The one
-full-state constructor, :func:`thermal_state`, assembles the state at any
-beta >= 0 (beta = inf for the ground mixture) from the same spectrum, and
-:func:`partial_trace` reduces it by exact index-bit bucketing.
+which keeps degenerate cases deterministic). Every state is read by one
+reader, :func:`_reduced_states`: the rows of each placed block, sorted by
+traced and kept bits, are gathered a batch of traced patterns at a time,
+laid out as kept bits × (traced pattern, column), weighted by √f(w) and
+summed as M M† a strip of rows at a time, so no product larger than a
+strip is formed. Shielding verdicts and the conjecture runner keep a few
+sites, so they never form a 2^n×2^n state; :func:`thermal_state` keeps
+every site, at any beta >= 0 (beta = inf for the ground mixture), and
+:func:`partial_trace` reduces a full state by exact index-bit bucketing.
 
 The spectrum is held in blocks, read by :func:`spectrum` (through
 :func:`_decompose`) straight from the Hamiltonian's terms; no 2^n×2^n
@@ -32,12 +32,12 @@ component's bits flipped, with coefficients (1, ±1)/√2. Once the Z's are
 fixed, the field sites fall into components that do not interact: each is
 solved for all patterns in one stacked call, and a block is the Kronecker
 product of their eigenvectors. A placement turns a block column v into
-Σ_k c_k·(v on R_k). Gibbs states and ground mixtures are assembled from
-block-size products per placement and rotated back by the diagonal phases
-d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ. Quench states are evolved inside the placements and
-stay in the frame of H′, where lifts and projections work; the quench folds
-d into its observables instead. None of them lifts the blocks into a full
-2^n eigenvector matrix.
+Σ_k c_k·(v on R_k). States are read in the frame of H′ and rotated back by
+the diagonal phases d: ρ = d ⊙ ρ′ ⊙ d̄ᵀ, a product over sites, so it
+commutes with the partial trace. Quench states are evolved inside the
+placements and stay in the frame of H′, where lifts and projections work;
+the quench folds d into its observables instead. None of them lifts the
+blocks into a full 2^n eigenvector matrix.
 
 Verdict thresholds used throughout the experiment runners:
 
@@ -71,6 +71,9 @@ _GROUND_TOL = 1e-9
 # entries per batch of the loops that walk a block's columns or a full-basis
 # state, so that none of them copies the whole block or state
 _BATCH = 1 << 14
+# a row strip of a product M M† in _reduced_states holds at most this share
+# of its piece's rows, unless the whole product fits _BATCH entries
+_STRIP_SHARE = 16
 
 
 def classify_distance(distance: float) -> str:
@@ -143,28 +146,6 @@ class SpectralDecomposition:
             start += y.shape[1]
         return out if self.phases is None else self.phases[:, None] * out
 
-    def function(self, f) -> np.ndarray:
-        """f(M) = Σ V f(w) V† over the placements, as a full-basis matrix.
-
-        Columns with f(w) exactly 0 are skipped. Block b gives A = v f(w) v†,
-        formed once however often it is placed; a placement adds
-        coefs[j]·coefs[k]·A on rows[j]×rows[k].
-        """
-        parts = []
-        for block in self.blocks:
-            v, fw = _weighted(f, *block)
-            parts.append(_dot(v, (v * fw).T))
-        kinds = parts if self.phases is None else [*parts, self.phases]
-        out = np.zeros((self.dim, self.dim), dtype=np.result_type(*kinds))
-        for b, rows, coefs in self.placements:
-            for r, cr in zip(rows, coefs):
-                for s, cs in zip(rows, coefs):
-                    out[np.ix_(r, s)] += _scaled(cr * cs, parts[b])
-        if self.phases is not None:
-            np.multiply(self.phases[:, None], out, out=out)
-            np.multiply(out, self.phases.conj(), out=out)
-        return out
-
 
 def _weighted(f, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The columns of ``v`` whose weight f(w) is not 0, and those weights;
@@ -177,15 +158,6 @@ def _weighted(f, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _scaled(c: float, a: np.ndarray) -> np.ndarray:
     """c·a, without a copy when c is 1."""
     return a if c == 1.0 else c * a
-
-
-def _dot(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z, as one real product over z's real and imaginary parts when a is real."""
-    if np.iscomplexobj(a) or not np.iscomplexobj(z):
-        return a @ z
-    m = z.shape[1]
-    both = a @ np.concatenate([z.real, z.imag], axis=1)
-    return both[:, :m] + 1j * both[:, m:]
 
 
 def _offsets(bits) -> np.ndarray:
@@ -324,30 +296,16 @@ def _asymmetry(m: np.ndarray) -> float:
                for i in range(0, len(m), step))
 
 
-def _hermitize(m: np.ndarray) -> None:
-    """Set square ``m`` to (m + m†) / 2 in place, a batch of rows and the
-    matching columns at a time; each entry is computed as in the whole-matrix
-    expression."""
-    step = max(1, _BATCH // len(m))
-    for i in range(0, len(m), step):
-        rows, cols = m[i:i + step, i:].copy(), m[i:, i:i + step].copy()
-        m[i:i + step, i:] = (rows + cols.conj().T) / 2.0
-        m[i:, i:i + step] = (cols + rows.conj().T) / 2.0
-
-
 @dataclass
 class DensityMatrix:
     """Hermitian, unit-trace state on a labeled set of sites.
 
     ``site_labels`` are the distinct global site indices the state lives on,
     in the order of the tensor factors (ascending everywhere in this library).
-    ``degeneracy`` is set on ground states to record the dimension of the
-    ground eigenspace.
     """
 
     matrix: np.ndarray
     site_labels: tuple[int, ...]
-    degeneracy: int | None = None
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix)
@@ -403,22 +361,18 @@ def thermal_state(H: HamiltonianTerms, beta: float, site_labels=None) -> Density
     at finite beta, the uniform mixture over the ground eigenspace (its beta → ∞
     limit) at beta = inf.
 
-    Computed spectrally with the weights of :func:`_weights`: the spectrum is
-    shifted by its minimum, so large beta cannot overflow, and ``beta = 0``
-    gives the maximally mixed state. Eigenvalues within 1e-9 of the minimum,
-    measured relative to the spectral span (at least 1), belong to the ground
-    space; its dimension is reported on the result's ``degeneracy`` field,
-    which is None at finite beta. ``site_labels`` (default 0..n-1) are checked first.
+    Read by :func:`_reduced_states` keeping every site, with the weights of
+    :func:`_weights`: the spectrum is shifted by its minimum, so large beta
+    cannot overflow, and ``beta = 0`` gives the maximally mixed state.
+    Eigenvalues within 1e-9 of the minimum, measured relative to the spectral
+    span (at least 1), belong to the ground space. ``site_labels`` (default
+    0..n-1) are checked first.
     """
     if not beta >= 0.0:
         raise ShieldlabError(f"beta must be non-negative, got {beta}")
     labels = _site_labels(range(H.n_sites) if site_labels is None else site_labels,
                           1 << H.n_sites)
-    dec = spectrum(H)
-    f, d = _weights(dec, beta)
-    rho = dec.function(f)
-    _hermitize(rho)
-    return DensityMatrix(rho, labels, degeneracy=d)
+    return DensityMatrix(_reduced_states(H, beta, range(H.n_sites))[0], labels)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -464,6 +418,12 @@ def _bits(index: np.ndarray, sites, n: int) -> np.ndarray:
     return out
 
 
+def _at(a: np.ndarray | None, r: slice, c: slice):
+    """Index of the entries of a piece at kept rows a[r] and columns a[c];
+    plain slices when ``a`` is None, the piece's own order."""
+    return (r, c) if a is None else (a[r, None], a[c])
+
+
 def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.ndarray]:
     """Tr_{not keep} P_s ρ P_s for the thermal state ρ of ``H`` at ``beta``,
     one unnormalized matrix on ``keep`` per Z pattern s of the sites ``by``.
@@ -472,40 +432,52 @@ def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.nd
     (+1 for Z = +1), so the pieces sum to Tr_{not keep} ρ. Each site of
     ``by`` must be a zero-field site, whose Z the blocks conserve.
 
-    No full-basis state and no full-size copy of a block is formed. The
-    rows of a placement (all its row sets together) form a product of kept
-    and traced bit patterns, and every placement of a block with a
+    Besides the pieces, one batch M and one strip of M M† are formed at a
+    time. The rows of a placement (all its row sets together) form a product
+    of kept and traced bit patterns, and every placement of a block with a
     conserved Z lies in one Z pattern. Sorted by (traced bits, kept bits),
     each traced pattern holds the same kept rows in the same order. A batch
     of traced patterns (and, when one pattern is too wide, of columns) is
-    gathered from the block straight into a matrix M whose rows are the
-    kept bits and whose columns are the traced patterns and eigenvector
-    columns. M is scaled in place by the rows' placement coefficients and
-    the columns' √f(w), and M M† is added to its pattern's piece. Columns
-    with f(w) = 0 are dropped first.
-    The phases d = ⊗ D_i of the y-field rotation are a product over sites,
-    so they pass through the trace and are applied to the pieces last.
+    gathered from the block straight into a matrix M whose rows are the kept
+    bits and whose columns are the traced patterns and eigenvector columns;
+    it holds at most _BATCH entries, or as many as its M M†: a whole block
+    only when one traced pattern holds every row of the placement, as when
+    every site is kept. M is scaled in place by the rows' placement
+    coefficients and the columns' √f(w), and M M† is added to its pattern's
+    piece a strip of rows at a time: each strip's diagonal block, and its
+    block left of the diagonal together with that block's transpose above
+    it, so no product larger than a strip is formed and the pieces stay
+    exactly symmetric (the blocks are real). A strip lands on its kept rows
+    in place when they are the piece's own order (every site kept, a
+    placement covering the basis), else through an index of its rows.
+    Columns with f(w) = 0 are dropped first. The phases d = ⊗ D_i of the
+    y-field rotation are a product over sites, so they pass through the
+    trace and are applied to the pieces last, in place.
     """
     dec = spectrum(H)
     n = H.n_sites
     keep, by = _sites(keep, n, "keep"), _sites(by, n, "by")
     traced = [i for i in range(n) if i not in keep]
     f, _ = _weights(dec, beta)
-    kind = np.result_type(*(v for _, v in dec.blocks))
+    kind = float if dec.phases is None else complex
     pieces = [np.zeros((1 << len(keep),) * 2, dtype=kind) for _ in range(1 << len(by))]
+    # per basis row: its Z pattern on by, and its key (traced bits, kept bits)
+    index = np.arange(dec.dim)
+    pattern_of = _bits(index, by, n)
+    key_of = (_bits(index, traced, n) << len(keep)) | _bits(index, keep, n)
     last = None
     for b, rows, coefs in dec.placements:
         if b != last:  # placements of one block share its weighted columns
             v, fw = _weighted(f, *dec.blocks[b])
             root, last = np.sqrt(fw), b
         at = rows.ravel()
-        pattern = _bits(at, by, n)
+        pattern = pattern_of[at]
         if np.any(pattern != pattern[0]):
             raise ShieldlabError(
                 f"by={by} lists a site with a field: its Z is not conserved")
         if not v.shape[1]:
             continue
-        key = (_bits(at, traced, n) << len(keep)) | _bits(at, keep, n)
+        key = key_of[at]
         order = np.argsort(key)
         key = key[order]
         width = int(np.count_nonzero(key >> len(keep) == key[0] >> len(keep)))
@@ -517,7 +489,10 @@ def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.nd
         # a batch holds at most _BATCH entries, or as many as the M M† it adds to
         cols = min(v.shape[1], max(_BATCH // width, width))
         step = max(1, _BATCH // (width * cols))
-        acc = np.zeros((width, width), dtype=kind)
+        piece = pieces[pattern[0]]
+        strip = max(_BATCH // width, len(piece) // _STRIP_SHARE)
+        if width == len(piece):  # the kept rows are the piece's own order
+            a = None
         for j in range(0, v.shape[1], cols):
             vj, rj = v[:, j:j + cols], root[j:j + cols]
             for t in range(0, src.shape[1], step):
@@ -526,12 +501,20 @@ def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.nd
                 if coef is not None:
                     m *= coef[:, t:t + step]
                 m = m.reshape(width, -1)
-                acc += m @ m.conj().T
-        pieces[pattern[0]][np.ix_(a, a)] += acc
+                for i in range(0, width, strip):
+                    s = slice(i, i + strip)
+                    piece[_at(a, s, s)] += m[s] @ m[s].T
+                    if i:  # the block left of the diagonal, and its transpose
+                        low = m[s] @ m[:i].T
+                        piece[_at(a, s, slice(i))] += low
+                        piece[_at(a, slice(i), s)] += low.T.copy()
+                del m  # freed before the next batch is gathered
     if dec.phases is not None:
         # d_K: d on the rows whose traced bits are all 0, where each D_i is 1
         d = dec.phases[_offsets([1 << (n - 1 - i) for i in keep])]
-        pieces = [d[:, None] * p * d.conj() for p in pieces]
+        for p in pieces:
+            p *= d[:, None]
+            p *= d.conj()
     return pieces
 
 

@@ -4,7 +4,7 @@
 stacked ``np.linalg.eigh`` call per component of its field sites. A counting
 wrapper around ``shieldlab.thermal._decompose`` shows how many Hamiltonians a
 computation solves, and one around ``np.linalg.eigh`` the block stacks it
-hands to LAPACK. Counting wrappers around ``SpectralDecomposition.function`` and
+hands to LAPACK. Counting wrappers around ``_reduced_states`` and
 ``DensityMatrix`` show which states a verdict forms, and a
 ``HamiltonianTerms.to_dense`` that raises shows that no solve builds a
 dense Hamiltonian.
@@ -80,22 +80,25 @@ def solved_terms(monkeypatch):
 
 @pytest.fixture
 def state_dims(monkeypatch):
-    """Dimensions of every matrix ``SpectralDecomposition.function`` returns
-    and of every ``DensityMatrix`` built."""
+    """Dimensions of every piece ``_reduced_states`` returns, through the
+    bindings of both ``thermal`` and ``experiments``, and of every
+    ``DensityMatrix`` built."""
+    import shieldlab.experiments as experiments
     dims = []
-    function = thermal.SpectralDecomposition.function
+    reduced_states = thermal._reduced_states
     check = thermal.DensityMatrix.__post_init__
 
-    def counted_function(self, f):
-        out = function(self, f)
-        dims.append(out.shape[0])
-        return out
+    def counted_reduced_states(*args):
+        pieces = reduced_states(*args)
+        dims.extend(len(p) for p in pieces)
+        return pieces
 
     def counted_check(self):
         check(self)
         dims.append(self.dim)
 
-    monkeypatch.setattr(thermal.SpectralDecomposition, "function", counted_function)
+    monkeypatch.setattr(thermal, "_reduced_states", counted_reduced_states)
+    monkeypatch.setattr(experiments, "_reduced_states", counted_reduced_states)
     monkeypatch.setattr(thermal.DensityMatrix, "__post_init__", counted_check)
     return dims
 
@@ -133,7 +136,8 @@ def test_thermal_states_and_ground_state_share_one_solve(decomposed, eig_calls):
     H = build_hamiltonian(lat)
     for beta in (0.1, 1.0, 5.0):
         thermal_state(H, beta)
-    assert thermal_state(H, math.inf).degeneracy == 2
+    thermal_state(H, math.inf)
+    assert thermal._weights(thermal.spectrum(H), math.inf)[1] == 2
     assert decomposed == [H.terms]
     assert eig_calls == [(1, 8, 8), (1, 4, 4)]
 

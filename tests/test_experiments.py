@@ -11,6 +11,7 @@ import pytest
 import shieldlab.experiments as experiments
 from shieldlab import (
     RUNNERS,
+    DensityMatrix,
     DualChain,
     HamiltonianTerms,
     PauliString,
@@ -31,13 +32,13 @@ from shieldlab import (
     run_quench,
     run_quench_experiment,
     run_verify_shielding,
-    thermal_state,
     update_parameters,
     validate_lattice,
 )
 from shieldlab.tables import format_cell
 
 from helpers import dense_reference, kron_terms, kron_word, sector_states_reference
+from test_thermal import dense_states
 
 
 OVER_CAP = {"n_sites": 13, "index_base": 0, "edges": [], "h": [0.5] * 13}
@@ -367,15 +368,16 @@ class TestConjecture:
 
     @staticmethod
     def dense_rows(cfg, hamiltonians):
-        """The rows of a conjecture run from the full-lattice state of each
-        trial's H: expectations on A of the state and, at beta = inf, of each
-        sector_states_reference piece on the interface."""
+        """The rows of a conjecture run from the dense full-lattice state of
+        each trial's H: expectations on A of the state and, at beta = inf, of
+        each sector_states_reference piece on the interface."""
         base = cfg["lattice"].get("index_base", 0)
         X, Y = ({i - base for i in cfg["split"][key]} for key in "XY")
         beta = math.inf if isinstance(cfg["beta"], str) else cfg["beta"]
         rows = []
         for k, H in enumerate(hamiltonians):
-            rho = thermal_state(H, beta)
+            ((rho, _),) = dense_states(H, [beta])
+            rho = DensityMatrix(rho, range(H.n_sites))
             states = [("mix", rho)]
             if math.isinf(beta):
                 states += [(label, sector) for label, _, sector
