@@ -345,6 +345,21 @@ class TestGibbs:
         rho = thermal_state(build_hamiltonian(lat), 1e6)
         assert np.isfinite(rho.matrix).all()
 
+    def test_refuses_before_solving(self, monkeypatch):
+        """A bad beta or bad site labels are refused before H is solved."""
+        def solve(H):
+            raise AssertionError("H was solved")
+
+        monkeypatch.setattr(thermal, "_decompose", solve)
+        H = build_hamiltonian(make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5]))
+        with pytest.raises(ShieldlabError, match="^beta must be non-negative"):
+            thermal_state(H, -1.0)
+        with pytest.raises(ShieldlabError, match="^dimension 8 does not match 2 sites"):
+            thermal_state(H, 1.0, site_labels=(0, 1))
+        with pytest.raises(ShieldlabError, match="repeat a site"):
+            thermal_state(H, 1.0, site_labels=(0, 1, 1))
+        assert H._spectrum is None
+
     @pytest.mark.parametrize("beta", [-0.1, -math.inf, math.nan])
     def test_rejects_bad_beta(self, beta):
         # -inf must not read as the ground mixture, nor nan as any state
@@ -484,6 +499,26 @@ class TestSectorOracle:
                     assert np.abs(got - ref).max() < tol
                     if not keep:
                         assert got.shape == (1, 1) and abs(got[0, 0] - 1.0) < 1e-12
+                    if not any(lat.g):
+                        assert np.array_equal(got, got.T)
+
+    def test_reduced_states_do_not_depend_on_the_batch_sizes(self, monkeypatch):
+        """With _BATCH at the basis size and _STRIP_SHARE past it, the
+        gathers split into many batches of traced patterns and columns, and
+        a full-basis placement adds M M† one row strip at a time, placed in
+        order or scattered: the pieces still match the traced dense state,
+        and without y fields stay exactly symmetric."""
+        cut = (lat for lat, _ in cut_lattices(np.random.default_rng(131)))
+        for lat in itertools.chain(oracle_lattices(131), cut):
+            n = lat.n_sites
+            H = build_hamiltonian(lat)
+            monkeypatch.setattr(thermal, "_BATCH", 1 << n)
+            monkeypatch.setattr(thermal, "_STRIP_SHARE", 2 << n)
+            betas = (0.7, math.inf)
+            for beta, (rho, tol) in zip(betas, dense_states(H, betas)):
+                for keep in self.keeps(lat):
+                    (got,) = thermal._reduced_states(H, beta, keep)
+                    assert np.abs(got - ptrace_reference(rho, n, keep)).max() < tol
                     if not any(lat.g):
                         assert np.array_equal(got, got.T)
 
