@@ -83,14 +83,13 @@ def fourspin_coefficients(beta: float, h1: float, h4: float,
     a4 = 2.0 + h4 * h4
     A = B = C = D = G = H = 0.0
     # beta^(2n)/(2n)! · (a ± 2)^n for a = a1, a4 and sign +, -
-    carried = [1.0, 1.0, 1.0, 1.0]
+    p1 = m1 = p4 = m4 = 1.0
     n = 0
     while True:
         if n > 0:
             step = beta * beta / ((2 * n - 1) * (2 * n))
-            carried = [u * step * x
-                       for u, x in zip(carried, (a1 + 2, a1 - 2, a4 + 2, a4 - 2))]
-        p1, m1, p4, m4 = carried
+            p1, m1 = p1 * step * (a1 + 2), m1 * step * (a1 - 2)
+            p4, m4 = p4 * step * (a4 + 2), m4 * step * (a4 - 2)
         dA, dB = p1 + m1, p1 - m1
         dC, dD = p4 + m4, p4 - m4
         odd = h4 * beta / (2 * n + 1)  # beta^(2n+1)/(2n+1)! over beta^(2n)/(2n)!

@@ -44,7 +44,6 @@ from .thermal import (
     _shielded_states,
     classify_distance,
     expectation,
-    thermal_state,
     trace_distance,
 )
 
@@ -282,8 +281,7 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
             for i in x_bulk:
                 g_new[i] = rng.uniform(*g_range)
         H = build_hamiltonian(update_parameters(lat, h=h_new, g=g_new, J_by_edge=j_new))
-        for beta in betas:
-            report = _compare_shielded(H, rhs[beta], beta)
+        for beta, report in zip(betas, _compare_shielded(H, rhs, betas)):
             if beta not in first_lhs:
                 first_lhs[beta] = report.lhs
             variation = trace_distance(report.lhs, first_lhs[beta])
@@ -334,18 +332,19 @@ def run_counterexample(cfg: dict) -> ResultTable:
     max_delta = 0.0
     spread: dict[str, float] = {}
     plateau_gap: dict[str, float] = {}
-    # one Hamiltonian per h1, so each is solved once for every beta
-    hamiltonians = [build_hamiltonian(make_diamond(h1, h4)) for h1 in h1_grid]
-    for beta in betas:
+    # one Hamiltonian per h1, solved once and read in one pass for every beta
+    dense = [[expectation(DensityMatrix(rho, range(4)), obs)
+              for (rho,) in _reduced_states(build_hamiltonian(make_diamond(h1, h4)),
+                                            betas, range(4))]
+             for h1 in h1_grid]
+    for k, beta in enumerate(betas):
         values = []
-        for h1, H in zip(h1_grid, hamiltonians):
+        for h1, at_h1 in zip(h1_grid, dense):
             series = fourspin_magnetization(beta, h1, h4, tol=tol)
-            rho = thermal_state(H, beta)
-            dense = expectation(rho, obs)
-            delta = abs(series - dense)
+            delta = abs(series - at_h1[k])
             max_delta = max(max_delta, delta)
             values.append(series)
-            table.append(beta, h1, series, dense, delta)
+            table.append(beta, h1, series, at_h1[k], delta)
         spread[repr(beta)] = max(values) - min(values)
         plateau_gap[repr(beta)] = max(abs(v - fourspin_series_plateau(h4)) for v in values)
     verdict = {
@@ -420,7 +419,7 @@ def run_conjecture(cfg: dict) -> ResultTable:
             h[i] = rng.uniform(b_lo, b_hi) + offset
         H = build_hamiltonian(update_parameters(lat, h=h))
         by = sorted(split.S) if math.isinf(beta) else []
-        pieces = _reduced_states(H, beta, a_sites, by)
+        (pieces,) = _reduced_states(H, [beta], a_sites, by)
         states = [("mix", sum(pieces))]
         if by:
             for signs, piece in zip(product((1, -1), repeat=len(by)), pieces):

@@ -11,7 +11,10 @@ reader, :func:`_reduced_states`: the rows of each placed block, sorted by
 traced and kept bits, are gathered a batch of traced patterns at a time,
 laid out as kept bits × (traced pattern, column), weighted by √f(w) and
 summed as M M† a strip of rows at a time, so no product larger than a
-strip is formed. Shielding verdicts and the conjecture runner keep a few
+strip is formed. One pass serves every beta of a call: the row order and
+gather index of each placement are worked out once, the weights once per
+block and beta, and betas whose weights keep the same columns share one
+selection of them. Shielding verdicts and the conjecture runner keep a few
 sites, so they never form a 2^n×2^n state; :func:`thermal_state` keeps
 every site, at any beta >= 0 (beta = inf for the ground mixture), and
 :func:`partial_trace` reduces a full state by exact index-bit bucketing.
@@ -113,7 +116,7 @@ class SpectralDecomposition:
         """Eigenvalues in the order of :meth:`columns`, one copy per placement."""
         return np.concatenate([self.blocks[b][0] for b, _, _ in self.placements])
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending."""
         return np.sort(self._values())
@@ -137,7 +140,7 @@ class SpectralDecomposition:
         """Full-basis eigenvector columns of M with weight f(w) ≠ 0, each
         scaled by √f(w), so that Σ ψψ† over them is f(M): the lifted block
         columns, times d."""
-        picked = [v * np.sqrt(fw) for v, fw in (_weighted(f, *block) for block in self.blocks)]
+        picked = [v * root for [(v, [(_, root)])] in (_weighted([f], *b) for b in self.blocks)]
         placed = [picked[b] for b, _, _ in self.placements]
         out = np.zeros((self.dim, sum(y.shape[1] for y in placed)), dtype=np.result_type(*picked))
         start = 0
@@ -147,12 +150,17 @@ class SpectralDecomposition:
         return out if self.phases is None else self.phases[:, None] * out
 
 
-def _weighted(f, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of ``v`` whose weight f(w) is not 0, and those weights;
-    ``v`` itself, not a copy, when none is 0."""
-    fw = f(w)
-    nonzero = fw != 0
-    return (v, fw) if nonzero.all() else (v[:, nonzero], fw[nonzero])
+def _weighted(fs, w: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, list]]:
+    """The columns of ``v`` that each weight function f of ``fs`` keeps, those
+    with f(w) ≠ 0, grouped by the columns kept: one (columns, [(k, √f(w)),
+    ...]) pair per group, k indexing ``fs``; ``v`` itself, not a copy, where
+    no weight is 0."""
+    groups: dict[bytes, tuple[np.ndarray, list]] = {}
+    for k, f in enumerate(fs):
+        fw = f(w)
+        nonzero = fw != 0
+        groups.setdefault(nonzero.tobytes(), (nonzero, []))[1].append((k, np.sqrt(fw[nonzero])))
+    return [(v if nonzero.all() else v[:, nonzero], roots) for nonzero, roots in groups.values()]
 
 
 def _scaled(c: float, a: np.ndarray) -> np.ndarray:
@@ -290,10 +298,11 @@ def _site_labels(labels, dim: int) -> tuple[int, ...]:
 
 
 def _asymmetry(m: np.ndarray) -> float:
-    """max |m - m†| over the entries of square ``m``, a batch of rows at a time."""
-    step = max(1, _BATCH // len(m))
-    return max(float(np.abs(m[i:i + step] - m[:, i:i + step].conj().T).max())
-               for i in range(0, len(m), step))
+    """max |m - m†| over the entries of square ``m``, comparing each square
+    tile of its lower triangle, of at most _BATCH entries, with its mirror."""
+    t = math.isqrt(_BATCH)
+    return max(float(np.abs(m[i:i + t, j:j + t] - m[j:j + t, i:i + t].conj().T).max())
+               for i in range(0, len(m), t) for j in range(0, i + 1, t))
 
 
 @dataclass
@@ -372,7 +381,8 @@ def thermal_state(H: HamiltonianTerms, beta: float, site_labels=None) -> Density
         raise ShieldlabError(f"beta must be non-negative, got {beta}")
     labels = _site_labels(range(H.n_sites) if site_labels is None else site_labels,
                           1 << H.n_sites)
-    return DensityMatrix(_reduced_states(H, beta, range(H.n_sites))[0], labels)
+    [[rho]] = _reduced_states(H, [beta], range(H.n_sites))
+    return DensityMatrix(rho, labels)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -424,43 +434,50 @@ def _at(a: np.ndarray | None, r: slice, c: slice):
     return (r, c) if a is None else (a[r, None], a[c])
 
 
-def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.ndarray]:
-    """Tr_{not keep} P_s ρ P_s for the thermal state ρ of ``H`` at ``beta``,
-    one unnormalized matrix on ``keep`` per Z pattern s of the sites ``by``.
+def _reduced_states(H: HamiltonianTerms, betas, keep, by=()) -> list[list[np.ndarray]]:
+    """Tr_{not keep} P_s ρ P_s for the thermal state ρ of ``H`` at each of
+    ``betas``, one list per beta of unnormalized matrices on ``keep``, one
+    per Z pattern s of the sites ``by``.
 
     The patterns run in the order of ``product((1, -1), repeat=len(by))``
     (+1 for Z = +1), so the pieces sum to Tr_{not keep} ρ. Each site of
     ``by`` must be a zero-field site, whose Z the blocks conserve.
 
-    Besides the pieces, one batch M and one strip of M M† are formed at a
-    time. The rows of a placement (all its row sets together) form a product
-    of kept and traced bit patterns, and every placement of a block with a
-    conserved Z lies in one Z pattern. Sorted by (traced bits, kept bits),
-    each traced pattern holds the same kept rows in the same order. A batch
-    of traced patterns (and, when one pattern is too wide, of columns) is
-    gathered from the block straight into a matrix M whose rows are the kept
-    bits and whose columns are the traced patterns and eigenvector columns;
-    it holds at most _BATCH entries, or as many as its M M†: a whole block
-    only when one traced pattern holds every row of the placement, as when
-    every site is kept. M is scaled in place by the rows' placement
-    coefficients and the columns' √f(w), and M M† is added to its pattern's
-    piece a strip of rows at a time: each strip's diagonal block, and its
-    block left of the diagonal together with that block's transpose above
-    it, so no product larger than a strip is formed and the pieces stay
-    exactly symmetric (the blocks are real). A strip lands on its kept rows
-    in place when they are the piece's own order (every site kept, a
-    placement covering the basis), else through an index of its rows.
-    Columns with f(w) = 0 are dropped first. The phases d = ⊗ D_i of the
-    y-field rotation are a product over sites, so they pass through the
-    trace and are applied to the pieces last, in place.
+    One pass over the placements serves every beta: the row order, gather
+    index and coefficients of a placement are worked out once, the weights
+    f(w) once per block and beta, and betas whose weights keep the same
+    columns (f(w) ≠ 0) share one selection of them. Each beta then reads
+    the placement on its own, so its pieces are those of a call with that
+    beta alone, bit for bit. Besides the pieces, one batch M and one strip
+    of M M† are formed at a time. The rows of a placement (all its row sets
+    together) form a product of kept and traced bit patterns, and every
+    placement of a block with a conserved Z lies in one Z pattern. Sorted by
+    (traced bits, kept bits), each traced pattern holds the same kept rows
+    in the same order. A batch of traced patterns (and, when one pattern is
+    too wide, of columns) is gathered from the block straight into a matrix
+    M whose rows are the kept bits and whose columns are the traced patterns
+    and eigenvector columns; it holds at most _BATCH entries, or as many as
+    its M M†: a whole block only when one traced pattern holds every row of
+    the placement, as when every site is kept. M is scaled in place by the
+    columns' √f(w) and the rows' placement coefficients, and M M† is added
+    to its pattern's piece a strip of rows at a time: each strip's diagonal
+    block, and its block left of the diagonal together with that block's
+    transpose above it, so no product larger than a strip is formed and the
+    pieces stay exactly symmetric (the blocks are real). A strip lands on
+    its kept rows in place when they are the piece's own order (every site
+    kept, a placement covering the basis), else through an index of its
+    rows. The phases d = ⊗ D_i of the y-field rotation are a product over
+    sites, so they pass through the trace and are applied to the pieces
+    last, in place.
     """
     dec = spectrum(H)
     n = H.n_sites
     keep, by = _sites(keep, n, "keep"), _sites(by, n, "by")
     traced = [i for i in range(n) if i not in keep]
-    f, _ = _weights(dec, beta)
+    fs = [_weights(dec, beta)[0] for beta in betas]
     kind = float if dec.phases is None else complex
-    pieces = [np.zeros((1 << len(keep),) * 2, dtype=kind) for _ in range(1 << len(by))]
+    pieces = [[np.zeros((1 << len(keep),) * 2, dtype=kind) for _ in range(1 << len(by))]
+              for _ in fs]
     # per basis row: its Z pattern on by, and its key (traced bits, kept bits)
     index = np.arange(dec.dim)
     pattern_of = _bits(index, by, n)
@@ -468,14 +485,14 @@ def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.nd
     last = None
     for b, rows, coefs in dec.placements:
         if b != last:  # placements of one block share its weighted columns
-            v, fw = _weighted(f, *dec.blocks[b])
-            root, last = np.sqrt(fw), b
+            groups = [(v, roots) for v, roots in _weighted(fs, *dec.blocks[b]) if v.shape[1]]
+            last = b
         at = rows.ravel()
         pattern = pattern_of[at]
         if np.any(pattern != pattern[0]):
             raise ShieldlabError(
                 f"by={by} lists a site with a field: its Z is not conserved")
-        if not v.shape[1]:
+        if not groups:
             continue
         key = key_of[at]
         order = np.argsort(key)
@@ -486,35 +503,38 @@ def _reduced_states(H: HamiltonianTerms, beta: float, keep, by=()) -> list[np.nd
         src = (order % rows.shape[1]).reshape(-1, width).T
         coef = None if set(coefs) == {1.0} else \
             np.asarray(coefs)[order // rows.shape[1]].reshape(-1, width).T[..., None]
-        # a batch holds at most _BATCH entries, or as many as the M M† it adds to
-        cols = min(v.shape[1], max(_BATCH // width, width))
-        step = max(1, _BATCH // (width * cols))
-        piece = pieces[pattern[0]]
-        strip = max(_BATCH // width, len(piece) // _STRIP_SHARE)
-        if width == len(piece):  # the kept rows are the piece's own order
+        strip = max(_BATCH // width, (1 << len(keep)) // _STRIP_SHARE)
+        if width == 1 << len(keep):  # the kept rows are the piece's own order
             a = None
-        for j in range(0, v.shape[1], cols):
-            vj, rj = v[:, j:j + cols], root[j:j + cols]
-            for t in range(0, src.shape[1], step):
-                m = vj[src[:, t:t + step]]
-                m *= rj
-                if coef is not None:
-                    m *= coef[:, t:t + step]
-                m = m.reshape(width, -1)
-                for i in range(0, width, strip):
-                    s = slice(i, i + strip)
-                    piece[_at(a, s, s)] += m[s] @ m[s].T
-                    if i:  # the block left of the diagonal, and its transpose
-                        low = m[s] @ m[:i].T
-                        piece[_at(a, s, slice(i))] += low
-                        piece[_at(a, slice(i), s)] += low.T.copy()
-                del m  # freed before the next batch is gathered
+        for v, roots in groups:
+            # a batch holds at most _BATCH entries, or as many as the M M† it adds to
+            cols = min(v.shape[1], max(_BATCH // width, width))
+            step = max(1, _BATCH // (width * cols))
+            for k, root in roots:
+                piece = pieces[k][pattern[0]]
+                for j in range(0, v.shape[1], cols):
+                    vj, rj = v[:, j:j + cols], root[j:j + cols]
+                    for t in range(0, src.shape[1], step):
+                        m = vj[src[:, t:t + step]]
+                        m *= rj
+                        if coef is not None:
+                            m *= coef[:, t:t + step]
+                        m = m.reshape(width, -1)
+                        for i in range(0, width, strip):
+                            s = slice(i, i + strip)
+                            piece[_at(a, s, s)] += m[s] @ m[s].T
+                            if i:  # the block left of the diagonal, and its transpose
+                                low = m[s] @ m[:i].T
+                                piece[_at(a, s, slice(i))] += low
+                                piece[_at(a, slice(i), s)] += low.T.copy()
+                        del m  # freed before the next batch is gathered
     if dec.phases is not None:
         # d_K: d on the rows whose traced bits are all 0, where each D_i is 1
         d = dec.phases[_offsets([1 << (n - 1 - i) for i in keep])]
-        for p in pieces:
-            p *= d[:, None]
-            p *= d.conj()
+        for per_beta in pieces:
+            for p in per_beta:
+                p *= d[:, None]
+                p *= d.conj()
     return pieces
 
 
@@ -569,16 +589,22 @@ def _shielded_states(H: HamiltonianTerms, split: RegionSplit,
             for beta in betas}
 
 
-def _compare_shielded(H: HamiltonianTerms, rhs: DensityMatrix,
-                      beta: float) -> ShieldingReport:
-    """Report for Tr_X(thermal state of H) against ``rhs`` on its sites."""
-    (reduced,) = _reduced_states(H, beta, rhs.site_labels)
-    lhs = DensityMatrix(reduced, rhs.site_labels)
-    d = trace_distance(lhs, rhs)
-    return ShieldingReport(distance=d, lhs=lhs, verdict=classify_distance(d))
+def _compare_shielded(H: HamiltonianTerms, rhs: dict[float, DensityMatrix],
+                      betas) -> list[ShieldingReport]:
+    """Reports for Tr_X(thermal state of H) against ``rhs[beta]`` on its
+    sites, one per beta of ``betas``, all read in one pass over the spectrum
+    of ``H``."""
+    sites = rhs[betas[0]].site_labels
+    reports = []
+    for beta, (reduced,) in zip(betas, _reduced_states(H, betas, sites)):
+        lhs = DensityMatrix(reduced, sites)
+        d = trace_distance(lhs, rhs[beta])
+        reports.append(ShieldingReport(distance=d, lhs=lhs, verdict=classify_distance(d)))
+    return reports
 
 
 def shielding_report(lat: LatticeSpec, split: RegionSplit, beta: float) -> ShieldingReport:
     """Compare Tr_X(thermal state of H) against the shielded thermal state on Y."""
     H = build_hamiltonian(lat)
-    return _compare_shielded(H, _shielded_states(H, split, [beta])[beta], beta)
+    (report,) = _compare_shielded(H, _shielded_states(H, split, [beta]), [beta])
+    return report

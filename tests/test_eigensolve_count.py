@@ -90,7 +90,7 @@ def state_dims(monkeypatch):
 
     def counted_reduced_states(*args):
         pieces = reduced_states(*args)
-        dims.extend(len(p) for p in pieces)
+        dims.extend(len(p) for per_beta in pieces for p in per_beta)
         return pieces
 
     def counted_check(self):
@@ -101,6 +101,23 @@ def state_dims(monkeypatch):
     monkeypatch.setattr(experiments, "_reduced_states", counted_reduced_states)
     monkeypatch.setattr(thermal.DensityMatrix, "__post_init__", counted_check)
     return dims
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The betas of every ``_reduced_states`` call, one list per call,
+    through the bindings of both ``thermal`` and ``experiments``."""
+    import shieldlab.experiments as experiments
+    betas = []
+    reduced_states = thermal._reduced_states
+
+    def recorded(H, at, *args):
+        betas.append(list(at))
+        return reduced_states(H, at, *args)
+
+    monkeypatch.setattr(thermal, "_reduced_states", recorded)
+    monkeypatch.setattr(experiments, "_reduced_states", recorded)
+    return betas
 
 
 def shielded_chain(n=6, L=3):
@@ -128,6 +145,14 @@ def test_verify_shielding_solves_each_trial_once_plus_the_shielded_side(
     assert len(table.rows) == trials * 3
     assert len(decomposed) == len(set(decomposed)) == trials + 1
     assert eig_calls == [(1, 4, 4)] * (2 * trials + 1)
+
+
+def test_verify_shielding_reads_each_trial_once_for_every_beta(reads):
+    # the shielded side is read through thermal_state, one beta at a time;
+    # each trial's lattice in one pass carrying every beta
+    cfg = chain_config(n=5, L=2, trials=3, betas=[0.5, 2.0, "ground"])
+    assert len(run_verify_shielding(cfg).rows) == 3 * 3
+    assert reads == [[0.5], [2.0], [math.inf]] + [[0.5, 2.0, math.inf]] * 3
 
 
 def test_thermal_states_and_ground_state_share_one_solve(decomposed, eig_calls):
@@ -236,6 +261,12 @@ def test_counterexample_solves_each_diamond_once(decomposed, eig_calls):
     assert len(run_counterexample(cfg).rows) == 2 * 3
     assert len(decomposed) == len(set(decomposed)) == 3
     assert eig_calls == [(4, 2, 2)] + [(2, 2, 2)] * 4
+
+
+def test_counterexample_reads_each_diamond_once_for_every_beta(reads):
+    cfg = {"h4": 1.0, "betas": [1.0, 4.0, 7.0], "h1_grid": [0.0, 0.5, 1.5]}
+    assert len(run_counterexample(cfg).rows) == 3 * 3
+    assert reads == [[1.0, 4.0, 7.0]] * 3
 
 
 @pytest.mark.parametrize("run, cfg", [

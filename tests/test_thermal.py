@@ -494,7 +494,7 @@ class TestSectorOracle:
             betas = (0.0, 0.3, 2.0, 40.0, math.inf)
             for beta, (rho, tol) in zip(betas, dense_states(H, betas)):
                 for keep in self.keeps(lat):
-                    (got,) = thermal._reduced_states(H, beta, keep)
+                    [[got]] = thermal._reduced_states(H, [beta], keep)
                     ref = ptrace_reference(rho, lat.n_sites, keep)
                     assert np.abs(got - ref).max() < tol
                     if not keep:
@@ -517,10 +517,49 @@ class TestSectorOracle:
             betas = (0.7, math.inf)
             for beta, (rho, tol) in zip(betas, dense_states(H, betas)):
                 for keep in self.keeps(lat):
-                    (got,) = thermal._reduced_states(H, beta, keep)
+                    [[got]] = thermal._reduced_states(H, [beta], keep)
                     assert np.abs(got - ptrace_reference(rho, n, keep)).max() < tol
                     if not any(lat.g):
                         assert np.array_equal(got, got.T)
+
+    def test_one_pass_serves_every_beta_bit_for_bit(self, monkeypatch):
+        """One call with several betas returns, per beta, exactly the pieces
+        of a call with that beta alone, while the betas keep different
+        columns: all of them at beta = 0, 0.3 and 1, all but those underflown
+        to 0 at beta = 100, the ground space at inf. Covered with and without
+        y fields and zero fields (no zero field: the placement coefficients),
+        with ``by`` a pair of zero-field sites, and with _BATCH and
+        _STRIP_SHARE as small as in the test above; the pieces still sum to
+        the traced dense state."""
+        big = 100.0  # e^{-big·7.5} underflows; the oracle's error grows with beta
+        betas = (0.0, 0.3, 1.0, big, math.inf)
+        batch, share = thermal._BATCH, thermal._STRIP_SHARE
+        cut = (lat for lat, _ in cut_lattices(np.random.default_rng(137)))
+        underflown = 0
+        for lat in itertools.chain(oracle_lattices(137), cut):
+            n = lat.n_sites
+            H = build_hamiltonian(lat)
+            w = spectrum(H).eigenvalues
+            if w[-1] - w[0] > 8:
+                assert np.any(thermal._weights(spectrum(H), big)[0](w) == 0)
+                underflown += 1
+            zero = [i for i in range(n) if lat.h[i] == lat.g[i] == 0.0]
+            states = dense_states(H, betas)
+            for keep in self.keeps(lat):
+                refs = [(ptrace_reference(rho, n, keep), tol) for rho, tol in states]
+                # (small batch sizes, by): the sizes and the patterns each once
+                for small, by in dict.fromkeys([(False, ()), (False, tuple(zero[:2])),
+                                                (True, ())]):
+                    monkeypatch.setattr(thermal, "_BATCH", 1 << n if small else batch)
+                    monkeypatch.setattr(thermal, "_STRIP_SHARE", 2 << n if small else share)
+                    every = thermal._reduced_states(H, betas, keep, by)
+                    assert len(every) == len(betas)
+                    for beta, pieces, (ref, tol) in zip(betas, every, refs):
+                        (alone,) = thermal._reduced_states(H, [beta], keep, by)
+                        assert len(pieces) == len(alone) == 1 << len(by)
+                        assert all(map(np.array_equal, pieces, alone))
+                        assert np.abs(sum(pieces) - ref).max() < tol
+        assert underflown > 20
 
     def test_pieces_are_the_traced_interface_sectors(self):
         """Piece s is Tr P_s ρ P_s, P_s projecting the sites ``by`` onto Z
@@ -534,9 +573,9 @@ class TestSectorOracle:
             betas = (0.3, math.inf)
             for beta, (rho, tol) in zip(betas, dense_states(H, betas)):
                 for keep in self.keeps(lat):
-                    pieces = thermal._reduced_states(H, beta, keep, by)
+                    (pieces,) = thermal._reduced_states(H, [beta], keep, by)
                     assert len(pieces) == 2 ** len(by)
-                    (whole,) = thermal._reduced_states(H, beta, keep)
+                    [[whole]] = thermal._reduced_states(H, [beta], keep)
                     assert np.abs(sum(pieces) - whole).max() < 1e-12
                     for signs, piece in zip(itertools.product((1, -1), repeat=len(by)), pieces):
                         p = kron_op(n, {i: (I2 + s * SZ) / 2 for i, s in zip(by, signs)})
@@ -546,13 +585,13 @@ class TestSectorOracle:
     def test_pieces_need_conserved_sites(self):
         lat = make_chain(4, [1.0, -0.5, 0.8], [0.6, 0.0, 0.3, 0.4])
         H = build_hamiltonian(lat)
-        assert len(thermal._reduced_states(H, 1.0, [3], by=[1])) == 2
+        assert [len(p) for p in thermal._reduced_states(H, [1.0], [3], by=[1])] == [2]
         for by in ([0], [1, 2]):
             with pytest.raises(ShieldlabError, match="lists a site with a field"):
-                thermal._reduced_states(H, 1.0, [3], by=by)
+                thermal._reduced_states(H, [1.0], [3], by=by)
         for keep, by, what in (([4], [], "keep"), ([0, 0], [], "keep"), ([3], [7], "by")):
             with pytest.raises(ShieldlabError, match=f"^{what}=.* is not a set of sites of 4"):
-                thermal._reduced_states(H, 1.0, keep, by)
+                thermal._reduced_states(H, [1.0], keep, by)
 
     def test_lift_adds_back_what_project_takes(self):
         """Σ_p lift(p, project(p, x)) = x: the placements cover the basis
@@ -578,14 +617,15 @@ class TestReducedStateCost:
         spin-flip sectors (no zero field), each kept on one site, on sites
         4-9 and on every other site. Kept on every site, the state itself is
         formed; the peak past it is one weighted copy of a placement's rows
-        and a strip of M M†, not a second state-size matrix."""
+        and a strip of M M†, not a second state-size matrix, also when
+        several betas are read in one pass."""
         for zero in (1, None):  # warm both placement rules on 4 sites
             h = [0.6, 0.5, 0.3, 0.4]
             if zero is not None:
                 h[zero] = 0.0
             warm = build_hamiltonian(make_chain(4, [1.0, -0.5, 0.8], h))
             for keep in ([0], [1, 2, 3], [0, 2], [0, 1, 2, 3]):
-                thermal._reduced_states(warm, 1.0, keep)
+                thermal._reduced_states(warm, [1.0], keep)
         rng = np.random.default_rng(113)
         for zero, full in ((4, 1.4), (None, 1.7)):
             h = rng.uniform(0.2, 1.0, 10)
@@ -596,7 +636,7 @@ class TestReducedStateCost:
             for keep in ([5], list(range(4, 10)), list(range(0, 10, 2)), list(range(10))):
                 tracemalloc.start()
                 try:
-                    (state,) = thermal._reduced_states(H, 1.0, keep)
+                    [[state]] = thermal._reduced_states(H, [1.0], keep)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -604,6 +644,16 @@ class TestReducedStateCost:
                     assert peak < full * state.nbytes, (zero, peak / state.nbytes)
                 else:
                     assert peak < 0.5 * block, (zero, keep, peak / block)
+            # three betas kept on every site: each beta gathers its own batch,
+            # so the peak grows by the two further states and nothing else
+            tracemalloc.start()
+            try:
+                states = thermal._reduced_states(H, [0.3, 1.0, math.inf], range(10))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(states) == 3
+            assert peak < (full + 2) * state.nbytes, (zero, peak / state.nbytes)
 
     def test_runners_leave_numpy_ma_unimported(self):
         """The shipped verify-shielding and conjecture runs never import
@@ -813,13 +863,19 @@ class TestDensityMatrixInvariants:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ShieldlabError, match="^density matrix is not Hermitian"):
             DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]), (0,))
-        # checked a batch of rows at a time: a flaw in the last row counts
+        # checked a tile at a time: a flaw in the last row counts
         m = np.eye(256) / 256
         m[255, 3] = 1e-11
         with pytest.raises(ShieldlabError, match="^density matrix is not Hermitian"):
             DensityMatrix(m, tuple(range(8)))
         m[3, 255] = 1e-11 + 1e-13
         DensityMatrix(m, tuple(range(8)))
+        # and so does one far from the diagonal, above it or below it
+        for at in ((3, 1000), (1000, 3)):
+            m = np.eye(1024) / 1024
+            m[at] = 1e-11
+            with pytest.raises(ShieldlabError, match="^density matrix is not Hermitian"):
+                DensityMatrix(m, tuple(range(10)))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ShieldlabError, match="^trace is 2.0, expected 1"):
