@@ -281,7 +281,8 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
             for i in x_bulk:
                 g_new[i] = rng.uniform(*g_range)
         H = build_hamiltonian(update_parameters(lat, h=h_new, g=g_new, J_by_edge=j_new))
-        for beta, report in zip(betas, _compare_shielded(H, rhs, betas)):
+        for beta in betas:
+            report = _compare_shielded(H, rhs[beta], beta)
             if beta not in first_lhs:
                 first_lhs[beta] = report.lhs
             variation = trace_distance(report.lhs, first_lhs[beta])

@@ -12,12 +12,12 @@ traced and kept bits, are gathered a batch of traced patterns at a time,
 laid out as kept bits × (traced pattern, column), weighted by √f(w) and
 summed as M M† a strip of rows at a time, so no product larger than a
 strip is formed. One pass serves every beta of a call: the row order and
-gather index of each placement are worked out once, the weights once per
-block and beta, and betas whose weights keep the same columns share one
-selection of them. Shielding verdicts and the conjecture runner keep a few
-sites, so they never form a 2^n×2^n state; :func:`thermal_state` keeps
-every site, at any beta >= 0 (beta = inf for the ground mixture), and
-:func:`partial_trace` reduces a full state by exact index-bit bucketing.
+gather index of each placement are worked out once, and the weights and
+kept columns once per block and beta. Shielding verdicts and the
+conjecture runner keep a few sites, so they never form a 2^n×2^n state;
+:func:`thermal_state` keeps every site, at any beta >= 0 (beta = inf for
+the ground mixture), and :func:`partial_trace` reduces a full state by
+exact index-bit bucketing.
 
 The spectrum is held in blocks, read by :func:`spectrum` (through
 :func:`_decompose`) straight from the Hamiltonian's terms; no 2^n×2^n
@@ -116,7 +116,7 @@ class SpectralDecomposition:
         """Eigenvalues in the order of :meth:`columns`, one copy per placement."""
         return np.concatenate([self.blocks[b][0] for b, _, _ in self.placements])
 
-    @cached_property
+    @property
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending."""
         return np.sort(self._values())
@@ -140,7 +140,7 @@ class SpectralDecomposition:
         """Full-basis eigenvector columns of M with weight f(w) ≠ 0, each
         scaled by √f(w), so that Σ ψψ† over them is f(M): the lifted block
         columns, times d."""
-        picked = [v * root for [(v, [(_, root)])] in (_weighted([f], *b) for b in self.blocks)]
+        picked = [v * np.sqrt(fw) for v, fw in (_weighted(f, *block) for block in self.blocks)]
         placed = [picked[b] for b, _, _ in self.placements]
         out = np.zeros((self.dim, sum(y.shape[1] for y in placed)), dtype=np.result_type(*picked))
         start = 0
@@ -150,17 +150,12 @@ class SpectralDecomposition:
         return out if self.phases is None else self.phases[:, None] * out
 
 
-def _weighted(fs, w: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, list]]:
-    """The columns of ``v`` that each weight function f of ``fs`` keeps, those
-    with f(w) ≠ 0, grouped by the columns kept: one (columns, [(k, √f(w)),
-    ...]) pair per group, k indexing ``fs``; ``v`` itself, not a copy, where
-    no weight is 0."""
-    groups: dict[bytes, tuple[np.ndarray, list]] = {}
-    for k, f in enumerate(fs):
-        fw = f(w)
-        nonzero = fw != 0
-        groups.setdefault(nonzero.tobytes(), (nonzero, []))[1].append((k, np.sqrt(fw[nonzero])))
-    return [(v if nonzero.all() else v[:, nonzero], roots) for nonzero, roots in groups.values()]
+def _weighted(f, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``v`` whose weight f(w) is not 0, and those weights;
+    ``v`` itself, not a copy, when none is 0."""
+    fw = f(w)
+    nonzero = fw != 0
+    return (v, fw) if nonzero.all() else (v[:, nonzero], fw[nonzero])
 
 
 def _scaled(c: float, a: np.ndarray) -> np.ndarray:
@@ -444,16 +439,15 @@ def _reduced_states(H: HamiltonianTerms, betas, keep, by=()) -> list[list[np.nda
     ``by`` must be a zero-field site, whose Z the blocks conserve.
 
     One pass over the placements serves every beta: the row order, gather
-    index and coefficients of a placement are worked out once, the weights
-    f(w) once per block and beta, and betas whose weights keep the same
-    columns (f(w) ≠ 0) share one selection of them. Each beta then reads
-    the placement on its own, so its pieces are those of a call with that
-    beta alone, bit for bit. Besides the pieces, one batch M and one strip
-    of M M† are formed at a time. The rows of a placement (all its row sets
-    together) form a product of kept and traced bit patterns, and every
-    placement of a block with a conserved Z lies in one Z pattern. Sorted by
-    (traced bits, kept bits), each traced pattern holds the same kept rows
-    in the same order. A batch of traced patterns (and, when one pattern is
+    index and coefficients of a placement are worked out once, and the
+    weights f(w) and the columns with f(w) ≠ 0 once per block and beta.
+    Each beta then reads the placement on its own, so its pieces are those
+    of a call with that beta alone, bit for bit. Besides the pieces, one
+    batch M and one strip of M M† are formed at a time. The rows of a
+    placement (all its row sets together) form a product of kept and traced
+    bit patterns, and every placement of a block with a conserved Z lies in
+    one Z pattern. Sorted by (traced bits, kept bits), each traced pattern
+    holds the same kept rows in the same order. A batch of traced patterns (and, when one pattern is
     too wide, of columns) is gathered from the block straight into a matrix
     M whose rows are the kept bits and whose columns are the traced patterns
     and eigenvector columns; it holds at most _BATCH entries, or as many as
@@ -484,15 +478,17 @@ def _reduced_states(H: HamiltonianTerms, betas, keep, by=()) -> list[list[np.nda
     key_of = (_bits(index, traced, n) << len(keep)) | _bits(index, keep, n)
     last = None
     for b, rows, coefs in dec.placements:
-        if b != last:  # placements of one block share its weighted columns
-            groups = [(v, roots) for v, roots in _weighted(fs, *dec.blocks[b]) if v.shape[1]]
+        if b != last:  # placements of one block share each beta's weighted columns
+            weighted = [(per_beta, v, np.sqrt(fw)) for per_beta, (v, fw)
+                        in zip(pieces, (_weighted(f, *dec.blocks[b]) for f in fs))
+                        if v.shape[1]]
             last = b
         at = rows.ravel()
         pattern = pattern_of[at]
         if np.any(pattern != pattern[0]):
             raise ShieldlabError(
                 f"by={by} lists a site with a field: its Z is not conserved")
-        if not groups:
+        if not weighted:
             continue
         key = key_of[at]
         order = np.argsort(key)
@@ -506,28 +502,27 @@ def _reduced_states(H: HamiltonianTerms, betas, keep, by=()) -> list[list[np.nda
         strip = max(_BATCH // width, (1 << len(keep)) // _STRIP_SHARE)
         if width == 1 << len(keep):  # the kept rows are the piece's own order
             a = None
-        for v, roots in groups:
+        for per_beta, v, root in weighted:
+            piece = per_beta[pattern[0]]
             # a batch holds at most _BATCH entries, or as many as the M M† it adds to
             cols = min(v.shape[1], max(_BATCH // width, width))
             step = max(1, _BATCH // (width * cols))
-            for k, root in roots:
-                piece = pieces[k][pattern[0]]
-                for j in range(0, v.shape[1], cols):
-                    vj, rj = v[:, j:j + cols], root[j:j + cols]
-                    for t in range(0, src.shape[1], step):
-                        m = vj[src[:, t:t + step]]
-                        m *= rj
-                        if coef is not None:
-                            m *= coef[:, t:t + step]
-                        m = m.reshape(width, -1)
-                        for i in range(0, width, strip):
-                            s = slice(i, i + strip)
-                            piece[_at(a, s, s)] += m[s] @ m[s].T
-                            if i:  # the block left of the diagonal, and its transpose
-                                low = m[s] @ m[:i].T
-                                piece[_at(a, s, slice(i))] += low
-                                piece[_at(a, slice(i), s)] += low.T.copy()
-                        del m  # freed before the next batch is gathered
+            for j in range(0, v.shape[1], cols):
+                vj, rj = v[:, j:j + cols], root[j:j + cols]
+                for t in range(0, src.shape[1], step):
+                    m = vj[src[:, t:t + step]]
+                    m *= rj
+                    if coef is not None:
+                        m *= coef[:, t:t + step]
+                    m = m.reshape(width, -1)
+                    for i in range(0, width, strip):
+                        s = slice(i, i + strip)
+                        piece[_at(a, s, s)] += m[s] @ m[s].T
+                        if i:  # the block left of the diagonal, and its transpose
+                            low = m[s] @ m[:i].T
+                            piece[_at(a, s, slice(i))] += low
+                            piece[_at(a, slice(i), s)] += low.T.copy()
+                    del m  # freed before the next batch is gathered
     if dec.phases is not None:
         # d_K: d on the rows whose traced bits are all 0, where each D_i is 1
         d = dec.phases[_offsets([1 << (n - 1 - i) for i in keep])]
@@ -589,22 +584,16 @@ def _shielded_states(H: HamiltonianTerms, split: RegionSplit,
             for beta in betas}
 
 
-def _compare_shielded(H: HamiltonianTerms, rhs: dict[float, DensityMatrix],
-                      betas) -> list[ShieldingReport]:
-    """Reports for Tr_X(thermal state of H) against ``rhs[beta]`` on its
-    sites, one per beta of ``betas``, all read in one pass over the spectrum
-    of ``H``."""
-    sites = rhs[betas[0]].site_labels
-    reports = []
-    for beta, (reduced,) in zip(betas, _reduced_states(H, betas, sites)):
-        lhs = DensityMatrix(reduced, sites)
-        d = trace_distance(lhs, rhs[beta])
-        reports.append(ShieldingReport(distance=d, lhs=lhs, verdict=classify_distance(d)))
-    return reports
+def _compare_shielded(H: HamiltonianTerms, rhs: DensityMatrix,
+                      beta: float) -> ShieldingReport:
+    """Report for Tr_X(thermal state of H) against ``rhs`` on its sites."""
+    [[reduced]] = _reduced_states(H, [beta], rhs.site_labels)
+    lhs = DensityMatrix(reduced, rhs.site_labels)
+    d = trace_distance(lhs, rhs)
+    return ShieldingReport(distance=d, lhs=lhs, verdict=classify_distance(d))
 
 
 def shielding_report(lat: LatticeSpec, split: RegionSplit, beta: float) -> ShieldingReport:
     """Compare Tr_X(thermal state of H) against the shielded thermal state on Y."""
     H = build_hamiltonian(lat)
-    (report,) = _compare_shielded(H, _shielded_states(H, split, [beta]), [beta])
-    return report
+    return _compare_shielded(H, _shielded_states(H, split, [beta])[beta], beta)

@@ -147,12 +147,12 @@ def test_verify_shielding_solves_each_trial_once_plus_the_shielded_side(
     assert eig_calls == [(1, 4, 4)] * (2 * trials + 1)
 
 
-def test_verify_shielding_reads_each_trial_once_for_every_beta(reads):
-    # the shielded side is read through thermal_state, one beta at a time;
-    # each trial's lattice in one pass carrying every beta
+def test_verify_shielding_reads_each_trial_once_per_beta(reads):
+    # the shielded side is read through thermal_state, then each trial's
+    # lattice, one beta at a time
     cfg = chain_config(n=5, L=2, trials=3, betas=[0.5, 2.0, "ground"])
     assert len(run_verify_shielding(cfg).rows) == 3 * 3
-    assert reads == [[0.5], [2.0], [math.inf]] + [[0.5, 2.0, math.inf]] * 3
+    assert reads == [[0.5], [2.0], [math.inf]] * (1 + 3)
 
 
 def test_thermal_states_and_ground_state_share_one_solve(decomposed, eig_calls):
