@@ -6,10 +6,15 @@ whose metadata carries the reproducibility fingerprint (config hash, seed,
 library version) and a ``verdict`` dict classifying the outcome against the
 library-wide thresholds.
 
-Randomness is counter-based and platform independent: every draw comes from
-a Philox generator keyed by ``(seed << 64) + point_index``, so trials are
-reproducible individually and in any order. The draw order inside a point is
-documented per runner and never changes.
+Randomness is counter-based and platform independent: every draw of a point
+reads the Philox4x64-10 stream keyed by ``(seed << 64) + point_index``
+(:func:`point_rng`), so trials are reproducible individually and in any
+order. A draw from [lo, hi] is lo + (hi - lo) * u, with u = (w >> 11) * 2**-53
+for the stream's next 64-bit word w. The stream is computed here in pure
+Python, so draws do not depend on numpy's ``Generator``, which carries no
+version compatibility guarantee; on numpy 2.4 they equal its ``Philox``
+draws. The draw order inside a point is documented per runner and never
+changes.
 """
 
 from __future__ import annotations
@@ -53,9 +58,46 @@ DUAL_RESIDUAL_TOL = 1e-12
 QUENCH_SHIELDED_TOL = 1e-9
 
 
-def point_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based generator for one experiment point."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(index)))
+_WORD = (1 << 64) - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments
+
+
+class _Philox:
+    """The Philox4x64-10 stream of a 128-bit key, read one double at a time.
+
+    Each block of four 64-bit words is ten rounds of the counter, which is
+    incremented from 0 before the block; the words are served in order and
+    word w gives the double (w >> 11) * 2**-53 in [0, 1).
+    """
+
+    def __init__(self, key: int):
+        self._key = (key & _WORD, key >> 64)
+        self._counter = 0
+        self._words: list[int] = []
+
+    def _block(self) -> list[int]:
+        self._counter += 1
+        c0, c1, c2, c3 = self._counter, 0, 0, 0  # a point reads far fewer than 2**64 blocks
+        k0, k1 = self._key
+        for _ in range(10):
+            p0, p1 = _PHILOX_M[0] * c0, _PHILOX_M[1] * c2
+            c0, c1, c2, c3 = ((p1 >> 64) ^ c1 ^ k0, p1 & _WORD,
+                              (p0 >> 64) ^ c3 ^ k1, p0 & _WORD)
+            k0, k1 = (k0 + _PHILOX_W[0]) & _WORD, (k1 + _PHILOX_W[1]) & _WORD
+        return [c3, c2, c1, c0]  # served from the end
+
+    def uniform(self, lo: float, hi: float) -> float:
+        """``lo + (hi - lo) * u`` for the stream's next double u."""
+        if not self._words:
+            self._words = self._block()
+        return lo + (hi - lo) * ((self._words.pop() >> 11) * 2.0 ** -53)
+
+
+def point_rng(seed: int, index: int) -> _Philox:
+    """The Philox4x64-10 stream of one experiment point, keyed by
+    ``(seed << 64) + index``; its one method is ``uniform(lo, hi)``."""
+    return _Philox((int(seed) << 64) + int(index))
 
 
 def config_hash(cfg: dict) -> str:
@@ -116,7 +158,8 @@ def _config(cfg, kind: str) -> _Reader:
     written = read("kind", _text, kind)
     if written != kind:
         raise ShieldlabError(f"config is for {written!r}, not {kind!r}", key="kind")
-    read.seed = read("seed", _value(int, "an integer >= 0", lambda v: v >= 0), None)
+    read.seed = read("seed", _value(int, "an integer in 0..2**64 - 1",  # one key word
+                                    lambda v: 0 <= v <= _WORD), None)
     return read
 
 
@@ -156,8 +199,21 @@ _count = _value(int, "an integer >= 1", lambda v: v >= 1)
 _sites = _value(int, "an integer >= 1", lambda v: v >= 1,  # and within the dense cap
                 lambda v, path: v if v <= DENSE_SITE_CAP else _keyed(path, check_dense_cap, v))
 _real = _value((int, float), "a finite number", math.isfinite, lambda v, path: float(v))
-_range = _value((list, tuple), "a [low, high] pair", lambda v: len(v) == 2,
-                lambda v, path: (_real(v[0], f"{path}[0]"), _real(v[1], f"{path}[1]")))
+_pair = _value((list, tuple), "a [low, high] pair", lambda v: len(v) == 2,
+               lambda v, path: (_real(v[0], f"{path}[0]"), _real(v[1], f"{path}[1]")))
+
+
+def _range(value, path) -> tuple[float, float]:
+    """A [low, high] pair whose draws ``low + (high - low) * u`` are finite numbers."""
+    lo, hi = _pair(value, path)
+    if lo > hi:
+        raise ShieldlabError(f"has low {lo!r} above high {hi!r}", key=path)
+    if not math.isfinite(hi - lo):
+        raise ShieldlabError(f"has a width high - low that overflows, from {lo!r} to {hi!r}",
+                             key=path)
+    return lo, hi
+
+
 _beta = _value((int, float, str), 'a number >= 0 or "ground"',
                lambda v: v == "ground" if isinstance(v, str) else v >= 0,
                lambda v, path: math.inf if isinstance(v, str) else float(v))
@@ -587,8 +643,8 @@ def run_dual_check(cfg: dict) -> ResultTable:
     worst_alg = 0.0
     for k in range(trials):
         rng = point_rng(read.seed or 0, k)
-        J = rng.uniform(j_lo, j_hi, size=n - 1)
-        h = rng.uniform(h_lo, h_hi, size=n)
+        J = [rng.uniform(j_lo, j_hi) for _ in range(n - 1)]
+        h = [rng.uniform(h_lo, h_hi) for _ in range(n)]
         if zero_site is not None:
             h[zero_site] = 0.0
         lat = make_chain(n, J, h)

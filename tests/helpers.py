@@ -118,6 +118,12 @@ def classical_chain_gibbs_diag(n, beta, h1):
     return weights / weights.sum()
 
 
+def numpy_point_rng(seed, index):
+    """numpy's Generator on the key of ``point_rng(seed, index)``: the same
+    stream of doubles, with numpy's whole sampling API on top."""
+    return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
+
+
 def random_pure_state(rng, n):
     """Haar-ish random pure state as a density matrix."""
     v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)

@@ -32,7 +32,6 @@ from shieldlab import (
     make_diamond,
     make_triangular_patch,
     partial_trace,
-    point_rng,
     run_conjecture,
     run_quench_experiment,
     run_verify_shielding,
@@ -43,7 +42,7 @@ from shieldlab import (
     validate_split,
 )
 
-from helpers import classical_chain_gibbs_diag
+from helpers import classical_chain_gibbs_diag, numpy_point_rng
 from test_dynamics import identity_deviations
 
 
@@ -67,7 +66,7 @@ class TestCriterion1ChainShielding:
         betas = (0.1, 1.0, 5.0)
         worst = 0.0
         for k in range(200):
-            lat, split = random_chain_instance(point_rng(1001, k))
+            lat, split = random_chain_instance(numpy_point_rng(1001, k))
             beta = betas[k % 3]
             distance = shielding_report(lat, split, beta).distance
             worst = max(worst, distance)
@@ -100,7 +99,7 @@ class TestCriterion2GeneralLattices:
     def test_100_random_lattices(self):
         worst = 0.0
         for k in range(100):
-            rng = point_rng(2002, k)
+            rng = numpy_point_rng(2002, k)
             lat, split = self.random_lattice_instance(rng)
             beta = float(rng.choice([0.1, 1.0, 5.0]))
             distance = shielding_report(lat, split, beta).distance
@@ -113,7 +112,7 @@ class TestCriterion3Duality:
     def test_50_random_chains(self):
         worst_h = worst_alg = 0.0
         for k in range(50):
-            rng = point_rng(3003, k)
+            rng = numpy_point_rng(3003, k)
             n = int(rng.integers(2, 9))
             lat = make_chain(n, rng.uniform(-2, 2, size=n - 1),
                              rng.uniform(-1, 1, size=n))
@@ -246,7 +245,7 @@ class TestCriterion7Dynamics:
         # and the X side redrawn (drawn after the instance)
         worst = [0.0, 0.0]
         for k in range(50):
-            rng = point_rng(7007, k)
+            rng = numpy_point_rng(7007, k)
             n = int(rng.integers(4, 8))
             L = int(rng.integers(1, n - 1))
             h = rng.uniform(0.0, 1.0, size=n)

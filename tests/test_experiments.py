@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -37,7 +38,13 @@ from shieldlab import (
 )
 from shieldlab.tables import format_cell
 
-from helpers import dense_reference, kron_terms, kron_word, sector_states_reference
+from helpers import (
+    dense_reference,
+    kron_terms,
+    kron_word,
+    numpy_point_rng,
+    sector_states_reference,
+)
 from test_thermal import dense_states
 
 
@@ -110,15 +117,60 @@ class TestTables:
 
 
 class TestPointRng:
+    KEYS = [(0, 0), (0, 1), (1, 0), (5, 3), (137, 42), (2 ** 64 - 1, 0),
+            (2 ** 64 - 1, 2 ** 64 - 1)]
+    # 12 draws read three blocks of four words; the bounds change per draw
+    BOUNDS = [(-2.0, 2.0), (0.0, 1.0), (0.5, 0.5), (-1e300, 1e300), (3, 7),
+              (-1.0, -0.25)] * 2
+
+    @staticmethod
+    def draws(seed, index, bounds):
+        rng = point_rng(seed, index)
+        return [rng.uniform(lo, hi) for lo, hi in bounds]
+
     def test_deterministic(self):
-        a = point_rng(5, 3).uniform(size=4)
-        b = point_rng(5, 3).uniform(size=4)
-        assert np.array_equal(a, b)
+        assert self.draws(5, 3, [(0.0, 1.0)] * 4) == self.draws(5, 3, [(0.0, 1.0)] * 4)
 
     def test_streams_independent(self):
-        a = point_rng(5, 3).uniform(size=4)
-        b = point_rng(5, 4).uniform(size=4)
-        assert not np.array_equal(a, b)
+        assert self.draws(5, 3, [(0.0, 1.0)] * 4) != self.draws(5, 4, [(0.0, 1.0)] * 4)
+        assert self.draws(5, 3, [(0.0, 1.0)] * 4) != self.draws(6, 3, [(0.0, 1.0)] * 4)
+
+    @pytest.mark.parametrize("seed, index", KEYS)
+    def test_draws_equal_numpy_philox(self, seed, index):
+        ref = numpy_point_rng(seed, index)
+        expected = [ref.uniform(lo, hi) for lo, hi in self.BOUNDS]
+        drawn = self.draws(seed, index, self.BOUNDS)
+        assert drawn == expected
+        assert all(type(x) is float for x in drawn)
+        # a whole array of numpy draws reads the same words in the same order
+        assert self.draws(seed, index, [(-1.0, 3.0)] * 9) == \
+            list(numpy_point_rng(seed, index).uniform(-1.0, 3.0, size=9))
+
+    @pytest.mark.parametrize("seed, index", KEYS)
+    def test_low_above_high_scales_the_same_double(self, seed, index):
+        # numpy's uniform refuses high < low; the reader draws lo + (hi - lo) * u
+        # with u numpy's next double of the stream
+        ref = numpy_point_rng(seed, index)
+        assert self.draws(seed, index, [(2.5, -1.0)] * 9) == \
+            [2.5 + (-1.0 - 2.5) * ref.random() for _ in range(9)]
+
+    def test_runs_do_not_load_numpy_random(self, tmp_path):
+        runs = {"verify-shielding": chain_config(trials=2),
+                "conjecture": triangle_config("ground", trials=2),
+                "dual-check": {"n_sites": 5, "trials": 2, "seed": 3}}
+        calls = []
+        for name, cfg in runs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            calls.append(f"assert main([{name!r}, '--config', {str(path)!r}, "
+                         f"'--out', {str(tmp_path / name)!r}]) == 0")
+        script = "\n".join(["import sys", "from shieldlab.cli import main", *calls,
+                            "print('numpy.random' in sys.modules)"])
+        src = str(Path(experiments.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestVerifyShielding:
@@ -220,6 +272,10 @@ class TestVerifyShielding:
         ({"betas": ["warm"]}, r"betas\[0\]"),
         ({"betas": [-1.0]}, r"betas\[0\]"),
         ({"seed": -1}, "seed"),
+        ({"seed": 2 ** 64},
+         r"^seed: must be an integer in 0\.\.2\*\*64 - 1, got 18446744073709551616$"),
+        ({"h_range": [1.0, 0.0]}, r"^h_range: has low 1\.0 above high 0\.0$"),
+        ({"J_range": [-1e308, 1e308]}, r"^J_range: has a width high - low that overflows"),
         ({"interface_field": "0.3"}, "interface_field"),
         ({"interface_field": 0.3, "split": {"X": [0, 1, 2], "Y": [1, 2, 3]},
           "lattice": lattice_json(make_chain(4, [1.0] * 3, [0.4, 0.0, 0.0, 0.4]))},
@@ -465,6 +521,9 @@ class TestConjecture:
         ({"offset_range": [0.0]}, "offset_range"),
         ({"a_field_range": [0.0, 1.0, 2.0]}, "a_field_range"),
         ({"b_field_range": {"low": 0.0}}, "b_field_range"),
+        ({"offset_range": [3.0, 0.0]}, r"^offset_range: has low 3\.0 above high 0\.0$"),
+        ({"a_field_range": [-1e308, 1e308]}, r"^a_field_range: has a width high - low"),
+        ({"seed": 2 ** 64}, r"^seed: must be an integer in 0\.\.2\*\*64 - 1"),
         ({"beta": "warm"}, "beta"),
         ({"beta": -1.0}, "beta"),
         ({"betas": [1.0]}, "^betas: is unknown"),
@@ -692,6 +751,11 @@ class TestDualCheckRunner:
         assert verdict["max_hamiltonian_residual"] < 1e-12
         assert verdict["max_algebra_residual"] < 1e-12
 
+    def test_largest_seed_runs(self):
+        table = run_dual_check({"n_sites": 4, "trials": 2, "seed": 2 ** 64 - 1})
+        assert table.metadata["seed"] == 2 ** 64 - 1
+        assert table.metadata["verdict"]["status"] == "pass"
+
     def test_null_field_reports_two_components(self):
         cfg = {"n_sites": 5, "trials": 2, "seed": 2, "zero_field_site": 2}
         table = run_dual_check(cfg)
@@ -710,6 +774,10 @@ class TestDualCheckRunner:
         ({"n_sites": 8.0}, "n_sites"),
         ({"J_range": [1, 2, 3]}, "J_range"),
         ({"h_range": [-1.0]}, "h_range"),
+        ({"J_range": [-1e308, 1e308]},
+         r"^J_range: has a width high - low that overflows, from -1e\+308 to 1e\+308$"),
+        ({"h_range": [1.0, -1.0]}, r"^h_range: has low 1\.0 above high -1\.0$"),
+        ({"seed": 2 ** 64}, r"^seed: must be an integer in 0\.\.2\*\*64 - 1"),
         ({"trails": 0}, "^trails: is unknown"),
         ({"chain": lattice_json(make_chain(3, [2.0, 3.0], [0.1, 0.2, 0.3]))},
          r"^chain: is unknown or does not apply"),
