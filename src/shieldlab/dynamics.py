@@ -103,7 +103,7 @@ def _initial_states(pre: LatticeSpec) -> np.ndarray:
     shares memory with the post spectrum.
     """
     dec = spectrum(build_hamiltonian(pre))
-    return dec.columns(_weights(dec, math.inf)[0])
+    return dec.columns(_weights(dec, math.inf))
 
 
 def _folded(obs: PauliString, phases: np.ndarray | None):

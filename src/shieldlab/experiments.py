@@ -30,7 +30,13 @@ from . import __version__
 from .closedform import fourspin_magnetization, fourspin_series_plateau
 from .dynamics import QuenchProtocol, _observable_site, run_quench
 from .errors import ShieldlabError
-from .hamiltonian import _mask_sums, build_hamiltonian, dual_algebra_residual, dual_chain
+from .hamiltonian import (
+    _mask_sums,
+    build_hamiltonian,
+    dual_algebra_residual,
+    dual_chain,
+    split_hamiltonian,
+)
 from .lattice import (
     LatticeSpec,
     make_chain,
@@ -44,9 +50,8 @@ from .tables import ResultTable
 from .thermal import (
     SHIELDING_FAIL_TOL,
     DensityMatrix,
-    _compare_shielded,
     _reduced_states,
-    _shielded_states,
+    _states,
     classify_distance,
     expectation,
     trace_distance,
@@ -172,12 +177,17 @@ def _keyed(path: str, call, *args, **kwargs):
 
 
 def _value(kinds, what: str, ok=lambda v: True, cast=lambda v, path: v):
-    """Parser of a JSON value of type ``kinds`` (a bool is none) that ``ok`` accepts."""
+    """Parser of a JSON value of type ``kinds`` (a bool is none) that ``ok`` accepts;
+    an integer too large for the float that ``ok`` or ``cast`` makes is refused."""
     def parse(value, path):
-        if isinstance(value, bool) or not isinstance(value, kinds) or not ok(value):
-            raise ShieldlabError(f"must be {what}, got {getattr(value, 'obj', value)!r}",
-                                 key=path)
-        return cast(value, path)
+        try:
+            if isinstance(value, bool) or not isinstance(value, kinds) or not ok(value):
+                raise ShieldlabError(f"must be {what}, got {getattr(value, 'obj', value)!r}",
+                                     key=path)
+            return cast(value, path)
+        except OverflowError:
+            raise ShieldlabError(f"must be {what}, got an integer too large for a float",
+                                 key=path) from None
     return parse
 
 
@@ -226,7 +236,7 @@ def _grid(value, path) -> list[float]:
     if isinstance(value, _Reader):
         start, stop = value("start", _real), value("stop", _real)
         step = value("step", _value((int, float), "a finite number > 0",
-                                    lambda v: 0 < v < math.inf))
+                                    lambda v: 0 < float(v) < math.inf))
         steps = (stop - start) / step
         if not math.isfinite(steps):
             raise ShieldlabError(f"spans {steps} steps: the grid has no finite point count",
@@ -319,11 +329,13 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
     x_edges = [(i, j) for (i, j, _) in lat.edges
                if {i, j} <= split.X and not {i, j} <= split.S]
     x_bulk = sorted(split.A)
-    # trials redraw only the X side, so the shielded states on Y are solved once
-    rhs = _shielded_states(build_hamiltonian(lat), split, betas)
+    # trials redraw only the X side, so the shielded states on Y are read once
+    parts = split_hamiltonian(build_hamiltonian(lat), split)
+    y_sites = parts.y_sites
+    rhs = _states(parts.h_shielded, betas, range(len(y_sites)), y_sites)
 
     table = ResultTable(columns=("trial", "beta", "distance", "rho_variation"))
-    first_lhs: dict[float, object] = {}
+    first_lhs: dict[float, DensityMatrix] = {}  # trial 0's state at each beta
     max_distance = 0.0
     max_variation = 0.0
     for k in range(trials):
@@ -337,14 +349,12 @@ def run_verify_shielding(cfg: dict) -> ResultTable:
             for i in x_bulk:
                 g_new[i] = rng.uniform(*g_range)
         H = build_hamiltonian(update_parameters(lat, h=h_new, g=g_new, J_by_edge=j_new))
-        for beta in betas:
-            report = _compare_shielded(H, rhs[beta], beta)
-            if beta not in first_lhs:
-                first_lhs[beta] = report.lhs
-            variation = trace_distance(report.lhs, first_lhs[beta])
-            max_distance = max(max_distance, report.distance)
+        for beta, lhs, shielded in zip(betas, _states(H, betas, y_sites, y_sites), rhs):
+            distance = trace_distance(lhs, shielded)
+            variation = trace_distance(lhs, first_lhs.setdefault(beta, lhs))
+            max_distance = max(max_distance, distance)
             max_variation = max(max_variation, variation)
-            table.append(k, beta, report.distance, variation)
+            table.append(k, beta, distance, variation)
 
     status = classify_distance(max_distance)
     verdict = {
@@ -390,9 +400,9 @@ def run_counterexample(cfg: dict) -> ResultTable:
     spread: dict[str, float] = {}
     plateau_gap: dict[str, float] = {}
     # one Hamiltonian per h1, solved once and read in one pass for every beta
-    dense = [[expectation(DensityMatrix(rho, range(4)), obs)
-              for (rho,) in _reduced_states(build_hamiltonian(make_diamond(h1, h4)),
-                                            betas, range(4))]
+    dense = [[expectation(rho, obs)
+              for rho in _states(build_hamiltonian(make_diamond(h1, h4)), betas,
+                                 range(4), range(4))]
              for h1 in h1_grid]
     for k, beta in enumerate(betas):
         values = []

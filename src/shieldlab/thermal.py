@@ -13,11 +13,12 @@ laid out as kept bits × (traced pattern, column), weighted by √f(w) and
 summed as M M† a strip of rows at a time, so no product larger than a
 strip is formed. One pass serves every beta of a call: the row order and
 gather index of each placement are worked out once, and the weights and
-kept columns once per block and beta. Shielding verdicts and the
-conjecture runner keep a few sites, so they never form a 2^n×2^n state;
-:func:`thermal_state` keeps every site, at any beta >= 0 (beta = inf for
-the ground mixture), and :func:`partial_trace` reduces a full state by
-exact index-bit bucketing.
+kept columns once per block and beta. Every runner reads each Hamiltonian
+once for all its betas, and :func:`_states` labels the pieces it reads.
+Shielding verdicts and the conjecture runner keep a few sites, so they
+never form a 2^n×2^n state; :func:`thermal_state` keeps every site, at any
+beta >= 0 (beta = inf for the ground mixture), and :func:`partial_trace`
+reduces a full state by exact index-bit bucketing.
 
 The spectrum is held in blocks, read by :func:`spectrum` (through
 :func:`_decompose`) straight from the Hamiltonian's terms; no 2^n×2^n
@@ -282,16 +283,6 @@ def _decompose(H: HamiltonianTerms) -> SpectralDecomposition:
     return SpectralDecomposition(tuple(blocks), tuple(placements), phases)
 
 
-def _site_labels(labels, dim: int) -> tuple[int, ...]:
-    """``labels`` as ints, checked to be distinct and to number log2(dim) sites."""
-    labels = tuple(int(i) for i in labels)
-    if len(set(labels)) != len(labels):
-        raise ShieldlabError(f"site_labels {labels} repeat a site")
-    if dim != 1 << len(labels):
-        raise ShieldlabError(f"dimension {dim} does not match {len(labels)} sites")
-    return labels
-
-
 def _asymmetry(m: np.ndarray) -> float:
     """max |m - m†| over the entries of square ``m``, comparing each square
     tile of its lower triangle, of at most _BATCH entries, with its mirror."""
@@ -315,7 +306,12 @@ class DensityMatrix:
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShieldlabError(f"density matrix must be square, got {m.shape}")
-        self.site_labels = _site_labels(self.site_labels, m.shape[0])
+        labels = tuple(int(i) for i in self.site_labels)
+        if len(set(labels)) != len(labels):
+            raise ShieldlabError(f"site_labels {labels} repeat a site")
+        if m.shape[0] != 1 << len(labels):
+            raise ShieldlabError(f"dimension {m.shape[0]} does not match {len(labels)} sites")
+        self.site_labels = labels
         if not np.isfinite(m).all():
             i, j = np.argwhere(~np.isfinite(m))[0]
             raise ShieldlabError(f"density matrix entry ({i}, {j}) is {m[i, j]}, not finite")
@@ -341,12 +337,12 @@ def _ground_slack(span: float) -> float:
 
 
 def _weights(dec: SpectralDecomposition, beta: float):
-    """Eigenvector weights f of the state at ``beta``, and its ground degeneracy.
+    """Eigenvector weights f of the state at ``beta``.
 
     Finite beta: f(w) = e^{-beta(w - w0)} / Z with w0 the lowest eigenvalue, so
-    large beta cannot overflow, and the degeneracy is None. beta = inf: the
-    uniform mixture f(w) = (w <= cut) / d over the d-dimensional ground space,
-    cut = w0 + :func:`_ground_slack` of the span; the one place it is chosen
+    large beta cannot overflow. beta = inf: the uniform mixture
+    f(w) = (w <= cut) / d over the d-dimensional ground space, cut = w0 +
+    :func:`_ground_slack` of the span; the one place it is chosen
     (the free-fermion quench of :mod:`shieldlab.freefermion` takes the same
     slack of its chain's span, and keeps to this choice).
     """
@@ -354,13 +350,13 @@ def _weights(dec: SpectralDecomposition, beta: float):
     if math.isinf(beta):
         cut = w[0] + _ground_slack(float(w[-1] - w[0]))
         d = int(np.count_nonzero(w <= cut))
-        return (lambda x: (x <= cut) / d), d
+        return lambda x: (x <= cut) / d
     low = w[0]
     z = float(np.exp(-beta * (w - low)).sum())
-    return (lambda x: np.exp(-beta * (x - low)) / z), None
+    return lambda x: np.exp(-beta * (x - low)) / z
 
 
-def thermal_state(H: HamiltonianTerms, beta: float, site_labels=None) -> DensityMatrix:
+def thermal_state(H: HamiltonianTerms, beta: float) -> DensityMatrix:
     """Thermal state of ``H`` at ``beta`` >= 0: the Gibbs state exp(-beta H) / Z
     at finite beta, the uniform mixture over the ground eigenspace (its beta → ∞
     limit) at beta = inf.
@@ -369,15 +365,10 @@ def thermal_state(H: HamiltonianTerms, beta: float, site_labels=None) -> Density
     :func:`_weights`: the spectrum is shifted by its minimum, so large beta
     cannot overflow, and ``beta = 0`` gives the maximally mixed state.
     Eigenvalues within 1e-9 of the minimum, measured relative to the spectral
-    span (at least 1), belong to the ground space. ``site_labels`` (default
-    0..n-1) are checked first.
+    span (at least 1), belong to the ground space. The state's sites are
+    0..n-1.
     """
-    if not beta >= 0.0:
-        raise ShieldlabError(f"beta must be non-negative, got {beta}")
-    labels = _site_labels(range(H.n_sites) if site_labels is None else site_labels,
-                          1 << H.n_sites)
-    [[rho]] = _reduced_states(H, [beta], range(H.n_sites))
-    return DensityMatrix(rho, labels)
+    return _states(H, [beta], range(H.n_sites), range(H.n_sites))[0]
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -436,7 +427,8 @@ def _reduced_states(H: HamiltonianTerms, betas, keep, by=()) -> list[list[np.nda
 
     The patterns run in the order of ``product((1, -1), repeat=len(by))``
     (+1 for Z = +1), so the pieces sum to Tr_{not keep} ρ. Each site of
-    ``by`` must be a zero-field site, whose Z the blocks conserve.
+    ``by`` must be a zero-field site, whose Z the blocks conserve. A beta
+    that is negative or NaN is refused before ``H`` is solved.
 
     One pass over the placements serves every beta: the row order, gather
     index and coefficients of a placement are worked out once, and the
@@ -464,11 +456,14 @@ def _reduced_states(H: HamiltonianTerms, betas, keep, by=()) -> list[list[np.nda
     sites, so they pass through the trace and are applied to the pieces
     last, in place.
     """
+    for beta in betas:
+        if not beta >= 0.0:
+            raise ShieldlabError(f"beta must be non-negative, got {beta}")
     dec = spectrum(H)
     n = H.n_sites
     keep, by = _sites(keep, n, "keep"), _sites(by, n, "by")
     traced = [i for i in range(n) if i not in keep]
-    fs = [_weights(dec, beta)[0] for beta in betas]
+    fs = [_weights(dec, beta) for beta in betas]
     kind = float if dec.phases is None else complex
     pieces = [[np.zeros((1 << len(keep),) * 2, dtype=kind) for _ in range(1 << len(by))]
               for _ in fs]
@@ -533,6 +528,12 @@ def _reduced_states(H: HamiltonianTerms, betas, keep, by=()) -> list[list[np.nda
     return pieces
 
 
+def _states(H: HamiltonianTerms, betas, keep, labels) -> list[DensityMatrix]:
+    """Tr_{not keep} of the thermal state of ``H`` at each of ``betas``, read
+    in one pass by :func:`_reduced_states` and labeled ``labels``."""
+    return [DensityMatrix(rho, labels) for (rho,) in _reduced_states(H, betas, keep)]
+
+
 def expectation(rho: DensityMatrix, obs: PauliString) -> float:
     """Real expectation value Tr(rho · obs) of a Pauli word.
 
@@ -566,34 +567,21 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 class ShieldingReport:
     """Outcome of one shielding comparison.
 
-    ``lhs`` is the reduced Gibbs state of the full lattice on Y; ``distance``
-    is its trace distance from the Gibbs state of the shielded Hamiltonian
-    alone, and ``verdict`` that distance's classification.
+    ``distance`` is the trace distance of the reduced Gibbs state of the full
+    lattice on Y from the Gibbs state of the shielded Hamiltonian alone, and
+    ``verdict`` that distance's classification.
     """
 
     distance: float
-    lhs: DensityMatrix
     verdict: str
-
-
-def _shielded_states(H: HamiltonianTerms, split: RegionSplit,
-                     betas) -> dict[float, DensityMatrix]:
-    """Thermal states on Y of the shielded part of ``H``, one per beta."""
-    parts = split_hamiltonian(H, split)
-    return {beta: thermal_state(parts.h_shielded, beta, site_labels=parts.y_sites)
-            for beta in betas}
-
-
-def _compare_shielded(H: HamiltonianTerms, rhs: DensityMatrix,
-                      beta: float) -> ShieldingReport:
-    """Report for Tr_X(thermal state of H) against ``rhs`` on its sites."""
-    [[reduced]] = _reduced_states(H, [beta], rhs.site_labels)
-    lhs = DensityMatrix(reduced, rhs.site_labels)
-    d = trace_distance(lhs, rhs)
-    return ShieldingReport(distance=d, lhs=lhs, verdict=classify_distance(d))
 
 
 def shielding_report(lat: LatticeSpec, split: RegionSplit, beta: float) -> ShieldingReport:
     """Compare Tr_X(thermal state of H) against the shielded thermal state on Y."""
     H = build_hamiltonian(lat)
-    return _compare_shielded(H, _shielded_states(H, split, [beta])[beta], beta)
+    parts = split_hamiltonian(H, split)
+    y = parts.y_sites
+    [rhs] = _states(parts.h_shielded, [beta], range(len(y)), y)
+    [lhs] = _states(H, [beta], y, y)
+    d = trace_distance(lhs, rhs)
+    return ShieldingReport(distance=d, verdict=classify_distance(d))

@@ -16,6 +16,10 @@ through a function that forwards its arguments (``_keyed(path, f, ...)``)
 or with ``*args`` or ``**kwargs`` passes nothing the test can see, and the
 ``__init__`` that a dataclass generates is out of scope.
 
+Every private function and class defined at the top of a library module
+must be read somewhere in the library outside its own definition: a helper
+that only tests call keeps a second code path alive for them alone.
+
 References and calls are matched by name alone, whatever object they are
 read from: a member is credited by any read of its name, so one that
 shares its name with another (``np.trace``, a local variable ``letter``)
@@ -33,7 +37,8 @@ import pytest
 import shieldlab
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "shieldlab").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "shieldlab").glob("*.py"))
+SOURCES = LIBRARY + sorted((ROOT / "demos").glob("*.py"))
 
 
 def nodes(path: Path):
@@ -55,10 +60,19 @@ def name_of(node) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
-NODES = [found for p in SOURCES if p.name != "__init__.py" for found in nodes(p)]
-REFERENCES = {(name_of(node), owner) for node, owner in NODES
-              if isinstance(node, ast.Attribute)
-              or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+NODES_BY_PATH = {p: list(nodes(p)) for p in SOURCES if p.name != "__init__.py"}
+NODES = [found for per_path in NODES_BY_PATH.values() for found in per_path]
+
+
+def references(paths) -> set:
+    """(name, enclosing definitions) of every name read in the files ``paths``."""
+    return {(name_of(node), owner) for p in paths for node, owner in NODES_BY_PATH[p]
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+REFERENCES = references(NODES_BY_PATH)
+LIBRARY_REFERENCES = references(p for p in NODES_BY_PATH if p in LIBRARY)
 # (callee name, positions passed, keywords passed, enclosing definitions);
 # a starred argument ends the positions the test can count
 CALLS = [(name_of(node.func),
@@ -86,6 +100,11 @@ def defaulted(func, bound: bool):
             for k, p in enumerate(params) if p.default is not p.empty]
 
 
+PRIVATE = sorted(
+    (p.stem, node.name) for p in LIBRARY
+    for node in ast.parse(p.read_text(encoding="utf-8")).body
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    and node.name.startswith("_") and not node.name.startswith("__"))
 OPTIONS = sorted(
     [((name,), param, pos) for name in PUBLIC
      if inspect.isfunction(func := getattr(shieldlab, name))
@@ -97,15 +116,15 @@ OPTIONS = sorted(
                                    bound=not isinstance(value, staticmethod))])
 
 
-def read_outside(name, definition) -> bool:
-    """Whether ``name`` is read somewhere outside the definition whose
-    enclosing path is ``definition``."""
+def read_outside(name, definition, refs=REFERENCES) -> bool:
+    """Whether ``name`` is read somewhere in ``refs`` outside the definition
+    whose enclosing path is ``definition``."""
     return any(ref == name and owner[:len(definition)] != definition
-               for ref, owner in REFERENCES)
+               for ref, owner in refs)
 
 
 def test_sources_found():
-    assert len(SOURCES) > 5 and PUBLIC and MEMBERS and OPTIONS
+    assert len(SOURCES) > 5 and PUBLIC and MEMBERS and OPTIONS and PRIVATE
 
 
 @pytest.mark.parametrize("name", PUBLIC)
@@ -118,6 +137,12 @@ def test_public_name_has_a_caller(name):
 def test_public_member_has_a_caller(name, member):
     assert read_outside(member, (name, member)), (
         f"shieldlab.{name}.{member} is read nowhere in the library or the demos")
+
+
+@pytest.mark.parametrize("module, name", PRIVATE, ids=[f"{m}.{n}" for m, n in PRIVATE])
+def test_private_helper_has_a_library_caller(module, name):
+    assert read_outside(name, (name,), LIBRARY_REFERENCES), (
+        f"shieldlab.{module}.{name} is read nowhere in the library")
 
 
 @pytest.mark.parametrize("definition, param, pos", OPTIONS,

@@ -33,6 +33,7 @@ from shieldlab import (
     run_quench,
     run_quench_experiment,
     run_verify_shielding,
+    trace_distance,
     update_parameters,
     validate_lattice,
 )
@@ -189,6 +190,30 @@ class TestVerifyShielding:
         assert verdict["max_distance"] > 1e-3
         assert verdict["note"] == "shielding violated (expected: precondition broken)"
 
+    def test_repeated_beta_is_read_against_trial_zero(self, monkeypatch):
+        # both beta = 1 entries give the same row, and each row's variation is
+        # measured against trial 0's state at its beta. The control's state on
+        # Y moves with the X side, so the variations are not all 0
+        betas = [1.0, 1.0, 5.0]
+        states = []
+        read = experiments._states
+
+        def spy(*args):
+            states.append(read(*args))
+            return states[-1]
+
+        monkeypatch.setattr(experiments, "_states", spy)
+        table = run_verify_shielding(chain_config(interface_field=0.3, betas=betas))
+        first = states[1]  # states[0] is the shielded side
+        assert len(states) == 1 + 4 and len(table.rows) == 4 * 3
+        for k, trial in enumerate(states[1:]):
+            rows = table.rows[3 * k:3 * k + 3]
+            assert rows[0] == rows[1]
+            for row, beta, lhs in zip(rows, betas, trial):
+                assert row[:2] == (k, beta)
+                assert row[3] == trace_distance(lhs, first[betas.index(beta)])
+        assert max(row[3] for row in table.rows) > 1e-3
+
     def test_x_all_interface_is_refused(self):
         # X = {interface}: nothing on the X side to redraw, so every trial
         # compared identical states, and the run passed at max_distance 0
@@ -271,6 +296,11 @@ class TestVerifyShielding:
         ({"g_range": [0.0, "1"]}, r"g_range\[1\]"),
         ({"betas": ["warm"]}, r"betas\[0\]"),
         ({"betas": [-1.0]}, r"betas\[0\]"),
+        ({"betas": [10 ** 400]},
+         r'^betas\[0\]: must be a number >= 0 or "ground", got an integer too large for a '
+         r"float$"),
+        ({"interface_field": -10 ** 400}, r"^interface_field: must be a finite number, got an "
+                                          r"integer too large"),
         ({"seed": -1}, "seed"),
         ({"seed": 2 ** 64},
          r"^seed: must be an integer in 0\.\.2\*\*64 - 1, got 18446744073709551616$"),
@@ -301,6 +331,10 @@ class TestVerifyShielding:
         (lambda cfg: cfg["lattice"].update(index_base=2), "lattice.index_base"),
         (lambda cfg: cfg["lattice"]["edges"].append([0, 1]), r"lattice\.edges\[3\]"),
         (lambda cfg: cfg["lattice"]["h"].__setitem__(0, None), r"lattice\.h\[0\]"),
+        (lambda cfg: cfg["lattice"]["h"].__setitem__(0, 10 ** 400),
+         r"^lattice\.h\[0\]: must be a finite number, got an integer too large for a float$"),
+        (lambda cfg: cfg["lattice"]["edges"].append([0, 2, 10 ** 400]),
+         r"^lattice\.edges\[3\]: must be a finite number, got an integer too large"),
         (lambda cfg: cfg["split"]["X"].append(4), r"split\.X\[2\]"),
         (lambda cfg: cfg["lattice"]["edges"].append([1, 0, 2.0]),
          r"lattice\.edges\[3\]: duplicate edge"),
@@ -377,6 +411,16 @@ class TestCounterexample:
         ({"trials": 3}, "^trials: is unknown"),
         ({"betas": [1.0, "ground"]}, r"^betas\[1\]: must be a finite number"),
         ({"betas": ["inf"]}, r"^betas\[0\]: must be a finite number"),
+        ({"h4": 10 ** 400}, r"^h4: must be a finite number, got an integer too large for a "
+                            r"float$"),
+        ({"betas": [1.0, 10 ** 400]},
+         r"^betas\[1\]: must be a finite number >= 0 \(the series takes no beta = inf\), "
+         r"got an integer too large for a float$"),
+        ({"h1_grid": {"start": 0.0, "stop": 1.0, "step": 10 ** 400}},
+         r"^h1_grid\.step: must be a finite number > 0, got an integer too large for a "
+         r"float$"),
+        ({"h1_grid": [0.5, -10 ** 400]}, r"^h1_grid\[1\]: must be a finite number, got an "
+                                         r"integer too large"),
         ({"h1_grid": {"start": 0, "stop": 1e300, "step": 1e-300}},
          "^h1_grid: spans inf steps: the grid has no finite point count"),
         ({"h1_grid": {"start": -1e308, "stop": 1e308, "step": 1.0}},
@@ -526,6 +570,10 @@ class TestConjecture:
         ({"seed": 2 ** 64}, r"^seed: must be an integer in 0\.\.2\*\*64 - 1"),
         ({"beta": "warm"}, "beta"),
         ({"beta": -1.0}, "beta"),
+        ({"beta": 10 ** 400}, r"^beta: must be a number >= 0 or \"ground\", got an integer "
+                              r"too large for a float$"),
+        ({"a_field_range": [0.0, 10 ** 400]}, r"^a_field_range\[1\]: must be a finite number, "
+                                              r"got an integer too large"),
         ({"betas": [1.0]}, "^betas: is unknown"),
         ({"lattice": OVER_CAP},
          r"^lattice\.n_sites: dense realization of 13 sites exceeds the cap of 12"),
@@ -1070,6 +1118,10 @@ class TestCli:
          "error: observables[0]: touches both bulks"),
         ("counterexample", lambda cfg: cfg.update(betas=["ground"]),
          "error: betas[0]: must be a finite number"),
+        ("counterexample", lambda cfg: cfg.update(h4=10 ** 400),
+         "error: h4: must be a finite number, got an integer too large for a float\n"),
+        ("quench", lambda cfg: cfg.update(quench_h=10 ** 400),
+         "error: quench_h: must be a finite number, got an integer too large for a float\n"),
     ])
     def test_error_below_the_reader_exits_one_with_its_path(self, tmp_path, experiment,
                                                             edit, message):
