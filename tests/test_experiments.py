@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -155,10 +156,17 @@ class TestPointRng:
         assert self.draws(seed, index, [(2.5, -1.0)] * 9) == \
             [2.5 + (-1.0 - 2.5) * ref.random() for _ in range(9)]
 
-    def test_runs_do_not_load_numpy_random(self, tmp_path):
+    def test_runs_load_neither_numpy_random_nor_openssl(self, tmp_path):
+        # trial draws (point_rng) and the sidecar's config hash are pure Python,
+        # so no run imports numpy.random, or hashlib and the OpenSSL it maps
+        lat = make_chain(3, [1.0, 1.0], [0.4, 0.0, 0.4])
         runs = {"verify-shielding": chain_config(trials=2),
+                "counterexample": {"betas": [1.0], "h1_grid": [0.5]},
                 "conjecture": triangle_config("ground", trials=2),
+                "quench": {"pre": lattice_json(lat), "quench_site": 0, "quench_h": -1.0,
+                           "times": [0.0, 1.0]},
                 "dual-check": {"n_sites": 5, "trials": 2, "seed": 3}}
+        assert set(runs) == set(RUNNERS)
         calls = []
         for name, cfg in runs.items():
             path = tmp_path / f"{name}.json"
@@ -166,12 +174,39 @@ class TestPointRng:
             calls.append(f"assert main([{name!r}, '--config', {str(path)!r}, "
                          f"'--out', {str(tmp_path / name)!r}]) == 0")
         script = "\n".join(["import sys", "from shieldlab.cli import main", *calls,
-                            "print('numpy.random' in sys.modules)"])
+                            "print(sorted({'numpy.random', 'hashlib', '_hashlib'}"
+                            " & set(sys.modules)))"])
         src = str(Path(experiments.__file__).parents[1])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
+class TestConfigHash:
+    FIPS_VECTORS = [
+        (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+        (b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",  # 448 bits
+         "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"),
+    ]
+
+    @pytest.mark.parametrize("data, digest", FIPS_VECTORS, ids=["empty", "abc", "448_bits"])
+    def test_fips_vectors(self, data, digest):
+        assert experiments._digest(data) == digest == hashlib.sha256(data).hexdigest()
+
+    def test_every_length_across_the_padding_edges(self):
+        # 55/56 and 119/120 bytes are where the length field moves to a new block
+        pattern = bytes((37 * k + 11) % 256 for k in range(200))
+        for n in range(201):
+            assert experiments._digest(pattern[:n]) == hashlib.sha256(pattern[:n]).hexdigest(), n
+
+    @pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("configs/*.json")),
+                             ids=lambda p: p.stem)
+    def test_shipped_configs_hash_as_hashlib(self, path):
+        cfg = experiments.load_config(path)
+        canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+        assert experiments.config_hash(cfg) == hashlib.sha256(canonical).hexdigest()
 
 
 class TestVerifyShielding:
@@ -947,7 +982,7 @@ class TestDeterminism:
 class TestCli:
     def run_cli(self, tmp_path, experiment, cfg):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
         proc = subprocess.run(
             [sys.executable, "-m", "shieldlab.cli", experiment,
              "--config", str(cfg_path), "--out", str(tmp_path / "out")],
@@ -1135,6 +1170,28 @@ class TestCli:
         assert proc.returncode == 1
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    LONG = "1" + "0" * 5000  # past the interpreter's 4300-digit int parsing limit
+
+    @pytest.mark.parametrize("experiment, text, message", [
+        ("counterexample", '{"h4": %s}' % LONG,
+         "h4: must be a finite number, got an integer of 5001 digits"),
+        ("counterexample", '{"betas": [1, -%s]}' % LONG,
+         "betas[1]: must be a finite number >= 0 (the series takes no beta = inf), "
+         "got an integer of 5001 digits"),
+        ("dual-check", '{"seed": %s}' % LONG,
+         "seed: must be an integer in 0..2**64 - 1, got an integer of 5001 digits"),
+        ("verify-shielding", '{"lattice": %s}' % LONG,
+         "lattice: must be a JSON object, got an integer of 5001 digits"),
+        ("verify-shielding", LONG, "config must be a JSON object, got an integer of 5001 digits"),
+    ], ids=["h4", "beta", "seed", "lattice", "config"])
+    def test_over_long_integer_literal_exits_one_with_its_path(self, tmp_path, experiment,
+                                                               text, message):
+        # json would refuse it with the interpreter's advice to raise its limit
+        proc = self.run_cli(tmp_path, experiment, text)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, cfg, message", [
         ("verify-shielding", {"lattice": OVER_CAP, "split": {"X": [0], "Y": [0]}},
