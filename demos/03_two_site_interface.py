@@ -20,16 +20,16 @@ from shieldlab import (
     fourspin_magnetization,
     fourspin_series_plateau,
     make_diamond,
-    thermal_state,
+    reduced_state,
 )
 
 h4 = 1.0
-obs = PauliString.single(4, 3, "X")
 h1_grid = np.arange(0.0, 2.0001, 0.25)
 
 
 def dense_magnetization(beta, h1):
-    return expectation(thermal_state(build_hamiltonian(make_diamond(h1, h4)), beta), obs)
+    rho = reduced_state(build_hamiltonian(make_diamond(h1, h4)), beta, [3])
+    return expectation(rho, PauliString("X"))
 
 
 print("far-site magnetization <X_3> while sweeping the near field h_0")

@@ -1,7 +1,7 @@
 """Exact numerics for transverse-field Ising models on finite graphs.
 
 The library builds spin-lattice Hamiltonians from explicit graphs, computes
-exact Gibbs and ground states, reduces them by partial trace, and checks the
+exact Gibbs and ground states reduced to any set of sites, and checks the
 shielding behavior of zero-field interfaces — together with the chain
 duality, the two-site-interface counterexample series, and commuting-split
 quench dynamics. Everything is exact and refused past 12 sites, and dense
@@ -38,10 +38,9 @@ from .thermal import (
     SpectralDecomposition,
     classify_distance,
     expectation,
-    partial_trace,
+    reduced_state,
     shielding_report,
     spectrum,
-    thermal_state,
     trace_distance,
 )
 from .closedform import (

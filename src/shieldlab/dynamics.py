@@ -98,9 +98,9 @@ def _initial_states(pre: LatticeSpec) -> np.ndarray:
     """Pure states, each scaled by the square root of its weight, whose
     mixture Σ ψψ† is the pre's ground mixture: the columns of the pre's
     :func:`shieldlab.thermal.spectrum` that :func:`shieldlab.thermal._weights`
-    keeps at beta = inf, as ``thermal_state`` does. The pre's spectrum is
-    cached on a Hamiltonian built here and released on return, so it never
-    shares memory with the post spectrum.
+    keeps at beta = inf, as :func:`shieldlab.thermal.reduced_state` does. The
+    pre's spectrum is cached on a Hamiltonian built here and released on
+    return, so it never shares memory with the post spectrum.
     """
     dec = spectrum(build_hamiltonian(pre))
     return dec.columns(_weights(dec, math.inf))

@@ -273,8 +273,8 @@ def _site(n: int, base: int = 0):
 
 _text = _value(str, "a string")
 _count = _value(int, "an integer >= 1", lambda v: v >= 1)
-_sites = _value(int, "an integer >= 1", lambda v: v >= 1,  # and within the dense cap
-                lambda v, path: v if v <= DENSE_SITE_CAP else _keyed(path, check_dense_cap, v))
+_n_sites = _value(int, "an integer >= 1", lambda v: v >= 1,  # and within the dense cap
+                  lambda v, path: v if v <= DENSE_SITE_CAP else _keyed(path, check_dense_cap, v))
 _real = _value((int, float), "a finite number", math.isfinite, lambda v, path: float(v))
 _pair = _value((list, tuple), "a [low, high] pair", lambda v: len(v) == 2,
                lambda v, path: (_real(v[0], f"{path}[0]"), _real(v[1], f"{path}[1]")))
@@ -323,7 +323,7 @@ def _lattice(read, path: str) -> tuple[LatticeSpec, int]:
     """
     read = read if isinstance(read, _Reader) else _Reader(read, path)  # raises
     base = read("index_base", _value(int, "0 or 1", lambda v: v in (0, 1)), 1)
-    n = read("n_sites", _sites)
+    n = read("n_sites", _n_sites)
     site = _site(n, base)
     edge = _value((list, tuple), "an [i, j, J] triple", lambda v: len(v) == 3,
                   lambda v, p: (site(v[0], p), site(v[1], p), _real(v[2], p)))
@@ -709,7 +709,7 @@ def run_dual_check(cfg: dict) -> ResultTable:
         "n_dual_components",
     ))
     read = _config(cfg, "dual-check")
-    n = read("n_sites", _sites, 6)
+    n = read("n_sites", _n_sites, 6)
     trials = read("trials", _count, 50)
     j_lo, j_hi = read("J_range", _range, [-2.0, 2.0])
     h_lo, h_hi = read("h_range", _range, [-1.0, 1.0])

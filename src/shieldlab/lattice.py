@@ -177,13 +177,17 @@ def update_parameters(lat: LatticeSpec, h=None, g=None, J_by_edge=None) -> Latti
     """Copy of ``lat`` with some parameters replaced.
 
     ``J_by_edge`` maps unordered pairs ``(i, j)`` to new couplings; the edge
-    set itself never changes.
+    set itself never changes, so a pair that is not an edge is refused.
     """
     new_h = tuple(float(x) for x in h) if h is not None else lat.h
     new_g = tuple(float(x) for x in g) if g is not None else lat.g
     edges = lat.edges
     if J_by_edge:
         lookup = {(min(i, j), max(i, j)): float(v) for (i, j), v in J_by_edge.items()}
+        known = {(i, j) for i, j, _ in edges}
+        for i, j in J_by_edge:
+            if (min(i, j), max(i, j)) not in known:
+                raise ShieldlabError(f"({i}, {j}) is not an edge", key="J_by_edge")
         edges = tuple((i, j, lookup.get((i, j), J)) for (i, j, J) in edges)
     out = replace(lat, edges=edges, h=new_h, g=new_g)
     return validate_lattice(out.n_sites, out.edges, out.h, out.g)

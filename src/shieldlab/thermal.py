@@ -16,9 +16,9 @@ gather index of each placement are worked out once, and the weights and
 kept columns once per block and beta. Every runner reads each Hamiltonian
 once for all its betas, and :func:`_states` labels the pieces it reads.
 Shielding verdicts and the conjecture runner keep a few sites, so they
-never form a 2^n×2^n state; :func:`thermal_state` keeps every site, at any
-beta >= 0 (beta = inf for the ground mixture), and :func:`partial_trace`
-reduces a full state by exact index-bit bucketing.
+never form a 2^n×2^n state; :func:`reduced_state` is the public reader of
+one state on any sites, at any beta >= 0 (beta = inf for the ground
+mixture), and forms the full state only when it keeps every site.
 
 The spectrum is held in blocks, read by :func:`spectrum` (through
 :func:`_decompose`) straight from the Hamiltonian's terms; no 2^n×2^n
@@ -356,47 +356,6 @@ def _weights(dec: SpectralDecomposition, beta: float):
     return lambda x: np.exp(-beta * (x - low)) / z
 
 
-def thermal_state(H: HamiltonianTerms, beta: float) -> DensityMatrix:
-    """Thermal state of ``H`` at ``beta`` >= 0: the Gibbs state exp(-beta H) / Z
-    at finite beta, the uniform mixture over the ground eigenspace (its beta → ∞
-    limit) at beta = inf.
-
-    Read by :func:`_reduced_states` keeping every site, with the weights of
-    :func:`_weights`: the spectrum is shifted by its minimum, so large beta
-    cannot overflow, and ``beta = 0`` gives the maximally mixed state.
-    Eigenvalues within 1e-9 of the minimum, measured relative to the spectral
-    span (at least 1), belong to the ground space. The state's sites are
-    0..n-1.
-    """
-    return _states(H, [beta], range(H.n_sites), range(H.n_sites))[0]
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the sites labeled by ``keep``.
-
-    Exact index-bit bucketing: with kept sites K and traced sites T, entry
-    (a, b) of the result sums rho[pack(a, c), pack(b, c)] over all traced
-    configurations c, where pack() scatters local bits back into global bit
-    positions under the site-0-is-MSB convention.
-    """
-    keep = sorted(int(i) for i in keep)
-    labels = rho.site_labels
-    if len(set(keep)) != len(keep) or not set(keep) <= set(labels):
-        raise ShieldlabError(f"keep={keep} is not a subset of {labels}")
-    pos = {site: k for k, site in enumerate(labels)}
-    n = rho.n_sites
-    keep_pos = [pos[s] for s in keep]
-    trace_pos = [p for p in range(n) if p not in keep_pos]
-
-    A = _offsets([1 << (n - 1 - p) for p in keep_pos])
-    C = _offsets([1 << (n - 1 - p) for p in trace_pos])
-    reduced = np.zeros((A.size, A.size), dtype=rho.matrix.dtype)
-    for c in C:
-        reduced += rho.matrix[np.ix_(A + c, A + c)]
-    reduced = (reduced + reduced.conj().T) / 2.0
-    return DensityMatrix(reduced, tuple(keep))
-
-
 def _sites(sites, n: int, what: str) -> list[int]:
     """``sites`` sorted, checked to be distinct sites of an ``n``-site lattice."""
     out = sorted(int(i) for i in sites)
@@ -534,6 +493,16 @@ def _states(H: HamiltonianTerms, betas, keep, labels) -> list[DensityMatrix]:
     return [DensityMatrix(rho, labels) for (rho,) in _reduced_states(H, betas, keep)]
 
 
+def reduced_state(H: HamiltonianTerms, beta: float, keep) -> DensityMatrix:
+    """Tr_{not keep} of the thermal state of ``H`` at ``beta`` >= 0, on the
+    sites ``keep`` in ascending order: the Gibbs state exp(-beta H) / Z at
+    finite beta, the uniform mixture over the ground eigenspace (its beta → ∞
+    limit) at beta = inf, with the weights of :func:`_weights`. Keeping every
+    site gives the full state."""
+    keep = _sites(keep, H.n_sites, "keep")
+    return _states(H, [beta], keep, keep)[0]
+
+
 def expectation(rho: DensityMatrix, obs: PauliString) -> float:
     """Real expectation value Tr(rho · obs) of a Pauli word.
 
@@ -582,6 +551,6 @@ def shielding_report(lat: LatticeSpec, split: RegionSplit, beta: float) -> Shiel
     parts = split_hamiltonian(H, split)
     y = parts.y_sites
     [rhs] = _states(parts.h_shielded, [beta], range(len(y)), y)
-    [lhs] = _states(H, [beta], y, y)
+    lhs = reduced_state(H, beta, y)
     d = trace_distance(lhs, rhs)
     return ShieldingReport(distance=d, verdict=classify_distance(d))

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from shieldlab import (
-    DensityMatrix,
     PauliString,
     build_hamiltonian,
     classical_chain_reduced,
@@ -31,18 +30,17 @@ from shieldlab import (
     make_chain,
     make_diamond,
     make_triangular_patch,
-    partial_trace,
+    reduced_state,
     run_conjecture,
     run_quench_experiment,
     run_verify_shielding,
     shielding_report,
-    thermal_state,
     update_parameters,
     validate_lattice,
     validate_split,
 )
 
-from helpers import classical_chain_gibbs_diag, numpy_point_rng
+from helpers import classical_chain_gibbs_diag, numpy_point_rng, ptrace_reference
 from test_dynamics import identity_deviations
 
 
@@ -135,11 +133,10 @@ class TestCriterion4ClassicalChainOracle:
             for beta in (0.3, 1.0, 2.0):
                 for h1 in (0.0, 0.7, 1.5):
                     probs = classical_chain_gibbs_diag(n, beta, h1)
-                    full = DensityMatrix(np.diag(probs), tuple(range(n)))
                     for i in range(1, n + 1):
                         delta = np.abs(
                             classical_chain_reduced(i, beta, h1).matrix
-                            - partial_trace(full, [i - 1]).matrix
+                            - ptrace_reference(np.diag(probs), n, [i - 1])
                         ).max()
                         worst = max(worst, float(delta))
                         assert delta < 1e-10, (n, beta, h1, i, delta)
@@ -164,7 +161,7 @@ class TestCriterion5FourSpinSeries:
             for h1 in (0.0, 0.5, 1.0, 2.0):
                 for h4 in (0.0, 0.5, 1.0, 2.0):
                     series = fourspin_magnetization(beta, h1, h4)
-                    rho = thermal_state(build_hamiltonian(make_diamond(h1, h4)), beta)
+                    rho = reduced_state(build_hamiltonian(make_diamond(h1, h4)), beta, range(4))
                     delta = abs(series - expectation(rho, obs))
                     worst = max(worst, delta)
                     assert delta < 1e-8, (beta, h1, h4, delta)

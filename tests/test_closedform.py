@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shieldlab import (
-    DensityMatrix,
     PauliString,
     ShieldlabError,
     build_hamiltonian,
@@ -14,15 +13,14 @@ from shieldlab import (
     fourspin_magnetization,
     fourspin_series_plateau,
     make_diamond,
-    partial_trace,
-    thermal_state,
+    reduced_state,
 )
 
-from helpers import SX, SZ, classical_chain_gibbs_diag, kron_op
+from helpers import SX, SZ, classical_chain_gibbs_diag, kron_op, ptrace_reference
 
 
 def diamond_magnetization_ed(beta, h1, h4):
-    rho = thermal_state(build_hamiltonian(make_diamond(h1, h4)), beta)
+    rho = reduced_state(build_hamiltonian(make_diamond(h1, h4)), beta, range(4))
     return expectation(rho, PauliString.single(4, 3, "X"))
 
 
@@ -48,11 +46,10 @@ class TestClassicalChain:
             for beta in (0.3, 1.0, 2.0):
                 for h1 in (0.0, 0.7, 1.5):
                     probs = classical_chain_gibbs_diag(n, beta, h1)
-                    full = DensityMatrix(np.diag(probs), tuple(range(n)))
                     for i in range(1, n + 1):
                         got = classical_chain_reduced(i, beta, h1)
-                        ref = partial_trace(full, [i - 1])
-                        assert np.abs(got.matrix - ref.matrix).max() < 1e-10
+                        ref = ptrace_reference(np.diag(probs), n, [i - 1])
+                        assert np.abs(got.matrix - ref).max() < 1e-10
 
     def test_every_site_depends_on_the_pinned_field(self):
         # the commuting-halves structure alone does not shield: each site's

@@ -21,11 +21,11 @@ from shieldlab import (
     ShieldlabError,
     build_hamiltonian,
     make_chain,
+    reduced_state,
     run_conjecture,
     run_counterexample,
     run_quench_experiment,
     run_verify_shielding,
-    thermal_state,
     update_parameters,
     validate_split,
 )
@@ -159,9 +159,8 @@ def test_thermal_states_and_ground_state_share_one_solve(decomposed, eig_calls):
     # one decomposition, a real stack for each side of the zero field on site 3
     lat, _ = shielded_chain()
     H = build_hamiltonian(lat)
-    for beta in (0.1, 1.0, 5.0):
-        thermal_state(H, beta)
-    thermal_state(H, math.inf)
+    for beta in (0.1, 1.0, 5.0, math.inf):
+        reduced_state(H, beta, range(H.n_sites))
     dec = thermal.spectrum(H)
     assert np.count_nonzero(thermal._weights(dec, math.inf)(dec.eigenvalues)) == 2
     assert decomposed == [H.terms]

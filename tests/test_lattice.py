@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,9 @@ def test_update_parameters():
     assert new.h == (0.5, 0.0, 0.5)
     assert new.edges == ((0, 1, 9.0), (1, 2, 2.0))
     assert lat.h == (0.1, 0.0, 0.3)  # original untouched
+    # a pair that is no edge would change nothing: refused, first stray named
+    for stray, named in (({(0, 2): 5.0}, "(0, 2)"), ({(1, 2): 1.0, (1, 1): 5.0}, "(1, 1)"),
+                         ({(2, 0): 5.0, (0, 1): 1.0}, "(2, 0)")):
+        message = rf"^J_by_edge: {re.escape(named)} is not an edge$"
+        with pytest.raises(ShieldlabError, match=message):
+            update_parameters(lat, J_by_edge=stray)

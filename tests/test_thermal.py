@@ -21,10 +21,9 @@ from shieldlab import (
     expectation,
     make_chain,
     make_diamond,
-    partial_trace,
+    reduced_state,
     shielding_report,
     spectrum,
-    thermal_state,
     trace_distance,
     update_parameters,
     validate_lattice,
@@ -331,12 +330,12 @@ class TestEig:
 class TestGibbs:
     def test_infinite_temperature(self):
         lat = make_chain(3, [1.0, 0.5], [0.4, 0.2, 0.7])
-        rho = thermal_state(build_hamiltonian(lat), 0.0)
+        rho = reduced_state(build_hamiltonian(lat), 0.0, range(lat.n_sites))
         assert np.allclose(rho.matrix, np.eye(8) / 8)
 
     def test_single_spin_closed_form(self):
         H = HamiltonianTerms(1, ((-1.0, PauliString("X")),))
-        rho = thermal_state(H, 1.0)
+        rho = reduced_state(H, 1.0, range(H.n_sites))
         assert expectation(rho, PauliString("X")) == pytest.approx(TANH1, abs=1e-12)
 
     def test_matches_reference(self):
@@ -345,13 +344,13 @@ class TestGibbs:
             lat = make_chain(4, rng.uniform(-2, 2, 3), rng.uniform(0, 1, 4))
             H = build_hamiltonian(lat)
             for beta in (0.1, 1.0, 5.0):
-                got = thermal_state(H, beta).matrix
+                got = reduced_state(H, beta, range(H.n_sites)).matrix
                 ref = gibbs_reference(dense_reference(lat), beta)
                 assert np.abs(got - ref).max() < 1e-12
 
     def test_large_beta_stable(self):
         lat = make_chain(2, [1.0], [0.5, 0.5])
-        rho = thermal_state(build_hamiltonian(lat), 1e6)
+        rho = reduced_state(build_hamiltonian(lat), 1e6, range(lat.n_sites))
         assert np.isfinite(rho.matrix).all()
 
     def test_refuses_before_solving(self, monkeypatch):
@@ -363,7 +362,7 @@ class TestGibbs:
         lat = make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5])
         H = build_hamiltonian(lat)
         with pytest.raises(ShieldlabError, match="^beta must be non-negative"):
-            thermal_state(H, -1.0)
+            reduced_state(H, -1.0, range(H.n_sites))
         with pytest.raises(ShieldlabError, match="^beta must be non-negative"):
             shielding_report(lat, validate_split(lat, {0, 1}, {1, 2}), -1.0)
         assert H._spectrum is None
@@ -373,7 +372,7 @@ class TestGibbs:
         # -inf must not read as the ground mixture, nor nan as any state
         lat = make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5])
         with pytest.raises(ShieldlabError, match="^beta must be non-negative"):
-            thermal_state(build_hamiltonian(lat), beta)
+            reduced_state(build_hamiltonian(lat), beta, range(lat.n_sites))
         with pytest.raises(ShieldlabError, match="^beta must be non-negative"):
             shielding_report(lat, validate_split(lat, {0, 1}, {1, 2}), beta)
 
@@ -387,13 +386,13 @@ def ground_degeneracy(H):
 class TestGroundState:
     def test_pure_plus_state(self):
         H = HamiltonianTerms(1, ((-1.0, PauliString("X")),))
-        rho = thermal_state(H, math.inf)
+        rho = reduced_state(H, math.inf, range(H.n_sites))
         assert ground_degeneracy(H) == 1
         assert np.allclose(rho.matrix, np.full((2, 2), 0.5))
 
     def test_classical_double_degeneracy(self):
         H = build_hamiltonian(make_chain(2, [1.0], [0.0, 0.0]))
-        rho = thermal_state(H, math.inf)
+        rho = reduced_state(H, math.inf, range(H.n_sites))
         assert ground_degeneracy(H) == 2
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[3, 3] = 0.5
@@ -459,7 +458,7 @@ class TestSectorOracle:
             H = build_hamiltonian(lat)
             for beta in (0.3, 2.0, 40.0):
                 ref = gibbs_reference(H.to_dense(), beta)
-                assert np.abs(thermal_state(H, beta).matrix - ref).max() < 1e-12
+                assert np.abs(reduced_state(H, beta, range(H.n_sites)).matrix - ref).max() < 1e-12
 
     def test_ground_state_matches_dense_eigh(self):
         degenerate = 0
@@ -467,7 +466,7 @@ class TestSectorOracle:
             H = build_hamiltonian(lat)
             ref, d, tol = dense_ground(H)
             assert ground_degeneracy(H) == d
-            assert np.abs(thermal_state(H, math.inf).matrix - ref).max() < tol
+            assert np.abs(reduced_state(H, math.inf, range(H.n_sites)).matrix - ref).max() < tol
             degenerate += d > 1
         assert degenerate >= 5
 
@@ -684,58 +683,33 @@ class TestReducedStateCost:
         assert proc.returncode == 0, proc.stderr
 
 
-class TestPartialTrace:
-    def test_product_state_exact(self):
-        rng = np.random.default_rng(53)
-        a = random_mixed_state(rng, 1)
-        b = random_mixed_state(rng, 2)
-        rho = DensityMatrix(np.kron(a, b), (0, 1, 2))
-        assert np.abs(partial_trace(rho, [0]).matrix - a).max() < 1e-14
-        assert np.abs(partial_trace(rho, [1, 2]).matrix - b).max() < 1e-14
-
-    def test_bell_state(self):
-        v = np.zeros(4)
-        v[0] = v[3] = 1 / math.sqrt(2)
-        rho = DensityMatrix(np.outer(v, v), (0, 1))
-        reduced = partial_trace(rho, [0])
-        assert np.allclose(reduced.matrix, np.eye(2) / 2)
-
-    def test_against_reshape_oracle(self):
-        rng = np.random.default_rng(59)
-        for n in (2, 3, 4, 5):
-            rho_m = random_mixed_state(rng, n)
-            rho = DensityMatrix(rho_m, tuple(range(n)))
-            for _ in range(4):
-                k = int(rng.integers(1, n + 1))
-                keep = sorted(rng.choice(n, size=k, replace=False).tolist())
-                got = partial_trace(rho, keep).matrix
-                ref = ptrace_reference(rho_m, n, keep)
-                assert np.abs(got - ref).max() < 1e-13
-
-    def test_preserves_trace_and_positivity(self):
-        rng = np.random.default_rng(61)
-        rho = DensityMatrix(random_mixed_state(rng, 4), (0, 1, 2, 3))
-        reduced = partial_trace(rho, [1, 3])
-        assert abs(np.trace(reduced.matrix).real - 1) < 1e-12
-        assert np.linalg.eigvalsh(reduced.matrix)[0] >= -1e-10
-        assert reduced.site_labels == (1, 3)
-
-    def test_respects_site_labels(self):
-        rng = np.random.default_rng(67)
-        a = random_mixed_state(rng, 1)
-        b = random_mixed_state(rng, 1)
-        rho = DensityMatrix(np.kron(a, b), (4, 7))
-        assert np.abs(partial_trace(rho, [7]).matrix - b).max() < 1e-14
-
-    def test_invalid_site_set(self):
-        rho = DensityMatrix(np.eye(2) / 2, (3,))
-        with pytest.raises(ShieldlabError, match=r"^keep=\[0\] is not a subset of \(3,\)"):
-            partial_trace(rho, [0])
-
-    def test_keep_everything(self):
-        rng = np.random.default_rng(71)
-        rho = DensityMatrix(random_mixed_state(rng, 2), (0, 1))
-        assert np.abs(partial_trace(rho, [0, 1]).matrix - rho.matrix).max() == 0.0
+class TestReducedState:
+    def test_unordered_keep_is_labeled_in_ascending_order(self):
+        # the matrix is ordered by ascending site, and so must its labels be:
+        # labeled (3, 1), <X> on the first label would read site 1's 0.0,
+        # not site 3's 0.321
+        chain = make_chain(4, [1.0, -0.5, 0.8], [0.6, 0.0, 0.3, 0.4])
+        ring = validate_lattice(4, [(0, 1, 1.0), (1, 2, -0.5), (2, 3, 0.8), (0, 3, 0.7)],
+                                [0.6, 0.0, 0.3, 0.4], [0.2, 0.0, -0.5, 0.3])
+        for lat in (chain, ring):
+            H = build_hamiltonian(lat)
+            for beta in (1.0, math.inf):
+                if math.isinf(beta):
+                    full, _, tol = dense_ground(H)
+                else:
+                    full, tol = gibbs_reference(H.to_dense(), beta), 1e-12
+                for keep in ([3, 1], [2, 0, 3]):
+                    rho = reduced_state(H, beta, keep)
+                    assert rho.site_labels == tuple(sorted(keep))
+                    assert np.array_equal(rho.matrix,
+                                          reduced_state(H, beta, sorted(keep)).matrix)
+                    assert np.array_equal(rho.matrix,
+                                          reduced_state(H, beta, iter(keep)).matrix)
+                    ref = ptrace_reference(full, 4, keep)
+                    assert np.abs(rho.matrix - ref).max() < tol
+        x3 = expectation(reduced_state(build_hamiltonian(chain), 1.0, [3, 1]),
+                         PauliString("IX"))
+        assert x3 == pytest.approx(0.321, abs=1e-3)
 
 
 class TestExpectation:
@@ -745,8 +719,8 @@ class TestExpectation:
 
     def test_single_spin_tanh(self):
         H = HamiltonianTerms(1, ((-1.0, PauliString("X")),))
-        assert expectation(thermal_state(H, 1.0), PauliString("X")) == pytest.approx(
-            TANH1, abs=1e-12)
+        rho = reduced_state(H, 1.0, range(H.n_sites))
+        assert expectation(rho, PauliString("X")) == pytest.approx(TANH1, abs=1e-12)
 
     def test_classical_chain_second_site(self):
         # diagonal Gibbs state of the longitudinally pinned chain:
@@ -837,15 +811,13 @@ class TestShielding:
             lat = update_parameters(lat, h=h)
         split = validate_split(lat, range(L + 1), range(L, 6))
         obs = PauliString.single(L, 0, "Z")  # on the kept sites 0..L-1
-        before = expectation(partial_trace(thermal_state(build_hamiltonian(lat), 1.3),
-                                           range(L)), obs)
+        before = expectation(reduced_state(build_hamiltonian(lat), 1.3, range(L)), obs)
         h2 = list(lat.h)
         for i in range(L + 1, 6):
             h2[i] = rng.uniform(0, 1)
         lat2 = update_parameters(lat, h=h2,
                                  J_by_edge={(L, L + 1): rng.uniform(-2, 2)})
-        after = expectation(partial_trace(thermal_state(build_hamiltonian(lat2), 1.3),
-                                          range(L)), obs)
+        after = expectation(reduced_state(build_hamiltonian(lat2), 1.3, range(L)), obs)
         assert abs(before - after) < 1e-10
 
     def test_two_site_interface_fails_at_finite_temperature(self):
@@ -916,7 +888,7 @@ class TestDensityMatrixInvariants:
     def test_gibbs_state_is_positive(self):
         rng = np.random.default_rng(107)
         lat, _ = random_shielded_chain(rng, n=4)
-        rho = thermal_state(build_hamiltonian(lat), 2.0)
+        rho = reduced_state(build_hamiltonian(lat), 2.0, range(lat.n_sites))
         assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
     def test_pure_states_from_helpers_are_valid(self):
