@@ -683,6 +683,87 @@ class TestReducedStateCost:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestPartialTrace:
+    """The trace over the dropped sites, as :func:`reduced_state` takes it,
+    against ``ptrace_reference`` and states whose marginals are known."""
+
+    def test_product_state_exact(self):
+        # no edge between site 0 and sites 1, 2: the Gibbs state is a product,
+        # and each factor is the Gibbs state of its own piece
+        lat = validate_lattice(3, [(1, 2, -0.8)], [0.7, 0.4, 0.9], [0.3, 0.0, -0.2])
+        H = build_hamiltonian(lat)
+        a = gibbs_reference(dense_reference(validate_lattice(1, [], [0.7], [0.3])), 1.4)
+        b = gibbs_reference(dense_reference(
+            validate_lattice(2, [(0, 1, -0.8)], [0.4, 0.9], [0.0, -0.2])), 1.4)
+        assert np.abs(reduced_state(H, 1.4, [0]).matrix - a).max() < 1e-13
+        assert np.abs(reduced_state(H, 1.4, [1, 2]).matrix - b).max() < 1e-13
+
+    def test_bell_state(self):
+        # the pure ZZ pair is perfectly correlated in Z, yet each spin alone
+        # is maximally mixed, at every beta and in the ground mixture
+        H = build_hamiltonian(make_chain(2, [1.0], [0.0, 0.0]))
+        for beta in (0.5, 3.0, math.inf):
+            full = reduced_state(H, beta, [0, 1])
+            assert expectation(full, PauliString("ZZ")) > 0.4
+            for site in (0, 1):
+                assert np.allclose(reduced_state(H, beta, [site]).matrix, np.eye(2) / 2)
+
+    def test_against_reshape_oracle(self):
+        rng = np.random.default_rng(59)
+        for n in (2, 3, 4, 5):
+            for y_fields in (False, True):
+                H = build_hamiltonian(random_graph_lattice(rng, n, y_fields))
+                full = gibbs_reference(H.to_dense(), 0.9)
+                for _ in range(4):
+                    k = int(rng.integers(1, n + 1))
+                    keep = sorted(rng.choice(n, size=k, replace=False).tolist())
+                    got = reduced_state(H, 0.9, keep).matrix
+                    assert np.abs(got - ptrace_reference(full, n, keep)).max() < 1e-12
+
+    def test_preserves_trace_and_positivity(self):
+        rng = np.random.default_rng(61)
+        H = build_hamiltonian(random_graph_lattice(rng, 4, True))
+        for beta in (0.2, 2.0, math.inf):
+            reduced = reduced_state(H, beta, [1, 3])
+            assert abs(np.trace(reduced.matrix).real - 1) < 1e-12
+            assert np.linalg.eigvalsh(reduced.matrix)[0] >= -1e-10
+            assert reduced.site_labels == (1, 3)
+
+    def test_respects_site_labels(self):
+        # a one-site state is labeled by its global site and reads that site:
+        # its <X>, <Y>, <Z> are the full state's on the same site
+        lat = validate_lattice(4, [(0, 1, 1.0), (1, 2, -0.5), (2, 3, 0.8)],
+                               [0.6, 0.1, 0.3, 0.9], [0.2, 0.0, -0.5, 0.3])
+        H = build_hamiltonian(lat)
+        full = reduced_state(H, 1.1, range(4))
+        for site in range(4):
+            one = reduced_state(H, 1.1, [site])
+            assert one.site_labels == (site,)
+            for letter in "XYZ":
+                assert expectation(one, PauliString(letter)) == pytest.approx(
+                    expectation(full, PauliString.single(4, site, letter)), abs=1e-12)
+
+    def test_invalid_site_set(self):
+        H = build_hamiltonian(make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5]))
+        for keep in ([3], [0, 0], [-1]):
+            with pytest.raises(ShieldlabError, match=r"^keep=.* is not a set of sites of 3"):
+                reduced_state(H, 1.0, keep)
+        assert H._spectrum is None  # refused before solving
+
+    def test_keep_everything(self):
+        # keeping every site, in any order, is the full state itself
+        lat = make_chain(3, [1.0, -0.7], [0.5, 0.0, 0.8])
+        H = build_hamiltonian(lat)
+        for beta in (0.7, math.inf):
+            rho = reduced_state(H, beta, [2, 0, 1])
+            assert rho.site_labels == (0, 1, 2)
+            if math.isinf(beta):
+                ref, _, tol = dense_ground(H)
+            else:
+                ref, tol = gibbs_reference(H.to_dense(), beta), 1e-12
+            assert np.abs(rho.matrix - ref).max() < tol
+
+
 class TestReducedState:
     def test_unordered_keep_is_labeled_in_ascending_order(self):
         # the matrix is ordered by ascending site, and so must its labels be:
