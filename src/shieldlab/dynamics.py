@@ -156,7 +156,9 @@ def _read(word, evolved: np.ndarray) -> np.ndarray:
     out = np.zeros(evolved.shape[-1])
     for part, partner, sign in ((re, hi, 1.0), (im, hi[..., ::-1, :], -1.0)):
         if part is not None:
-            s = (part @ (lo * partner).reshape(part.size, -1)).reshape(evolved.shape[1:])
+            # as a (1, rows) matrix: a 1-D left operand goes to OpenBLAS's
+            # threaded gemv, which can stall for milliseconds per call
+            s = (part[None] @ (lo * partner).reshape(part.size, -1)).reshape(evolved.shape[1:])
             out += s[:, 0].sum(axis=0) + sign * s[:, 1].sum(axis=0)
     return out
 

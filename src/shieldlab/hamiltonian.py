@@ -277,11 +277,11 @@ def dual_algebra_residual(dc: DualChain) -> float:
     dual chain returns exactly 0.0 and a violation 2.0 (= |1 - (-1)|): every
     operator squares to the identity ((i**k X**x Z**z)**2 = (-1)**(k +
     popcount(x & z))), same-dual-site z/x pairs anticommute (popcount(x1 & z2)
-    + popcount(z1 & x2) is odd), different-dual-site pairs commute. The boundary
-    alias ``mu_z(n)`` (= Z on the last original site, never used by the
-    dual Hamiltonian) and the trivial ``mu_x(n)`` are excluded from the
-    pair checks — the open boundary leaves them without independent
-    partners; see :class:`DualChain`.
+    + popcount(z1 & x2) is odd), different-dual-site pairs commute. Only the
+    boundary alias ``mu_z(n)`` (= Z on the last original site, never used by
+    the dual Hamiltonian) is left out of the pair checks, as the open boundary
+    leaves it without an independent partner; ``mu_x(n)``, the empty word, is
+    checked. See :class:`DualChain`.
     """
     n = dc.n_sites
     worst = 0.0
@@ -295,8 +295,6 @@ def dual_algebra_residual(dc: DualChain) -> float:
     for i, key_a in enumerate(checked):
         for key_b in checked[i + 1:]:
             same_site = key_a[1] == key_b[1] and key_a[0] != key_b[0]
-            if same_site and key_a[1] == n:
-                continue  # mu_x(n) is the empty word
             (xa, za, _), (xb, zb, _) = ops[key_a], ops[key_b]
             anti = ((xa & zb).bit_count() + (za & xb).bit_count()) % 2 == 1
             worst = max(worst, 2.0 * (anti != same_site))

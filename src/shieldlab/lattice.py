@@ -7,7 +7,7 @@ Sites are 0-indexed integers. Edges are undirected and stored once with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ShieldlabError
 
@@ -179,8 +179,6 @@ def update_parameters(lat: LatticeSpec, h=None, g=None, J_by_edge=None) -> Latti
     ``J_by_edge`` maps unordered pairs ``(i, j)`` to new couplings; the edge
     set itself never changes, so a pair that is not an edge is refused.
     """
-    new_h = tuple(float(x) for x in h) if h is not None else lat.h
-    new_g = tuple(float(x) for x in g) if g is not None else lat.g
     edges = lat.edges
     if J_by_edge:
         lookup = {(min(i, j), max(i, j)): float(v) for (i, j), v in J_by_edge.items()}
@@ -189,5 +187,5 @@ def update_parameters(lat: LatticeSpec, h=None, g=None, J_by_edge=None) -> Latti
             if (min(i, j), max(i, j)) not in known:
                 raise ShieldlabError(f"({i}, {j}) is not an edge", key="J_by_edge")
         edges = tuple((i, j, lookup.get((i, j), J)) for (i, j, J) in edges)
-    out = replace(lat, edges=edges, h=new_h, g=new_g)
-    return validate_lattice(out.n_sites, out.edges, out.h, out.g)
+    return validate_lattice(lat.n_sites, edges, lat.h if h is None else h,
+                            lat.g if g is None else g)

@@ -74,11 +74,7 @@ class PauliString:
 
     @classmethod
     def single(cls, n_sites: int, site: int, letter: str) -> "PauliString":
-        if not 0 <= site < n_sites:
-            raise ShieldlabError(f"site {site} outside 0..{n_sites - 1}")
-        word = ["I"] * n_sites
-        word[site] = letter
-        return cls("".join(word))
+        return cls.from_sites(n_sites, {site: letter})
 
     @classmethod
     def from_sites(cls, n_sites: int, letters_by_site: dict[int, str]) -> "PauliString":

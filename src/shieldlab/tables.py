@@ -31,8 +31,6 @@ class ResultTable:
 
 def format_cell(value) -> str:
     """Render one cell: floats at 17 significant digits, '.' decimal point."""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)

@@ -387,7 +387,8 @@ def _reduced_states(H: HamiltonianTerms, betas, keep, by=()) -> list[list[np.nda
     The patterns run in the order of ``product((1, -1), repeat=len(by))``
     (+1 for Z = +1), so the pieces sum to Tr_{not keep} ρ. Each site of
     ``by`` must be a zero-field site, whose Z the blocks conserve. A beta
-    that is negative or NaN is refused before ``H`` is solved.
+    that is negative or NaN, and a ``keep`` or ``by`` that is not a set of
+    sites, are refused before ``H`` is solved.
 
     One pass over the placements serves every beta: the row order, gather
     index and coefficients of a placement are worked out once, and the
@@ -418,9 +419,9 @@ def _reduced_states(H: HamiltonianTerms, betas, keep, by=()) -> list[list[np.nda
     for beta in betas:
         if not beta >= 0.0:
             raise ShieldlabError(f"beta must be non-negative, got {beta}")
-    dec = spectrum(H)
     n = H.n_sites
     keep, by = _sites(keep, n, "keep"), _sites(by, n, "by")
+    dec = spectrum(H)
     traced = [i for i in range(n) if i not in keep]
     fs = [_weights(dec, beta) for beta in betas]
     kind = float if dec.phases is None else complex

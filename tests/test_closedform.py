@@ -165,6 +165,16 @@ class TestFourSpinCoefficients:
         with pytest.raises(ShieldlabError, match="^series overflowed at n="):
             fourspin_coefficients(500.0, 2.0, 2.0)
 
+    def test_negative_beta_raises(self):
+        with pytest.raises(ShieldlabError, match="^beta must be non-negative, got -1.0$"):
+            fourspin_coefficients(-1.0, 0.0, 1.0)
+
+    def test_series_that_does_not_converge_within_the_cap_raises(self):
+        # at beta = 150 the terms still grow at n = 400, short of overflowing
+        with pytest.raises(ShieldlabError, match=r"^series did not converge within 400 "
+                                                 r"terms \(beta=150.0, residual=2.13"):
+            fourspin_coefficients(150.0, 0.0, 1.0)
+
 
 class TestFourSpinMagnetization:
     def test_depends_on_near_field_at_finite_temperature(self):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import shieldlab.experiments as experiments
+import shieldlab.thermal as thermal
 from shieldlab import (
     RUNNERS,
     DensityMatrix,
@@ -38,6 +39,7 @@ from shieldlab import (
     update_parameters,
     validate_lattice,
 )
+from shieldlab.cli import main
 from shieldlab.tables import format_cell
 
 from helpers import (
@@ -225,6 +227,23 @@ class TestVerifyShielding:
         assert verdict["max_distance"] > 1e-3
         assert verdict["note"] == "shielding violated (expected: precondition broken)"
 
+    def test_control_that_barely_breaks_the_precondition_is_indeterminate(
+            self, tmp_path, capsys):
+        # an interface field of 1e-4 moves the state by 5.6e-5: between the
+        # pass and fail floors, so neither verdict is given; the CLI exits 2
+        cfg = shipped_config("verify_shielding_control", interface_field=1e-4)
+        verdict = run_verify_shielding(cfg).metadata["verdict"]
+        assert verdict["status"] == "indeterminate"
+        assert 1e-9 < verdict["max_distance"] < 1e-3
+        assert verdict["max_distance"] == pytest.approx(5.6e-5, rel=0.01)
+        assert verdict["note"] == "control did not violate shielding"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify-shielding", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert json.loads(line.removeprefix("VERDICT ")) == verdict
+
     def test_repeated_beta_is_read_against_trial_zero(self, monkeypatch):
         # both beta = 1 entries give the same row, and each row's variation is
         # measured against trial 0's state at its beta. The control's state on
@@ -392,6 +411,14 @@ class TestVerifyShielding:
             run_verify_shielding(chain_config(trials=2, betas=["inf"]))
 
 
+# betas the diamond series cannot sum, and the whole refusal each gives
+SERIES_REFUSALS = [
+    ([1.0, 150.0], "betas[1]: series did not converge within 400 terms "
+                   "(beta=150.0, residual=2.130144107790899e+44)"),
+    ([400.0], "betas[0]: series overflowed at n=195 (beta=400.0, h1=0.0, h4=1.0)"),
+]
+
+
 class TestCounterexample:
     def test_series_and_dense_agree(self):
         cfg = {"h4": 1.0, "betas": [1.0, 7.0],
@@ -466,6 +493,17 @@ class TestCounterexample:
         with pytest.raises(ShieldlabError, match=key):
             run_counterexample(cfg)
 
+    @pytest.mark.parametrize("betas, message", SERIES_REFUSALS)
+    def test_beta_the_series_cannot_sum_is_refused_before_any_solve(self, monkeypatch,
+                                                                     betas, message):
+        def solve(H):
+            raise AssertionError("H was solved")
+
+        monkeypatch.setattr(thermal, "_decompose", solve)
+        with pytest.raises(ShieldlabError) as info:
+            run_counterexample({"betas": betas})
+        assert str(info.value) == message
+
 
 class TestConjecture:
     def test_ground_state_invariance(self):
@@ -483,6 +521,15 @@ class TestConjecture:
         assert verdict["max_variation"] > 1e-3
         assert verdict["status"] == "fail"
         assert all(row[1] == "mix" for row in table.rows)
+
+    def test_small_variation_at_finite_temperature_is_indeterminate(self):
+        # beta = 3 on the 9-site patch varies the A side by 4.3e-8: above the
+        # conjecture's pass floor, below the fail floor
+        verdict = run_conjecture(shipped_config("conjecture_patch9", beta=3.0, trials=3)
+                                 ).metadata["verdict"]
+        assert verdict["status"] == "indeterminate"
+        assert 1e-8 < verdict["max_variation"] < 1e-3
+        assert verdict["max_variation"] == pytest.approx(4.3e-8, rel=0.01)
 
     def test_single_site_interface_is_rigid_at_any_temperature(self):
         # with |S| = 1 the thermal result applies, so the conjecture runner
@@ -1209,6 +1256,14 @@ class TestCli:
         assert proc.returncode == 1
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("betas, message", SERIES_REFUSALS)
+    def test_beta_the_series_cannot_sum_exits_one_with_its_key(self, tmp_path, betas,
+                                                               message):
+        proc = self.run_cli(tmp_path, "counterexample", {"betas": betas})
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg = chain_config(trials=2)

@@ -283,6 +283,13 @@ class TestTextForm:
         with pytest.raises(ShieldlabError, match=r"^site 5 outside 0\.\.1"):
             PauliString.from_text("+ X5", 2)
 
+    @pytest.mark.parametrize("site", [-1, 3])
+    def test_constructors_refuse_a_site_out_of_range(self, site):
+        with pytest.raises(ShieldlabError, match=rf"^site {site} outside 0\.\.2$"):
+            PauliString.single(3, site, "X")
+        with pytest.raises(ShieldlabError, match=rf"^site {site} outside 0\.\.2$"):
+            PauliString.from_sites(3, {0: "Z", site: "X"})
+
     @pytest.mark.parametrize("token", ["X²", "X٣", "Z１"])
     def test_site_must_be_ascii_digits(self, token):
         # "²" is a digit to str.isdigit but not to int(); "٣" and "１" are

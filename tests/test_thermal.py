@@ -354,7 +354,7 @@ class TestGibbs:
         assert np.isfinite(rho.matrix).all()
 
     def test_refuses_before_solving(self, monkeypatch):
-        """A bad beta is refused before any Hamiltonian is solved."""
+        """A bad beta, keep or by is refused before any Hamiltonian is solved."""
         def solve(H):
             raise AssertionError("H was solved")
 
@@ -365,6 +365,9 @@ class TestGibbs:
             reduced_state(H, -1.0, range(H.n_sites))
         with pytest.raises(ShieldlabError, match="^beta must be non-negative"):
             shielding_report(lat, validate_split(lat, {0, 1}, {1, 2}), -1.0)
+        for keep, by, what in (([3], [], "keep"), ([2], [1, 1], "by"), ([2], [7], "by")):
+            with pytest.raises(ShieldlabError, match=f"^{what}=.* is not a set of sites of 3"):
+                thermal._reduced_states(H, [1.0], keep, by)
         assert H._spectrum is None
 
     @pytest.mark.parametrize("beta", [-0.1, -math.inf, math.nan])
