@@ -4,8 +4,8 @@
 from the pre's ground mixture and takes one of two paths, chosen from its
 inputs. A quench of open chains with g ≡ 0, read through ±X_i and
 ±Z_i Z_{i+1}, is solved as free fermions (:mod:`shieldlab.freefermion`): one
-2n×2n solve of each whole chain, and every time read from the 2n×2n
-Majorana correlations.
+real n×n SVD of each whole chain, and every time read from the real n×n
+block of the Majorana correlations.
 
 Every other quench is solved in the real blocks of :mod:`shieldlab.thermal`
 (split on the spin flip and on the Z of every zero-field site, each solved
@@ -174,9 +174,9 @@ def run_quench(protocol: QuenchProtocol) -> ResultTable:
     ran as its ``solver``.
 
     When pre and post are open chains with g ≡ 0 and every observable is
-    ±X_i or ±Z_i Z_{i+1}, the rows come from the chain's 2n×2n Majorana
-    correlations (:mod:`shieldlab.freefermion`, ``"free-fermion"``): one
-    small solve of each whole chain, no 2^n state and no split. That holds
+    ±X_i or ±Z_i Z_{i+1}, the rows come from the chain's real n×n block of
+    Majorana correlations (:mod:`shieldlab.freefermion`, ``"free-fermion"``):
+    one n×n SVD of each whole chain, no 2^n state and no split. That holds
     unless the pre has modes at or under the ground cut that, filled
     together, pass it; its ground mixture is then not Gaussian. There, and
     for every other input, the rows come from the post's blocks

@@ -54,6 +54,7 @@ Verdict thresholds used throughout the experiment runners:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -306,7 +307,10 @@ class DensityMatrix:
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShieldlabError(f"density matrix must be square, got {m.shape}")
-        labels = tuple(int(i) for i in self.site_labels)
+        try:
+            labels = tuple(map(operator.index, self.site_labels))
+        except TypeError:
+            raise ShieldlabError(f"site_labels {self.site_labels} are not all integers") from None
         if len(set(labels)) != len(labels):
             raise ShieldlabError(f"site_labels {labels} repeat a site")
         if m.shape[0] != 1 << len(labels):
@@ -357,8 +361,13 @@ def _weights(dec: SpectralDecomposition, beta: float):
 
 
 def _sites(sites, n: int, what: str) -> list[int]:
-    """``sites`` sorted, checked to be distinct sites of an ``n``-site lattice."""
-    out = sorted(int(i) for i in sites)
+    """``sites`` sorted, checked to be distinct integer sites of an ``n``-site
+    lattice (1.7 is refused, not truncated)."""
+    sites = list(sites)
+    try:
+        out = sorted(map(operator.index, sites))
+    except TypeError:
+        raise ShieldlabError(f"{what}={sites} is not a set of sites of {n}") from None
     if len(set(out)) != len(out) or not set(out) <= set(range(n)):
         raise ShieldlabError(f"{what}={out} is not a set of sites of {n}")
     return out

@@ -77,6 +77,46 @@ def dense_reference(lat):
     return H
 
 
+def majorana_quench_reference(pre, post, times, observables):
+    """Values (times × observables) of ±X_i and ±Z_i Z_{i+1} in the ground
+    mixture of the open chain ``pre`` evolved under ``post``, from the
+    complex 2n×2n Majorana form.
+
+    With c = (a_0, b_0, a_1, b_1, ...), H = (i/4) cᵀ A c for the real
+    antisymmetric A_{a_i b_i} = −2h_i, A_{b_i a_{i+1}} = −2J_i. From
+    (w, U) = eigh(iA): Γ₀ = i·sign(iA), with the modes |w| within
+    1e-9·max(Σ|w|/2, 1) of zero set to 0; the flow e^{At} = U e^{−iwt} U†;
+    Γ(t) = e^{At} Γ₀ e^{At}ᵀ; ⟨X_i⟩ = Γ_{a_i b_i} and
+    ⟨Z_i Z_{i+1}⟩ = Γ_{b_i a_{i+1}}. Every word must be one of those two.
+    """
+    def form(lat):
+        a = np.zeros((2 * lat.n_sites, 2 * lat.n_sites))
+        for i, h in enumerate(lat.h):
+            a[2 * i, 2 * i + 1] = -2 * h
+        for i, j, J in lat.edges:
+            assert j == i + 1
+            a[2 * i + 1, 2 * j] = -2 * J
+        return a - a.T
+
+    w, u = np.linalg.eigh(1j * form(pre))
+    slack = 1e-9 * max(np.abs(w).sum() / 2, 1.0)
+    gamma0 = -((u * np.where(np.abs(w) <= slack, 0.0, np.sign(w))) @ u.conj().T).imag
+    wp, v = np.linalg.eigh(1j * form(post))
+    at = []
+    for obs in observables:
+        sup = obs.support()
+        letters = "".join(obs.letters[i] for i in sup)
+        assert letters in ("X", "ZZ") and obs.phase_k in (0, 2)
+        j, k = (2 * sup[0], 2 * sup[0] + 1) if letters == "X" else (2 * sup[0] + 1, 2 * sup[1])
+        at.append((1 - obs.phase_k, j, k))
+    out = []
+    for t in times:
+        flow = ((v * np.exp(-1j * wp * t)) @ v.conj().T).real
+        gamma = flow @ gamma0 @ flow.T
+        out.append([s * gamma[j, k] for s, j, k in at])
+    return np.array(out)
+
+
 def gibbs_reference(H, beta):
     """exp(-beta H)/Z via eigendecomposition of an explicit matrix."""
     w, v = np.linalg.eigh(H)

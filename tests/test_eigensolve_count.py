@@ -4,7 +4,8 @@
 stacked ``np.linalg.eigh`` call per component of its field sites. A counting
 wrapper around ``shieldlab.thermal._decompose`` shows how many Hamiltonians a
 computation solves, and one around ``np.linalg.eigh`` the block stacks it
-hands to LAPACK. Counting wrappers around ``_reduced_states`` and
+hands to LAPACK; one around ``np.linalg.svd`` shows the free-fermion
+quench's one solve per chain. Counting wrappers around ``_reduced_states`` and
 ``DensityMatrix`` show which states a verdict forms, and a
 ``HamiltonianTerms.to_dense`` that raises shows that no solve builds a
 dense Hamiltonian.
@@ -45,6 +46,20 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     return shapes
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """A copy of every matrix handed to ``np.linalg.svd``, one per call."""
+    seen = []
+    original = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return seen
 
 
 @pytest.fixture
@@ -167,12 +182,16 @@ def test_thermal_states_and_ground_state_share_one_solve(decomposed, eig_calls):
     assert eig_calls == [(1, 8, 8), (1, 4, 4)]
 
 
-def test_quench_runner_solves_pre_and_post_once(solved_terms, eig_calls):
-    # a chain read through X_i: each lattice is one 12x12 Majorana form,
-    # the pre's solved first, and no block spectrum is read
+def test_quench_runner_solves_pre_and_post_once(solved_terms, eig_calls, svd_calls):
+    # a chain read through X_i: each lattice is one SVD of its 6x6 a-b
+    # Majorana block, whose diagonal is -2h, the pre's first; no eigh is
+    # called and no block spectrum is read
     table = run_quench_experiment(short_quench())
     assert len(table.rows) == 5 * 6 and table.metadata["solver"] == "free-fermion"
-    assert eig_calls == [(12, 12), (12, 12)]
+    assert [k.shape for k in svd_calls] == [(6, 6), (6, 6)]
+    pre, _ = shielded_chain()
+    assert [k[0, 0] for k in svd_calls] == [-2 * pre.h[0], -2 * -2.0]
+    assert eig_calls == []
     assert solved_terms == []
 
 

@@ -365,7 +365,8 @@ class TestGibbs:
             reduced_state(H, -1.0, range(H.n_sites))
         with pytest.raises(ShieldlabError, match="^beta must be non-negative"):
             shielding_report(lat, validate_split(lat, {0, 1}, {1, 2}), -1.0)
-        for keep, by, what in (([3], [], "keep"), ([2], [1, 1], "by"), ([2], [7], "by")):
+        for keep, by, what in (([3], [], "keep"), ([2], [1, 1], "by"), ([2], [7], "by"),
+                               ([1.7], [], "keep"), ([2], [1.0], "by")):
             with pytest.raises(ShieldlabError, match=f"^{what}=.* is not a set of sites of 3"):
                 thermal._reduced_states(H, [1.0], keep, by)
         assert H._spectrum is None
@@ -748,10 +749,12 @@ class TestPartialTrace:
 
     def test_invalid_site_set(self):
         H = build_hamiltonian(make_chain(3, [1.0, 1.0], [0.5, 0.0, 0.5]))
-        for keep in ([3], [0, 0], [-1]):
+        # a site that is not an integer is refused, not truncated
+        for keep in ([3], [0, 0], [-1], [1.7], [0, 2.0], [np.float64(1.0)]):
             with pytest.raises(ShieldlabError, match=r"^keep=.* is not a set of sites of 3"):
                 reduced_state(H, 1.0, keep)
         assert H._spectrum is None  # refused before solving
+        assert reduced_state(H, 1.0, np.array([2, 0])).site_labels == (0, 2)
 
     def test_keep_everything(self):
         # keeping every site, in any order, is the full state itself
@@ -964,6 +967,12 @@ class TestDensityMatrixInvariants:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ShieldlabError, match="^dimension 4 does not match 1 sites"):
             DensityMatrix(np.eye(4) / 4, (0,))
+
+    @pytest.mark.parametrize("labels", [[0.9], (0, 1.0)])
+    def test_rejects_site_labels_that_are_not_integers(self, labels):
+        with pytest.raises(ShieldlabError,
+                           match=re.escape(f"site_labels {labels} are not all integers")):
+            DensityMatrix(np.eye(1 << len(labels)) / (1 << len(labels)), labels)
 
     def test_rejects_repeated_site_labels(self):
         with pytest.raises(ShieldlabError, match=r"site_labels \(0, 0\) repeat a site"):
