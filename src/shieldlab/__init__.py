@@ -4,8 +4,9 @@ The library builds spin-lattice Hamiltonians from explicit graphs, computes
 exact Gibbs and ground states reduced to any set of sites, and checks the
 shielding behavior of zero-field interfaces — together with the chain
 duality, the two-site-interface counterexample series, and commuting-split
-quench dynamics. Everything is exact and refused past 12 sites, and dense
-but for quenches of open chains, which are solved as free fermions.
+quench dynamics. Everything is exact, and dense and refused past 12 sites
+but for quenches of open chains, which are solved as free fermions at any
+length.
 """
 
 __version__ = "0.1.0"

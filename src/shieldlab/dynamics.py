@@ -5,7 +5,7 @@ from the pre's ground mixture and takes one of two paths, chosen from its
 inputs. A quench of open chains with g ≡ 0, read through ±X_i and
 ±Z_i Z_{i+1}, is solved as free fermions (:mod:`shieldlab.freefermion`): one
 real n×n SVD of each whole chain, and every time read from the real n×n
-block of the Majorana correlations.
+block of the Majorana correlations, at any length.
 
 Every other quench is solved in the real blocks of :mod:`shieldlab.thermal`
 (split on the spin flip and on the Z of every zero-field site, each solved
@@ -34,7 +34,7 @@ from .errors import ShieldlabError
 from .freefermion import _quench_values
 from .hamiltonian import build_hamiltonian
 from .lattice import LatticeSpec
-from .pauli import PauliString, check_dense_cap
+from .pauli import PauliString
 from .tables import ResultTable
 from .thermal import _weights, spectrum
 
@@ -169,18 +169,18 @@ def run_quench(protocol: QuenchProtocol) -> ResultTable:
 
     The initial state is the uniform mixture over the ground space of the
     pre-quench Hamiltonian. Rows are ordered by (t, site), each observable
-    labeled by its first site (no two share one). Lattices over the dense cap
-    are refused on either path, and the table's metadata names the one that
-    ran as its ``solver``.
+    labeled by its first site (no two share one). The table's metadata names
+    the path that ran as its ``solver``.
 
     When pre and post are open chains with g ≡ 0 and every observable is
     ±X_i or ±Z_i Z_{i+1}, the rows come from the chain's real n×n block of
     Majorana correlations (:mod:`shieldlab.freefermion`, ``"free-fermion"``):
-    one n×n SVD of each whole chain, no 2^n state and no split. That holds
-    unless the pre has modes at or under the ground cut that, filled
-    together, pass it; its ground mixture is then not Gaussian. There, and
-    for every other input, the rows come from the post's blocks
-    (:func:`_blocked_values`, ``"blocked"``). Both cut the ground space at
+    one n×n SVD of each whole chain, no 2^n state and no split, at any length.
+    That holds unless the pre has modes at or under the ground cut that,
+    filled together, pass it; its ground mixture is then not Gaussian. There,
+    and for every other input, the rows come from the post's blocks
+    (:func:`_blocked_values`, ``"blocked"``), refused over the dense cap by
+    :func:`spectrum` before any block is built. Both cut the ground space at
     the same :func:`shieldlab.thermal._ground_slack` of the pre's span, so
     only rounding differs between them.
 
@@ -193,14 +193,13 @@ def run_quench(protocol: QuenchProtocol) -> ResultTable:
     time when pre and post agree on the Y side, and in general move when
     they do not.
     """
-    check_dense_cap(protocol.pre.n_sites)
     sites = [_observable_site(obs) for obs in protocol.observables]
     obs_order = np.argsort(np.array(sites), kind="stable")
     solver = "free-fermion"
     values = _quench_values(protocol.pre, protocol.post, protocol.times,
                             protocol.observables)
     if values is None:
-        values, solver = _blocked_values(protocol, obs_order), "blocked"
+        values, solver = _blocked_values(protocol), "blocked"
     table = ResultTable(columns=("t", "site", "value"), metadata={"solver": solver})
     table.rows = [(t, sites[i], float(values[k, i]))
                   for k, t in enumerate(protocol.times) for i in obs_order]
@@ -216,7 +215,7 @@ def _dot(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return both[:, :m] + 1j * both[:, m:]
 
 
-def _blocked_values(protocol: QuenchProtocol, obs_order: np.ndarray) -> np.ndarray:
+def _blocked_values(protocol: QuenchProtocol) -> np.ndarray:
     """Values of the observables (columns) at the times (rows), evolved in
     the post's real blocks, spectral throughout (no Trotterization).
 
@@ -232,7 +231,7 @@ def _blocked_values(protocol: QuenchProtocol, obs_order: np.ndarray) -> np.ndarr
     holds both parts of every state at every time. A batch holds as many
     times as fit ``_BATCH_ENTRIES`` complex entries, the bytes of that array
     (at least one time), however small the blocks. Each observable is read
-    once per batch by :func:`_read`, in ``obs_order``, its coefficients
+    once per batch by :func:`_read`, in protocol order, its coefficients
     folded with d once per run by :func:`_folded`, so neither the evolution
     nor the readout forms a complex full-basis array.
     """
@@ -249,7 +248,7 @@ def _blocked_values(protocol: QuenchProtocol, obs_order: np.ndarray) -> np.ndarr
         if live.size:
             coords.append((p, live, _dot(post.blocks[b][1].T, proj[:, live])))
     batch = max(1, _BATCH_ENTRIES // (post.dim * width))
-    words = [_folded(protocol.observables[i], post.phases) for i in obs_order]
+    words = [_folded(obs, post.phases) for obs in protocol.observables]
 
     times = np.array(protocol.times)
     out = np.empty((times.size, len(words)))
@@ -261,6 +260,6 @@ def _blocked_values(protocol: QuenchProtocol, obs_order: np.ndarray) -> np.ndarr
             phased = np.exp(-1j * np.outer(w, ts))[:, None, :] * c[:, :, None]
             parts = np.stack([phased.real, phased.imag], axis=2).reshape(w.size, -1)
             post.lift(p, _dot(v, parts).reshape(-1, live.size, 2, ts.size), evolved, live)
-        for i, word in zip(obs_order, words):
+        for i, word in enumerate(words):
             out[start:start + ts.size, i] = _read(word, evolved)
     return out

@@ -52,8 +52,8 @@ from .lattice import (
 from .pauli import DENSE_SITE_CAP, PauliString, check_dense_cap
 from .tables import ResultTable
 from .thermal import (
-    SHIELDING_FAIL_TOL,
     DensityMatrix,
+    _classify,
     _reduced_states,
     _states,
     classify_distance,
@@ -572,14 +572,8 @@ def run_conjecture(cfg: dict) -> ResultTable:
                         mix_values.setdefault((i, name), []).append(value)
 
     max_variation = max(max(vals) - min(vals) for vals in mix_values.values())
-    if max_variation < CONJECTURE_PASS_TOL:
-        status = "pass"
-    elif max_variation > SHIELDING_FAIL_TOL:
-        status = "fail"
-    else:
-        status = "indeterminate"
     table.metadata = _metadata(read, {
-        "status": status,
+        "status": _classify(max_variation, CONJECTURE_PASS_TOL),
         "max_variation": max_variation,
         "beta": "inf" if math.isinf(beta) else beta,
     })

@@ -7,6 +7,7 @@ Sites are 0-indexed integers. Edges are undirected and stored once with
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ShieldlabError
@@ -60,16 +61,26 @@ def validate_lattice(n_sites: int, edges, h, g=None) -> LatticeSpec:
     """Canonicalize and check a lattice description.
 
     Edges are returned sorted with ``i < j``. ``g`` defaults to all zeros.
-    Raises ``ShieldlabError`` on a self edge, a duplicate edge, a site out of
+    Raises ``ShieldlabError`` on a size or site that is not an integer (1.7
+    is refused, not truncated), a self edge, a duplicate edge, a site out of
     range, a parameter list of the wrong length or a non-finite parameter,
     keyed by the argument at fault (``n_sites``, ``edges[k]``, ``h`` or ``g``).
     """
+    try:
+        n_sites = operator.index(n_sites)
+    except TypeError:
+        raise ShieldlabError(f"must be an integer, got {n_sites!r}", key="n_sites") from None
     if n_sites < 1:
         raise ShieldlabError(f"must be positive, got {n_sites}", key="n_sites")
     canon: list[Edge] = []
     seen: set[tuple[int, int]] = set()
     for k, (i, j, J) in enumerate(edges):
-        i, j, key = int(i), int(j), f"edges[{k}]"
+        key = f"edges[{k}]"
+        try:
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise ShieldlabError(f"edge ({i!r}, {j!r}) has an end that is not an integer",
+                                 key=key) from None
         if i == j:
             raise ShieldlabError(f"edge ({i}, {j}) joins a site to itself", key=key)
         if not (0 <= i < n_sites and 0 <= j < n_sites):
@@ -98,12 +109,12 @@ def validate_split(lat: LatticeSpec, X, Y) -> RegionSplit:
     """Check a candidate (X, Y) cover against ``lat`` and derive S = X ∩ Y.
 
     Symmetric in X and Y. An empty set is refused keyed by its name (``X``
-    or ``Y``), and a site out of range keyed by the set that holds it; so
-    are a site in neither set, an edge between the two bulks and a nonzero
-    field (h or g) on an interface site.
+    or ``Y``), and a site that is not an integer (1.7 is refused, not
+    truncated) or is out of range keyed by the set that holds it; so are a
+    site in neither set, an edge between the two bulks and a nonzero field
+    (h or g) on an interface site.
     """
-    X = frozenset(int(i) for i in X)
-    Y = frozenset(int(i) for i in Y)
+    X, Y = _site_set(X, "X"), _site_set(Y, "Y")
     for key, sites in (("X", X), ("Y", Y)):
         if not sites:
             raise ShieldlabError("holds no site", key=key)
@@ -122,6 +133,15 @@ def validate_split(lat: LatticeSpec, X, Y) -> RegionSplit:
         if lat.h[l] != 0.0 or lat.g[l] != 0.0:
             raise ShieldlabError(f"interface site {l} carries field h={lat.h[l]}, g={lat.g[l]}")
     return RegionSplit(lat.n_sites, X, Y, S)
+
+
+def _site_set(sites, key: str) -> frozenset[int]:
+    """The integer sites of ``sites``; any other entry is refused, keyed ``key``."""
+    sites = list(sites)
+    try:
+        return frozenset(map(operator.index, sites))
+    except TypeError:
+        raise ShieldlabError(f"{sites} holds a site that is not an integer", key=key) from None
 
 
 def make_chain(n: int, J, h) -> LatticeSpec:

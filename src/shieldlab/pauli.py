@@ -78,8 +78,18 @@ class PauliString:
 
     @classmethod
     def from_sites(cls, n_sites: int, letters_by_site: dict[int, str]) -> "PauliString":
-        word = ["I"] * n_sites
+        """The word with ``letters_by_site[i]`` on site i and I elsewhere; a
+        size or site that is not an integer is refused, keyed ``n_sites`` or
+        ``site``, not truncated."""
+        try:
+            word = ["I"] * operator.index(n_sites)
+        except TypeError:
+            raise ShieldlabError(f"must be an integer, got {n_sites!r}", key="n_sites") from None
         for site, letter in letters_by_site.items():
+            try:
+                site = operator.index(site)
+            except TypeError:
+                raise ShieldlabError(f"must be an integer, got {site!r}", key="site") from None
             if not 0 <= site < n_sites:
                 raise ShieldlabError(f"site {site} outside 0..{n_sites - 1}")
             word[site] = letter

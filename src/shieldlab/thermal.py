@@ -83,9 +83,15 @@ _STRIP_SHARE = 16
 
 def classify_distance(distance: float) -> str:
     """Map a trace distance onto the pass / fail / indeterminate verdict."""
-    if distance < SHIELDING_PASS_TOL:
+    return _classify(distance, SHIELDING_PASS_TOL)
+
+
+def _classify(statistic: float, pass_tol: float) -> str:
+    """The verdict on a statistic that is zero when the claim holds: pass
+    below ``pass_tol``, fail above ``SHIELDING_FAIL_TOL``, else indeterminate."""
+    if statistic < pass_tol:
         return "pass"
-    if distance > SHIELDING_FAIL_TOL:
+    if statistic > SHIELDING_FAIL_TOL:
         return "fail"
     return "indeterminate"
 

@@ -310,9 +310,10 @@ class TestRunQuench:
         table = run_quench(QuenchProtocol(pre, post, times, obs))
         width = 2  # the ground pair of the zero-field site
         in_order = sorted(obs, key=lambda o: o.support()[0])
-        # the batch's real array: rows, states, real and imaginary parts, times
+        # the batch's real array: rows, states, real and imaginary parts, times;
+        # the words are read in protocol order, and only the rows are sorted
         assert reads == [(o.xzk[0], (64, width, 2, k))
-                         for k in (4, 4, 2) for o in in_order]
+                         for k in (4, 4, 2) for o in obs]
 
         rho0, _, _ = dense_ground(build_hamiltonian(pre))
         w, v = dense_spectrum(build_hamiltonian(post))

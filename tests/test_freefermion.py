@@ -85,15 +85,17 @@ def test_random_chains_match_the_kron_oracle(n):
     check_against_oracle(*random_chain_quench(np.random.default_rng(2024 + n), n))
 
 
-@pytest.mark.parametrize("n", [13, 16, 21, 32, 47, 64])
+@pytest.mark.parametrize("n", [13, 16, 21, 32, 47, 64, 200])
 def test_chains_past_the_cap_match_the_complex_majorana_solve(n):
-    # the real n×n form against eigh of the complex 2n×2n iA; zero fields
-    # (n % 3 != 2), zero couplings (n % 3 == 1), both signs, ±X_i and
+    # run_quench's real n×n form against eigh of the complex 2n×2n iA; zero
+    # fields (n % 3 != 2), zero couplings (n % 3 == 1), both signs, ±X_i and
     # ±Z_i Z_{i+1}. Over 156 such chains of 13–64, 100 and 200 sites the
     # two differed by at most 5.6e-14
     pre, post, obs = random_chain_quench(np.random.default_rng(4096 + n), n)
     assert {(o.letters.count("Z"), o.phase_k) for o in obs} == {(0, 0), (0, 2), (2, 0), (2, 2)}
-    values = _quench_values(pre, post, TIMES, obs)
+    table = run_quench(QuenchProtocol(pre, post, TIMES, obs))
+    assert table.metadata == {"solver": "free-fermion"}
+    values = table_values(table, obs, TIMES)
     assert np.abs(values - majorana_quench_reference(pre, post, TIMES, obs)).max() <= 2e-13
 
 
@@ -200,7 +202,16 @@ def test_other_inputs_take_the_blocked_path(case, words):
     assert len(table.rows) == len(TIMES) * len(obs)
 
 
-def test_chains_over_the_cap_are_refused():
+@pytest.mark.parametrize("g0, letter", [(0.3, "X"), (0.0, "Z")], ids=["y_field", "z_word"])
+def test_chains_over_the_cap_are_refused(monkeypatch, g0, letter):
+    # past the cap, a quench that the free-fermion path does not take is
+    # refused by the blocked path before anything is solved
+    def solve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", solve)
+    monkeypatch.setattr(np.linalg, "svd", solve)
     pre = make_chain(13, [1.0] * 12, [0.5] * 13)
-    with pytest.raises(ShieldlabError, match="^dense realization of 13 sites exceeds the cap"):
-        run_quench(QuenchProtocol(pre, pre, (0.0,), (PauliString.single(13, 0, "X"),)))
+    pre = update_parameters(pre, g=[g0] + [0.0] * 12)
+    with pytest.raises(ShieldlabError, match="^dense realization of 13 sites exceeds the cap of 12"):
+        run_quench(QuenchProtocol(pre, pre, (0.0,), (PauliString.single(13, 0, letter),)))

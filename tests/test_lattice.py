@@ -62,6 +62,24 @@ class TestValidateLattice:
         lat = validate_lattice(4, [(3, 2, 1.0), (1, 0, 2.0)], [0] * 4)
         assert lat.edges == ((0, 1, 2.0), (2, 3, 1.0))
 
+    @pytest.mark.parametrize("end", [1.7, 1.0, np.float64(1.0), "1"])
+    def test_edge_end_that_is_not_an_integer(self, end):
+        # refused, not truncated to (0, 1)
+        with pytest.raises(ShieldlabError, match=r"^edges\[0\]: edge .* not an integer") as err:
+            validate_lattice(3, [(0, end, 1.0), (1, 2, 1.0)], [0.5, 0, 0.5])
+        assert err.value.key == "edges[0]"
+
+    @pytest.mark.parametrize("n_sites", [3.5, 3.0, None])
+    def test_size_that_is_not_an_integer(self, n_sites):
+        with pytest.raises(ShieldlabError, match="^n_sites: must be an integer") as err:
+            validate_lattice(n_sites, [], [0, 0, 0])
+        assert err.value.key == "n_sites"
+
+    def test_numpy_integers_pass(self):
+        lat = validate_lattice(np.int64(3), [(np.int32(0), np.int64(1), 1.0)], [0.5, 0, 0.5])
+        assert lat == validate_lattice(3, [(0, 1, 1.0)], [0.5, 0, 0.5])
+        assert type(lat.n_sites) is int and all(type(i) is int for e in lat.edges for i in e[:2])
+
 
 class TestMakeChain:
     def test_two_sites(self):
@@ -131,6 +149,21 @@ class TestValidateSplit:
             with pytest.raises(ShieldlabError, match=rf"^{key}: site 7 outside 0\.\.2") as err:
                 validate_split(lat, x, y)
             assert err.value.key == key
+
+    @pytest.mark.parametrize("site", [1.7, 1.0, np.float64(1.0)])
+    def test_site_that_is_not_an_integer(self, site):
+        # keyed by the set that holds the site, in either order; 1.7 is not
+        # truncated to 1
+        lat = make_chain(3, [1, 1], [0.5, 0, 0.5])
+        for x, y, key in (([0, site], [1, 2], "X"), ([1, 2], [0, site], "Y")):
+            with pytest.raises(ShieldlabError, match=rf"^{key}: .* not an integer$") as err:
+                validate_split(lat, x, y)
+            assert err.value.key == key
+
+    def test_numpy_integer_sites_pass(self):
+        lat = make_chain(3, [1, 1], [0.5, 0, 0.5])
+        split = validate_split(lat, np.array([0, 1]), [np.int64(1), 2])
+        assert split == validate_split(lat, {0, 1}, {1, 2})
 
     def test_empty_set(self):
         # keyed by the set that is empty, in either order

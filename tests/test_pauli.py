@@ -290,6 +290,25 @@ class TestTextForm:
         with pytest.raises(ShieldlabError, match=rf"^site {site} outside 0\.\.2$"):
             PauliString.from_sites(3, {0: "Z", site: "X"})
 
+    @pytest.mark.parametrize("site", [1.0, 1.7, np.float64(1.0)])
+    def test_constructors_refuse_a_site_that_is_not_an_integer(self, site):
+        for make in (lambda: PauliString.single(3, site, "X"),
+                     lambda: PauliString.from_sites(3, {0: "Z", site: "X"})):
+            with pytest.raises(ShieldlabError, match="^site: must be an integer") as err:
+                make()
+            assert err.value.key == "site"
+
+    @pytest.mark.parametrize("n_sites", [3.0, 2.5])
+    def test_constructors_refuse_a_size_that_is_not_an_integer(self, n_sites):
+        with pytest.raises(ShieldlabError, match="^n_sites: must be an integer") as err:
+            PauliString.single(n_sites, 0, "X")
+        assert err.value.key == "n_sites"
+
+    def test_constructors_take_numpy_integers(self):
+        word = PauliString.from_sites(np.int64(3), {np.int32(0): "Z", np.int64(2): "X"})
+        assert word == PauliString.from_text("+ Z0 X2", 3)
+        assert PauliString.single(np.int64(3), np.int64(1), "Y").to_text() == "+ Y1"
+
     @pytest.mark.parametrize("token", ["X²", "X٣", "Z１"])
     def test_site_must_be_ascii_digits(self, token):
         # "²" is a digit to str.isdigit but not to int(); "٣" and "１" are
