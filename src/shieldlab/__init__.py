@@ -3,8 +3,9 @@
 The library builds spin-lattice Hamiltonians from explicit graphs, computes
 exact Gibbs and ground states reduced to any set of sites, and checks the
 shielding behavior of zero-field interfaces — together with the chain
-duality, the two-site-interface counterexample series, and commuting-split
-quench dynamics. Everything is exact, and dense and refused past 12 sites
+duality, the two-site-interface counterexample series (summed in closed
+form at any beta, the ground state included), and commuting-split quench
+dynamics. Everything is exact, and dense and refused past 12 sites
 but for quenches of open chains, which are solved as free fermions at any
 length.
 """
@@ -49,7 +50,6 @@ from .closedform import (
     classical_chain_reduced,
     fourspin_coefficients,
     fourspin_magnetization,
-    fourspin_series_plateau,
 )
 from .dynamics import QuenchProtocol, run_quench
 from .tables import ResultTable, emit

@@ -11,10 +11,10 @@ from shieldlab import (
     expectation,
     fourspin_coefficients,
     fourspin_magnetization,
-    fourspin_series_plateau,
     make_diamond,
     reduced_state,
 )
+from shieldlab.experiments import ORACLE_AGREEMENT_TOL
 
 from helpers import SX, SZ, classical_chain_gibbs_diag, kron_op, ptrace_reference
 
@@ -63,6 +63,20 @@ class TestClassicalChain:
         with pytest.raises(ShieldlabError, match="site index must be >= 1"):
             classical_chain_reduced(0, 1.0, 1.0)
 
+    def test_rejects_a_site_that_is_not_an_integer(self):
+        with pytest.raises(ShieldlabError, match=r"^i: must be an integer, got 2\.0$"):
+            classical_chain_reduced(2.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("beta", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_beta(self, beta):
+        with pytest.raises(ShieldlabError, match=r"^beta must be a number >= 0 \(inf for "
+                                                 r"the ground state\), got "):
+            classical_chain_reduced(1, beta, 1.0)
+
+    def test_ground_state_is_pinned_by_any_nonzero_field(self):
+        assert classical_chain_reduced(3, math.inf, 0.5).matrix[0, 0] == 1.0
+        assert classical_chain_reduced(3, math.inf, 0.0).matrix[0, 0] == 0.5
+
 
 def fourspin_coefficients_reference(beta, h1, h4, tol=1e-14):
     """The series summed with its explicit inner binomial loop, term by term."""
@@ -94,40 +108,45 @@ def fourspin_coefficients_reference(beta, h1, h4, tol=1e-14):
             return A, B, C, D, G, H
 
 
+def unscaled(c, beta, h1, h4):
+    """The coefficients with their scales e^(-beta r) multiplied back."""
+    s1, s4 = (math.exp(beta * math.hypot(2.0, h)) for h in (h1, h4))
+    return c.A * s1, c.B * s1, c.C * s4, c.D * s4, c.G * s4, c.H * s4
+
+
 class TestFourSpinCoefficients:
     def test_beta_zero(self):
         c = fourspin_coefficients(0.0, 1.0, 1.0)
         assert (c.A, c.C) == (2.0, 2.0)
         assert (c.B, c.D, c.G, c.H) == (0.0, 0.0, 0.0, 0.0)
-        assert c.residual == 0.0
 
     def test_partial_trace_identity(self):
         # Tr over the near site of exp(-beta H_X) equals A I + B Z(x)Z on
         # the interface pair; dense 8x8 exponential as the oracle
         for beta, h1 in ((0.5, 0.3), (1.0, 1.0), (2.0, 1.7)):
-            c = fourspin_coefficients(beta, h1, 1.0)
+            A, B, *_ = unscaled(fourspin_coefficients(beta, h1, 1.0), beta, h1, 1.0)
             hx = -(kron_op(3, {0: SZ, 1: SZ}) + kron_op(3, {0: SZ, 2: SZ})
                    + h1 * kron_op(3, {0: SX}))
             w, v = np.linalg.eigh(hx)
             expm = (v * np.exp(-beta * w)) @ v.conj().T
             traced = expm.reshape(2, 4, 2, 4).trace(axis1=0, axis2=2)
-            expected = c.A * np.eye(4) + c.B * kron_op(2, {0: SZ, 1: SZ})
+            expected = A * np.eye(4) + B * kron_op(2, {0: SZ, 1: SZ})
             assert np.abs(traced - expected).max() < 1e-10
 
     def test_far_side_exponential_components(self):
         # exp(-beta H_Y) projected on the used operator basis matches
         # C, D, G, H up to their common redundant factor of 2
         beta, h4 = 1.3, 0.8
-        c = fourspin_coefficients(beta, 1.0, h4)
+        _, _, C, D, G, H = unscaled(fourspin_coefficients(beta, 1.0, h4), beta, 1.0, h4)
         hy = -(kron_op(3, {0: SZ, 2: SZ}) + kron_op(3, {1: SZ, 2: SZ})
                + h4 * kron_op(3, {2: SX}))
         w, v = np.linalg.eigh(hy)
         expm = (v * np.exp(-beta * w)) @ v.conj().T
         for coeff, ops in (
-            (c.C, {}),
-            (c.D, {0: SZ, 1: SZ}),
-            (c.G, {2: SX}),
-            (c.H, {0: SZ, 1: SZ, 2: SX}),
+            (C, {}),
+            (D, {0: SZ, 1: SZ}),
+            (G, {2: SX}),
+            (H, {0: SZ, 1: SZ, 2: SX}),
         ):
             basis = kron_op(3, ops)
             component = np.trace(expm @ basis).real / 8.0
@@ -151,29 +170,39 @@ class TestFourSpinCoefficients:
         # the loop's powers of 102 overflow there above beta 7
         h1s = list(np.arange(0.0, 2.0001, 0.05)) + ([10.0] if beta <= 7.0 else [])
         for h1 in h1s:
-            c = fourspin_coefficients(beta, h1, 1.0)
+            got = unscaled(fourspin_coefficients(beta, h1, 1.0), beta, h1, 1.0)
             ref = fourspin_coefficients_reference(beta, h1, 1.0)
-            for got, want in zip((c.A, c.B, c.C, c.D, c.G, c.H), ref):
-                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            for g, want in zip(got, ref):
+                assert g == pytest.approx(want, rel=1e-13, abs=0.0)
 
-    def test_residual_below_tolerance(self):
-        c = fourspin_coefficients(4.0, 1.0, 1.0, tol=1e-14)
-        assert c.residual < 1e-14
-        assert c.n_max < 400
+    @pytest.mark.parametrize("beta", [150.0, 400.0, 1e4, math.inf])
+    def test_cold_betas_are_finite(self, beta):
+        # past the last beta a truncated series could sum, and the ground state
+        for h1 in (0.0, 10.0):
+            c = fourspin_coefficients(beta, h1, 1.0)
+            assert all(map(math.isfinite, (c.A, c.B, c.C, c.D, c.G, c.H)))
 
-    def test_overflow_raises(self):
-        with pytest.raises(ShieldlabError, match="^series overflowed at n="):
-            fourspin_coefficients(500.0, 2.0, 2.0)
+    @pytest.mark.parametrize("beta", [0.0, 5.0, math.inf])
+    def test_fields_whose_square_overflows_stay_finite(self, beta):
+        # the far site aligns with a huge h4 at any beta > 0; a huge h1 sits at its limit
+        for h in (1e200, 1.7e308):
+            assert fourspin_magnetization(beta, 0.0, h) == (1.0 if beta else 0.0)
+            assert (fourspin_magnetization(beta, h, 1.0)
+                    == pytest.approx(fourspin_magnetization(beta, 1e9, 1.0), abs=1e-9))
 
-    def test_negative_beta_raises(self):
-        with pytest.raises(ShieldlabError, match="^beta must be non-negative, got -1.0$"):
-            fourspin_coefficients(-1.0, 0.0, 1.0)
+    @pytest.mark.parametrize("beta", [-1.0, math.nan])
+    def test_negative_or_nan_beta_raises(self, beta):
+        with pytest.raises(ShieldlabError, match=rf"^beta must be a number >= 0 \(inf for "
+                                                 rf"the ground state\), got {beta}$"):
+            fourspin_coefficients(beta, 0.0, 1.0)
 
-    def test_series_that_does_not_converge_within_the_cap_raises(self):
-        # at beta = 150 the terms still grow at n = 400, short of overflowing
-        with pytest.raises(ShieldlabError, match=r"^series did not converge within 400 "
-                                                 r"terms \(beta=150.0, residual=2.13"):
-            fourspin_coefficients(150.0, 0.0, 1.0)
+    @pytest.mark.parametrize("h1, h4, key", [
+        (math.inf, 1.0, "h1"), (-math.inf, 1.0, "h1"), (math.nan, 1.0, "h1"),
+        (0.0, math.inf, "h4"), (0.0, -math.inf, "h4"), (0.0, math.nan, "h4"),
+    ])
+    def test_non_finite_field_raises_with_its_name(self, h1, h4, key):
+        with pytest.raises(ShieldlabError, match=rf"^{key}: must be a finite number, got "):
+            fourspin_coefficients(1.0, h1, h4)
 
 
 class TestFourSpinMagnetization:
@@ -195,22 +224,35 @@ class TestFourSpinMagnetization:
                     dense = diamond_magnetization_ed(beta, h1, h4)
                     assert abs(series - dense) < 1e-8
 
+    @pytest.mark.parametrize("beta", [150.0, 400.0, 1e4])
+    def test_cold_betas_match_exact_diagonalization(self, beta):
+        for h1 in (0.0, 10.0):
+            series = fourspin_magnetization(beta, h1, 1.0)
+            assert abs(series - diamond_magnetization_ed(beta, h1, 1.0)) < ORACLE_AGREEMENT_TOL
+
     def test_large_beta_plateau_is_independent_of_near_field(self):
         for h4 in (0.0, 1.0, 2.0):
-            plateau = fourspin_series_plateau(h4)
+            plateau = fourspin_magnetization(math.inf, 0.0, h4)
             for h1 in (0.0, 0.5, 1.0, 2.0):
                 assert abs(fourspin_magnetization(50.0, h1, h4) - plateau) < 1e-3
 
 
 class TestZeroTemperatureLimit:
+    def test_ground_value_is_the_plateau_for_every_near_field(self):
+        for h4 in (0.0, 0.5, 1.0, 2.0):
+            for h1 in list(np.arange(0.0, 2.0001, 0.05)) + [10.0]:
+                assert fourspin_magnetization(math.inf, h1, h4) == h4 / math.sqrt(4 + h4 * h4)
+
     def test_agrees_with_series_plateau_only_at_unit_field(self):
         # the claimed zero-temperature plateau 1/sqrt(4 + h4²) and the
-        # series' actual large-beta value coincide exactly at h4 = 1 only
-        assert 1.0 / math.sqrt(4.0 + 1.0) == fourspin_series_plateau(1.0)
+        # series' actual ground value coincide exactly at h4 = 1 only
+        assert 1.0 / math.sqrt(4.0 + 1.0) == fourspin_magnetization(math.inf, 0.0, 1.0)
         for h4 in (0.0, 0.5, 2.0):
-            assert abs(1.0 / math.sqrt(4.0 + h4 * h4) - fourspin_series_plateau(h4)) > 0.1
+            claimed = 1.0 / math.sqrt(4.0 + h4 * h4)
+            assert abs(claimed - fourspin_magnetization(math.inf, 0.0, h4)) > 0.1
 
     def test_series_plateau_matches_exact_diagonalization(self):
         for h4 in (0.0, 1.0, 2.0):
-            ed = diamond_magnetization_ed(50.0, 0.7, h4)
-            assert abs(ed - fourspin_series_plateau(h4)) < 1e-3
+            for beta in (50.0, math.inf):
+                ed = diamond_magnetization_ed(beta, 0.7, h4)
+                assert abs(ed - fourspin_magnetization(math.inf, 0.7, h4)) < 1e-3

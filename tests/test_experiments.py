@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import shieldlab.experiments as experiments
-import shieldlab.thermal as thermal
 from shieldlab import (
     RUNNERS,
     DensityMatrix,
@@ -29,6 +28,7 @@ from shieldlab import (
     make_diamond,
     make_triangular_patch,
     point_rng,
+    reduced_state,
     run_conjecture,
     run_counterexample,
     run_dual_check,
@@ -411,14 +411,6 @@ class TestVerifyShielding:
             run_verify_shielding(chain_config(trials=2, betas=["inf"]))
 
 
-# betas the diamond series cannot sum, and the whole refusal each gives
-SERIES_REFUSALS = [
-    ([1.0, 150.0], "betas[1]: series did not converge within 400 terms "
-                   "(beta=150.0, residual=2.130144107790899e+44)"),
-    ([400.0], "betas[0]: series overflowed at n=195 (beta=400.0, h1=0.0, h4=1.0)"),
-]
-
-
 class TestCounterexample:
     def test_series_and_dense_agree(self):
         cfg = {"h4": 1.0, "betas": [1.0, 7.0],
@@ -471,13 +463,13 @@ class TestCounterexample:
         ({"series_tol": None}, "series_tol"),
         ({"seed": 1.5}, "seed"),
         ({"trials": 3}, "^trials: is unknown"),
-        ({"betas": [1.0, "ground"]}, r"^betas\[1\]: must be a finite number"),
-        ({"betas": ["inf"]}, r"^betas\[0\]: must be a finite number"),
+        ({"betas": [1.0, -1.0]}, r'^betas\[1\]: must be a number >= 0 or "ground", got -1.0$'),
+        ({"betas": ["inf"]}, r'^betas\[0\]: must be a number >= 0 or "ground", got \'inf\'$'),
         ({"h4": 10 ** 400}, r"^h4: must be a finite number, got an integer too large for a "
                             r"float$"),
         ({"betas": [1.0, 10 ** 400]},
-         r"^betas\[1\]: must be a finite number >= 0 \(the series takes no beta = inf\), "
-         r"got an integer too large for a float$"),
+         r'^betas\[1\]: must be a number >= 0 or "ground", got an integer too large for a '
+         r'float$'),
         ({"h1_grid": {"start": 0.0, "stop": 1.0, "step": 10 ** 400}},
          r"^h1_grid\.step: must be a finite number > 0, got an integer too large for a "
          r"float$"),
@@ -493,16 +485,30 @@ class TestCounterexample:
         with pytest.raises(ShieldlabError, match=key):
             run_counterexample(cfg)
 
-    @pytest.mark.parametrize("betas, message", SERIES_REFUSALS)
-    def test_beta_the_series_cannot_sum_is_refused_before_any_solve(self, monkeypatch,
-                                                                     betas, message):
-        def solve(H):
-            raise AssertionError("H was solved")
+    def test_ground_agrees_with_the_dense_ground_mixture_and_does_not_depend_on_h1(self):
+        h1_grid = [0.0, 0.5, 2.0, 10.0]
+        table = run_counterexample({"betas": ["ground"], "h1_grid": h1_grid})
+        obs = PauliString.single(4, 3, "X")
+        for row, h1 in zip(table.rows, h1_grid):
+            dense = expectation(reduced_state(build_hamiltonian(make_diamond(h1, 1.0)),
+                                              math.inf, range(4)), obs)
+            assert row[0] == math.inf
+            assert abs(row[2] - dense) < experiments.ORACLE_AGREEMENT_TOL
+        verdict = table.metadata["verdict"]
+        assert verdict["status"] == "pass"
+        assert verdict["spread_by_beta"]["inf"] == 0.0  # the zero-temperature heal
+        assert verdict["plateau_gap_by_beta"]["inf"] == 0.0
 
-        monkeypatch.setattr(thermal, "_decompose", solve)
-        with pytest.raises(ShieldlabError) as info:
-            run_counterexample({"betas": betas})
-        assert str(info.value) == message
+    def test_betas_past_a_truncated_series_agree_with_the_dense_solve(self):
+        cfg = {"betas": [150.0, 400.0, 1e4], "h1_grid": [0.0, 10.0]}
+        verdict = run_counterexample(cfg).metadata["verdict"]
+        assert verdict["status"] == "pass"
+        assert verdict["max_abs_delta"] < experiments.ORACLE_AGREEMENT_TOL
+
+    def test_series_tol_is_accepted_and_ignored(self):
+        cfg = {"betas": [1.0, 7.0], "h1_grid": [0.0, 0.5]}
+        assert (run_counterexample({**cfg, "series_tol": 1e-3}).rows
+                == run_counterexample(cfg).rows)
 
 
 class TestConjecture:
@@ -1198,8 +1204,8 @@ class TestCli:
         ("quench", lambda cfg: cfg.update(split={"X": [0, 1], "Y": [1, 2]},
                                           observables=["+ X0 X2"]),
          "error: observables[0]: touches both bulks"),
-        ("counterexample", lambda cfg: cfg.update(betas=["ground"]),
-         "error: betas[0]: must be a finite number"),
+        ("counterexample", lambda cfg: cfg.update(betas=["cold"]),
+         'error: betas[0]: must be a number >= 0 or "ground", got \'cold\'\n'),
         ("counterexample", lambda cfg: cfg.update(h4=10 ** 400),
          "error: h4: must be a finite number, got an integer too large for a float\n"),
         ("quench", lambda cfg: cfg.update(quench_h=10 ** 400),
@@ -1224,8 +1230,7 @@ class TestCli:
         ("counterexample", '{"h4": %s}' % LONG,
          "h4: must be a finite number, got an integer of 5001 digits"),
         ("counterexample", '{"betas": [1, -%s]}' % LONG,
-         "betas[1]: must be a finite number >= 0 (the series takes no beta = inf), "
-         "got an integer of 5001 digits"),
+         'betas[1]: must be a number >= 0 or "ground", got an integer of 5001 digits'),
         ("dual-check", '{"seed": %s}' % LONG,
          "seed: must be an integer in 0..2**64 - 1, got an integer of 5001 digits"),
         ("verify-shielding", '{"lattice": %s}' % LONG,
@@ -1257,13 +1262,10 @@ class TestCli:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("betas, message", SERIES_REFUSALS)
-    def test_beta_the_series_cannot_sum_exits_one_with_its_key(self, tmp_path, betas,
-                                                               message):
-        proc = self.run_cli(tmp_path, "counterexample", {"betas": betas})
-        assert proc.returncode == 1
-        assert proc.stderr == f"error: {message}\n"
-        assert not (tmp_path / "out").exists()
+    def test_betas_past_a_truncated_series_exit_zero(self, tmp_path):
+        proc = self.run_cli(tmp_path, "counterexample", {"betas": [150.0, 400.0]})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg = chain_config(trials=2)
